@@ -19,6 +19,7 @@ use hc_restore::engine::DegradationReport;
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::{ChunkStore, MemStore, StoreStats};
 use hc_storage::manager::StorageManager;
+use hc_storage::reactor::Reactor;
 use hc_storage::two_stage::{SaveMode, StateSaver};
 use hc_storage::{StorageError, StreamId};
 
@@ -94,6 +95,12 @@ pub struct RoundStats {
     pub context_tokens: usize,
 }
 
+/// Chunk reads the facade's IO reactor keeps in flight per storage
+/// device. Two keeps a device's queue non-empty while the completion of
+/// its previous read is being decoded; the device count comes from the
+/// store.
+const REACTOR_IODEPTH: usize = 2;
+
 struct SessionState {
     /// All tokens of the conversation so far (prompts + generations), the
     /// source of truth for recompute layers and RoPE positions.
@@ -149,6 +156,11 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     /// restore pipeline and the storage codec. The parallel paths are
     /// bit-for-bit equal to the serial ones, so generations are identical
     /// for every budget — only wall-clock changes.
+    ///
+    /// The storage manager gets an IO [`Reactor`] with one submission
+    /// queue per device of `store`, so every restore streams its chunks
+    /// from all devices at once; the reactor's IO threads live exactly as
+    /// long as the system (dropping it joins them).
     pub fn with_store_parallel(
         cfg: &ModelConfig,
         seed: u64,
@@ -157,7 +169,12 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         parallel: hc_tensor::ParallelConfig,
     ) -> Self {
         let model = Model::new(cfg, seed);
-        let mgr = Arc::new(StorageManager::new(store, cfg.d_model).with_parallel(parallel));
+        let reactor = Reactor::new(store.n_devices(), REACTOR_IODEPTH);
+        let mgr = Arc::new(
+            StorageManager::new(store, cfg.d_model)
+                .with_parallel(parallel)
+                .with_reactor(reactor),
+        );
         let saver = StateSaver::new(Arc::clone(&mgr), SaveMode::TwoStage);
         Self {
             model,
@@ -291,31 +308,26 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     }
 
     /// Restores a session's KV cache from host storage (the cache-miss
-    /// path), through the bubble-free two-stage pipeline: storage prefetch
-    /// on an IO thread overlapping the compute stage, whose hidden→KV
-    /// projection GEMMs, recompute-prefix forward pass and chunk codec all
-    /// run under this system's thread budget (the head-parallel kernels
-    /// are bit-identical to serial). Exposed for tests and examples;
-    /// [`HCacheSystem::round`] calls it internally.
+    /// path). Every restore runs the one chunk-streaming executor
+    /// (`hc_restore::engine::restore_session_pipelined_with_methods`) over
+    /// this system's IO reactor: the recompute prefix's forward pass runs
+    /// first, while a prefetch stage streams the stored layers' 64-token
+    /// chunks from all storage devices at once (up to `REACTOR_IODEPTH`
+    /// reads in flight per device); the calling thread then projects each
+    /// hidden layer's newly contiguous token prefix — everything that
+    /// landed since its last GEMM, in one call — and places K/V chunks as
+    /// both streams' prefixes pair up, all under this system's thread
+    /// budget. With a controller attached the session's current (possibly
+    /// demoted) method mix is restored and hits/fallbacks are counted;
+    /// without one the static scheme is. The result is bit-identical to
+    /// `restore_session_with_methods` under that mix. Exposed for tests
+    /// and examples; [`HCacheSystem::round`] calls it internally.
     pub fn restore(&self, session: u64) -> Result<KvCache, SystemError> {
-        let state = self
-            .sessions
-            .get(&session)
-            .ok_or(SystemError::UnknownSession(session))?;
-        if let Some(ctl) = &self.controller {
-            // The controller restores under the session's current (possibly
-            // demoted) method mix and counts hits/fallbacks.
-            return Ok(ctl.restore(&self.model, session, &state.tokens, &self.parallel)?);
+        let tokens = self.session_tokens(session)?;
+        match &self.controller {
+            Some(ctl) => Ok(ctl.restore(&self.model, session, tokens, &self.parallel)?),
+            None => self.restore_static(session, tokens),
         }
-        Ok(hc_restore::engine::restore_session_pipelined(
-            &self.model,
-            &self.mgr,
-            session,
-            &state.tokens,
-            state.tokens.len(),
-            &self.scheme,
-            &self.parallel,
-        )?)
     }
 
     /// [`HCacheSystem::restore`] with the device-health plane engaged:
@@ -329,28 +341,30 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         &self,
         session: u64,
     ) -> Result<(KvCache, DegradationReport), SystemError> {
-        let state = self
-            .sessions
-            .get(&session)
-            .ok_or(SystemError::UnknownSession(session))?;
-        if let Some(ctl) = &self.controller {
-            return Ok(ctl.restore_with_report(
-                &self.model,
-                session,
-                &state.tokens,
-                &self.parallel,
-            )?);
+        let tokens = self.session_tokens(session)?;
+        match &self.controller {
+            Some(ctl) => {
+                Ok(ctl.restore_with_report(&self.model, session, tokens, &self.parallel)?)
+            }
+            None => Ok((
+                self.restore_static(session, tokens)?,
+                DegradationReport::default(),
+            )),
         }
-        let kv = hc_restore::engine::restore_session_pipelined(
+    }
+
+    /// The controller-free restore: the whole history under the static
+    /// scheme.
+    fn restore_static(&self, session: u64, tokens: &[u32]) -> Result<KvCache, SystemError> {
+        Ok(hc_restore::engine::restore_session_pipelined(
             &self.model,
             &self.mgr,
             session,
-            &state.tokens,
-            state.tokens.len(),
+            tokens,
+            tokens.len(),
             &self.scheme,
             &self.parallel,
-        )?;
-        Ok((kv, DegradationReport::default()))
+        )?)
     }
 
     /// Marks a storage device down on the attached controller (see

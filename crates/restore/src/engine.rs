@@ -26,9 +26,9 @@
 //!   in restoration order, *streaming* each layer's chunks out of the
 //!   [`StorageManager`] via `read_rows_streaming` — every decoded 64-token
 //!   chunk is forwarded the moment its IO lands (in device-completion
-//!   order when the manager runs chunk-fanout reads, so up to the fanout
-//!   width of chunk reads stay in flight while earlier chunks are already
-//!   being consumed) — and
+//!   order when the manager reads through an IO reactor or a fanout pool,
+//!   so up to its queue depth of chunk reads stay in flight while earlier
+//!   chunks are already being consumed) — and
 //! * a **compute stream** (the caller's thread) consumes *chunks*, not
 //!   layers: a hidden-method layer's projection GEMMs run over each newly
 //!   contiguous token prefix as it becomes ready — compute on chunk `k`
@@ -39,34 +39,60 @@
 //!   exactly like the `compute_needs_io = false` tasks at the front of a
 //!   `sched::pipeline::Timeline`.
 //!
+//! **Greedy batching.** The compute stream never projects "one chunk per
+//! message". Each turn it blocks for one message and then takes, without
+//! blocking again, everything that has *already landed* for the layer
+//! being assembled (`drain_landed`); the whole newly contiguous prefix is
+//! then projected (or the paired K/V prefix placed) in one call. The GEMM
+//! granularity therefore follows whichever side is the bound, with no
+//! mode and no parameter: when the devices are the bound the channel is
+//! nearly empty at every turn, so projections run per chunk (or per group
+//! of chunks the devices completed together) and overlap the reads still
+//! in flight; when compute is the bound (`MemStore`, page-cache reads) the
+//! prefetcher runs ahead, a turn finds the rest of the layer waiting, and
+//! a layer costs one or two GEMMs — the layer-granular executor's cost. A
+//! turn ends early in exactly three cases: the layer's streams are all
+//! complete (the next message belongs to the next layer and is never
+//! popped early), a `Reset` (the stream's staging, including what this
+//! turn staged, is forgotten and the layer's installed rows are rolled
+//! back before anything behind the reset is taken), or a `Failed`
+//! (returned at once).
+//!
 //! The stages are linked by a **bounded channel of chunk work items**
-//! (depth `2 × fanout width`, minimum 4), so what may be in flight at any
-//! instant is: at most one layer being assembled on the compute side (its
-//! staging tensors), plus a bounded-channel's worth of decoded chunks,
-//! plus the manager's in-flight chunk reads — O(1) layers of host staging,
-//! like the paper's staging buffer, never the whole restore. A mid-stream
-//! tombstone (concurrent delete/re-append) resets the layer being
-//! assembled — [`hc_model::KvCache::truncate_layer`] rolls back exactly
-//! the rows placed for it — and the stream redelivers wholesale, so the
-//! incremental placement never leaks a dead generation.
+//! (depth `2 × read parallelism`, minimum 4), so what may be in flight at
+//! any instant is: at most one layer being assembled on the compute side
+//! (its staging tensors), plus a bounded-channel's worth of decoded
+//! chunks, plus the manager's in-flight chunk reads — O(1) layers of host
+//! staging, like the paper's staging buffer, never the whole restore. A
+//! mid-stream tombstone (concurrent delete/re-append) resets the layer
+//! being assembled — [`hc_model::KvCache::truncate_layer`] rolls back
+//! exactly the rows placed for it — and the stream redelivers wholesale,
+//! so the incremental placement never leaks a dead generation.
 //!
 //! Because projection/norm/RoPE are row-wise (a chunk projected at its
 //! absolute start position is bit-equal to the same rows inside a whole-
-//! layer projection) and the parallel kernels are bit-for-bit equal to
-//! the serial ones, the pipelined restore returns a [`KvCache`]
-//! *bit-identical* to [`restore_session`]'s — the tests at the bottom
-//! enforce this across every scheme shape and thread counts 1–8.
+//! layer projection, however the rows are batched) and the parallel
+//! kernels are bit-for-bit equal to the serial ones, the pipelined restore
+//! returns a [`KvCache`] *bit-identical* to [`restore_session`]'s — the
+//! tests at the bottom enforce this across every scheme shape, thread
+//! counts 1–8 and reactor iodepths 1–4.
+//!
+//! **The one facade path.** `HCacheSystem` attaches an IO reactor (one
+//! submission queue per storage device) to the manager it builds, so
+//! every `HCacheSystem::restore` / `round` — directly or through the cache
+//! controller — runs this executor with its streamed reads riding the
+//! reactor's device queues: one layer's chunks are striped over the
+//! devices, and all of them serve the restore at once.
 //!
 //! The previous layer-granular pipeline is kept as
 //! [`restore_session_pipelined_layerwise`]: one `read_rows` per layer
 //! through a bounded channel of two whole-layer payloads. It is the
 //! measured baseline for the chunk-streaming speedup in `bench_restore`
-//! (TTFR on the `LatencyStore` device model), a reference executor for
-//! the bit-identity matrix, and the path [`restore_session_pipelined`]
-//! itself takes when the manager has neither a chunk-fanout pool nor an
-//! IO reactor — without in-flight IO breadth, chunk granularity only
-//! pays staging and dispatch overhead, so granularity adapts with the
-//! read-engine config.
+//! (TTFR on the `LatencyStore` device model) and a reference executor for
+//! the bit-identity matrix. [`restore_session_pipelined`] still forks to
+//! it for a bare manager that has neither an IO reactor nor a
+//! chunk-fanout pool (sequential chunk reads leave nothing to overlap
+//! inside a layer) — a configuration the facade no longer builds.
 //!
 //! Prefetch failures are **typed**: a panicking backend (or lost fanout
 //! completions) inside the prefetch stage surfaces as
@@ -418,16 +444,22 @@ impl StreamAssembly {
         rows: &Tensor2,
         slice_rows: &[usize],
     ) {
-        for r in 0..rows.rows() {
-            self.staged
-                .row_mut(row_start + r)
-                .copy_from_slice(rows.row(r));
-        }
+        // A chunk's rows are contiguous in both tensors (equal `d_model`).
+        let d = self.staged.cols();
+        debug_assert_eq!(rows.cols(), d, "chunk width differs from staging");
+        self.staged.as_mut_slice()[row_start * d..][..rows.as_slice().len()]
+            .copy_from_slice(rows.as_slice());
         self.received[slice_idx] = true;
         while self.ready_slices < self.received.len() && self.received[self.ready_slices] {
             self.ready_rows += slice_rows[self.ready_slices];
             self.ready_slices += 1;
         }
+    }
+
+    /// Whether every slice has landed: the stream's read is over, nothing
+    /// more (not even a reset) will arrive for it.
+    pub(crate) fn complete(&self) -> bool {
+        self.ready_slices == self.received.len()
     }
 
     /// Forgets everything (a tombstone reset): the stream redelivers all
@@ -436,6 +468,88 @@ impl StreamAssembly {
         self.received.iter_mut().for_each(|r| *r = false);
         self.ready_slices = 0;
         self.ready_rows = 0;
+    }
+}
+
+/// The streams a storage-backed layer is read from, in the order the
+/// prefetcher streams them.
+fn layer_streams(method: LayerMethod) -> &'static [StateKind] {
+    match method {
+        LayerMethod::Hidden => &[StateKind::Hidden],
+        LayerMethod::KvOffload => &[StateKind::Key, StateKind::Value],
+        LayerMethod::Recompute => unreachable!("recompute layers read no stream"),
+    }
+}
+
+/// The assembly of `kind`'s stream among the current layer's `streams`.
+fn stream_mut(streams: &mut [(StateKind, StreamAssembly)], kind: StateKind) -> &mut StreamAssembly {
+    match streams.iter_mut().find(|(k, _)| *k == kind) {
+        Some((_, asm)) => asm,
+        None => unreachable!("the layer being assembled streams no {kind:?} rows"),
+    }
+}
+
+/// How one [`drain_landed`] turn ended.
+#[derive(Debug, PartialEq)]
+enum Drained {
+    /// Chunks were staged; the layer's contiguous prefix may have grown.
+    Staged,
+    /// A stream of the layer was invalidated: its staging is forgotten and
+    /// the caller must roll the layer's installed rows back.
+    Reset,
+}
+
+/// One greedy turn of the compute stage on layer `l`: blocks for the next
+/// message, then stages everything that has **already landed** for the
+/// layer without blocking again, so the caller projects/places one batch
+/// per turn however many chunks arrived while it was busy. The turn ends
+/// * when the channel is momentarily empty — an IO-bound restore then
+///   batches whatever the devices completed together, a compute-bound one
+///   (memcpy-speed reads) finds the whole layer waiting;
+/// * the moment every stream of the layer is complete: the prefetcher
+///   finishes a layer's streams before it starts the next, so the message
+///   behind a complete layer belongs to layer `l + 1` and stays queued;
+/// * at a `Reset`, after forgetting that stream's staging — what this
+///   turn staged for it is discarded with the rest, and nothing behind the
+///   reset is taken before the caller rolled the layer back;
+/// * at a `Failed`, which returns the prefetch stage's error at once.
+fn drain_landed(
+    rx: &crossbeam::channel::Receiver<ChunkMsg>,
+    l: usize,
+    streams: &mut [(StateKind, StreamAssembly)],
+    slice_rows: &[usize],
+) -> Result<Drained, RestoreError> {
+    let mut msg = rx
+        .recv()
+        .map_err(|_| RestoreError::PrefetchFailed { layer: l })?;
+    loop {
+        match msg {
+            ChunkMsg::Rows {
+                layer,
+                kind,
+                slice_idx,
+                row_start,
+                rows,
+            } => {
+                debug_assert_eq!(layer, l, "chunk from a future layer");
+                stream_mut(streams, kind).place(slice_idx, row_start, &rows, slice_rows);
+            }
+            ChunkMsg::Reset { layer, kind } => {
+                debug_assert_eq!(layer, l, "reset from a future layer");
+                stream_mut(streams, kind).reset();
+                return Ok(Drained::Reset);
+            }
+            ChunkMsg::Failed { err } => return Err(err),
+        }
+        if streams.iter().all(|(_, asm)| asm.complete()) {
+            return Ok(Drained::Staged);
+        }
+        match rx.try_recv() {
+            Ok(next) => msg = next,
+            // Empty, or the prefetcher is gone: the next blocking `recv`
+            // tells which.
+            Err(_) => return Ok(Drained::Staged),
+        }
     }
 }
 
@@ -488,16 +602,18 @@ pub fn restore_session_pipelined<S: ChunkStore>(
 /// isolated and surfaced as [`RestoreError::PrefetchFailed`] with the
 /// in-flight layer index — the caller's thread never unwinds.
 ///
-/// Granularity is adaptive, mirroring the manager's adaptive read
-/// engines: when the manager has neither a chunk-fanout pool nor an IO
-/// reactor (`read_parallelism() ≤ 1`) a single read cannot keep more than
-/// one chunk in flight, so intra-layer streaming has no IO to overlap and
-/// only pays per-chunk staging and GEMM-dispatch overhead — the restore
-/// then runs the layer-granular executor instead. With a reactor attached
-/// the streamed reads ride its per-device submission queues
-/// (`stream_slices_reactor`), keeping `iodepth` chunk reads in flight per
-/// device. All executors are bit-identical to the sequential restore, so
-/// the choice changes wall-clock only.
+/// This is the executor behind every `HCacheSystem` restore: the facade's
+/// manager carries an IO reactor, so the streamed reads ride its
+/// per-device submission queues (`stream_slices_reactor`) and every
+/// device holding a chunk of the layer serves it at once, while the
+/// compute stage batches greedily — it projects/places whatever prefix
+/// has landed since its last call, so GEMM granularity follows the bound
+/// (per chunk when IO-bound, about one GEMM per layer when reads are
+/// memcpy-speed; see the module docs). Only a bare manager with neither
+/// a reactor nor a fanout pool (`read_parallelism() ≤ 1`: sequential chunk
+/// reads, nothing to overlap inside a layer) forks to the layer-granular
+/// executor. All executors are bit-identical to the sequential restore,
+/// so the choice changes wall-clock only.
 ///
 /// # Panics
 /// Panics when `methods` does not cover the model's layers or when its
@@ -547,11 +663,7 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
         let (tx, rx) = bounded::<ChunkMsg>(depth);
         scope.spawn(move || {
             for (l, method) in methods.iter().enumerate().skip(n_recompute) {
-                let kinds: &[StateKind] = match method {
-                    LayerMethod::Hidden => &[StateKind::Hidden],
-                    LayerMethod::KvOffload => &[StateKind::Key, StateKind::Value],
-                    LayerMethod::Recompute => unreachable!("prefix checked above"),
-                };
+                let kinds = layer_streams(*method);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || -> Result<bool, StorageError> {
                         for &kind in kinds {
@@ -603,108 +715,53 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
             }
         }
 
-        // Then consume chunk work items. The prefetcher walks layers in
-        // order and finishes one layer's streams before the next, so every
-        // message belongs to the layer currently being assembled.
-        let recv = |expected_layer: usize| -> Result<ChunkMsg, RestoreError> {
-            rx.recv().map_err(|_| RestoreError::PrefetchFailed {
-                layer: expected_layer,
-            })
-        };
+        // Then consume chunk work items, one layer at a time, batching
+        // greedily: each turn takes everything that has already landed for
+        // the layer and projects/places the whole newly contiguous prefix
+        // in one call.
         for (l, method) in methods.iter().enumerate().skip(n_recompute) {
-            match method {
-                LayerMethod::Hidden => {
-                    let mut asm = StreamAssembly::new(n_tokens, cfg.d_model, n_slices);
-                    // Rows already projected and appended to the cache ==
-                    // kv.n_tokens_at_layer(l); chunk-by-chunk this chases
-                    // the contiguous ready prefix.
-                    let mut projected = 0usize;
-                    while projected < n_tokens {
-                        match recv(l)? {
-                            ChunkMsg::Rows {
-                                layer,
-                                kind,
-                                slice_idx,
-                                row_start,
-                                rows,
-                            } => {
-                                debug_assert_eq!(layer, l, "chunk from a future layer");
-                                debug_assert_eq!(kind, StateKind::Hidden);
-                                asm.place(slice_idx, row_start, &rows, &slice_rows);
-                                if asm.ready_rows > projected {
-                                    // Project the newly contiguous rows at
-                                    // their absolute positions: row-wise
-                                    // norm/GEMM/RoPE make this bit-equal
-                                    // to a whole-layer projection.
-                                    let h = asm.staged.slice_rows(projected, asm.ready_rows);
-                                    let (k, v) = model.restore_layer_kv_par(l, &h, projected, par);
-                                    kv.append(l, &k, &v);
-                                    projected = asm.ready_rows;
-                                }
-                            }
-                            ChunkMsg::Reset { layer, .. } => {
-                                debug_assert_eq!(layer, l, "reset from a future layer");
-                                asm.reset();
-                                kv.truncate_layer(l, 0);
-                                projected = 0;
-                            }
-                            ChunkMsg::Failed { err } => return Err(err),
-                        }
-                    }
+            let mut streams: Vec<(StateKind, StreamAssembly)> = layer_streams(*method)
+                .iter()
+                .map(|&kind| (kind, StreamAssembly::new(n_tokens, cfg.d_model, n_slices)))
+                .collect();
+            // Rows of layer `l` already in the cache; chases the prefix
+            // every stream of the layer has contiguously delivered.
+            let mut installed = 0usize;
+            while installed < n_tokens {
+                if drain_landed(&rx, l, &mut streams, &slice_rows)? == Drained::Reset {
+                    // The reset stream redelivers every slice, so the
+                    // prefix regrows from row 0 (a KV layer's other
+                    // stream keeps its staging).
+                    kv.truncate_layer(l, 0);
+                    installed = 0;
+                    continue;
                 }
-                LayerMethod::KvOffload => {
-                    let mut k_asm = StreamAssembly::new(n_tokens, cfg.d_model, n_slices);
-                    let mut v_asm = StreamAssembly::new(n_tokens, cfg.d_model, n_slices);
-                    let mut placed = 0usize;
-                    while placed < n_tokens {
-                        match recv(l)? {
-                            ChunkMsg::Rows {
-                                layer,
-                                kind,
-                                slice_idx,
-                                row_start,
-                                rows,
-                            } => {
-                                debug_assert_eq!(layer, l, "chunk from a future layer");
-                                let asm = match kind {
-                                    StateKind::Key => &mut k_asm,
-                                    StateKind::Value => &mut v_asm,
-                                    StateKind::Hidden => unreachable!("KV layer streams K/V"),
-                                };
-                                asm.place(slice_idx, row_start, &rows, &slice_rows);
-                                // Install whatever prefix both streams
-                                // now agree on — K chunks land (and are
-                                // placed) while V's IO is still going.
-                                let ready = k_asm.ready_rows.min(v_asm.ready_rows);
-                                if ready > placed {
-                                    kv.append(
-                                        l,
-                                        &k_asm.staged.slice_rows(placed, ready),
-                                        &v_asm.staged.slice_rows(placed, ready),
-                                    );
-                                    placed = ready;
-                                }
-                            }
-                            ChunkMsg::Reset { layer, kind } => {
-                                debug_assert_eq!(layer, l, "reset from a future layer");
-                                match kind {
-                                    StateKind::Key => k_asm.reset(),
-                                    StateKind::Value => v_asm.reset(),
-                                    StateKind::Hidden => unreachable!("KV layer streams K/V"),
-                                }
-                                // Roll back this layer's placed rows; the
-                                // reset stream redelivers every slice, so
-                                // the paired prefix regrows through the
-                                // Rows arm above (the other stream's
-                                // staging survives untouched).
-                                kv.truncate_layer(l, 0);
-                                placed = 0;
-                            }
-                            ChunkMsg::Failed { err } => return Err(err),
-                        }
-                    }
+                let ready = streams
+                    .iter()
+                    .map(|(_, asm)| asm.ready_rows)
+                    .min()
+                    .unwrap_or(0);
+                if ready <= installed {
+                    continue;
                 }
-                LayerMethod::Recompute => unreachable!("prefix checked above"),
+                match streams.as_slice() {
+                    // Project the newly contiguous rows at their absolute
+                    // positions: row-wise norm/GEMM/RoPE make this
+                    // bit-equal to a whole-layer projection.
+                    [(_, hidden)] => {
+                        let h = hidden.staged.slice_rows(installed, ready);
+                        let (k, v) = model.restore_layer_kv_par(l, &h, installed, par);
+                        kv.append(l, &k, &v);
+                    }
+                    // Install the prefix both K and V have delivered.
+                    [(_, k), (_, v)] => kv.append(
+                        l,
+                        &k.staged.slice_rows(installed, ready),
+                        &v.staged.slice_rows(installed, ready),
+                    ),
+                    _ => unreachable!("a layer streams hidden or K+V"),
+                }
+                installed = ready;
             }
         }
         Ok(())
@@ -979,6 +1036,7 @@ mod tests {
     use super::*;
     use hc_model::ModelConfig;
     use hc_storage::backend::MemStore;
+    use hc_storage::reactor::Reactor;
     use std::sync::Arc;
 
     const N_TOKENS: usize = 80; // spans two chunks
@@ -992,10 +1050,15 @@ mod tests {
     }
 
     fn fixture(seed: u64) -> Fixture {
+        fixture_of(seed, N_TOKENS)
+    }
+
+    /// A prefilled `n_tokens` history and an empty plain manager.
+    fn fixture_of(seed: u64, n_tokens: usize) -> Fixture {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, seed);
         let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model);
-        let tokens: Vec<u32> = (0..N_TOKENS as u32)
+        let tokens: Vec<u32> = (0..n_tokens as u32)
             .map(|i| (i * 37 + seed as u32) % 256)
             .collect();
         let mut kv = KvCache::new(&cfg);
@@ -1190,44 +1253,271 @@ mod tests {
 
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
+        // Every scheme shape × thread counts 1–8, over a plain manager
+        // (the layer-granular fork, and the layer-granular executor by
+        // name) and over reactor-attached ones at iodepth 1/2/4 (chunk
+        // streaming with greedy batching, completions out of order).
+        // 144 tokens = two device chunks and a buffered tail per stream.
+        const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
-            let f = fixture(41 + i as u64);
+            let f = fixture_of(41 + i as u64, MATRIX_TOKENS);
             save_session_state(&f.model, &f.mgr, 1, &f.hidden, &f.reference_kv, &scheme).unwrap();
-            let seq = restore_session(&f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &scheme).unwrap();
+            let seq =
+                restore_session(&f.model, &f.mgr, 1, &f.tokens, MATRIX_TOKENS, &scheme).unwrap();
+            let reactor_mgrs: Vec<_> = [1usize, 2, 4]
+                .into_iter()
+                .map(|iodepth| {
+                    let mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model)
+                        .with_reactor(Reactor::new(4, iodepth));
+                    save_session_state(&f.model, &mgr, 1, &f.hidden, &f.reference_kv, &scheme)
+                        .unwrap();
+                    (iodepth, mgr)
+                })
+                .collect();
             for threads in [1usize, 2, 4, 8] {
                 let par = hc_tensor::ParallelConfig::new(threads);
-                let piped = restore_session_pipelined(
-                    &f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &scheme, &par,
-                )
-                .unwrap();
                 let layerwise = restore_session_pipelined_layerwise(
-                    &f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &scheme, &par,
+                    &f.model,
+                    &f.mgr,
+                    1,
+                    &f.tokens,
+                    MATRIX_TOKENS,
+                    &scheme,
+                    &par,
                 )
                 .unwrap();
-                assert_eq!(seq.n_tokens(), piped.n_tokens());
-                for l in 0..seq.n_layers() {
+                assert_eq!(
+                    kv_max_error(&seq, &layerwise),
+                    0.0,
+                    "scheme #{i} layerwise diverged at {threads} threads"
+                );
+                let plain = std::iter::once((0usize, &f.mgr));
+                for (iodepth, mgr) in plain.chain(reactor_mgrs.iter().map(|(d, m)| (*d, m))) {
+                    let piped = restore_session_pipelined(
+                        &f.model,
+                        mgr,
+                        1,
+                        &f.tokens,
+                        MATRIX_TOKENS,
+                        &scheme,
+                        &par,
+                    )
+                    .unwrap();
                     assert_eq!(
-                        seq.keys(l),
-                        piped.keys(l),
-                        "scheme #{i} layer {l} keys diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        seq.values(l),
-                        piped.values(l),
-                        "scheme #{i} layer {l} values diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        seq.keys(l),
-                        layerwise.keys(l),
-                        "scheme #{i} layer {l} layerwise keys diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        seq.values(l),
-                        layerwise.values(l),
-                        "scheme #{i} layer {l} layerwise values diverged at {threads} threads"
+                        kv_max_error(&seq, &piped),
+                        0.0,
+                        "scheme #{i} diverged at {threads} threads, reactor iodepth {iodepth}"
                     );
                 }
             }
+        }
+    }
+
+    /// A `Rows` message of `rows` rows filled with `fill`.
+    fn rows_msg(
+        layer: usize,
+        kind: StateKind,
+        slice_idx: usize,
+        row_start: usize,
+        rows: usize,
+        fill: f32,
+    ) -> ChunkMsg {
+        ChunkMsg::Rows {
+            layer,
+            kind,
+            slice_idx,
+            row_start,
+            rows: Tensor2::from_vec(rows, 2, vec![fill; rows * 2]),
+        }
+    }
+
+    /// Messages still queued behind a drain (drains the channel).
+    fn left_queued(rx: &crossbeam::channel::Receiver<ChunkMsg>) -> usize {
+        std::iter::from_fn(|| rx.try_recv().ok()).count()
+    }
+
+    #[test]
+    fn drain_takes_everything_landed_and_stops_at_reset_failure_and_layer_end() {
+        // Three 64-row slices per stream, d_model 2, fed by hand so each
+        // stop condition is hit exactly.
+        let slice_rows = [64usize, 64, 64];
+        let asm = |kind| (kind, StreamAssembly::new(192, 2, 3));
+        let reset = |layer, kind| ChunkMsg::Reset { layer, kind };
+        let feed = |msgs: Vec<ChunkMsg>| {
+            let (tx, rx) = bounded::<ChunkMsg>(16);
+            msgs.into_iter().for_each(|m| tx.send(m).unwrap());
+            (tx, rx)
+        };
+        use StateKind::{Hidden, Key, Value};
+
+        // A burst: slices 2, 1, 0 landed (out of order) before the compute
+        // stage looked — one turn stages all three, and because that
+        // completes the layer, the next layer's chunk stays queued.
+        let mut hidden = [asm(Hidden)];
+        let (_tx, rx) = feed(vec![
+            rows_msg(0, Hidden, 2, 128, 64, 3.0),
+            rows_msg(0, Hidden, 1, 64, 64, 2.0),
+            rows_msg(0, Hidden, 0, 0, 64, 1.0),
+            rows_msg(1, Hidden, 0, 0, 64, 9.0),
+        ]);
+        assert_eq!(
+            drain_landed(&rx, 0, &mut hidden, &slice_rows),
+            Ok(Drained::Staged)
+        );
+        assert_eq!(hidden[0].1.ready_rows, 192, "one turn took the whole burst");
+        assert_eq!(hidden[0].1.staged.row(0), &[1.0, 1.0]);
+        assert_eq!(hidden[0].1.staged.row(191), &[3.0, 3.0]);
+        assert_eq!(left_queued(&rx), 1, "the next layer's chunk was popped");
+
+        // A reset in the middle of a drain: the turn ends there with the
+        // stream's staging forgotten and the redelivery behind it queued;
+        // the next turn stages the redelivery until the channel runs dry.
+        let mut hidden = [asm(Hidden)];
+        let (_tx, rx) = feed(vec![
+            rows_msg(1, Hidden, 0, 0, 64, 9.0),
+            rows_msg(1, Hidden, 1, 64, 64, 9.0),
+            reset(1, Hidden),
+            rows_msg(1, Hidden, 0, 0, 64, 5.0),
+        ]);
+        assert_eq!(
+            drain_landed(&rx, 1, &mut hidden, &slice_rows),
+            Ok(Drained::Reset)
+        );
+        assert_eq!(hidden[0].1.ready_rows, 0, "the drain's staging survived");
+        assert_eq!(
+            drain_landed(&rx, 1, &mut hidden, &slice_rows),
+            Ok(Drained::Staged)
+        );
+        assert_eq!(hidden[0].1.ready_rows, 64);
+        assert_eq!(hidden[0].1.staged.row(0), &[5.0, 5.0]);
+
+        // KV layer: a V reset forgets V's staging only — K keeps its
+        // prefix, so the paired prefix regrows as V redelivers.
+        let mut kv = [asm(Key), asm(Value)];
+        let (_tx, rx) = feed(vec![
+            rows_msg(2, Key, 0, 0, 64, 1.0),
+            rows_msg(2, Key, 1, 64, 64, 1.0),
+            rows_msg(2, Key, 2, 128, 64, 1.0),
+            rows_msg(2, Value, 0, 0, 64, 2.0),
+            reset(2, Value),
+            rows_msg(2, Value, 0, 0, 64, 2.0),
+        ]);
+        assert_eq!(
+            drain_landed(&rx, 2, &mut kv, &slice_rows),
+            Ok(Drained::Reset)
+        );
+        assert_eq!((kv[0].1.ready_rows, kv[1].1.ready_rows), (192, 0));
+        assert_eq!(left_queued(&rx), 1);
+
+        // A failure returns at once, leaving what is behind it; a vanished
+        // prefetcher is the typed failure of the layer being assembled
+        // once the channel has run dry.
+        let (tx, rx) = feed(vec![
+            rows_msg(2, Value, 0, 0, 64, 2.0),
+            ChunkMsg::Failed {
+                err: RestoreError::WorkerLost,
+            },
+            rows_msg(2, Value, 1, 64, 64, 2.0),
+        ]);
+        assert_eq!(
+            drain_landed(&rx, 2, &mut kv, &slice_rows),
+            Err(RestoreError::WorkerLost)
+        );
+        drop(tx);
+        assert_eq!(
+            drain_landed(&rx, 2, &mut kv, &slice_rows),
+            Ok(Drained::Staged)
+        );
+        assert_eq!(
+            drain_landed(&rx, 2, &mut kv, &slice_rows),
+            Err(RestoreError::PrefetchFailed { layer: 2 })
+        );
+    }
+
+    #[test]
+    fn greedy_drain_restores_bit_identically_through_a_burst_and_a_mid_drain_delete_reappend() {
+        // A reactor-attached manager over a FaultStore, 320-token history
+        // (five chunks per stream), hidden ×3 + KV ×1. For one hidden
+        // stream and for the KV layer's V stream in turn: the first chunk
+        // read of the stream to start is held back inside the store until
+        // the fourth one starts — so its siblings land as a burst ahead of
+        // it — and that fourth read first deletes the stream and
+        // re-appends a different generation of the same size, so the
+        // reset reaches the compute stage in the middle of a drain. The
+        // restore must equal the sequential restore of the successor
+        // state, bit for bit.
+        use hc_storage::fault::FaultStore;
+        use std::sync::mpsc;
+
+        const TOKENS: usize = 320;
+        const CHUNKS: u64 = 5;
+        let cfg = ModelConfig::tiny_llama();
+        let model = Model::new(&cfg, 97);
+        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+        let mgr = Arc::new(
+            StorageManager::new(Arc::clone(&store), cfg.d_model).with_reactor(Reactor::new(4, 2)),
+        );
+        let scheme = PartitionScheme {
+            l_h: 3,
+            l_o: 1,
+            complement: LayerMethod::KvOffload,
+        };
+        let methods = scheme.layer_methods(cfg.n_layers);
+        let prefill = |salt: u32| {
+            let tokens: Vec<u32> = (0..TOKENS as u32).map(|t| (t * 41 + salt) % 256).collect();
+            let mut kv = KvCache::new(&cfg);
+            let out = model.prefill(&tokens, &mut kv, true);
+            (tokens, kv, out.hidden_per_layer.unwrap())
+        };
+        let (tokens, kv1, hidden1) = prefill(1);
+        let (_, kv2, hidden2) = prefill(2);
+        save_session_state(&model, &mgr, 1, &hidden1, &kv1, &scheme).unwrap();
+
+        // (stream to churn, its generation-2 rows, chunk reads the restore
+        // issues before reaching it: layers stream in order, K before V.)
+        let cases = [
+            (StreamId::hidden(1, 1), hidden2[1].clone(), CHUNKS),
+            (StreamId::value(1, 3), kv2.values(3).clone(), 4 * CHUNKS),
+        ];
+        for (stream, gen2, reads_before) in cases {
+            let (release, held) = mpsc::channel::<()>();
+            store.on_nth_read(reads_before, move || {
+                // Bounded so a broken restore fails instead of hanging.
+                let _ = held.recv_timeout(std::time::Duration::from_secs(30));
+            });
+            let churn_mgr = Arc::clone(&mgr);
+            let churned = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let churned_flag = Arc::clone(&churned);
+            store.on_nth_read(reads_before + 3, move || {
+                churn_mgr.delete_stream(stream);
+                churn_mgr.append_rows(stream, &gen2).unwrap();
+                churn_mgr.flush_stream(stream).unwrap();
+                churned_flag.store(true, std::sync::atomic::Ordering::SeqCst);
+                let _ = release.send(());
+            });
+            for threads in [1usize, 4] {
+                let piped = restore_session_pipelined_with_methods(
+                    &model,
+                    &mgr,
+                    1,
+                    &tokens,
+                    TOKENS,
+                    &methods,
+                    &ParallelConfig::new(threads),
+                )
+                .unwrap();
+                let seq = restore_session_with_methods(&model, &mgr, 1, &tokens, TOKENS, &methods)
+                    .unwrap();
+                assert_eq!(
+                    kv_max_error(&piped, &seq),
+                    0.0,
+                    "{stream:?} diverged at {threads} threads"
+                );
+            }
+            assert!(
+                churned.load(std::sync::atomic::Ordering::SeqCst),
+                "{stream:?} was never churned under a restore"
+            );
         }
     }
 

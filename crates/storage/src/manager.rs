@@ -785,10 +785,10 @@ impl<S: ChunkStore> StorageManager<S> {
                 let out = self
                     .out
                     .get_or_insert_with(|| Tensor2::zeros(self.n_rows, self.d_model));
-                for r in 0..chunk.rows.rows() {
-                    out.row_mut(chunk.row_start + r)
-                        .copy_from_slice(chunk.rows.row(r));
-                }
+                // A chunk's rows are contiguous in source and destination.
+                let src = chunk.rows.as_slice();
+                out.as_mut_slice()[chunk.row_start * self.d_model..][..src.len()]
+                    .copy_from_slice(src);
                 true
             }
 
