@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_model::{KvCache, Model, ModelConfig};
-use hc_restore::engine::{restore_session, restore_session_pipelined, save_session_state};
+use hc_restore::engine::{
+    restore_session, restore_session_pipelined_with_methods, save_session_state,
+};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::MemStore;
 use hc_storage::manager::StorageManager;
@@ -84,6 +86,7 @@ fn bench_restore_pipelined(c: &mut Criterion) {
             black_box(restore_session(&f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &scheme).unwrap())
         })
     });
+    let methods = scheme.layer_methods(4);
     for threads in [1usize, 2, 4] {
         let par = ParallelConfig::new(threads);
         group.bench_with_input(
@@ -92,8 +95,8 @@ fn bench_restore_pipelined(c: &mut Criterion) {
             |b, par| {
                 b.iter(|| {
                     black_box(
-                        restore_session_pipelined(
-                            &f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &scheme, par,
+                        restore_session_pipelined_with_methods(
+                            &f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &methods, par,
                         )
                         .unwrap(),
                     )
@@ -107,6 +110,7 @@ fn bench_restore_pipelined(c: &mut Criterion) {
         l_o: 2,
         complement: LayerMethod::Recompute,
     };
+    let methods_mixed = scheme_mixed.layer_methods(4);
     let f2 = fixture(&scheme_mixed);
     group.bench_function("sequential_mixed_128tok", |b| {
         b.iter(|| {
@@ -122,13 +126,13 @@ fn bench_restore_pipelined(c: &mut Criterion) {
         |b, par| {
             b.iter(|| {
                 black_box(
-                    restore_session_pipelined(
+                    restore_session_pipelined_with_methods(
                         &f2.model,
                         &f2.mgr,
                         1,
                         &f2.tokens,
                         N_TOKENS,
-                        &scheme_mixed,
+                        &methods_mixed,
                         par,
                     )
                     .unwrap(),

@@ -536,6 +536,10 @@ impl<S: ChunkStore + 'static> CacheController<S> {
     /// the placement changed — demotion only ever shrinks the set of
     /// streams a restore needs, so the retry count is bounded by the layer
     /// count and a restorable session never fails spuriously.
+    ///
+    /// The device-health plane is *not* engaged: a read that dies on a
+    /// sick device surfaces its typed error
+    /// ([`CacheController::restore_with_report`] degrades instead).
     pub fn restore(
         &self,
         model: &Model,
@@ -543,57 +547,23 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         tokens: &[u32],
         par: &ParallelConfig,
     ) -> Result<KvCache, CtlError> {
-        self.restore_from_snapshot(model, session, tokens, par, None)
+        self.restore_reported(model, session, tokens, par, false)
+            .map(|(kv, _)| kv)
     }
 
-    /// [`CacheController::restore`] with the retry loop primed: when
-    /// `last_methods` is `Some`, it is treated as a mix that already
-    /// failed once (so metrics are not re-counted and an unchanged mix
-    /// surfaces its error instead of retrying forever). The reactor batch
-    /// path uses this to resolve demotion races against its snapshots.
-    fn restore_from_snapshot(
+    /// A fresh (unprimed) run of the restore loop: [`Self::restore`]
+    /// (`degrade` off, report dropped) and [`Self::restore_with_report`]
+    /// (`degrade` on) — the scheduler's thread-per-restore mode picks
+    /// between the two with the same flag.
+    pub(crate) fn restore_reported(
         &self,
         model: &Model,
         session: u64,
         tokens: &[u32],
         par: &ParallelConfig,
-        mut last_methods: Option<Vec<LayerMethod>>,
-    ) -> Result<KvCache, CtlError> {
-        assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
-        loop {
-            let (methods, n_tokens) = {
-                let mut st = self.state.lock();
-                if !st.table.touch(session) {
-                    return Err(CtlError::UnknownSession(session));
-                }
-                // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                let mix = st.table.mix_of(session).expect("session just touched");
-                if last_methods.is_none() {
-                    // Count the attempt once, by the mix first seen.
-                    let counter = if st.table.mixes().is_fully_dropped(mix) {
-                        &self.metrics.restore_fallbacks
-                    } else {
-                        &self.metrics.restore_hits
-                    };
-                    CtlMetrics::bump(counter, 1);
-                }
-                (
-                    st.table.mixes().methods(mix).to_vec(),
-                    // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                    st.table.n_tokens_of(session).expect("session exists") as usize,
-                )
-            };
-            let stale = last_methods.as_deref() == Some(&methods);
-            match restore_session_pipelined_with_methods(
-                model, &self.mgr, session, tokens, n_tokens, &methods, par,
-            ) {
-                Ok(kv) => return Ok(kv),
-                // The mix did not change since the failed attempt: the
-                // error is real, not a racing demotion.
-                Err(e) if stale => return Err(e.into()),
-                Err(_) => last_methods = Some(methods),
-            }
-        }
+        degrade: bool,
+    ) -> Result<(KvCache, DegradationReport), CtlError> {
+        self.restore_loop(model, session, tokens, par, degrade, 0, None, None)
     }
 
     /// Restores a batch of sessions through the storage manager's IO
@@ -604,9 +574,9 @@ impl<S: ChunkStore + 'static> CacheController<S> {
     /// history length are snapshotted under the state lock (bumping the
     /// same hit/fallback metrics as [`CacheController::restore`]); unknown
     /// sessions fail only their own slot. A job whose reactor restore
-    /// fails because a concurrent save demoted it mid-flight (its mix
-    /// changed since the snapshot) is retried through the single-session
-    /// retry loop; a genuine failure surfaces as-is.
+    /// fails is re-resolved through the single-session retry loop, so a
+    /// concurrent save that demoted it mid-flight (its mix changed since
+    /// the snapshot) costs a retry, and a genuine failure surfaces typed.
     ///
     /// Returns `(session, result)` pairs in job order, each successful
     /// cache bit-identical to a sequential restore of the snapshot mix.
@@ -623,79 +593,9 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         max_inflight: usize,
         par: &ParallelConfig,
     ) -> Vec<(u64, Result<KvCache, CtlError>)> {
-        assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
-        enum Slot {
-            Req(usize),
-            Unknown(u64),
-        }
-        let mut slots = Vec::with_capacity(jobs.len());
-        let mut requests: Vec<hc_restore::engine::RestoreRequest> = Vec::new();
-        {
-            let mut st = self.state.lock();
-            for job in jobs {
-                if !st.table.touch(job.session) {
-                    slots.push(Slot::Unknown(job.session));
-                    continue;
-                }
-                // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                let mix = st.table.mix_of(job.session).expect("session just touched");
-                let counter = if st.table.mixes().is_fully_dropped(mix) {
-                    &self.metrics.restore_fallbacks
-                } else {
-                    &self.metrics.restore_hits
-                };
-                CtlMetrics::bump(counter, 1);
-                slots.push(Slot::Req(requests.len()));
-                requests.push(hc_restore::engine::RestoreRequest {
-                    session: job.session,
-                    tokens: job.tokens.clone(),
-                    // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                    n_tokens: st.table.n_tokens_of(job.session).expect("session exists") as usize,
-                    methods: st.table.mixes().methods(mix).to_vec(),
-                });
-            }
-        }
-        let outcomes = hc_restore::reactor::restore_sessions_reactor(
-            model,
-            &self.mgr,
-            &requests,
-            workers,
-            max_inflight,
-            par,
-        );
-        let mut results: Vec<Option<Result<KvCache, CtlError>>> = outcomes
+        self.restore_batch(model, jobs, workers, max_inflight, par, false)
             .into_iter()
-            .zip(requests.iter())
-            .map(|(o, req)| {
-                Some(match o.result {
-                    Ok(kv) => Ok(kv),
-                    Err(e) => match self.session_methods(req.session) {
-                        // The mix moved under the snapshot (racing
-                        // demotion): retry with the refreshed mix, primed
-                        // so an unchanged mix surfaces its error.
-                        Some(m) if m != req.methods => self.restore_from_snapshot(
-                            model,
-                            req.session,
-                            &req.tokens,
-                            par,
-                            Some(req.methods.clone()),
-                        ),
-                        _ => Err(e.into()),
-                    },
-                })
-            })
-            .collect();
-        slots
-            .into_iter()
-            .zip(jobs.iter())
-            .map(|(slot, job)| match slot {
-                Slot::Req(i) => (
-                    job.session,
-                    // hc-analyze: allow(panic) slot indices are distinct by construction, so each result is taken exactly once
-                    results[i].take().expect("each request consumed once"),
-                ),
-                Slot::Unknown(s) => (s, Err(CtlError::UnknownSession(s))),
-            })
+            .map(|(session, r)| (session, r.map(|(kv, _)| kv)))
             .collect()
     }
 
@@ -792,28 +692,33 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         tokens: &[u32],
         par: &ParallelConfig,
     ) -> Result<(KvCache, DegradationReport), CtlError> {
-        self.restore_degraded_primed(model, session, tokens, par, 0, None, None, false)
+        self.restore_reported(model, session, tokens, par, true)
     }
 
-    /// The degraded-restore loop behind [`CacheController::restore_with_report`]
-    /// and the reactor batch path's failure fallback. `forced_prefix` /
-    /// `cause` prime the loop with degradation a prior attempt already
-    /// learned; `last_methods` primes the racing-demotion retry (an
-    /// unchanged mix surfaces its error); `counted` suppresses the
-    /// hit/fallback metric when a batch snapshot already bumped it.
+    /// The one restore loop, behind [`CacheController::restore`],
+    /// [`CacheController::restore_with_report`] and the reactor batch
+    /// path's failure fallback. `degrade` engages the device-health plane
+    /// (off: the forced prefix never grows, a device failure falls through
+    /// to the stale-mix check, and the report stays empty).
+    /// `forced_prefix` / `cause` prime the loop with degradation a prior
+    /// attempt already learned; `last_methods` is the mix a batch attempt
+    /// already failed under — it primes the racing-demotion retry (an
+    /// unchanged mix surfaces its error) and means the batch snapshot
+    /// already counted the hit/fallback.
     #[allow(clippy::too_many_arguments)]
-    fn restore_degraded_primed(
+    fn restore_loop(
         &self,
         model: &Model,
         session: u64,
         tokens: &[u32],
         par: &ParallelConfig,
+        degrade: bool,
         mut forced_prefix: usize,
         mut cause: Option<DegradeCause>,
         mut last_methods: Option<Vec<LayerMethod>>,
-        mut counted: bool,
     ) -> Result<(KvCache, DegradationReport), CtlError> {
         assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
+        let mut counted = last_methods.is_some();
         loop {
             let (methods, n_tokens, down) = {
                 let mut st = self.state.lock();
@@ -841,7 +746,7 @@ impl<S: ChunkStore + 'static> CacheController<S> {
             let base_prefix = recompute_prefix_of(&methods);
             // Degrading needs the history tokens to replay; without them
             // the error path must surface instead.
-            let can_degrade = tokens.len() >= n_tokens;
+            let can_degrade = degrade && tokens.len() >= n_tokens;
             if can_degrade {
                 let (pre, pre_cause) = self.degraded_prefix_for(session, &methods, &down);
                 if pre > forced_prefix {
@@ -916,13 +821,28 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         max_inflight: usize,
         par: &ParallelConfig,
     ) -> Vec<ReportedRestore> {
+        self.restore_batch(model, jobs, workers, max_inflight, par, true)
+    }
+
+    /// The one reactor batch loop: snapshot every job's mix, (when
+    /// `degrade`) degrade it around sick devices, run the batch, and
+    /// re-resolve each failed job through [`Self::restore_loop`].
+    pub(crate) fn restore_batch(
+        &self,
+        model: &Model,
+        jobs: &[crate::scheduler::RestoreJob],
+        workers: usize,
+        max_inflight: usize,
+        par: &ParallelConfig,
+        degrade: bool,
+    ) -> Vec<ReportedRestore> {
         assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
         enum Slot {
             Req(usize),
             Unknown(u64),
         }
         let mut slots = Vec::with_capacity(jobs.len());
-        let mut requests: Vec<hc_restore::engine::RestoreRequest> = Vec::new();
+        let mut requests: Vec<hc_restore::reactor::RestoreRequest> = Vec::new();
         let down;
         {
             let mut st = self.state.lock();
@@ -941,7 +861,7 @@ impl<S: ChunkStore + 'static> CacheController<S> {
                 };
                 CtlMetrics::bump(counter, 1);
                 slots.push(Slot::Req(requests.len()));
-                requests.push(hc_restore::engine::RestoreRequest {
+                requests.push(hc_restore::reactor::RestoreRequest {
                     session: job.session,
                     tokens: job.tokens.clone(),
                     // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
@@ -956,10 +876,12 @@ impl<S: ChunkStore + 'static> CacheController<S> {
             Vec::with_capacity(requests.len());
         for req in &mut requests {
             let base = recompute_prefix_of(&req.methods);
-            let (mut forced, cause) = self.degraded_prefix_for(req.session, &req.methods, &down);
-            if req.tokens.len() < req.n_tokens {
-                forced = base; // no tokens to replay: cannot degrade
-            }
+            // No tokens to replay: cannot degrade.
+            let (forced, cause) = if degrade && req.tokens.len() >= req.n_tokens {
+                self.degraded_prefix_for(req.session, &req.methods, &down)
+            } else {
+                (base, None)
+            };
             for m in req.methods.iter_mut().take(forced) {
                 *m = LayerMethod::Recompute;
             }
@@ -996,17 +918,18 @@ impl<S: ChunkStore + 'static> CacheController<S> {
                         ))
                     }
                     Err(e) => {
-                        // Fall back to the degraded single-session loop,
-                        // primed: a device failure widens the prefix over
-                        // the failed layer; any failure re-resolves racing
-                        // demotions against the refreshed mix.
+                        // Fall back to the single-session loop, primed:
+                        // when degrading, a device failure widens the
+                        // prefix over the failed layer; any failure
+                        // re-resolves racing demotions against the
+                        // refreshed mix.
                         let (fp, c) = match &e {
                             RestoreError::Storage(StorageError::DeviceFailed {
                                 key,
                                 device,
                                 transient,
                                 ..
-                            }) => (
+                            }) if degrade => (
                                 (key.stream.layer as usize + 1)
                                     .min(self.n_layers)
                                     .max(forced),
@@ -1014,15 +937,15 @@ impl<S: ChunkStore + 'static> CacheController<S> {
                             ),
                             _ => (forced, cause),
                         };
-                        self.restore_degraded_primed(
+                        self.restore_loop(
                             model,
                             req.session,
                             &req.tokens,
                             par,
+                            degrade,
                             fp,
                             c.or(cause),
                             Some(req.methods.clone()),
-                            true,
                         )
                     }
                 })

@@ -2,45 +2,41 @@
 //!
 //! One resuming conversation is a pipeline (`hc-restore`'s two-stream
 //! schedule); a *serving burst* is many of them at once. The
-//! [`RestoreScheduler`] admits up to `n_workers` concurrent pipelined
-//! restores from an ordered job list (typically a `workload::arrival`
-//! trace) and splits the host [`ParallelConfig`] thread budget evenly
-//! across in-flight restores, so the aggregate never oversubscribes the
-//! cores the caller granted — the same discipline the chunk daemon and a
-//! single restore pipeline already follow. Two rules keep that promise
-//! exact:
+//! [`RestoreScheduler`] runs an ordered job list (typically a
+//! `workload::arrival` trace) in one of two modes.
 //!
-//! * the number of restores actually in flight is **clamped to the
-//!   compute-thread budget** (admitting more workers than threads would
-//!   hand every worker the ≥ 1-thread floor and oversubscribe the host);
-//! * when the storage manager runs chunk-fanout reads
-//!   (`StorageManager::with_read_fanout`), the fanout width declared via
-//!   [`RestoreScheduler::with_io_fanout`] is **reserved out of the same
-//!   grant** before the compute split, so chunk-fanout IO workers and
-//!   projection threads together never exceed the budget.
-//!
-//! What this accounting covers is *CPU-bearing* threads: per-restore
-//! projection/recompute threads and the pool's chunk-fanout workers. Each
-//! in-flight pipelined restore additionally runs its IO-stream prefetch
-//! thread (the two-stream schedule's other stream), which — like the
-//! two-stage saver's chunk daemon — spends its life blocked on backend
-//! reads and is deliberately not charged a core.
-//!
-//! Jobs are pulled from a shared queue (work stealing), so one session
-//! with a long history never convoys the sessions behind it onto an idle
-//! worker. Results preserve job order and each is bit-identical to what a
-//! sequential restore of that session would produce: the per-session
-//! pipelines share no mutable state and every parallel kernel is bit-equal
-//! to its serial form.
-//!
-//! **Reactor mode** ([`RestoreScheduler::with_reactor`]) lifts the
-//! thread-per-restore ceiling entirely: when the controller's storage
-//! manager runs an IO reactor, batches route through
+//! **Reactor mode** ([`RestoreScheduler::with_reactor`]) is what a
+//! reactor-attached manager runs: batches route through
 //! [`CacheController::restore_batch_reactor`] — each restore is a state
-//! machine advanced by a fixed worker pool, IO flows through per-device
-//! submission queues, and the in-flight count is bounded by the configured
-//! admission window (memory) and the reactor's iodepth, not by threads.
-//! 10k concurrent restores on a 4-thread grant is the design point.
+//! machine advanced by a fixed worker pool sized to the host grant, IO
+//! flows through per-device submission queues, and the in-flight count is
+//! bounded by the configured admission window (memory) and the reactor's
+//! iodepth, not by threads. 10k concurrent restores on a 4-thread grant is
+//! the design point.
+//!
+//! **Thread-per-restore mode** is what runs over a manager without a
+//! reactor (and is the reference the reactor route is asserted against):
+//! up to `n_workers` concurrent pipelined restores, with the host
+//! [`ParallelConfig`] thread budget split evenly across them, so the
+//! aggregate never oversubscribes the cores the caller granted — the same
+//! discipline the chunk daemon and a single restore pipeline already
+//! follow. The number of restores actually in flight is **clamped to the
+//! thread budget** (admitting more workers than threads would hand every
+//! worker the ≥ 1-thread floor and oversubscribe the host). Jobs are
+//! pulled from a shared queue (work stealing), so one session with a long
+//! history never convoys the sessions behind it onto an idle worker.
+//!
+//! What the accounting covers is *CPU-bearing* threads: per-restore
+//! projection/recompute threads. Each in-flight pipelined restore
+//! additionally runs its IO-stream prefetch thread (the two-stream
+//! schedule's other stream), which — like the two-stage saver's chunk
+//! daemon and the reactor's IO threads — spends its life blocked on
+//! backend reads and is deliberately not charged a core.
+//!
+//! In both modes results preserve job order and each is bit-identical to
+//! what a sequential restore of that session would produce: the
+//! per-session pipelines share no mutable state and every parallel kernel
+//! is bit-equal to its serial form.
 
 use hc_model::{KvCache, Model};
 use hc_restore::engine::map_concurrent;
@@ -64,9 +60,6 @@ pub struct RestoreJob {
 pub struct RestoreScheduler {
     n_workers: usize,
     host_budget: ParallelConfig,
-    /// Chunk-fanout IO workers the storage manager runs, reserved out of
-    /// `host_budget` before the compute split (0: no fanout configured).
-    io_fanout: usize,
     /// When `Some(max_inflight)`, route batches through the manager's IO
     /// reactor: restore state machines instead of thread-per-restore.
     reactor_inflight: Option<usize>,
@@ -80,7 +73,6 @@ impl RestoreScheduler {
         Self {
             n_workers: n_workers.max(1),
             host_budget,
-            io_fanout: 0,
             reactor_inflight: None,
         }
     }
@@ -105,21 +97,6 @@ impl RestoreScheduler {
         self.reactor_inflight
     }
 
-    /// Declares that the controller's storage manager keeps up to `width`
-    /// chunk-fanout IO workers in flight (`StorageManager::with_read_fanout`
-    /// with the same width), so the scheduler reserves that many threads
-    /// out of the host grant before splitting compute across restores. The
-    /// reservation is capped at all-but-one thread: compute always keeps
-    /// at least one.
-    ///
-    /// The manager's pool itself is configured at manager construction;
-    /// this only makes the scheduler's accounting cover it, keeping
-    /// `in-flight compute threads + in-flight IO ≤ host_budget.threads()`.
-    pub fn with_io_fanout(mut self, width: usize) -> Self {
-        self.io_fanout = width;
-        self
-    }
-
     /// Maximum restores in flight.
     pub fn n_workers(&self) -> usize {
         self.n_workers
@@ -130,33 +107,21 @@ impl RestoreScheduler {
         self.host_budget
     }
 
-    /// IO fanout threads reserved out of the host budget (the declared
-    /// width, capped so compute keeps at least one thread).
-    pub fn io_fanout(&self) -> usize {
-        self.io_fanout
-            .min(self.host_budget.threads().saturating_sub(1))
-    }
-
-    /// Threads left for restore compute after the IO fanout reservation.
-    fn compute_threads(&self) -> usize {
-        (self.host_budget.threads() - self.io_fanout()).max(1)
-    }
-
     /// Restores actually admitted in flight for `workers` requested: never
-    /// more than the compute-thread budget. Admitting more would hand each
-    /// worker the ≥ 1-thread floor of [`RestoreScheduler::budget_for`] and
+    /// more than the thread budget. Admitting more would hand each worker
+    /// the ≥ 1-thread floor of [`RestoreScheduler::budget_for`] and
     /// oversubscribe the grant the module docs promise to respect.
     fn effective_workers(&self, workers: usize) -> usize {
-        workers.clamp(1, self.compute_threads())
+        workers.clamp(1, self.host_budget.threads())
     }
 
     /// The thread budget each in-flight restore projects under when
-    /// `workers` are requested: `⌊compute_threads / effective_workers⌋`.
-    /// Because the in-flight count is clamped to the compute budget, the
-    /// floor is always ≥ 1 without ever oversubscribing: `effective ×
-    /// per-restore + io_fanout ≤ host_budget.threads()`.
+    /// `workers` are requested: `⌊threads / effective_workers⌋`. Because
+    /// the in-flight count is clamped to the budget, the floor is always
+    /// ≥ 1 without ever oversubscribing: `effective × per-restore ≤
+    /// host_budget.threads()`.
     fn budget_for(&self, workers: usize) -> ParallelConfig {
-        ParallelConfig::new(self.compute_threads() / self.effective_workers(workers))
+        ParallelConfig::new(self.host_budget.threads() / self.effective_workers(workers))
     }
 
     /// The thread budget each in-flight restore projects under when all
@@ -175,38 +140,18 @@ impl RestoreScheduler {
     /// grant becomes the compute-worker pool and up to the configured
     /// admission window of restore state machines stay in flight — the
     /// in-flight count is then bounded by memory and iodepth, not by
-    /// `n_workers`. The reactor's IO threads, like the fanout pool's and
-    /// the per-restore prefetch threads, spend their lives blocked on
-    /// device service and are not charged compute.
+    /// `n_workers`. The reactor's IO threads, like the per-restore
+    /// prefetch threads, spend their lives blocked on device service and
+    /// are not charged compute.
     pub fn run<S: ChunkStore + Sync + 'static>(
         &self,
         model: &Model,
         ctl: &CacheController<S>,
         jobs: &[RestoreJob],
     ) -> Vec<(u64, Result<KvCache, CtlError>)> {
-        if let Some(max_inflight) = self.reactor_inflight {
-            if ctl.mgr().reactor().is_some() {
-                let workers = self.host_budget.threads().max(1);
-                return ctl.restore_batch_reactor(
-                    model,
-                    jobs,
-                    workers,
-                    max_inflight,
-                    &self.host_budget,
-                );
-            }
-        }
-        // Split the budget over the workers that will actually run, so a
-        // short job list doesn't strand granted threads — clamped to the
-        // compute budget so the aggregate stays within the grant.
-        let workers = self.effective_workers(self.n_workers.min(jobs.len()).max(1));
-        let per_budget = self.budget_for(workers);
-        let results = map_concurrent(jobs, workers, |job| {
-            ctl.restore(model, job.session, &job.tokens, &per_budget)
-        });
-        jobs.iter()
-            .zip(results)
-            .map(|(j, r)| (j.session, r))
+        self.run_reported(model, ctl, jobs, false)
+            .into_iter()
+            .map(|(session, r)| (session, r.map(|(kv, _)| kv)))
             .collect()
     }
 
@@ -224,22 +169,38 @@ impl RestoreScheduler {
         ctl: &CacheController<S>,
         jobs: &[RestoreJob],
     ) -> Vec<ReportedRestore> {
+        self.run_reported(model, ctl, jobs, true)
+    }
+
+    /// The one body behind `run` (`degrade` off, reports dropped) and
+    /// `run_with_reports` (`degrade` on).
+    fn run_reported<S: ChunkStore + Sync + 'static>(
+        &self,
+        model: &Model,
+        ctl: &CacheController<S>,
+        jobs: &[RestoreJob],
+        degrade: bool,
+    ) -> Vec<ReportedRestore> {
         if let Some(max_inflight) = self.reactor_inflight {
             if ctl.mgr().reactor().is_some() {
                 let workers = self.host_budget.threads().max(1);
-                return ctl.restore_batch_reactor_with_reports(
+                return ctl.restore_batch(
                     model,
                     jobs,
                     workers,
                     max_inflight,
                     &self.host_budget,
+                    degrade,
                 );
             }
         }
+        // Split the budget over the workers that will actually run, so a
+        // short job list doesn't strand granted threads — clamped to the
+        // thread budget so the aggregate stays within the grant.
         let workers = self.effective_workers(self.n_workers.min(jobs.len()).max(1));
         let per_budget = self.budget_for(workers);
         let results = map_concurrent(jobs, workers, |job| {
-            ctl.restore_with_report(model, job.session, &job.tokens, &per_budget)
+            ctl.restore_reported(model, job.session, &job.tokens, &per_budget, degrade)
         });
         jobs.iter()
             .zip(results)
@@ -331,42 +292,21 @@ mod tests {
 
     #[test]
     fn aggregate_compute_plus_io_never_exceeds_the_grant() {
-        // Regression sweep over (threads, requested workers, io fanout):
-        // admitted workers × per-restore threads + reserved IO ≤ granted.
+        // Regression sweep over (threads, requested workers): admitted
+        // workers × per-restore threads ≤ granted. IO threads (prefetch,
+        // reactor) block on device service and are never charged, so
+        // compute is the whole of the grant's accounting.
         for threads in 1..=9 {
             for n_workers in 1..=12 {
-                for io in 0..=6 {
-                    let s = RestoreScheduler::new(n_workers, ParallelConfig::new(threads))
-                        .with_io_fanout(io);
-                    let admitted = s.effective_workers(n_workers);
-                    let per = s.budget_for(n_workers).threads();
-                    assert!(admitted >= 1 && per >= 1);
-                    assert!(
-                        admitted * per + s.io_fanout() <= threads,
-                        "threads={threads} workers={n_workers} io={io}: \
-                         {admitted}×{per}+{} oversubscribes",
-                        s.io_fanout()
-                    );
-                }
+                let s = RestoreScheduler::new(n_workers, ParallelConfig::new(threads));
+                let admitted = s.effective_workers(n_workers);
+                let per = s.budget_for(n_workers).threads();
+                assert!(admitted >= 1 && per >= 1);
+                assert!(
+                    admitted * per <= threads,
+                    "threads={threads} workers={n_workers}: {admitted}×{per} oversubscribes"
+                );
             }
         }
-    }
-
-    #[test]
-    fn io_fanout_reservation_leaves_compute_at_least_one_thread() {
-        // Reserving more IO width than the host has threads caps the
-        // reservation; compute never starves to zero.
-        let s = RestoreScheduler::new(4, ParallelConfig::new(4)).with_io_fanout(16);
-        assert_eq!(s.io_fanout(), 3);
-        assert_eq!(s.per_restore_budget().threads(), 1);
-        let s = RestoreScheduler::new(2, ParallelConfig::serial()).with_io_fanout(8);
-        assert_eq!(s.io_fanout(), 0, "a 1-thread host reserves nothing");
-        assert_eq!(s.per_restore_budget().threads(), 1);
-        // A sensible split: 8 threads, width-4 fanout → 4 compute threads
-        // shared by up to 4 in-flight restores.
-        let s = RestoreScheduler::new(8, ParallelConfig::new(8)).with_io_fanout(4);
-        assert_eq!(s.io_fanout(), 4);
-        assert_eq!(s.effective_workers(8), 4);
-        assert_eq!(s.per_restore_budget().threads(), 1);
     }
 }

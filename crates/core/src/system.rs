@@ -320,8 +320,10 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     /// budget. With a controller attached the session's current (possibly
     /// demoted) method mix is restored and hits/fallbacks are counted;
     /// without one the static scheme is. The result is bit-identical to
-    /// `restore_session_with_methods` under that mix. Exposed for tests
-    /// and examples; [`HCacheSystem::round`] calls it internally.
+    /// `restore_session_with_methods` under that mix. A read that dies on
+    /// a sick device surfaces its typed error here;
+    /// [`HCacheSystem::restore_with_report`] — what
+    /// [`HCacheSystem::round`] restores through — degrades instead.
     pub fn restore(&self, session: u64) -> Result<KvCache, SystemError> {
         let tokens = self.session_tokens(session)?;
         match &self.controller {
@@ -356,13 +358,13 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     /// The controller-free restore: the whole history under the static
     /// scheme.
     fn restore_static(&self, session: u64, tokens: &[u32]) -> Result<KvCache, SystemError> {
-        Ok(hc_restore::engine::restore_session_pipelined(
+        Ok(hc_restore::engine::restore_session_pipelined_with_methods(
             &self.model,
             &self.mgr,
             session,
             tokens,
             tokens.len(),
-            &self.scheme,
+            &self.scheme.layer_methods(self.model.cfg.n_layers),
             &self.parallel,
         )?)
     }
@@ -421,9 +423,11 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         let methods = self.effective_methods(session);
 
         // 1. Restore evicted history (no GPU KV reuse, as in §4: "we do not
-        //    cache and reuse KV cache in GPU").
+        //    cache and reuse KV cache in GPU"). Through the degrading entry:
+        //    a sick storage device costs this round latency (its layers
+        //    are recomputed), not the session.
         let mut kv = if history_len > 0 {
-            self.restore(session)?
+            self.restore_with_report(session)?.0
         } else {
             KvCache::new(&self.model.cfg)
         };
@@ -825,7 +829,7 @@ mod tests {
     #[test]
     fn device_down_round_degrades_and_recovery_repromotes() {
         use hc_cachectl::ControllerConfig;
-        use hc_storage::fault::FaultStore;
+        use hc_storage::fault::{FaultStore, FaultTarget};
 
         let cfg = ModelConfig::tiny_llama();
         let fault = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
@@ -866,6 +870,34 @@ mod tests {
         assert!(!rep.degraded());
         assert_eq!(kv_max_error(&back, &healthy), 0.0);
         assert_eq!(s.cache_metrics().unwrap().restores_degraded, 1);
+
+        // A round while the lane cannot serve reads (its writes still
+        // land — a round also saves): the restore inside it degrades, so
+        // the sick device costs latency, not the session.
+        fault.set_flaky_reads(FaultTarget::Device(2), 1.0, 7);
+        assert!(s.on_device_down(2));
+        assert_eq!(s.round(sid, &[1, 2, 3], 4).unwrap().len(), 4);
+        assert_eq!(s.cache_metrics().unwrap().restores_degraded, 2);
+
+        // And one after recovery: full mix again, bit-identical to the
+        // sequential restore of what the two rounds saved.
+        fault.clear_flaky_reads();
+        assert!(s.on_device_recovered(2));
+        assert_eq!(s.round(sid, &[4, 5], 3).unwrap().len(), 3);
+        let (back, rep) = s.restore_with_report(sid).unwrap();
+        assert!(!rep.degraded());
+        let tokens = s.session_tokens(sid).unwrap();
+        let oracle = hc_restore::engine::restore_session_with_methods(
+            s.model(),
+            s.storage(),
+            sid,
+            tokens,
+            tokens.len(),
+            &s.controller().unwrap().session_methods(sid).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(kv_max_error(&back, &oracle), 0.0);
+        assert_eq!(s.cache_metrics().unwrap().restores_degraded, 2);
     }
 
     #[test]

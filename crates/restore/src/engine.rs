@@ -18,17 +18,19 @@
 //!
 //! [`restore_session`] is the sequential reference: it reads layer `l`'s
 //! streams, projects/loads them, and only then reads layer `l+1`.
-//! [`restore_session_pipelined`] runs the *same* work as the two-stream
-//! schedule that `hc_sched::pipeline` models analytically, at **token-chunk
+//! [`restore_session_pipelined_with_methods`] — the one pipelined
+//! executor — runs the *same* work as the two-stream schedule that
+//! `hc_sched::pipeline` models analytically, at **token-chunk
 //! granularity** (§4.1.2's token-wise partitioning):
 //!
 //! * an **IO stream** (one prefetch thread) walks the non-recompute layers
 //!   in restoration order, *streaming* each layer's chunks out of the
 //!   [`StorageManager`] via `read_rows_streaming` — every decoded 64-token
 //!   chunk is forwarded the moment its IO lands (in device-completion
-//!   order when the manager reads through an IO reactor or a fanout pool,
-//!   so up to its queue depth of chunk reads stay in flight while earlier
-//!   chunks are already being consumed) — and
+//!   order when the manager reads through an IO reactor, so up to its
+//!   queue depth of chunk reads stay in flight while earlier chunks are
+//!   already being consumed; in range order over a bare manager's
+//!   sequential walk) — and
 //! * a **compute stream** (the caller's thread) consumes *chunks*, not
 //!   layers: a hidden-method layer's projection GEMMs run over each newly
 //!   contiguous token prefix as it becomes ready — compute on chunk `k`
@@ -50,8 +52,8 @@
 //! of chunks the devices completed together) and overlap the reads still
 //! in flight; when compute is the bound (`MemStore`, page-cache reads) the
 //! prefetcher runs ahead, a turn finds the rest of the layer waiting, and
-//! a layer costs one or two GEMMs — the layer-granular executor's cost. A
-//! turn ends early in exactly three cases: the layer's streams are all
+//! a layer costs one or two GEMMs — what a layer-granular executor would
+//! pay. A turn ends early in exactly three cases: the layer's streams are all
 //! complete (the next message belongs to the next layer and is never
 //! popped early), a `Reset` (the stream's staging, including what this
 //! turn staged, is forgotten and the layer's installed rows are rolled
@@ -75,7 +77,7 @@
 //! kernels are bit-for-bit equal to the serial ones, the pipelined restore
 //! returns a [`KvCache`] *bit-identical* to [`restore_session`]'s — the
 //! tests at the bottom enforce this across every scheme shape, thread
-//! counts 1–8 and reactor iodepths 1–4.
+//! counts 1–8, a bare manager and reactor iodepths 1–4.
 //!
 //! **The one facade path.** `HCacheSystem` attaches an IO reactor (one
 //! submission queue per storage device) to the manager it builds, so
@@ -84,18 +86,8 @@
 //! reactor's device queues: one layer's chunks are striped over the
 //! devices, and all of them serve the restore at once.
 //!
-//! The previous layer-granular pipeline is kept as
-//! [`restore_session_pipelined_layerwise`]: one `read_rows` per layer
-//! through a bounded channel of two whole-layer payloads. It is the
-//! measured baseline for the chunk-streaming speedup in `bench_restore`
-//! (TTFR on the `LatencyStore` device model) and a reference executor for
-//! the bit-identity matrix. [`restore_session_pipelined`] still forks to
-//! it for a bare manager that has neither an IO reactor nor a
-//! chunk-fanout pool (sequential chunk reads leave nothing to overlap
-//! inside a layer) — a configuration the facade no longer builds.
-//!
-//! Prefetch failures are **typed**: a panicking backend (or lost fanout
-//! completions) inside the prefetch stage surfaces as
+//! Prefetch failures are **typed**: a panicking backend inside the
+//! prefetch stage surfaces as
 //! [`RestoreError::PrefetchFailed`] carrying the layer index, instead of
 //! unwinding through the scope and tearing down whichever scheduler
 //! worker ran the restore — `RestoreScheduler` fails the one job and its
@@ -116,10 +108,9 @@ pub enum RestoreError {
     /// A storage-layer failure while reading a layer's streams.
     Storage(StorageError),
     /// The prefetch stage died while fetching `layer` — a panicking
-    /// [`ChunkStore`] implementation, or fanout completions lost to a
-    /// crashed pool job. Typed (rather than propagating the panic through
-    /// the thread scope) so a multi-session scheduler can fail this one
-    /// job and keep its worker.
+    /// [`ChunkStore`] implementation. Typed (rather than propagating the
+    /// panic through the thread scope) so a multi-session scheduler can
+    /// fail this one job and keep its worker.
     PrefetchFailed {
         /// Layer whose fetch was in flight when the stage died.
         layer: usize,
@@ -337,21 +328,8 @@ pub fn restore_session_with_methods<S: ChunkStore>(
     Ok(kv)
 }
 
-/// One layer's worth of state, fetched by the layer-granular IO stream.
-enum Fetched {
-    /// Hidden-state rows awaiting the KV projection.
-    Hidden(usize, Tensor2),
-    /// K and V rows ready to install.
-    Kv(usize, Tensor2, Tensor2),
-}
-
-/// How many fetched layers may sit between the layer-granular IO stream
-/// and its compute stream. Two keeps the prefetcher one layer ahead (the
-/// bubble-free fill) while bounding staging memory to O(2 layers).
-const PIPELINE_DEPTH: usize = 2;
-
 /// Floor for the chunk-streaming pipeline's channel depth (chunks), so a
-/// no-fanout manager still keeps the prefetcher a few chunks ahead.
+/// manager without a reactor still keeps the prefetcher a few chunks ahead.
 const MIN_CHUNK_DEPTH: usize = 4;
 
 /// One token-chunk work item flowing from the streaming prefetcher to the
@@ -553,67 +531,39 @@ fn drain_landed(
     }
 }
 
-/// [`restore_session`] restructured as the paper's bubble-free two-stream
-/// pipeline at **token-chunk granularity**: the prefetch thread streams
-/// decoded 64-token chunks as their IO lands, and the calling thread
-/// projects each hidden layer's newly contiguous prefix (under `par`'s
-/// thread budget) or places K/V chunks into the destination cache
-/// incrementally — so compute on chunk `k` overlaps the IO of chunk `k+1`
-/// inside a layer, on top of the layer-to-layer overlap the
-/// [`restore_session_pipelined_layerwise`] baseline already had. The
+/// [`restore_session_with_methods`] restructured as the paper's
+/// bubble-free two-stream pipeline at **token-chunk granularity**: the
+/// prefetch thread streams decoded 64-token chunks as their IO lands, and
+/// the calling thread projects each hidden layer's newly contiguous prefix
+/// (under `par`'s thread budget) or places K/V chunks into the destination
+/// cache incrementally — so compute on chunk `k` overlaps the IO of chunk
+/// `k+1` inside a layer, on top of the layer-to-layer overlap. The
 /// recompute prefix's forward pass runs before the first chunk is awaited
-/// and overlaps the prefetcher. See the module docs for the schedule
-/// correspondence and in-flight bounds.
+/// (also under `par`'s budget, bit-identical to serial), so it overlaps
+/// the prefetcher and a restore dominated by demoted layers still uses its
+/// thread share. See the module docs for the schedule correspondence and
+/// in-flight bounds.
 ///
-/// Returns a cache bit-identical to [`restore_session`]'s for every scheme,
-/// model, fanout width and thread count.
+/// Takes an explicit per-layer method vector because the cache
+/// controller's demotion ladder produces three-way mixes no
+/// [`PartitionScheme`] can express; callers holding a scheme pass
+/// `&scheme.layer_methods(n_layers)`.
 ///
-/// # Panics
-/// Panics if recompute layers are not a prefix of the model (§4.1.2), like
-/// the sequential path.
-pub fn restore_session_pipelined<S: ChunkStore>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    session: u64,
-    tokens: &[u32],
-    n_tokens: usize,
-    scheme: &PartitionScheme,
-    par: &ParallelConfig,
-) -> Result<KvCache, RestoreError> {
-    restore_session_pipelined_with_methods(
-        model,
-        mgr,
-        session,
-        tokens,
-        n_tokens,
-        &scheme.layer_methods(model.cfg.n_layers),
-        par,
-    )
-}
-
-/// [`restore_session_pipelined`] for an explicit per-layer method vector —
-/// the pipelined counterpart of [`restore_session_with_methods`], used by
-/// the cache controller (whose demotion ladder produces three-way mixes no
-/// [`PartitionScheme`] can express). The recompute prefix's forward pass
-/// also runs under `par`'s budget (bit-identical to serial), so a restore
-/// dominated by demoted layers still uses its thread share.
-///
-/// A prefetch-thread panic (buggy backend, lost fanout completions) is
-/// isolated and surfaced as [`RestoreError::PrefetchFailed`] with the
-/// in-flight layer index — the caller's thread never unwinds.
+/// A prefetch-thread panic (buggy backend) is isolated and surfaced as
+/// [`RestoreError::PrefetchFailed`] with the in-flight layer index — the
+/// caller's thread never unwinds.
 ///
 /// This is the executor behind every `HCacheSystem` restore: the facade's
 /// manager carries an IO reactor, so the streamed reads ride its
-/// per-device submission queues (`stream_slices_reactor`) and every
-/// device holding a chunk of the layer serves it at once, while the
-/// compute stage batches greedily — it projects/places whatever prefix
-/// has landed since its last call, so GEMM granularity follows the bound
-/// (per chunk when IO-bound, about one GEMM per layer when reads are
-/// memcpy-speed; see the module docs). Only a bare manager with neither
-/// a reactor nor a fanout pool (`read_parallelism() ≤ 1`: sequential chunk
-/// reads, nothing to overlap inside a layer) forks to the layer-granular
-/// executor. All executors are bit-identical to the sequential restore,
-/// so the choice changes wall-clock only.
+/// per-device submission queues and every device holding a chunk of the
+/// layer serves it at once, while the compute stage batches greedily — it
+/// projects/places whatever prefix has landed since its last call, so
+/// GEMM granularity follows the bound (per chunk when IO-bound, about one
+/// GEMM per layer when reads are memcpy-speed; see the module docs). Over
+/// a manager without a reactor the same pipeline is fed chunk by chunk in
+/// range order by the sequential walk. Either way the result is
+/// bit-identical to [`restore_session_with_methods`]'s for every mix,
+/// model, iodepth and thread count.
 ///
 /// # Panics
 /// Panics when `methods` does not cover the model's layers or when its
@@ -627,11 +577,6 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
     methods: &[LayerMethod],
     par: &ParallelConfig,
 ) -> Result<KvCache, RestoreError> {
-    if mgr.read_parallelism() <= 1 {
-        return restore_session_pipelined_layerwise_with_methods(
-            model, mgr, session, tokens, n_tokens, methods, par,
-        );
-    }
     let cfg = &model.cfg;
     assert_eq!(methods.len(), cfg.n_layers, "methods do not cover model");
 
@@ -771,218 +716,12 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
     Ok(kv)
 }
 
-/// The PR-4 **layer-granular** pipeline, kept as the measured baseline for
-/// the chunk-streaming speedup (`bench_restore`'s TTFR sweep) and as a
-/// second reference executor for the bit-identity matrix: one `read_rows`
-/// per layer on the prefetch thread, whole-layer payloads through a
-/// bounded channel of [`PIPELINE_DEPTH`], projection/installation only
-/// after a layer's IO fully completed — no intra-layer overlap.
-///
-/// # Panics
-/// Panics if recompute layers are not a prefix of the model (§4.1.2).
-pub fn restore_session_pipelined_layerwise<S: ChunkStore>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    session: u64,
-    tokens: &[u32],
-    n_tokens: usize,
-    scheme: &PartitionScheme,
-    par: &ParallelConfig,
-) -> Result<KvCache, RestoreError> {
-    restore_session_pipelined_layerwise_with_methods(
-        model,
-        mgr,
-        session,
-        tokens,
-        n_tokens,
-        &scheme.layer_methods(model.cfg.n_layers),
-        par,
-    )
-}
-
-/// [`restore_session_pipelined_layerwise`] for an explicit method vector.
-///
-/// Prefetch panics are isolated exactly like the chunk-streaming
-/// executor's — this is the path no-fanout managers take by default, so
-/// the typed [`RestoreError::PrefetchFailed`] contract holds there too.
-///
-/// # Panics
-/// Panics when `methods` does not cover the model's layers or when its
-/// recompute layers are not a prefix (§4.1.2).
-pub fn restore_session_pipelined_layerwise_with_methods<S: ChunkStore>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    session: u64,
-    tokens: &[u32],
-    n_tokens: usize,
-    methods: &[LayerMethod],
-    par: &ParallelConfig,
-) -> Result<KvCache, RestoreError> {
-    let cfg = &model.cfg;
-    assert_eq!(methods.len(), cfg.n_layers, "methods do not cover model");
-
-    let n_recompute = methods
-        .iter()
-        .take_while(|m| **m == LayerMethod::Recompute)
-        .count();
-    assert!(
-        methods[n_recompute..]
-            .iter()
-            .all(|m| *m != LayerMethod::Recompute),
-        "recompute layers must form a prefix (§4.1.2)"
-    );
-
-    let mut kv = KvCache::new(cfg);
-    std::thread::scope(|scope| -> Result<(), RestoreError> {
-        // IO stream: walk storage-backed layers in restoration order,
-        // sending each fetched layer through the bounded staging channel.
-        // Panics are contained per layer and converted to the typed
-        // prefetch failure, like the chunk-streaming executor.
-        let (tx, rx) = bounded::<Result<Fetched, RestoreError>>(PIPELINE_DEPTH);
-        scope.spawn(move || {
-            for (l, method) in methods.iter().enumerate().skip(n_recompute) {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || -> Result<Fetched, StorageError> {
-                        match method {
-                            LayerMethod::Hidden => mgr
-                                .read_rows(StreamId::hidden(session, l as u32), 0, n_tokens as u64)
-                                .map(|h| Fetched::Hidden(l, h)),
-                            LayerMethod::KvOffload => {
-                                let k = mgr.read_rows(
-                                    StreamId::key(session, l as u32),
-                                    0,
-                                    n_tokens as u64,
-                                );
-                                let v = mgr.read_rows(
-                                    StreamId::value(session, l as u32),
-                                    0,
-                                    n_tokens as u64,
-                                );
-                                match (k, v) {
-                                    (Ok(k), Ok(v)) => Ok(Fetched::Kv(l, k, v)),
-                                    (Err(e), _) | (_, Err(e)) => Err(e),
-                                }
-                            }
-                            LayerMethod::Recompute => unreachable!("prefix checked above"),
-                        }
-                    },
-                ));
-                let fetched = match outcome {
-                    Ok(r) => r.map_err(RestoreError::Storage),
-                    Err(_panic) => Err(RestoreError::PrefetchFailed { layer: l }),
-                };
-                let failed = fetched.is_err();
-                // A send error means the compute stage is gone (panic or
-                // early error return); either way this stream is done.
-                if tx.send(fetched).is_err() || failed {
-                    return;
-                }
-            }
-        });
-
-        // Compute stream. The recompute prefix needs no IO, so it runs
-        // first and overlaps the prefetcher — the schedule's fill stage.
-        if n_recompute > 0 {
-            assert!(
-                tokens.len() >= n_tokens,
-                "recompute layers need the original tokens"
-            );
-            let mut hidden = model.embed_tokens(&tokens[..n_tokens], 0);
-            for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
-                let (next, new_k, new_v) =
-                    layer::layer_forward_par(cfg, lw, &hidden, kv.keys(l), kv.values(l), 0, par);
-                kv.append(l, &new_k, &new_v);
-                hidden = next;
-            }
-        }
-
-        // Then consume fetched layers in order, projecting hidden layers
-        // under the shared thread budget.
-        for l in n_recompute..cfg.n_layers {
-            let fetched = rx
-                .recv()
-                .map_err(|_| RestoreError::PrefetchFailed { layer: l })??;
-            match fetched {
-                Fetched::Hidden(l, h) => {
-                    let (k, v) = model.restore_layer_kv_par(l, &h, 0, par);
-                    kv.append(l, &k, &v);
-                }
-                Fetched::Kv(l, k, v) => kv.append(l, &k, &v),
-            }
-        }
-        Ok(())
-    })?;
-
-    debug_assert!(kv.is_consistent());
-    Ok(kv)
-}
-
-/// One session's restore work for [`restore_sessions_concurrent`].
-#[derive(Debug, Clone)]
-pub struct RestoreRequest {
-    /// Session whose streams hold the state.
-    pub session: u64,
-    /// Original history tokens (needed by recompute layers).
-    pub tokens: Vec<u32>,
-    /// History length to restore.
-    pub n_tokens: usize,
-    /// The session's current per-layer method mix.
-    pub methods: Vec<LayerMethod>,
-}
-
-/// Restores many sessions concurrently: up to `n_workers` pipelined
-/// restores in flight, pulling requests from `requests` in order (a work
-/// queue, so a slow session never convoys the others behind a fixed
-/// assignment). The host thread budget `par` is split evenly across
-/// workers — in-flight restores are clamped to `par.threads()` (more
-/// workers than threads would each claim the 1-thread floor and
-/// oversubscribe the host) and each projects under
-/// `⌊par.threads / workers⌋` threads — so the aggregate never exceeds
-/// what the caller granted, exactly like the chunk daemon and the
-/// single-session pipeline share one budget. (`hc-cachectl`'s
-/// `RestoreScheduler` additionally reserves the manager's chunk-fanout IO
-/// width out of the same grant before this compute split.)
-///
-/// Results arrive in request order, each the same `KvCache` a sequential
-/// [`restore_session_with_methods`] call would produce (bit-identical: the
-/// per-session pipelines never share mutable state, and the parallel
-/// kernels are bit-equal to serial at any thread count). Each worker runs
-/// the chunk-streaming pipeline, so a failing session — including one
-/// whose prefetch stage *panics* ([`RestoreError::PrefetchFailed`]) —
-/// fails only its own slot; the worker survives to take the next job.
-///
-/// The storage manager is sharded, so the N in-flight prefetchers overlap
-/// their backend reads and chunk decodes instead of convoying on a
-/// manager-wide lock — aggregate read throughput scales with the worker
-/// count up to the device array's parallelism (see
-/// `bench_storage_concurrency`).
-pub fn restore_sessions_concurrent<S: ChunkStore + Sync>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    requests: &[RestoreRequest],
-    n_workers: usize,
-    par: &ParallelConfig,
-) -> Vec<Result<KvCache, RestoreError>> {
-    let n_workers = n_workers.clamp(1, requests.len().max(1)).min(par.threads());
-    let per_worker = ParallelConfig::new((par.threads() / n_workers).max(1));
-    map_concurrent(requests, n_workers, |r| {
-        restore_session_pipelined_with_methods(
-            model,
-            mgr,
-            r.session,
-            &r.tokens,
-            r.n_tokens,
-            &r.methods,
-            &per_worker,
-        )
-    })
-}
-
-/// The work-queue harness behind [`restore_sessions_concurrent`] (and
-/// `hc-cachectl`'s `RestoreScheduler`): applies `f` to every item with up
-/// to `workers` scoped threads pulling from a shared queue, returning
-/// results in item order. With one worker (or ≤ 1 item) it runs inline —
-/// no threads spawned.
+/// The work-queue harness behind `hc-cachectl`'s thread-per-restore
+/// `RestoreScheduler` mode: applies `f` to every item with up to `workers`
+/// scoped threads pulling from a shared queue (so a slow item never
+/// convoys the others behind a fixed assignment), returning results in
+/// item order. With one worker (or ≤ 1 item) it runs inline — no threads
+/// spawned.
 pub fn map_concurrent<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
@@ -1254,10 +993,10 @@ mod tests {
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
         // Every scheme shape × thread counts 1–8, over a plain manager
-        // (the layer-granular fork, and the layer-granular executor by
-        // name) and over reactor-attached ones at iodepth 1/2/4 (chunk
-        // streaming with greedy batching, completions out of order).
-        // 144 tokens = two device chunks and a buffered tail per stream.
+        // (chunk streaming fed in range order by the sequential walk) and
+        // over reactor-attached ones at iodepth 1/2/4 (completions out of
+        // order). 144 tokens = two device chunks and a buffered tail per
+        // stream.
         const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
             let f = fixture_of(41 + i as u64, MATRIX_TOKENS);
@@ -1274,32 +1013,18 @@ mod tests {
                     (iodepth, mgr)
                 })
                 .collect();
+            let methods = scheme.layer_methods(4);
             for threads in [1usize, 2, 4, 8] {
                 let par = hc_tensor::ParallelConfig::new(threads);
-                let layerwise = restore_session_pipelined_layerwise(
-                    &f.model,
-                    &f.mgr,
-                    1,
-                    &f.tokens,
-                    MATRIX_TOKENS,
-                    &scheme,
-                    &par,
-                )
-                .unwrap();
-                assert_eq!(
-                    kv_max_error(&seq, &layerwise),
-                    0.0,
-                    "scheme #{i} layerwise diverged at {threads} threads"
-                );
                 let plain = std::iter::once((0usize, &f.mgr));
                 for (iodepth, mgr) in plain.chain(reactor_mgrs.iter().map(|(d, m)| (*d, m))) {
-                    let piped = restore_session_pipelined(
+                    let piped = restore_session_pipelined_with_methods(
                         &f.model,
                         mgr,
                         1,
                         &f.tokens,
                         MATRIX_TOKENS,
-                        &scheme,
+                        &methods,
                         &par,
                     )
                     .unwrap();
@@ -1521,52 +1246,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_streaming_restore_is_bit_identical_under_fanout_widths() {
-        // The intra-layer overlap path proper: chunks arrive out of order
-        // through the fanout completion channel, and the compute stage's
-        // contiguous-prefix projection must still reproduce the sequential
-        // restore bit for bit at every width.
-        for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
-            for width in [2usize, 4, 8] {
-                let cfg = hc_model::ModelConfig::tiny_llama();
-                let model = Model::new(&cfg, 71 + i as u64);
-                let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
-                    .with_read_fanout(width);
-                let tokens: Vec<u32> = (0..N_TOKENS as u32)
-                    .map(|t| (t * 29 + i as u32) % 256)
-                    .collect();
-                let mut kv = KvCache::new(&cfg);
-                let out = model.prefill(&tokens, &mut kv, true);
-                save_session_state(
-                    &model,
-                    &mgr,
-                    1,
-                    &out.hidden_per_layer.unwrap(),
-                    &kv,
-                    &scheme,
-                )
-                .unwrap();
-                let seq = restore_session(&model, &mgr, 1, &tokens, N_TOKENS, &scheme).unwrap();
-                let piped = restore_session_pipelined(
-                    &model,
-                    &mgr,
-                    1,
-                    &tokens,
-                    N_TOKENS,
-                    &scheme,
-                    &hc_tensor::ParallelConfig::new(2),
-                )
-                .unwrap();
-                assert_eq!(
-                    kv_max_error(&seq, &piped),
-                    0.0,
-                    "scheme #{i} diverged at fanout width {width}"
-                );
-            }
-        }
-    }
-
     /// MemStore wrapper that panics on any read of one poisoned layer's
     /// streams — the "buggy backend" the typed prefetch failure isolates.
     struct PanicStore {
@@ -1612,110 +1291,72 @@ mod tests {
 
     #[test]
     fn prefetch_panic_is_a_typed_error_not_a_teardown() {
-        // Session 5's layer-2 stream panics the backend mid-prefetch: the
-        // restore must return PrefetchFailed { layer: 2 } on the calling
-        // thread instead of unwinding, and a concurrent batch must fail
-        // only that slot while the healthy session restores fine.
+        // Session 5's layer-2 stream panics the backend mid-restore. Over
+        // a bare manager the read runs on the prefetch thread, whose
+        // unwind must come back as PrefetchFailed { layer: 2 } on the
+        // calling thread; over a reactor the read runs on a device IO
+        // thread, which converts the unwind to a typed storage error. In
+        // both cases nothing is torn down: the healthy session restores
+        // bit-identically on the same manager afterwards.
+        const TOKENS: usize = 144; // two device chunks: rides the reactor
         let cfg = hc_model::ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 83);
-        let store = Arc::new(PanicStore {
-            inner: MemStore::new(4),
-            poison_session: 5,
-            poison_layer: 2,
-        });
-        let mgr = StorageManager::new(store, cfg.d_model);
         let scheme = PartitionScheme::pure_hidden(cfg.n_layers);
         let methods = scheme.layer_methods(cfg.n_layers);
-        let mut requests = Vec::new();
-        let mut reference = None;
-        for s in [1u64, 5] {
-            let tokens: Vec<u32> = (0..N_TOKENS as u32)
+        let par = ParallelConfig::new(2);
+        let tokens_of = |s: u64| -> Vec<u32> {
+            (0..TOKENS as u32)
                 .map(|t| (t * 31 + s as u32) % 256)
-                .collect();
-            let mut kv = KvCache::new(&cfg);
-            let out = model.prefill(&tokens, &mut kv, true);
-            save_session_state(
+                .collect()
+        };
+        for reactor in [None, Some(Reactor::new(4, 2))] {
+            let store = Arc::new(PanicStore {
+                inner: MemStore::new(4),
+                poison_session: 5,
+                poison_layer: 2,
+            });
+            let mut mgr = StorageManager::new(store, cfg.d_model);
+            if let Some(r) = &reactor {
+                mgr = mgr.with_reactor(Arc::clone(r));
+            }
+            for s in [1u64, 5] {
+                let mut kv = KvCache::new(&cfg);
+                let out = model.prefill(&tokens_of(s), &mut kv, true);
+                let hidden = out.hidden_per_layer.unwrap();
+                save_session_state(&model, &mgr, s, &hidden, &kv, &scheme).unwrap();
+            }
+            let err = restore_session_pipelined_with_methods(
                 &model,
                 &mgr,
-                s,
-                &out.hidden_per_layer.unwrap(),
-                &kv,
-                &scheme,
+                5,
+                &tokens_of(5),
+                TOKENS,
+                &methods,
+                &par,
             )
-            .unwrap();
-            if s == 1 {
-                reference =
-                    Some(restore_session(&model, &mgr, 1, &tokens, N_TOKENS, &scheme).unwrap());
+            .unwrap_err();
+            match reactor {
+                None => assert_eq!(err, RestoreError::PrefetchFailed { layer: 2 }),
+                Some(_) => assert!(
+                    matches!(err, RestoreError::Storage(StorageError::Io(_))),
+                    "a panic on a device IO thread must come back typed: {err:?}"
+                ),
             }
-            requests.push(RestoreRequest {
-                session: s,
-                tokens,
-                n_tokens: N_TOKENS,
-                methods: methods.clone(),
-            });
-        }
-
-        // Single restore: typed error, no panic — through the layer-wise
-        // executor (this no-fanout manager's default path)...
-        let err = restore_session_pipelined(
-            &model,
-            &mgr,
-            5,
-            &requests[1].tokens,
-            N_TOKENS,
-            &scheme,
-            &ParallelConfig::new(2),
-        )
-        .unwrap_err();
-        assert_eq!(err, RestoreError::PrefetchFailed { layer: 2 });
-
-        // ...and through the chunk-streaming executor (fanout-configured
-        // manager), whose prefetch stage must convert the unwind to the
-        // same typed error.
-        let fan_store = Arc::new(PanicStore {
-            inner: MemStore::new(4),
-            poison_session: 5,
-            poison_layer: 2,
-        });
-        let fan_mgr = StorageManager::new(fan_store, cfg.d_model).with_read_fanout(4);
-        for s in [1u64, 5] {
-            let tokens = &requests[(s != 1) as usize].tokens;
-            let mut kv = KvCache::new(&cfg);
-            let out = model.prefill(tokens, &mut kv, true);
-            save_session_state(
+            let reference =
+                restore_session_with_methods(&model, &mgr, 1, &tokens_of(1), TOKENS, &methods)
+                    .unwrap();
+            let healthy = restore_session_pipelined_with_methods(
                 &model,
-                &fan_mgr,
-                s,
-                &out.hidden_per_layer.unwrap(),
-                &kv,
-                &scheme,
+                &mgr,
+                1,
+                &tokens_of(1),
+                TOKENS,
+                &methods,
+                &par,
             )
             .unwrap();
+            assert_eq!(kv_max_error(&healthy, &reference), 0.0);
         }
-        let err = restore_session_pipelined(
-            &model,
-            &fan_mgr,
-            5,
-            &requests[1].tokens,
-            N_TOKENS,
-            &scheme,
-            &ParallelConfig::new(2),
-        )
-        .unwrap_err();
-        assert_eq!(err, RestoreError::PrefetchFailed { layer: 2 });
-
-        // Concurrent batch: the poisoned job fails alone, the worker
-        // survives to finish the healthy one bit-identically.
-        let results =
-            restore_sessions_concurrent(&model, &mgr, &requests, 2, &ParallelConfig::new(2));
-        assert_eq!(
-            kv_max_error(results[0].as_ref().unwrap(), reference.as_ref().unwrap()),
-            0.0
-        );
-        assert!(matches!(
-            results[1],
-            Err(RestoreError::PrefetchFailed { layer: 2 })
-        ));
     }
 
     #[test]
@@ -1725,13 +1366,13 @@ mod tests {
         // Nothing saved for session 77: the IO stream must surface the
         // error and both stages must shut down (no deadlock on the bounded
         // channel).
-        let err = restore_session_pipelined(
+        let err = restore_session_pipelined_with_methods(
             &f.model,
             &f.mgr,
             77,
             &f.tokens,
             N_TOKENS,
-            &scheme,
+            &scheme.layer_methods(4),
             &hc_tensor::ParallelConfig::new(4),
         );
         assert!(matches!(
@@ -1751,13 +1392,13 @@ mod tests {
         };
         save_session_state(&f.model, &f.mgr, 9, &f.hidden, &f.reference_kv, &scheme).unwrap();
         let mut seq = restore_session(&f.model, &f.mgr, 9, &f.tokens, N_TOKENS, &scheme).unwrap();
-        let mut piped = restore_session_pipelined(
+        let mut piped = restore_session_pipelined_with_methods(
             &f.model,
             &f.mgr,
             9,
             &f.tokens,
             N_TOKENS,
-            &scheme,
+            &scheme.layer_methods(4),
             &hc_tensor::ParallelConfig::auto(),
         )
         .unwrap();
@@ -1805,95 +1446,6 @@ mod tests {
             .unwrap();
             assert_eq!(kv_max_error(&seq, &piped), 0.0);
         }
-    }
-
-    #[test]
-    fn concurrent_restores_are_bit_identical_to_sequential() {
-        // Save several distinct sessions, then restore them all through the
-        // concurrent entry point at several worker counts — every result
-        // must be bit-identical to its sequential restore.
-        let f = fixture(59);
-        let scheme = PartitionScheme {
-            l_h: 3,
-            l_o: 1,
-            complement: LayerMethod::KvOffload,
-        };
-        let mut requests = Vec::new();
-        let mut references = Vec::new();
-        for s in 0..5u64 {
-            let tokens: Vec<u32> = (0..N_TOKENS as u32)
-                .map(|i| (i * 13 + s as u32) % 256)
-                .collect();
-            let mut kv = KvCache::new(&f.model.cfg);
-            let out = f.model.prefill(&tokens, &mut kv, true);
-            save_session_state(
-                &f.model,
-                &f.mgr,
-                s,
-                &out.hidden_per_layer.unwrap(),
-                &kv,
-                &scheme,
-            )
-            .unwrap();
-            let methods = scheme.layer_methods(f.model.cfg.n_layers);
-            let seq =
-                restore_session_with_methods(&f.model, &f.mgr, s, &tokens, N_TOKENS, &methods)
-                    .unwrap();
-            requests.push(RestoreRequest {
-                session: s,
-                tokens,
-                n_tokens: N_TOKENS,
-                methods,
-            });
-            references.push(seq);
-        }
-        for workers in [1usize, 2, 4, 8] {
-            let results = restore_sessions_concurrent(
-                &f.model,
-                &f.mgr,
-                &requests,
-                workers,
-                &hc_tensor::ParallelConfig::new(4),
-            );
-            assert_eq!(results.len(), requests.len());
-            for (i, r) in results.into_iter().enumerate() {
-                let kv = r.unwrap();
-                assert_eq!(
-                    kv_max_error(&kv, &references[i]),
-                    0.0,
-                    "session {i} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_restore_surfaces_errors_per_session() {
-        let f = fixture(61);
-        let scheme = PartitionScheme::pure_hidden(4);
-        save_session_state(&f.model, &f.mgr, 1, &f.hidden, &f.reference_kv, &scheme).unwrap();
-        let methods = scheme.layer_methods(4);
-        let requests = vec![
-            RestoreRequest {
-                session: 1,
-                tokens: f.tokens.clone(),
-                n_tokens: N_TOKENS,
-                methods: methods.clone(),
-            },
-            RestoreRequest {
-                session: 999, // never saved
-                tokens: f.tokens.clone(),
-                n_tokens: N_TOKENS,
-                methods,
-            },
-        ];
-        let results =
-            restore_sessions_concurrent(&f.model, &f.mgr, &requests, 2, &ParallelConfig::new(2));
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(RestoreError::Storage(StorageError::OutOfRange { .. }))
-        ));
     }
 
     #[test]

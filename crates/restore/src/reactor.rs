@@ -1,11 +1,10 @@
 //! Event-driven many-session restore driver: thousands of concurrent
 //! restores on a fixed thread budget.
 //!
-//! [`restore_sessions_concurrent`](crate::engine::restore_sessions_concurrent)
-//! is thread-per-restore: each in-flight session owns a worker (plus a
-//! prefetch thread), so in-flight restores are clamped to the host thread
-//! grant — fine for 8 sessions, wrong for 10k. This module drives each
-//! restore as a **state machine** advanced by a small pool of compute
+//! A thread-per-restore batch gives each in-flight session a worker (plus
+//! a prefetch thread), so in-flight restores are clamped to the host
+//! thread grant — fine for 8 sessions, wrong for 10k. This module drives
+//! each restore as a **state machine** advanced by a small pool of compute
 //! workers, with all IO riding the storage manager's
 //! [`Reactor`](hc_storage::reactor::Reactor) submission queues:
 //!
@@ -66,13 +65,26 @@ use hc_storage::manager::{DeliveredRows, PumpOutcome, ReactorReadJob, RowSink, S
 use hc_storage::StreamId;
 use hc_tensor::ParallelConfig;
 
-use crate::engine::{RestoreError, RestoreRequest, StreamAssembly};
+use crate::engine::{RestoreError, StreamAssembly};
 
 /// How many layers of one restore may have reads in flight at once. Two
 /// keeps the next layer's IO running while the current layer's tail is
 /// being projected (the same bubble-free fill as the single-session
 /// pipeline) while bounding per-session staging to O(2 layers).
 const LAYER_WINDOW: usize = 2;
+
+/// One session's restore work for [`restore_sessions_reactor`].
+#[derive(Debug, Clone)]
+pub struct RestoreRequest {
+    /// Session whose streams hold the state.
+    pub session: u64,
+    /// Original history tokens (needed by recompute layers).
+    pub tokens: Vec<u32>,
+    /// History length to restore.
+    pub n_tokens: usize,
+    /// The session's current per-layer method mix.
+    pub methods: Vec<LayerMethod>,
+}
 
 /// One finished session restore: the result plus its restore latency
 /// (admission → completion), the TTFR sample the multi-session benches
@@ -581,9 +593,7 @@ fn pump_lane<S: ChunkStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        kv_max_error, restore_session_with_methods, save_session_state, RestoreRequest,
-    };
+    use crate::engine::{kv_max_error, restore_session_with_methods, save_session_state};
     use hc_model::ModelConfig;
     use hc_sched::partition::PartitionScheme;
     use hc_storage::backend::MemStore;

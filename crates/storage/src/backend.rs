@@ -64,9 +64,9 @@ impl StoreStats {
 
 /// A chunk-granularity store striped over `n_devices`.
 ///
-/// `'static` is part of the contract: the manager's chunk-fanout read path
-/// hands `Arc<S>` clones to a persistent worker pool
-/// ([`crate::fanout::FanoutPool`]), so a store may not borrow from its
+/// `'static` is part of the contract: the manager's reactor read path
+/// hands `Arc<S>` clones to the reactor's persistent IO threads
+/// ([`crate::reactor::Reactor`]), so a store may not borrow from its
 /// environment. Every store here owns its state outright.
 pub trait ChunkStore: Send + Sync + 'static {
     /// Writes (or overwrites) one chunk.
@@ -86,7 +86,7 @@ pub trait ChunkStore: Send + Sync + 'static {
 
     /// True when `key` would be served from a DRAM-speed fast tier (e.g.
     /// [`crate::tiered::TieredStore`]'s front cache) rather than occupying
-    /// a storage device. A *hint* for the manager's adaptive read fanout:
+    /// a storage device. A *hint* for the manager's adaptive reactor plan:
     /// ranges whose chunks are front hits gain nothing from keeping
     /// several device reads in flight, so the manager reads them inline.
     /// The default (no fast tier) is `false`; implementations must treat

@@ -28,21 +28,16 @@
 //!   the aggregate resident-byte figure is an atomic — see the
 //!   [`manager`] module docs for the full locking discipline (lock order
 //!   map→stream; nothing held across read IO).
-//! * **Chunk fanout** ([`fanout::FanoutPool`]): a reusable bounded pool of
-//!   IO workers the manager's read path fans a single range's chunk reads
-//!   out over (partitioned by owning device), so one restoration read
-//!   keeps several devices busy at once — the iodepth-style submission
-//!   layer the sharded read path was built to feed. Opt in with
-//!   [`manager::StorageManager::with_read_fanout`]; output is bit-identical
-//!   to the sequential read at every width.
-//! * **IO reactor** ([`reactor::Reactor`]): the event-driven alternative
-//!   to thread-per-lane reads — per-device submission queues with
-//!   configurable iodepth, completion-driven read state machines
-//!   (`planned → submitted → decoded → placed`), and a shared run queue
+//! * **IO reactor** ([`reactor::Reactor`]): the one parallel read
+//!   executor — per-device submission queues with configurable iodepth,
+//!   so one restoration read keeps every device holding one of its chunks
+//!   busy at once; completion-driven read state machines
+//!   (`planned → submitted → decoded → placed`) and a shared run queue
 //!   for a fixed pool of compute workers, so in-flight restores are
 //!   bounded by memory and iodepth rather than threads. Opt in with
-//!   [`manager::StorageManager::with_reactor`]; output stays bit-identical
-//!   to the sequential walk at every iodepth.
+//!   [`manager::StorageManager::with_reactor`]; output is bit-identical
+//!   to the sequential walk (what a manager without one runs) at every
+//!   iodepth.
 //! * **Latency model** ([`latency::LatencyStore`]): wraps any backend with
 //!   per-device service time modeled by a deadline clock (a service
 //!   window is reserved at submission; nothing sleeps holding a lock), so
@@ -77,7 +72,6 @@
 
 pub mod backend;
 pub mod chunk;
-pub mod fanout;
 pub mod fault;
 pub mod health;
 pub mod journal;

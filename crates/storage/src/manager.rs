@@ -34,38 +34,38 @@
 //! an atomic, updated in the same stream-write critical sections that edit
 //! the per-stream figures, so quota trackers poll it lock-free.
 //!
-//! # Chunk-fanout reads
-//!
-//! With [`StorageManager::with_read_fanout`], a single `read_rows` call
-//! additionally overlaps its *own* chunk reads: after the lock-free
-//! snapshot, the range's durable chunk keys are partitioned by owning
-//! device ([`crate::chunk::device_for`]) and submitted to a reusable
-//! bounded worker pool ([`crate::fanout::FanoutPool`]) as one lane per
-//! device, while the calling thread decodes and places each chunk as its
-//! completion lands. What may be in flight: at most `width` chunk reads
-//! across *all* concurrent readers sharing the pool (the pool is the
-//! bound), plus up to `width` raw chunk payloads buffered **per reader**
-//! in that reader's own bounded completion channel (a slow decoder
-//! backpressures its own lanes, so staging is O(width) per concurrent
-//! reader, not global). The locking discipline is unchanged —
-//! fanout runs entirely inside the lock-free phase, pool workers touch
-//! only the backend (never a stream lock or the map), and the post-IO
-//! tombstone revalidation covers fanout reads exactly as it covers
-//! sequential ones. Output is bit-identical to the sequential read at
-//! every width: both paths share the validate/decode/copy helpers and
-//! each slice owns a disjoint row range of the output.
-//!
 //! # Chunk-streaming reads
 //!
 //! [`StorageManager::read_rows_streaming`] is the read path underneath
 //! [`StorageManager::read_rows`], exposed to callers that want each token
 //! chunk *as soon as its IO lands* instead of waiting for the whole range:
 //! the caller supplies a [`RowSink`] and the manager delivers one decoded
-//! [`DeliveredRows`] per chunk slice (out of completion order under
-//! fanout; range order on the sequential path). The restore engine's
-//! chunk-granular pipeline (§4.1.2 token-wise partitioning) feeds its
-//! compute stage from this, so projection on chunk *k* overlaps the IO of
-//! chunk *k+1* inside one layer.
+//! [`DeliveredRows`] per chunk slice. The restore engine's chunk-granular
+//! pipeline (§4.1.2 token-wise partitioning) feeds its compute stage from
+//! this, so projection on chunk *k* overlaps the IO of chunk *k+1* inside
+//! one layer.
+//!
+//! There are two walks. The **sequential walk** reads one chunk at a time
+//! from the calling thread and delivers in range order; it is the
+//! reference every other path is asserted bit-identical to, and what a
+//! manager without a reactor runs. With an IO [`Reactor`] attached
+//! ([`StorageManager::with_reactor`]) — the one parallel read executor —
+//! the range's device-occupying chunks are submitted to the reactor's
+//! per-device queues in ascending order with at most `iodepth × occupied
+//! devices` in flight, and the calling thread decodes and delivers each
+//! chunk as its completion lands (completion order; every slice owns a
+//! disjoint row range, so order never affects the assembled result). The
+//! locking discipline is unchanged: the reactor walk runs entirely inside
+//! the lock-free phase, IO threads touch only the backend (never a stream
+//! lock or the map), and both walks share the validate/decode/copy
+//! helpers, so output is bit-identical at every iodepth.
+//!
+//! The reactor is consulted per range: a range with ≤ 1 chunk that would
+//! actually occupy a device is read inline by the sequential walk (a
+//! single device read serializes anyway), and DRAM-tier front hits
+//! ([`crate::backend::ChunkStore::chunk_in_fast_tier`]) never ride the
+//! device queues — they complete at memcpy speed, so the calling thread
+//! reads them inline while the device IO is in flight.
 //!
 //! The tombstone revalidation is preserved **per delivered chunk**: the
 //! snapshot cell's tombstone is re-checked after each chunk's IO and
@@ -76,22 +76,9 @@
 //! and the read restarts against the successor state, so the chunks a
 //! completed call delivered are always one single generation (the same
 //! guarantee `read_rows` gives for its assembled tensor, which is in fact
-//! built by an internal sink on exactly this path).
-//!
-//! # Adaptive fanout width
-//!
-//! Reads consult the range before drawing on the pool: the fanout is
-//! skipped entirely (chunks are read inline) when the range has ≤ 1
-//! durable chunk, when at most one durable chunk would actually occupy a
-//! device ([`crate::backend::ChunkStore::chunk_in_fast_tier`] — DRAM-tier
-//! front hits complete at memcpy speed, so queueing them on IO workers
-//! only adds handoff latency), or when every device-occupying chunk lives
-//! on one lane (a single lane serializes there anyway — front hits do not
-//! count toward the lane tally). When the pool *is* used, front hits are
-//! still read inline by the calling thread (only device-occupying chunks
-//! ride the lanes), and the effective width — the completion-channel
-//! staging bound — is capped at the count of occupied lanes, never the
-//! pool's full width.
+//! built by an internal sink on exactly this path). An *error* from a
+//! tombstoned snapshot (a chunk the delete already wiped) restarts the
+//! same way: a failure from a dead generation never fails the read.
 //!
 //! Deletion vs. concurrent appends uses a tombstone: `delete_stream` marks
 //! the state deleted and wipes the backend *while holding the stream write
@@ -155,7 +142,7 @@
 //! | Sick device (repeated errors/stalls) | The [`crate::health::DeviceHealth`] breaker opens; reads fail fast typed-transient until a half-open probe heals the lane | Restores degrade affected layers to recompute (see `hc-cachectl`); no session fails |
 //! | Stalled reactor submission | Timed out at the [`RetryPolicy::io_deadline`] into `DeviceFailed {transient: true}`, counted as a stall against the lane's breaker | The one read; its lane is not wedged |
 //! | Device write error | `DeviceFailed` from `append_rows`/`flush_stream` | The appending stream only |
-//! | Read stall | No error — the lane is slow, not dead; fanout siblings proceed | Latency of the stalled read only |
+//! | Read stall | No error — the lane is slow, not dead; reads on other lanes proceed | Latency of the stalled read only |
 //! | Torn chunk write (crash) | Detected at reopen by chunk CRC; stream truncated to last consistent prefix | Rows past the torn chunk of that stream |
 //! | Torn journal tail (crash) | Detected at reopen by frame CRC; journal truncated to last consistent record | The unjournaled suffix of affected streams |
 //! | Mid-restore delete/eviction | [`RowSink::reset`] + retry on the successor generation, or `MissingChunk`/`OutOfRange` — never mixed-generation rows | The deleted stream only |
@@ -178,7 +165,6 @@ use crossbeam::channel::{bounded, RecvTimeoutError};
 
 use crate::backend::{ChunkStore, FileStore, StoreStats};
 use crate::chunk::{chunks_for_range, device_for, ChunkKey, ChunkSlice, CHUNK_TOKENS};
-use crate::fanout::FanoutPool;
 use crate::health::{Admit, DeviceHealth, RetryPolicy};
 use crate::journal::{crc32, Journal, JournalHeader, JournalRecord, JournalReplay};
 use crate::reactor::Reactor;
@@ -188,9 +174,9 @@ use crate::{Precision, StorageError, StreamId};
 /// breaker, retrying *transient* device failures with jittered exponential
 /// backoff until the attempt count or the backoff budget runs out
 /// (permanent failures and every other error surface immediately). Shared
-/// by the sequential walk, the fanout lanes, the reactor submissions and
-/// the recovery validation pass, so every read path masks the same blips
-/// and feeds the same breaker.
+/// by the sequential walk, the reactor submissions and the recovery
+/// validation pass, so every read path masks the same blips and feeds the
+/// same breaker.
 ///
 /// Breaker interaction: reads of device-occupying chunks first ask the
 /// breaker for admission — an open lane fails fast with a typed transient
@@ -315,8 +301,8 @@ pub struct DeliveredRows {
 
 /// Consumer of a streaming read: receives each chunk as its IO lands.
 pub trait RowSink {
-    /// One decoded chunk slice is ready. Under fanout, deliveries arrive
-    /// in completion order, not range order — every slice covers a
+    /// One decoded chunk slice is ready. Through the reactor, deliveries
+    /// arrive in completion order, not range order — every slice covers a
     /// disjoint row range, so order never affects the assembled result.
     /// Return `false` to cancel the rest of the read (the streaming call
     /// then returns `Ok(())` without delivering further chunks).
@@ -357,19 +343,6 @@ struct ReactorPlan {
     window: usize,
 }
 
-/// One fanout-eligible read's submission plan: the device-occupying
-/// chunks partitioned into per-device lanes for the pool, and the
-/// DRAM-tier front hits the calling thread reads inline.
-struct FanoutPlan<'p> {
-    pool: &'p FanoutPool,
-    /// Completion-channel bound: pool width capped at the occupied lanes.
-    width: usize,
-    /// Per-device lanes of `(slice_idx, key)` for device-occupying chunks.
-    lanes: Vec<Vec<(usize, ChunkKey)>>,
-    /// `(slice_idx, key)` of fast-tier front hits, ascending.
-    fast: Vec<(usize, ChunkKey)>,
-}
-
 /// Chunked f16 storage for token-row streams, generic over the backend.
 ///
 /// All rows are `d_model` wide (hidden states, keys and values all have the
@@ -390,15 +363,11 @@ pub struct StorageManager<S: ChunkStore> {
     /// saver's daemon and the restore prefetcher, which run through this
     /// manager).
     parallel: hc_tensor::ParallelConfig,
-    /// Chunk-fanout IO workers for `read_rows` (None: chunks are read
-    /// sequentially from the calling thread). Shared by every read of this
-    /// manager, so the in-flight IO bound holds across concurrent readers.
-    fanout: Option<Arc<FanoutPool>>,
-    /// Event-driven IO reactor (None: reads use the fanout pool or the
-    /// sequential walk). When attached, multi-chunk reads ride the
-    /// per-device submission queues instead of thread-per-lane fanout,
-    /// and the async [`ReactorReadJob`] API becomes available. Takes
-    /// precedence over `fanout` on eligible ranges.
+    /// Event-driven IO reactor (None: chunks are read sequentially from
+    /// the calling thread). When attached, multi-chunk reads ride its
+    /// per-device submission queues — shared by every read of this
+    /// manager, so the in-flight IO bound holds across concurrent readers
+    /// — and the async [`ReactorReadJob`] API becomes available.
     reactor: Option<Arc<Reactor>>,
     /// Outer shard map: stream id → per-stream state cell. Held only to
     /// resolve/insert/remove entries, never across IO or codec work.
@@ -436,7 +405,6 @@ impl<S: ChunkStore> StorageManager<S> {
             d_model,
             precision,
             parallel: hc_tensor::ParallelConfig::serial(),
-            fanout: None,
             reactor: None,
             streams: RwLock::new(HashMap::new()),
             total_resident: AtomicU64::new(0),
@@ -504,44 +472,9 @@ impl<S: ChunkStore> StorageManager<S> {
         self.parallel
     }
 
-    /// Enables chunk-fanout reads: `read_rows` partitions a range's durable
-    /// chunk keys by owning device and keeps up to `width` chunk reads in
-    /// flight on a reusable [`FanoutPool`]. Output is bit-identical to the
-    /// sequential read at every width; a width ≤ 1 keeps the sequential
-    /// path (and spawns nothing).
-    pub fn with_read_fanout(self, width: usize) -> Self {
-        if width <= 1 {
-            let mut this = self;
-            this.fanout = None;
-            return this;
-        }
-        self.with_read_fanout_pool(Arc::new(FanoutPool::new(width)))
-    }
-
-    /// Like [`StorageManager::with_read_fanout`], but sharing an existing
-    /// pool — several managers (or a scheduler that also accounts these
-    /// workers against its host budget) can cap their combined in-flight
-    /// IO with one worker set.
-    pub fn with_read_fanout_pool(mut self, pool: Arc<FanoutPool>) -> Self {
-        self.fanout = Some(pool).filter(|p| p.width() > 1);
-        self
-    }
-
-    /// In-flight chunk reads a single `read_rows` call may issue (1 means
-    /// sequential reads — no fanout configured).
-    pub fn read_fanout_width(&self) -> usize {
-        self.fanout.as_ref().map_or(1, |p| p.width())
-    }
-
-    /// The configured fanout pool, if any (tests observe its submission
-    /// counter to pin the adaptive skip decisions).
-    pub fn read_fanout_pool(&self) -> Option<&Arc<FanoutPool>> {
-        self.fanout.as_ref()
-    }
-
     /// Attaches an event-driven IO [`Reactor`] as the read engine:
     /// multi-chunk reads submit to its per-device queues (iodepth requests
-    /// in flight per device) instead of fanning out thread-per-lane, and
+    /// in flight per device) instead of walking the chunks one at a time, and
     /// [`StorageManager::begin_read_reactor`] exposes the asynchronous
     /// read state machine restore drivers use to keep thousands of
     /// restores in flight from a fixed worker pool. Output is
@@ -563,15 +496,13 @@ impl<S: ChunkStore> StorageManager<S> {
     }
 
     /// How many chunk reads one `read_rows` call can keep in flight: the
-    /// reactor's aggregate queue depth when one is attached, else the
-    /// fanout width, else 1 (sequential). Restore pipelines size their
-    /// chunk-staging depth from this.
+    /// reactor's aggregate queue depth when one is attached, else 1
+    /// (sequential). Restore pipelines size their chunk-staging depth from
+    /// this.
     pub fn read_parallelism(&self) -> usize {
-        let reactor = self
-            .reactor
+        self.reactor
             .as_ref()
-            .map_or(1, |r| r.n_devices() * r.iodepth());
-        reactor.max(self.read_fanout_width())
+            .map_or(1, |r| r.n_devices() * r.iodepth())
     }
 
     /// Storage precision in use.
@@ -810,9 +741,9 @@ impl<S: ChunkStore> StorageManager<S> {
 
     /// Streams token rows `[start, end)` of `stream` to `sink`, one
     /// decoded chunk slice at a time, each delivered **as soon as its IO
-    /// lands** — under chunk fanout that means in device-completion order,
-    /// with up to the (adaptively capped) fanout width of reads in flight
-    /// while earlier chunks are already being consumed.
+    /// lands** — through the reactor that means in device-completion order,
+    /// with up to `iodepth × occupied devices` reads in flight while
+    /// earlier chunks are already being consumed.
     ///
     /// Semantics match [`StorageManager::read_rows`] exactly — same
     /// snapshot discipline, same decode helpers, same errors — because
@@ -865,9 +796,10 @@ impl<S: ChunkStore> StorageManager<S> {
             }
 
             // --- Lock-free phase: backend IO + decode, one delivery per
-            // chunk slice. Reads fan out across devices when the adaptive
-            // decision says the range profits from it; either path decodes
-            // through the same helpers, so delivered bytes are identical.
+            // chunk slice. Reads ride the reactor's device queues when the
+            // adaptive decision says the range profits from it; either walk
+            // decodes through the same helpers, so delivered bytes are
+            // identical.
             let slices = chunks_for_range(start, end);
             let plan = ReadPlan {
                 stream,
@@ -876,13 +808,9 @@ impl<S: ChunkStore> StorageManager<S> {
                 tail: tail.as_deref(),
                 range_start: start,
             };
-            let phase = if let Some(rp) = self.reactor_plan_for_range(&plan) {
-                self.stream_slices_reactor(rp, &plan, &cell, sink)
-            } else {
-                match self.fanout_for_range(&plan) {
-                    Some(fp) => self.stream_slices_fanout(fp, &plan, &cell, sink),
-                    None => self.stream_slices_sequential(&plan, &cell, sink),
-                }
+            let phase = match self.reactor_plan_for_range(&plan) {
+                Some(rp) => self.stream_slices_reactor(rp, &plan, &cell, sink),
+                None => self.stream_slices_sequential(&plan, &cell, sink),
             };
 
             match phase {
@@ -911,55 +839,6 @@ impl<S: ChunkStore> StorageManager<S> {
     /// delete (a missing cell never was tombstoned: it reads as empty).
     fn cell_tombstoned(cell: &Option<Arc<RwLock<StreamState>>>) -> bool {
         cell.as_ref().is_some_and(|c| c.read().deleted)
-    }
-
-    /// The adaptive fanout decision for one planned read: `Some(plan)`
-    /// when fanning out pays, `None` to read every chunk inline. The only
-    /// question that matters is how many device *lanes* would actually be
-    /// occupied by chunks that cost device time — DRAM-tier front hits
-    /// ([`crate::backend::ChunkStore::chunk_in_fast_tier`]) complete at
-    /// memcpy speed and are excluded (they are read inline by the calling
-    /// thread either way, never queued on IO workers). A single occupied
-    /// lane serializes on its device regardless of width (this also covers
-    /// the ≤ 1 durable chunk and all-front-hits ranges), so only multi-
-    /// lane reads draw on the pool; the effective width — the completion-
-    /// channel staging bound — is capped at the occupied-lane count. The
-    /// partition is built here once and handed to
-    /// [`StorageManager::stream_slices_fanout`], so the decision and the
-    /// submission walk the slices (and take the fast-tier probe's lock) a
-    /// single time.
-    fn fanout_for_range(&self, plan: &ReadPlan<'_>) -> Option<FanoutPlan<'_>> {
-        let pool = self.fanout.as_ref()?;
-        let n_dev = self.store.n_devices().max(1);
-        let mut lanes: Vec<Vec<(usize, ChunkKey)>> = vec![Vec::new(); n_dev];
-        let mut fast: Vec<(usize, ChunkKey)> = Vec::new();
-        let mut lane_count = 0usize;
-        for (i, slice) in plan.slices.iter().enumerate() {
-            if Self::slice_is_durable(slice, plan.durable) {
-                let key = ChunkKey {
-                    stream: plan.stream,
-                    chunk_idx: slice.chunk_idx,
-                };
-                if self.store.chunk_in_fast_tier(key) {
-                    fast.push((i, key));
-                } else {
-                    let lane = device_for(&key, n_dev);
-                    if lanes[lane].is_empty() {
-                        lane_count += 1;
-                    }
-                    lanes[lane].push((i, key));
-                }
-            }
-        }
-        if lane_count <= 1 {
-            return None;
-        }
-        Some(FanoutPlan {
-            pool: pool.as_ref(),
-            width: pool.width().min(lane_count),
-            lanes,
-            fast,
-        })
     }
 
     /// True when every row of `slice` is covered by the durable cursor, so
@@ -1093,129 +972,6 @@ impl<S: ChunkStore> StorageManager<S> {
         Ok(StreamPhase::Done)
     }
 
-    /// The chunk-fanout streaming walk over a [`FanoutPlan`] (one lane per
-    /// device — chunks on one device serialize there anyway, so per-device
-    /// lanes are maximally parallel without queuing useless concurrency).
-    /// The calling thread first serves the plan's DRAM-tier front hits
-    /// inline (memcpy-speed — queueing them on IO workers would only add
-    /// handoff latency, and their early delivery grows the consumer's
-    /// contiguous prefix while the devices work), then validates, decodes
-    /// and delivers each device chunk as its completion lands — in
-    /// whatever order devices finish, which is safe because every slice
-    /// owns a disjoint row range. The completion channel is bounded by
-    /// the plan's effective width (≤ the occupied lanes), so raw chunk
-    /// bytes never pile up faster than this reader decodes them.
-    fn stream_slices_fanout(
-        &self,
-        fp: FanoutPlan<'_>,
-        plan: &ReadPlan<'_>,
-        cell: &Option<Arc<RwLock<StreamState>>>,
-        sink: &mut dyn RowSink,
-    ) -> Result<StreamPhase, StorageError> {
-        let slices = plan.slices;
-        let submitted: usize = fp.lanes.iter().map(|l| l.len()).sum();
-        let (tx, rx) = bounded::<(usize, Result<Vec<u8>, StorageError>)>(fp.width);
-        for lane in fp.lanes.into_iter().filter(|l| !l.is_empty()) {
-            let store = Arc::clone(&self.store);
-            let tx = tx.clone();
-            let policy = self.retry;
-            let health = Arc::clone(&self.health);
-            fp.pool.submit(move || {
-                for (i, key) in lane {
-                    // Transient device blips retry inside the lane, so a
-                    // flaky read costs backoff, not the whole range. A send
-                    // error means this reader is gone; drop the lane's
-                    // remaining reads.
-                    let res = read_chunk_retrying(store.as_ref(), key, &policy, &health);
-                    if tx.send((i, res)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Front hits inline, in range order, while the lanes' device IO is
-        // already in flight. An error here does not return yet: the drain
-        // below may surface a lower-index lane error, and the lanes must
-        // finish cleanly either way.
-        let mut first_err: Option<(usize, StorageError)> = None;
-        let mut ended: Option<StreamPhase> = None;
-        for (i, key) in fp.fast {
-            match read_chunk_retrying(self.store.as_ref(), key, &self.retry, &self.health)
-                .and_then(|bytes| self.decode_durable_chunk(plan.stream, &slices[i], &bytes))
-            {
-                Ok(rows) => match self.deliver_slice(plan, cell, sink, i, rows) {
-                    StreamPhase::Done => {}
-                    other => {
-                        ended = Some(other);
-                        break;
-                    }
-                },
-                Err(e) => {
-                    // Lowest-index determinism: later fast chunks cannot
-                    // have a lower index, so stop reading them.
-                    first_err = Some((i, e));
-                    break;
-                }
-            }
-        }
-        // On failure keep draining completions so the lowest-index error
-        // wins — the same error a sequential walk would have surfaced
-        // first (deterministic regardless of device timing). A restart or
-        // cancellation also drains (cheaply, without decoding) so the
-        // lanes finish cleanly instead of aborting mid-stream.
-        for _ in 0..submitted {
-            // A dropped completion means a fanout worker died mid-job
-            // (its catch_unwind can only lose the sender on an unwind
-            // outside the job): surface a typed error, not an abort.
-            let Ok((i, res)) = rx.recv() else {
-                return Err(StorageError::Io(
-                    "fanout lane dropped a completion (worker lost)".to_string(),
-                ));
-            };
-            if ended.is_some() {
-                continue;
-            }
-            match res.and_then(|bytes| self.decode_durable_chunk(plan.stream, &slices[i], &bytes)) {
-                Ok(rows) => {
-                    if first_err.is_none() {
-                        match self.deliver_slice(plan, cell, sink, i, rows) {
-                            StreamPhase::Done => {}
-                            other => ended = Some(other),
-                        }
-                    }
-                }
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some(phase) = ended {
-            return Ok(phase);
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        // The tail slice (at most one, always last) never touches the
-        // backend; rebuild it inline like the sequential walk does.
-        if let Some(slice) = slices
-            .last()
-            .filter(|s| !Self::slice_is_durable(s, plan.durable))
-        {
-            debug_assert_eq!(slice.chunk_idx as u64 * CHUNK_TOKENS, plan.durable);
-            let rows = // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
-                self.decode_tail(plan.tail.expect("range past durable implies tail"));
-            let i = slices.len() - 1;
-            match self.deliver_slice(plan, cell, sink, i, rows) {
-                StreamPhase::Done => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(StreamPhase::Done)
-    }
-
     /// Partitions a planned range for the reactor: every durable chunk
     /// that occupies a device (ascending slice order, tagged with its
     /// owning device), fast-tier front hits separately, plus the in-flight
@@ -1253,8 +1009,7 @@ impl<S: ChunkStore> StorageManager<S> {
     /// The adaptive reactor decision for one planned read: `Some(plan)`
     /// when at least two chunks occupy devices (a single device-occupying
     /// chunk serializes anyway, and fast-tier hits are read inline either
-    /// way), `None` to fall through to fanout/sequential. An attached
-    /// reactor takes precedence over a fanout pool.
+    /// way), `None` to read every chunk inline on the sequential walk.
     fn reactor_plan_for_range(&self, plan: &ReadPlan<'_>) -> Option<ReactorPlan> {
         let reactor = self.reactor.as_ref()?;
         let (device_chunks, fast, window) = self.reactor_partition(plan, reactor.iodepth());
@@ -1273,16 +1028,19 @@ impl<S: ChunkStore> StorageManager<S> {
     /// `rp.window` in flight; the calling thread serves fast-tier front
     /// hits inline, then validates, decodes and delivers each chunk as
     /// its completion lands, topping the window back up after every
-    /// completion. Ascending submission keeps the lowest-index-error
-    /// determinism argument of the fanout path: any chunk not yet
-    /// submitted has a higher slice index than every submitted one, so
-    /// draining the in-flight set always surfaces the same error the
-    /// sequential walk would have hit first.
+    /// completion. Front hits go first because they complete at memcpy
+    /// speed — queueing them on IO threads would only add handoff latency,
+    /// and their early delivery grows the consumer's contiguous prefix
+    /// while the devices work. Ascending submission makes error
+    /// resolution deterministic: any chunk not yet submitted has a higher
+    /// slice index than every submitted one, so draining the in-flight
+    /// set always surfaces the same error the sequential walk would have
+    /// hit first.
     ///
-    /// Unlike [`FanoutPool`] lanes, IO threads never block on this
-    /// reader's completion channel (its capacity equals the window, and
-    /// at most `window` completions are outstanding), so a slow consumer
-    /// cannot head-of-line block other readers sharing the device queues.
+    /// IO threads never block on this reader's completion channel (its
+    /// capacity equals the window, and at most `window` completions are
+    /// outstanding), so a slow consumer cannot head-of-line block other
+    /// readers sharing the device queues.
     fn stream_slices_reactor(
         &self,
         rp: ReactorPlan,
@@ -1331,8 +1089,9 @@ impl<S: ChunkStore> StorageManager<S> {
         while in_flight < rp.window && next < total {
             submit_next(&mut next, &mut in_flight, &mut outstanding);
         }
-        // Front hits inline while device IO is in flight (same rationale
-        // as the fanout path).
+        // Front hits inline, in range order, while device IO is in flight.
+        // An error here does not return yet: the drain below may surface a
+        // lower-index device error, and the window must drain either way.
         let mut first_err: Option<(usize, StorageError)> = None;
         let mut ended: Option<StreamPhase> = None;
         for (i, key) in rp.fast.iter().copied() {
@@ -1347,6 +1106,8 @@ impl<S: ChunkStore> StorageManager<S> {
                     }
                 },
                 Err(e) => {
+                    // Lowest-index determinism: later fast chunks cannot
+                    // have a lower index, so stop reading them.
                     first_err = Some((i, e));
                     break;
                 }
@@ -1354,7 +1115,9 @@ impl<S: ChunkStore> StorageManager<S> {
         }
         // Drain in-flight completions; keep the window topped up while
         // healthy. On error/restart/cancel, submission stops and the
-        // remaining in-flight chunks drain cheaply.
+        // remaining in-flight chunks drain cheaply (without decoding), so
+        // the lowest-index error wins — the one a sequential walk would
+        // have surfaced first, regardless of device timing.
         while in_flight > 0 {
             // A dropped completion means a reactor IO thread died: surface
             // a typed error instead of aborting the read path. Under an IO
@@ -1422,7 +1185,8 @@ impl<S: ChunkStore> StorageManager<S> {
         if let Some((_, e)) = first_err {
             return Err(e);
         }
-        // Tail slice inline, exactly like the other walks.
+        // The tail slice (at most one, always last) never touches the
+        // backend; rebuild it inline like the sequential walk does.
         if let Some(slice) = slices
             .last()
             .filter(|s| !Self::slice_is_durable(s, plan.durable))
@@ -1450,8 +1214,9 @@ impl<S: ChunkStore> StorageManager<S> {
     /// responds to `notify` by calling `pump` with its sink, which
     /// validates/decodes/delivers every staged chunk through the exact
     /// helpers the sequential walk uses (bit-identical output), restarts
-    /// the pass on a mid-read tombstone (after `sink.reset()`), and
-    /// resolves errors to the lowest slice index once the window drains.
+    /// the pass on a mid-read tombstone (after `sink.reset()`) — whether a
+    /// delivered chunk or an error observed it — and resolves errors of a
+    /// live generation to the lowest slice index once the window drains.
     ///
     /// Caller contract: `pump` must not run concurrently for one job (the
     /// driver's run-queue serialization provides this); `notify` must be
@@ -1977,14 +1742,20 @@ enum PumpStep {
     Done,
     Failed(StorageError),
     Pending,
+    /// The halted pass drained with this lowest-index error; revalidate
+    /// its generation before surfacing it.
+    Halted {
+        pass: Arc<JobPass>,
+        err: StorageError,
+    },
     /// Decode + deliver this batch (and the fast front hits first, when
     /// `fast_todo`).
     Batch {
         pass: Arc<JobPass>,
         batch: Vec<(usize, Result<Vec<u8>, StorageError>)>,
         fast_todo: bool,
-        /// An earlier pass already recorded an error: drain without
-        /// delivering (mirrors the fanout drain's post-error behavior).
+        /// An earlier pump already recorded an error: drain without
+        /// delivering (mirrors the synchronous walk's post-error drain).
         prior_failed: bool,
     },
     /// All device chunks placed; rebuild and deliver the tail slice.
@@ -2139,7 +1910,9 @@ impl<S: ChunkStore> ReactorReadJob<S> {
     /// (counted as a stall against its lane's breaker), the epoch bump
     /// fences off the pass's late completions, and the next
     /// [`ReactorReadJob::pump`] resolves to `Failed` — the driver's
-    /// degradation path, not a wedged lane. Returns whether the job
+    /// degradation path, not a wedged lane — unless the pass's stream was
+    /// deleted meanwhile, in which case the pump restarts on the
+    /// successor like any other dead-generation error. Returns whether the job
     /// expired (callers pump expired jobs). No-op on jobs that are
     /// terminal, between passes, idle, or still making progress.
     pub fn expire_stalled(&self, deadline: Duration) -> bool {
@@ -2245,9 +2018,10 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                 } else if core.halted {
                     if core.in_flight == 0 {
                         // hc-analyze: allow(panic) invariant: halted is only set together with first_err
-                        let (_, e) = core.first_err.take().expect("halted implies an error");
-                        core.terminal = Some(Err(e.clone()));
-                        PumpStep::Failed(e)
+                        let (_, err) = core.first_err.clone().expect("halted implies an error");
+                        // hc-analyze: allow(panic) invariant: this branch is only reached with a live pass (checked above)
+                        let pass = Arc::clone(core.pass.as_ref().expect("checked above"));
+                        PumpStep::Halted { pass, err }
                     } else {
                         PumpStep::Pending
                     }
@@ -2276,6 +2050,21 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                 PumpStep::Done => return PumpOutcome::Done,
                 PumpStep::Failed(e) => return PumpOutcome::Failed(e),
                 PumpStep::Pending => return PumpOutcome::Pending,
+                PumpStep::Halted { pass, err } => {
+                    // Same rule as `read_rows_streaming`: an error from a
+                    // tombstoned snapshot (a chunk the delete already
+                    // wiped, or the deadline `expire_stalled` planted on
+                    // the dead generation) restarts on the successor
+                    // instead of failing. Checked outside the job lock:
+                    // the window is drained and the pass halted, so no
+                    // completion can race this decision.
+                    if StorageManager::<S>::cell_tombstoned(&pass.cell) {
+                        self.restart(sink);
+                        continue;
+                    }
+                    self.core.lock().terminal = Some(Err(err.clone()));
+                    return PumpOutcome::Failed(err);
+                }
                 PumpStep::Tail(pass) => {
                     let plan = ReadPlan {
                         stream: self.stream,
@@ -2417,6 +2206,7 @@ mod tests {
     use crate::backend::MemStore;
     use crate::fault::{FaultStore, FaultTarget};
     use hc_tensor::f16::f16_roundtrip;
+    use std::sync::mpsc;
 
     const D: usize = 8;
 
@@ -2779,116 +2569,6 @@ mod tests {
         assert_eq!(mgr.delete_stream(s), 128 * D as u64 * 2);
     }
 
-    #[test]
-    fn fanout_reads_are_bit_identical_to_sequential_at_every_width() {
-        // Same deterministic data through a sequential manager and fanout
-        // managers of widths 2/4/8: every range shape (aligned, interior,
-        // tail-touching, single-chunk) must come back bit-identical.
-        let seq = mgr();
-        let s = StreamId::hidden(3, 1);
-        let t = rows(300, 7); // 4 full chunks + 44-row unflushed tail
-        seq.append_rows(s, &t).unwrap();
-        let ranges = [
-            (0, 300),
-            (0, 256),
-            (70, 200),
-            (64, 128),
-            (5, 20),
-            (250, 300),
-        ];
-        for width in [2usize, 4, 8] {
-            let fan = StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(width);
-            assert_eq!(fan.read_fanout_width(), width);
-            fan.append_rows(s, &t).unwrap();
-            for &(a, b) in &ranges {
-                assert_eq!(
-                    fan.read_rows(s, a, b).unwrap(),
-                    seq.read_rows(s, a, b).unwrap(),
-                    "width {width} range {a}..{b} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fanout_int8_reads_match_sequential() {
-        let seq =
-            StorageManager::with_precision(Arc::new(MemStore::new(4)), D, crate::Precision::Int8);
-        let fan =
-            StorageManager::with_precision(Arc::new(MemStore::new(4)), D, crate::Precision::Int8)
-                .with_read_fanout(4);
-        let s = StreamId::hidden(1, 0);
-        let t = rows(200, 9);
-        seq.append_rows(s, &t).unwrap();
-        fan.append_rows(s, &t).unwrap();
-        assert_eq!(
-            fan.read_rows(s, 0, 200).unwrap(),
-            seq.read_rows(s, 0, 200).unwrap()
-        );
-    }
-
-    #[test]
-    fn fanout_width_one_keeps_the_sequential_path() {
-        let m = mgr().with_read_fanout(1);
-        assert_eq!(m.read_fanout_width(), 1);
-        let s = StreamId::hidden(1, 0);
-        m.append_rows(s, &rows(100, 1)).unwrap();
-        assert_eq!(m.read_rows(s, 0, 100).unwrap().rows(), 100);
-    }
-
-    #[test]
-    fn fanout_missing_state_surfaces_the_lowest_chunk_error() {
-        // Chunks 0..4 written, then chunk 1 and 3 wiped behind the
-        // manager's back: the fanout read must report the lowest missing
-        // index (what a sequential walk hits first), not whichever device
-        // completes first.
-        let store = Arc::new(MemStore::new(4));
-        let m = StorageManager::new(Arc::clone(&store), D).with_read_fanout(4);
-        let s = StreamId::hidden(1, 0);
-        m.append_rows(s, &rows(256, 1)).unwrap();
-        // Wipe the backend without tombstoning (simulates external loss).
-        store.delete_stream(s);
-        let err = m.read_rows(s, 0, 256).unwrap_err();
-        assert_eq!(
-            err,
-            StorageError::MissingChunk {
-                stream: s,
-                chunk_idx: 0
-            }
-        );
-    }
-
-    #[test]
-    fn fanout_read_racing_delete_and_restart_never_mixes_generations() {
-        // The generation-ABA race of
-        // `read_racing_delete_and_restart_never_mixes_generations`, driven
-        // through the fanout path: the delete + re-append (identical sizes,
-        // reused chunk keys) fires inside a pool worker's first fetch, and
-        // the post-IO tombstone revalidation must still retry the read
-        // wholesale onto generation 2.
-        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(2))));
-        let mgr = Arc::new(StorageManager::new(Arc::clone(&store), D).with_read_fanout(4));
-        let s = StreamId::hidden(1, 0);
-        mgr.append_rows(s, &rows(128, 1)).unwrap(); // generation 1: 2 chunks
-        let mgr2 = Arc::clone(&mgr);
-        store.on_nth_read(0, move || {
-            mgr2.delete_stream(s);
-            mgr2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
-        });
-        let got = mgr.read_rows(s, 0, 128).unwrap();
-        let gen2 = rows(128, 2);
-        for r in 0..128 {
-            for c in 0..D {
-                assert_eq!(
-                    got.get(r, c),
-                    f16_roundtrip(gen2.get(r, c)),
-                    "row {r} col {c} leaked generation-1 data through the fanout path"
-                );
-            }
-        }
-        assert_eq!(mgr.delete_stream(s), 128 * D as u64 * 2);
-    }
-
     /// Records every delivery and reset; `assembled` rebuilds the range
     /// from whatever survived the last reset — what a real consumer keeps.
     #[derive(Default)]
@@ -2928,8 +2608,9 @@ mod tests {
     #[test]
     fn streaming_reads_match_read_rows_at_every_width() {
         // Every range shape (aligned, interior, tail-touching,
-        // single-chunk) streamed at widths 1/2/4/8 must reassemble to the
-        // exact read_rows tensor, with each row covered by exactly one
+        // single-chunk) streamed over the sequential walk (width 0: no
+        // reactor) and over reactors of iodepth 1/2/4/8 must reassemble to
+        // the exact read_rows tensor, with each row covered by exactly one
         // delivery.
         let s = StreamId::hidden(3, 1);
         let t = rows(300, 7); // 4 full chunks + 44-row unflushed tail
@@ -2941,8 +2622,11 @@ mod tests {
             (5, 20),
             (250, 300),
         ];
-        for width in [1usize, 2, 4, 8] {
-            let m = StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(width);
+        for width in [0usize, 1, 2, 4, 8] {
+            let mut m = StorageManager::new(Arc::new(MemStore::new(4)), D);
+            if width > 0 {
+                m = m.with_reactor(Reactor::new(4, width));
+            }
             m.append_rows(s, &t).unwrap();
             for &(a, b) in &ranges {
                 let expect = m.read_rows(s, a, b).unwrap();
@@ -2981,68 +2665,77 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_fanout_skips_single_chunk_and_single_lane_ranges() {
-        // Multi-chunk multi-device ranges draw on the pool; a range inside
-        // one chunk does not, and a single-device store never does (one
-        // lane serializes there anyway).
-        let m = StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(4);
+    fn adaptive_reactor_queues_multi_chunk_ranges_only() {
+        // Multi-chunk ranges ride the device queues; a range inside one
+        // chunk is read inline, and so is any range with a single
+        // device-occupying chunk.
+        let reactor = Reactor::new(4, 2);
+        let m =
+            StorageManager::new(Arc::new(MemStore::new(4)), D).with_reactor(Arc::clone(&reactor));
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(256, 1)).unwrap();
-        let pool = Arc::clone(m.read_fanout_pool().unwrap());
-        let before = pool.jobs_submitted();
         m.read_rows(s, 10, 40).unwrap(); // within chunk 0
-        assert_eq!(pool.jobs_submitted(), before, "≤1 durable chunk: inline");
+        m.read_rows(s, 0, 64).unwrap(); // exactly chunk 0
+        assert_eq!(reactor.ios_submitted(), 0, "≤1 device chunk: inline");
         m.read_rows(s, 0, 256).unwrap(); // 4 chunks over 4 devices
-        assert!(pool.jobs_submitted() > before, "wide range must fan out");
+        assert_eq!(reactor.ios_submitted(), 4, "wide range must fan out");
 
-        let single = StorageManager::new(Arc::new(MemStore::new(1)), D).with_read_fanout(4);
+        // One device lane: the chunks still queue (iodepth keeps two of
+        // them in flight), and the bytes match the inline walk.
+        let single_reactor = Reactor::new(1, 2);
+        let single = StorageManager::new(Arc::new(MemStore::new(1)), D)
+            .with_reactor(Arc::clone(&single_reactor));
         single.append_rows(s, &rows(256, 1)).unwrap();
-        let pool1 = Arc::clone(single.read_fanout_pool().unwrap());
-        single.read_rows(s, 0, 256).unwrap();
-        assert_eq!(pool1.jobs_submitted(), 0, "one device lane: inline");
+        assert_eq!(
+            single.read_rows(s, 0, 256).unwrap(),
+            m.read_rows(s, 0, 256).unwrap()
+        );
+        assert_eq!(single_reactor.ios_submitted(), 4);
     }
 
     #[test]
     fn adaptive_fanout_skips_dram_front_hits() {
-        // Everything write-through hot in the tiered front: the fanout
-        // pool is never consulted, reads come back identical anyway.
+        // Everything write-through hot in the tiered front: the device
+        // queues are never consulted, reads come back identical anyway.
         let tiered = Arc::new(crate::tiered::TieredStore::new(
             Arc::new(MemStore::new(4)),
             1 << 20,
         ));
-        let m = StorageManager::new(Arc::clone(&tiered), D).with_read_fanout(4);
+        let reactor = Reactor::new(4, 2);
+        let m = StorageManager::new(Arc::clone(&tiered), D).with_reactor(Arc::clone(&reactor));
         let s = StreamId::hidden(1, 0);
         let t = rows(256, 5);
         m.append_rows(s, &t).unwrap();
-        let pool = Arc::clone(m.read_fanout_pool().unwrap());
         let got = m.read_rows(s, 0, 256).unwrap();
-        assert_eq!(pool.jobs_submitted(), 0, "front hits must read inline");
+        assert_eq!(reactor.ios_submitted(), 0, "front hits must read inline");
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         seq.append_rows(s, &t).unwrap();
         assert_eq!(got, seq.read_rows(s, 0, 256).unwrap());
         // Evict the front (tiny successor store) — cold multi-chunk reads
-        // fan out again.
+        // ride the device queues again.
         let cold_back = Arc::new(MemStore::new(4));
         let cold = Arc::new(crate::tiered::TieredStore::new(Arc::clone(&cold_back), 8));
-        let m2 = StorageManager::new(Arc::clone(&cold), D).with_read_fanout(4);
+        let cold_reactor = Reactor::new(4, 2);
+        let m2 = StorageManager::new(Arc::clone(&cold), D).with_reactor(Arc::clone(&cold_reactor));
         m2.append_rows(s, &t).unwrap(); // every chunk oversized for an 8-byte front
-        let pool2 = Arc::clone(m2.read_fanout_pool().unwrap());
         m2.read_rows(s, 0, 256).unwrap();
-        assert!(pool2.jobs_submitted() > 0, "cold chunks must fan out");
+        assert_eq!(cold_reactor.ios_submitted(), 4, "cold chunks must fan out");
     }
 
     #[test]
     fn mixed_hot_cold_ranges_fan_out_cold_chunks_only() {
         // A tiered front holding only the most recent chunks: the cold
-        // prefix fans out (one lane job per occupied device) while the
-        // hot suffix is read inline — the pool sees exactly the cold
-        // lanes, and the assembled bytes still match a plain manager.
+        // prefix rides the device queues (one submission per cold chunk)
+        // while the hot suffix is read inline — the reactor sees exactly
+        // the cold chunks, and the assembled bytes still match a plain
+        // manager.
         let per_chunk = 64 * D as u64 * 2;
         let tiered = Arc::new(crate::tiered::TieredStore::new(
             Arc::new(MemStore::new(4)),
             2 * per_chunk, // room for the 2 most recently written chunks
         ));
-        let m = StorageManager::new(Arc::clone(&tiered), D).with_read_fanout(4);
+        let reactor = Reactor::new(4, 2);
+        let m = StorageManager::new(Arc::clone(&tiered), D).with_reactor(Arc::clone(&reactor));
         let s = StreamId::hidden(1, 0);
         let t = rows(256, 3); // chunks 0..4; front ends up holding 2 and 3
         m.append_rows(s, &t).unwrap();
@@ -3054,12 +2747,11 @@ mod tests {
             stream: s,
             chunk_idx: 3
         }));
-        let pool = Arc::clone(m.read_fanout_pool().unwrap());
         let got = m.read_rows(s, 0, 256).unwrap();
         assert_eq!(
-            pool.jobs_submitted(),
+            reactor.ios_submitted(),
             2,
-            "only the two cold chunks' lanes may draw on the pool"
+            "only the two cold chunks may ride the device queues"
         );
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         seq.append_rows(s, &t).unwrap();
@@ -3186,12 +2878,12 @@ mod tests {
     }
 
     #[test]
-    fn fanout_surfaces_the_lowest_faulted_slice() {
-        // Permanent faults on chunks 1 and 3: the fanout read must report
+    fn reactor_surfaces_the_lowest_faulted_slice() {
+        // Permanent faults on chunks 1 and 3: the reactor read must report
         // chunk 1 (what a sequential walk hits first), regardless of
         // completion order.
         let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
-        let m = StorageManager::new(Arc::clone(&store), D).with_read_fanout(4);
+        let m = StorageManager::new(Arc::clone(&store), D).with_reactor(Reactor::new(4, 2));
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(256, 1)).unwrap();
         for idx in [1u32, 3] {
@@ -3618,25 +3310,21 @@ mod tests {
                 "multi-chunk ranges must ride the device queues"
             );
         }
-    }
-
-    #[test]
-    fn reactor_takes_precedence_over_fanout_and_skips_small_ranges() {
-        let reactor = Reactor::new(4, 2);
-        let m = StorageManager::new(Arc::new(MemStore::new(4)), D)
-            .with_read_fanout(4)
-            .with_reactor(Arc::clone(&reactor));
-        let s = StreamId::hidden(1, 0);
-        m.append_rows(s, &rows(256, 1)).unwrap();
-        // ≤ 1 device chunk: read inline — neither engine sees it.
-        let fanout_jobs = m.read_fanout_pool().unwrap().jobs_submitted();
-        m.read_rows(s, 0, 64).unwrap();
-        assert_eq!(reactor.ios_submitted(), 0);
-        assert_eq!(m.read_fanout_pool().unwrap().jobs_submitted(), fanout_jobs);
-        // Multi-chunk: the reactor serves it, not the fanout pool.
-        m.read_rows(s, 0, 256).unwrap();
-        assert_eq!(reactor.ios_submitted(), 4);
-        assert_eq!(m.read_fanout_pool().unwrap().jobs_submitted(), fanout_jobs);
+        // The int8 codec shares the decode helpers: same identity.
+        let int8 = |reactor: Option<Arc<Reactor>>| {
+            let m = StorageManager::with_precision(
+                Arc::new(MemStore::new(4)),
+                D,
+                crate::Precision::Int8,
+            );
+            let m = match reactor {
+                Some(r) => m.with_reactor(r),
+                None => m,
+            };
+            m.append_rows(s, &t).unwrap();
+            m.read_rows(s, 0, 300).unwrap()
+        };
+        assert_eq!(int8(Some(Reactor::new(4, 2))), int8(None));
     }
 
     #[test]
@@ -3712,19 +3400,54 @@ mod tests {
         }
     }
 
-    /// Drives one async job to its terminal outcome from the test thread
-    /// (pump, nap on Pending — the driver's run queue in miniature).
+    /// Begins an async read whose `notify` sends a token on the returned
+    /// channel — the driver's run queue in miniature.
+    fn begin_job<S: ChunkStore>(
+        m: &Arc<StorageManager<S>>,
+        stream: StreamId,
+        start: u64,
+        end: u64,
+    ) -> (Arc<ReactorReadJob<S>>, mpsc::Receiver<()>) {
+        let (wake, woken) = mpsc::channel();
+        let job = m.begin_read_reactor(
+            stream,
+            start,
+            end,
+            Arc::new(move || {
+                let _ = wake.send(());
+            }),
+        );
+        (job, woken)
+    }
+
+    /// Drives one async job to its terminal outcome from the test thread:
+    /// pump, and on `Pending` block until the job's `notify` fires (every
+    /// staged completion fires it, so no wakeup can be lost; the bound
+    /// only turns a broken job into a failure instead of a hang).
     fn drive_job<S: ChunkStore>(
         job: &Arc<ReactorReadJob<S>>,
+        woken: &mpsc::Receiver<()>,
         sink: &mut AsyncAssemble,
     ) -> Result<(), StorageError> {
         loop {
             match job.pump(sink) {
                 PumpOutcome::Done => return Ok(()),
                 PumpOutcome::Failed(e) => return Err(e),
-                PumpOutcome::Pending => std::thread::sleep(Duration::from_micros(100)),
+                PumpOutcome::Pending => woken
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("a pending job must notify"),
             }
         }
+    }
+
+    /// Parks `device`'s IO thread(s) behind a gate: submissions queued
+    /// after this call wait until the returned sender fires (or drops).
+    fn park_device(reactor: &Reactor, device: usize) -> mpsc::Sender<()> {
+        let (open, gate) = mpsc::channel::<()>();
+        reactor.submit_io(device, move || {
+            let _ = gate.recv();
+        });
+        open
     }
 
     #[test]
@@ -3735,11 +3458,11 @@ mod tests {
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(300, 7)).unwrap(); // durable chunks + tail
         for (a, b) in [(0u64, 300u64), (64, 256), (5, 20), (250, 300), (0, 0)] {
-            let job = m.begin_read_reactor(s, a, b, Arc::new(|| {}));
+            let (job, woken) = begin_job(&m, s, a, b);
             assert_eq!(job.stream(), s);
             assert_eq!(job.range(), (a, b));
             let mut sink = AsyncAssemble::new((b - a) as usize, D);
-            drive_job(&job, &mut sink).unwrap();
+            drive_job(&job, &woken, &mut sink).unwrap();
             assert_eq!(sink.out, m.read_rows(s, a, b).unwrap(), "range {a}..{b}");
             // Terminal outcomes are sticky.
             assert!(matches!(job.pump(&mut sink), PumpOutcome::Done));
@@ -3753,9 +3476,9 @@ mod tests {
         );
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(10, 1)).unwrap();
-        let job = m.begin_read_reactor(s, 0, 100, Arc::new(|| {}));
+        let (job, woken) = begin_job(&m, s, 0, 100);
         let mut sink = AsyncAssemble::new(100, D);
-        let err = drive_job(&job, &mut sink).unwrap_err();
+        let err = drive_job(&job, &woken, &mut sink).unwrap_err();
         assert_eq!(
             err,
             StorageError::OutOfRange {
@@ -3778,9 +3501,9 @@ mod tests {
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(256, 1)).unwrap();
         store.delete_stream(s);
-        let job = m.begin_read_reactor(s, 0, 256, Arc::new(|| {}));
+        let (job, woken) = begin_job(&m, s, 0, 256);
         let mut sink = AsyncAssemble::new(256, D);
-        let err = drive_job(&job, &mut sink).unwrap_err();
+        let err = drive_job(&job, &woken, &mut sink).unwrap_err();
         assert_eq!(
             err,
             StorageError::MissingChunk {
@@ -3802,15 +3525,79 @@ mod tests {
             m2.delete_stream(s);
             m2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         });
-        let job = m.begin_read_reactor(s, 0, 128, Arc::new(|| {}));
+        let (job, woken) = begin_job(&m, s, 0, 128);
         let mut sink = AsyncAssemble::new(128, D);
-        drive_job(&job, &mut sink).unwrap();
+        drive_job(&job, &woken, &mut sink).unwrap();
         assert!(sink.resets >= 1, "the dead generation must be discarded");
+        assert_eq!(sink.out, gen2_roundtrip());
+    }
+
+    /// Generation 2 of the delete→re-append races, as `read_rows` returns it.
+    fn gen2_roundtrip() -> Tensor2 {
         let gen2 = rows(128, 2);
-        for r in 0..128 {
-            for c in 0..D {
-                assert_eq!(sink.out.get(r, c), f16_roundtrip(gen2.get(r, c)));
-            }
-        }
+        Tensor2::from_fn(128, D, |r, c| f16_roundtrip(gen2.get(r, c)))
+    }
+
+    #[test]
+    fn async_reactor_job_error_from_a_dead_generation_restarts() {
+        // The delete→re-append race with its losing interleaving forced:
+        // chunk 1's read is served inside the wipe→re-append window and
+        // its `MissingChunk` is staged on the job *before* chunk 0's read
+        // (which held the window open) completes successfully with
+        // generation-2 bytes. The error belongs to the dead generation, so
+        // the job must restart on the successor — not resolve it terminal.
+        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(2))));
+        let reactor = Reactor::new(2, 1);
+        let m =
+            Arc::new(StorageManager::new(Arc::clone(&store), D).with_reactor(Arc::clone(&reactor)));
+        let s = StreamId::hidden(1, 0);
+        // Chunk 0 lives on device 0, chunk 1 on device 1. Chunk 1's read
+        // waits behind the gate, so chunk 0's is read ordinal 0.
+        m.append_rows(s, &rows(128, 1)).unwrap();
+        let open = park_device(&reactor, 1);
+        let (m2, r2) = (Arc::clone(&m), Arc::clone(&reactor));
+        store.on_nth_read(0, move || {
+            m2.delete_stream(s);
+            // Chunk 1 now reads the wiped stream. A marker queued behind it
+            // on device 1's single IO thread runs only once chunk 1's
+            // completion was staged on the job.
+            let _ = open.send(());
+            let (done, staged) = mpsc::channel();
+            r2.submit_io(1, move || {
+                let _ = done.send(());
+            });
+            staged.recv().unwrap();
+            m2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
+        });
+        let (job, woken) = begin_job(&m, s, 0, 128);
+        let mut sink = AsyncAssemble::new(128, D);
+        drive_job(&job, &woken, &mut sink).unwrap();
+        assert!(sink.resets >= 1, "the dead generation must be discarded");
+        assert_eq!(sink.out, gen2_roundtrip());
+    }
+
+    #[test]
+    fn async_reactor_job_expired_on_a_dead_generation_restarts() {
+        // Both device threads parked, so the pass's reads sit queued while
+        // the stream is deleted and re-appended; then the watchdog expires
+        // the pass. The deadline error it plants belongs to the dead
+        // generation: the next pump must restart, not fail the read.
+        let reactor = Reactor::new(2, 1);
+        let m = Arc::new(
+            StorageManager::new(Arc::new(MemStore::new(2)), D).with_reactor(Arc::clone(&reactor)),
+        );
+        let s = StreamId::hidden(1, 0);
+        m.append_rows(s, &rows(128, 1)).unwrap();
+        let gates = [park_device(&reactor, 0), park_device(&reactor, 1)];
+        let (job, woken) = begin_job(&m, s, 0, 128);
+        let mut sink = AsyncAssemble::new(128, D);
+        assert!(matches!(job.pump(&mut sink), PumpOutcome::Pending));
+        m.delete_stream(s);
+        m.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
+        assert!(job.expire_stalled(Duration::ZERO));
+        drop(gates);
+        drive_job(&job, &woken, &mut sink).unwrap();
+        assert!(sink.resets >= 1, "the dead generation must be discarded");
+        assert_eq!(sink.out, gen2_roundtrip());
     }
 }

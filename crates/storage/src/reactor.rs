@@ -2,12 +2,11 @@
 //! compute run queue, so in-flight restores are bounded by memory and
 //! iodepth instead of threads.
 //!
-//! The thread-per-lane stack ([`crate::fanout::FanoutPool`] +
-//! `hc-cachectl`'s `RestoreScheduler`) clamps in-flight restores to the
-//! host thread grant: every concurrently-restoring session pins one
-//! blocking worker for its whole lifetime. That is fine for 8-session
-//! benches and wrong for thousands of concurrent restores overlapping IO
-//! on a handful of devices. The reactor inverts the ownership:
+//! A thread-per-restore scheduler clamps in-flight restores to the host
+//! thread grant: every concurrently-restoring session pins one blocking
+//! worker for its whole lifetime. That is fine for 8-session bursts and
+//! wrong for thousands of concurrent restores overlapping IO on a handful
+//! of devices. The reactor inverts the ownership:
 //!
 //! * **Per-device submission queues** ([`Reactor`]): each modeled device
 //!   gets its own queue served by `iodepth` dedicated IO threads, the
@@ -71,9 +70,9 @@ impl DeviceQueue {
                         // hc-analyze: allow(blocking_under_lock) the rx guard IS the handoff: iodepth threads take turns receiving, and the guard drops before the job runs
                         let job = rx.lock().recv();
                         match job {
-                            // Panic isolation, same contract as FanoutPool:
-                            // a buggy ChunkStore must not shrink the device
-                            // queue and strand queued submissions.
+                            // Panic isolation: a buggy ChunkStore must
+                            // not shrink the device queue and strand
+                            // queued submissions.
                             Ok(job) => {
                                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                             }
@@ -210,8 +209,8 @@ impl Reactor {
     }
 
     /// High-water mark of [`Self::restores_in_flight`]. This is the
-    /// headline "10k restores on a 4-thread grant" number: with the
-    /// thread-per-lane scheduler it can never exceed the thread budget,
+    /// headline "10k restores on a 4-thread grant" number: with a
+    /// thread-per-restore scheduler it can never exceed the thread budget,
     /// with the reactor it is bounded by admission (memory), not threads.
     pub fn peak_restores_in_flight(&self) -> u64 {
         self.peak_in_flight.load(Ordering::Acquire)

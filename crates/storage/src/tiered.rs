@@ -219,7 +219,7 @@ impl<B: ChunkStore> ChunkStore for TieredStore<B> {
     }
 
     fn chunk_in_fast_tier(&self, key: ChunkKey) -> bool {
-        // Read-only peek: no LRU touch, so probing for the fanout decision
+        // Read-only peek: no LRU touch, so probing for the read-plan decision
         // never perturbs eviction order.
         self.front.lock().chunks.contains_key(&key)
     }

@@ -4,7 +4,7 @@
 //! What the sharded locking discipline must guarantee under fire:
 //! * reads are **bit-identical** to the deterministic data written (f16
 //!   round-trip of known row values), at every prefix length observed —
-//!   including chunk-fanout reads at every width (the fanout path shares
+//!   including reactor reads at every iodepth (the reactor walk shares
 //!   the decode/copy helpers with the sequential one, and these tests pin
 //!   that);
 //! * no deadlocks — every scope here joins (the suite would hang, and CI
@@ -12,16 +12,19 @@
 //! * a delete followed by a re-append that reuses the same chunk keys
 //!   **with identical sizes** never leaks a mixed-generation read — only
 //!   the post-IO tombstone revalidation can catch that case (the
-//!   OutOfRange guard can't, since the sizes line up);
+//!   OutOfRange guard can't, since the sizes line up) — and an *error*
+//!   from the dead generation restarts the read instead of failing it,
+//!   through `read_rows_streaming` and through the async read job alike;
 //! * the byte accounting never drifts: the atomic aggregate equals the
 //!   per-stream sum once the dust settles, and deleting everything frees
 //!   exactly the tracked figure.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use hc_storage::backend::MemStore;
-use hc_storage::manager::{DeliveredRows, RowSink, StorageManager};
+use hc_storage::fault::FaultStore;
+use hc_storage::manager::{DeliveredRows, PumpOutcome, RowSink, StorageManager};
 use hc_storage::reactor::Reactor;
 use hc_storage::StreamId;
 use hc_tensor::f16::f16_roundtrip;
@@ -241,71 +244,19 @@ fn shared_stream_reads_are_consistent_prefixes() {
     assert_eq!(mgr.delete_stream(s), 1400 * D as u64 * 2);
 }
 
-/// Chunk-fanout reads vs sequential reads at widths 1–8, while appenders
-/// are actively extending the streams: every observed prefix must be
-/// bit-identical to the deterministic content (what a sequential read
-/// returns), and a final full read through a fanout manager must equal
-/// the same data read through a no-fanout manager, bit for bit.
-#[test]
-fn fanout_reads_bit_identical_to_sequential_at_widths_1_to_8_under_appenders() {
-    const BATCHES: u64 = 40;
-    const BATCH: usize = 10; // crosses chunk boundaries regularly
-    for width in 1..=8usize {
-        let mgr =
-            Arc::new(StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(width));
-        let streams: Vec<StreamId> = (0..2).map(|l| StreamId::hidden(width as u64, l)).collect();
-        std::thread::scope(|scope| {
-            for &s in &streams {
-                let mgr = Arc::clone(&mgr);
-                scope.spawn(move || {
-                    for b in 0..BATCHES {
-                        mgr.append_rows(s, &rows_for(s, b * BATCH as u64, BATCH))
-                            .unwrap();
-                        if b % 4 == 3 {
-                            mgr.flush_stream(s).unwrap();
-                        }
-                    }
-                });
-            }
-            for &s in &streams {
-                let mgr = Arc::clone(&mgr);
-                scope.spawn(move || loop {
-                    let n = mgr.n_tokens(s);
-                    let got = mgr.read_rows(s, 0, n).unwrap();
-                    assert_prefix_bit_identical(&got, s, 0);
-                    if n >= BATCHES * BATCH as u64 {
-                        break;
-                    }
-                });
-            }
-        });
-        // Cross-check against a sequential (no-fanout) manager holding the
-        // same deterministic content.
-        let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
-        for &s in &streams {
-            let total = BATCHES * BATCH as u64;
-            seq.append_rows(s, &rows_for(s, 0, total as usize)).unwrap();
-            assert_eq!(
-                mgr.read_rows(s, 0, total).unwrap(),
-                seq.read_rows(s, 0, total).unwrap(),
-                "width {width} diverged from the sequential read of {s:?}"
-            );
-        }
-    }
-}
-
-/// Chunk-streaming reads vs sequential `read_rows` at widths 1–8 while
-/// appenders actively extend the streams: every streamed prefix must
+/// Chunk-streaming reads vs sequential `read_rows` at reactor iodepths 1–8
+/// while appenders actively extend the streams: every streamed prefix must
 /// reassemble bit-identically to what `read_rows` returns for the same
 /// range (the assembled tensor partitions the range — each row delivered
-/// exactly once), at every fanout width.
+/// exactly once), at every queue depth.
 #[test]
 fn streaming_reads_bit_identical_to_read_rows_at_widths_1_to_8_under_appenders() {
     const BATCHES: u64 = 40;
     const BATCH: usize = 10; // crosses chunk boundaries regularly
     for width in 1..=8usize {
-        let mgr =
-            Arc::new(StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(width));
+        let mgr = Arc::new(
+            StorageManager::new(Arc::new(MemStore::new(4)), D).with_reactor(Reactor::new(4, width)),
+        );
         let streams: Vec<StreamId> = (0..2)
             .map(|l| StreamId::hidden(100 + width as u64, l))
             .collect();
@@ -339,7 +290,7 @@ fn streaming_reads_bit_identical_to_read_rows_at_widths_1_to_8_under_appenders()
                 });
             }
         });
-        // Final cross-check against a no-fanout sequential read_rows.
+        // Final cross-check against a reactor-less sequential read_rows.
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         for &s in &streams {
             let total = BATCHES * BATCH as u64;
@@ -349,7 +300,7 @@ fn streaming_reads_bit_identical_to_read_rows_at_widths_1_to_8_under_appenders()
             assert_eq!(
                 sink.assembled(total as usize),
                 seq.read_rows(s, 0, total).unwrap(),
-                "width {width} streaming reassembly diverged from sequential read of {s:?}"
+                "iodepth {width} streaming reassembly diverged from sequential read of {s:?}"
             );
         }
     }
@@ -439,96 +390,29 @@ fn gen_cell(generation: u64, token: u64, col: usize) -> f32 {
     ((generation * 37 + token * 13 + col as u64) % 89) as f32 * 0.25 - 11.0
 }
 
-/// The delete→re-append generation race with **identical sizes**: chunk
-/// keys are reused between generations and every generation has the same
-/// byte length, so a stale read passes every length/OutOfRange check —
-/// only the post-IO tombstone revalidation in `read_rows` prevents a read
-/// from mixing rows of two generations. Runs through the chunk-fanout
-/// path, where the mid-read window spans several in-flight chunk fetches.
-#[test]
-fn delete_reappend_same_size_generations_never_mix_in_fanout_reads() {
-    const N: u64 = 128; // exactly 2 full chunks: no tail, sizes identical
-    const GENERATIONS: u64 = 40;
-    let mgr = Arc::new(StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(4));
-    let s = StreamId::hidden(77, 0);
-    let gen_rows = |g: u64| Tensor2::from_fn(N as usize, D, |r, c| gen_cell(g, r as u64, c));
-    mgr.append_rows(s, &gen_rows(0)).unwrap();
-
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // The churner: delete + immediately re-append the next generation
-        // (same stream, same chunk keys, same sizes).
-        {
-            let mgr = Arc::clone(&mgr);
-            let done = &done;
-            scope.spawn(move || {
-                for g in 1..GENERATIONS {
-                    mgr.delete_stream(s);
-                    mgr.append_rows(s, &gen_rows(g)).unwrap();
-                }
-                done.store(true, Ordering::Relaxed);
-            });
-        }
-        // Readers: every successful full read must be one generation
-        // wholesale.
-        for _ in 0..2 {
-            let mgr = Arc::clone(&mgr);
-            let done = &done;
-            scope.spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    match mgr.read_rows(s, 0, N) {
-                        Ok(got) => {
-                            let probe = got.get(0, 0);
-                            let generation = (0..GENERATIONS)
-                                .find(|&g| probe == f16_roundtrip(gen_cell(g, 0, 0)))
-                                .unwrap_or_else(|| panic!("row 0 matches no generation: {probe}"));
-                            for r in 0..N as usize {
-                                for c in 0..D {
-                                    assert_eq!(
-                                        got.get(r, c),
-                                        f16_roundtrip(gen_cell(generation, r as u64, c)),
-                                        "token {r} col {c} mixed into generation {generation}"
-                                    );
-                                }
-                            }
-                        }
-                        // A read can land in the instant between the wipe
-                        // and the restart (stream momentarily empty).
-                        Err(hc_storage::StorageError::OutOfRange { .. }) => {}
-                        Err(e) => panic!("only OutOfRange may escape: {e}"),
-                    }
-                }
-            });
-        }
-    });
-
-    // The final generation survived intact.
-    let got = mgr.read_rows(s, 0, N).unwrap();
-    for r in 0..N as usize {
-        for c in 0..D {
-            assert_eq!(
-                got.get(r, c),
-                f16_roundtrip(gen_cell(GENERATIONS - 1, r as u64, c))
-            );
-        }
-    }
-    assert_eq!(mgr.delete_stream(s), N * D as u64 * 2);
-    assert_eq!(mgr.total_resident_bytes(), 0);
-}
-
 /// The delete→re-append generation race delivered **mid-stream**: the
 /// streaming read hands chunks to the sink as they land, so the churn
 /// window now spans *already-delivered* chunks — only the per-chunk
 /// tombstone revalidation (reset + wholesale redelivery) can prevent the
 /// sink from ending up with rows of two generations. Identical sizes per
-/// generation keep every length/OutOfRange check blind to the swap.
+/// generation (chunk keys are reused, byte lengths equal) keep every
+/// length/OutOfRange check blind to the swap. Runs over reactors of
+/// iodepth 1–8, where the mid-read window spans both in-flight fetches.
 #[test]
 fn delete_reappend_mid_stream_resets_sink_and_never_mixes_generations() {
-    const N: u64 = 128; // exactly 2 full chunks: no tail, sizes identical
+    for iodepth in 1..=8usize {
+        mid_stream_churn(iodepth);
+    }
+}
+
+/// One churn run of the mid-stream race over a reactor of `iodepth`.
+fn mid_stream_churn(iodepth: usize) {
+    const N: u64 = N_GEN; // exactly 2 full chunks: no tail, sizes identical
     const GENERATIONS: u64 = 40;
-    let mgr = Arc::new(StorageManager::new(Arc::new(MemStore::new(4)), D).with_read_fanout(4));
+    let mgr = Arc::new(
+        StorageManager::new(Arc::new(MemStore::new(4)), D).with_reactor(Reactor::new(4, iodepth)),
+    );
     let s = StreamId::hidden(78, 0);
-    let gen_rows = |g: u64| Tensor2::from_fn(N as usize, D, |r, c| gen_cell(g, r as u64, c));
     mgr.append_rows(s, &gen_rows(0)).unwrap();
 
     let done = AtomicBool::new(false);
@@ -585,15 +469,7 @@ fn delete_reappend_mid_stream_resets_sink_and_never_mixes_generations() {
     // The final generation survived intact through a streaming read too.
     let mut sink = CollectSink::default();
     mgr.read_rows_streaming(s, 0, N, &mut sink).unwrap();
-    let got = sink.assembled(N as usize);
-    for r in 0..N as usize {
-        for c in 0..D {
-            assert_eq!(
-                got.get(r, c),
-                f16_roundtrip(gen_cell(GENERATIONS - 1, r as u64, c))
-            );
-        }
-    }
+    assert_is_generation(&sink.assembled(N as usize), GENERATIONS - 1);
     assert_eq!(mgr.delete_stream(s), N * D as u64 * 2);
     assert_eq!(mgr.total_resident_bytes(), 0);
 }
@@ -679,6 +555,106 @@ fn delete_reappend_under_reactor_never_mixes_generations() {
     }
     assert_eq!(mgr.delete_stream(s), N * D as u64 * 2);
     assert_eq!(mgr.total_resident_bytes(), 0);
+}
+
+type FaultMgr = Arc<StorageManager<FaultStore<MemStore>>>;
+
+/// A two-chunk stream over a fault-injecting store and a `Reactor::new(2,
+/// 1)`, with the **losing interleaving** of the delete→re-append race
+/// armed (no sleeps): device 1's only IO thread is parked, so chunk 0's
+/// read on device 0 is read ordinal 0 and fires the hook; inside it the
+/// stream is deleted, chunk 1's read is released into the wipe→re-append
+/// window (it completes with `MissingChunk`), and a marker queued behind
+/// it on device 1 holds chunk 0's read until that completion has been
+/// handed to the reader — only then is generation 2 appended and chunk 0
+/// served, successfully, from it. The reader therefore sees an error from
+/// the dead generation *before* any chunk that could observe the tombstone.
+fn armed_dead_generation_error(s: StreamId) -> FaultMgr {
+    let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(2))));
+    let reactor = Reactor::new(2, 1);
+    let mgr =
+        Arc::new(StorageManager::new(Arc::clone(&store), D).with_reactor(Arc::clone(&reactor)));
+    mgr.append_rows(s, &gen_rows(1)).unwrap(); // chunk 0 → device 0, chunk 1 → device 1
+    let (open, gate) = mpsc::channel::<()>();
+    reactor.submit_io(1, move || {
+        let _ = gate.recv();
+    });
+    let mgr2 = Arc::clone(&mgr);
+    store.on_nth_read(0, move || {
+        mgr2.delete_stream(s);
+        let _ = open.send(());
+        let (done, handed_over) = mpsc::channel();
+        reactor.submit_io(1, move || {
+            let _ = done.send(());
+        });
+        handed_over.recv().unwrap();
+        mgr2.append_rows(s, &gen_rows(2)).unwrap();
+    });
+    mgr
+}
+
+/// `N_GEN` rows of one generation (two full chunks).
+const N_GEN: u64 = 128;
+
+fn gen_rows(generation: u64) -> Tensor2 {
+    Tensor2::from_fn(N_GEN as usize, D, |r, c| gen_cell(generation, r as u64, c))
+}
+
+fn assert_is_generation(got: &Tensor2, generation: u64) {
+    for r in 0..N_GEN as usize {
+        for c in 0..D {
+            assert_eq!(
+                got.get(r, c),
+                f16_roundtrip(gen_cell(generation, r as u64, c)),
+                "token {r} col {c} is not generation {generation}"
+            );
+        }
+    }
+}
+
+/// ROADMAP item 0 through the synchronous walk: an error from a dead
+/// generation restarts `read_rows_streaming` onto the successor.
+#[test]
+fn dead_generation_error_restarts_read_rows_streaming() {
+    let s = StreamId::hidden(80, 0);
+    let mgr = armed_dead_generation_error(s);
+    let mut sink = CollectSink::default();
+    mgr.read_rows_streaming(s, 0, N_GEN, &mut sink).unwrap();
+    assert!(sink.resets >= 1, "the dead generation must be discarded");
+    assert_is_generation(&sink.assembled(N_GEN as usize), 2);
+}
+
+/// The same forced ordering through `begin_read_reactor`: the job must
+/// restart, not resolve the dead generation's `MissingChunk` as terminal
+/// (it did, about one run in three unforced, before the job revalidated
+/// the tombstone the way the synchronous walk does).
+#[test]
+fn dead_generation_error_restarts_the_async_read_job() {
+    let s = StreamId::hidden(81, 0);
+    let mgr = armed_dead_generation_error(s);
+    let (wake, woken) = mpsc::channel();
+    let job = mgr.begin_read_reactor(
+        s,
+        0,
+        N_GEN,
+        Arc::new(move || {
+            let _ = wake.send(());
+        }),
+    );
+    let mut sink = CollectSink::default();
+    loop {
+        match job.pump(&mut sink) {
+            PumpOutcome::Done => break,
+            PumpOutcome::Failed(e) => panic!("a dead generation's error must restart: {e}"),
+            // Every staged completion fires `notify`; the bound only turns
+            // a broken job into a failure instead of a hang.
+            PumpOutcome::Pending => woken
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a pending job must notify"),
+        }
+    }
+    assert!(sink.resets >= 1, "the dead generation must be discarded");
+    assert_is_generation(&sink.assembled(N_GEN as usize), 2);
 }
 
 /// Delete-vs-append race: a stream deleted while an appender holds a stale

@@ -1,9 +1,8 @@
 //! `hc-analyze`: a repo-native concurrency lint pass.
 //!
 //! A hand-written Rust lexer + scope tracker (tokens, brace nesting,
-//! `let`-guard bindings — deliberately *not* a full parser, in the same
-//! no-registry spirit as `tools/bench-compare`) that walks `crates/**/*.rs`
-//! and enforces the concurrency invariants the module docs otherwise only
+//! `let`-guard bindings — deliberately *not* a full parser: the build
+//! has no registry access) that walks `crates/**/*.rs` and enforces the concurrency invariants the module docs otherwise only
 //! describe in prose. Four rule families:
 //!
 //! * **lock-order** — a module declares its lock acquisition order with a
