@@ -1,6 +1,7 @@
 //! Criterion benches for the tensor kernels that restoration is built on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hc_model::{KvCache, Model, ModelConfig};
 use hc_tensor::gemm::{matmul, matmul_nt, matmul_nt_naive, matmul_nt_par, matmul_par};
 use hc_tensor::ops::softmax_inplace;
 use hc_tensor::rope::{rope_row, DEFAULT_ROPE_BASE};
@@ -117,11 +118,72 @@ fn bench_f16_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// hcbench's fixture model (4 layers, d = 256): the shapes the end-to-end
+/// numbers are made of.
+fn bench_llama() -> ModelConfig {
+    ModelConfig {
+        name: "Bench-Llama".into(),
+        d_model: 256,
+        n_heads: 8,
+        d_ff: 512,
+        max_seq_len: 4096,
+        ..ModelConfig::tiny_llama()
+    }
+}
+
+/// One K projection of a restore at decode / short-prompt / chunk / history
+/// sizes: the packed `k × n` weight through `matmul_par` (what the model
+/// runs) beside `matmul_nt_par` on the `n × k` weight (which transposes it
+/// on every call), under hcbench's two-thread budget.
+fn bench_projection(c: &mut Criterion) {
+    let mut group = c.benchmark_group("projection_256");
+    group.sample_size(20);
+    let model = Model::new(&bench_llama(), 7);
+    let wk = &model.layers[0].wk;
+    let wk_t = wk.transpose();
+    let par = ParallelConfig::new(2);
+    for rows in [1usize, 4, 64, 256] {
+        let x = Tensor2::from_fn(rows, 256, |r, q| ((r * 7 + q) % 13) as f32 * 0.1 - 0.6);
+        group.bench_with_input(BenchmarkId::new("packed", rows), &x, |bench, x| {
+            bench.iter(|| black_box(matmul_par(x, &wk_t, &par)))
+        });
+        group.bench_with_input(BenchmarkId::new("matmul_nt", rows), &x, |bench, x| {
+            bench.iter(|| black_box(matmul_nt_par(x, wk, &par)))
+        });
+    }
+    group.finish();
+}
+
+/// One decode step on an empty cache (pure per-call overhead plus the six
+/// weight GEMMs of each layer) and on a 256-token cache (plus attention
+/// over the history).
+fn bench_decode_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decode_step");
+    group.sample_size(20);
+    let cfg = bench_llama();
+    let model = Model::new(&cfg, 7);
+    for cached in [0usize, 256] {
+        let mut kv = KvCache::new(&cfg);
+        let history: Vec<u32> = (0..cached as u32).map(|i| (i * 37) % 256).collect();
+        model.prefill(&history, &mut kv, false);
+        group.bench_function(BenchmarkId::new("cached_tokens", cached), |bench| {
+            bench.iter(|| {
+                let out = model.decode_step(1, &mut kv, true);
+                kv.truncate(cached);
+                black_box(out)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
     bench_ops,
     bench_gemm_parallel,
-    bench_f16_codec
+    bench_f16_codec,
+    bench_projection,
+    bench_decode_step
 );
 criterion_main!(benches);

@@ -82,9 +82,7 @@ impl KvCache {
     /// speculative work in tests).
     pub fn truncate(&mut self, n: usize) {
         for t in self.keys.iter_mut().chain(self.values.iter_mut()) {
-            if t.rows() > n {
-                *t = t.slice_rows(0, n);
-            }
+            t.truncate_rows(n);
         }
     }
 
@@ -94,11 +92,8 @@ impl KvCache {
     /// concurrent delete invalidates that layer's in-flight stream (the
     /// already-completed layers stay as placed).
     pub fn truncate_layer(&mut self, layer: usize, n: usize) {
-        for t in [&mut self.keys[layer], &mut self.values[layer]] {
-            if t.rows() > n {
-                *t = t.slice_rows(0, n);
-            }
-        }
+        self.keys[layer].truncate_rows(n);
+        self.values[layer].truncate_rows(n);
     }
 
     /// Total bytes this cache would occupy at `elem_bytes` per element.

@@ -11,8 +11,8 @@
 //! pass — the losslessness claim of the paper, checked by tests in
 //! `weights.rs` and the integration suite.
 
-use hc_tensor::gemm::{matmul, matmul_nt, matmul_nt_par};
-use hc_tensor::ops::{gelu, layernorm, map_inplace, rmsnorm, silu, softmax_inplace};
+use hc_tensor::gemm::{matmul, matmul_nt, matmul_par};
+use hc_tensor::ops::{gelu, layernorm_into, map_inplace, rmsnorm_into, silu, softmax_inplace};
 use hc_tensor::rope::{rope_row, DEFAULT_ROPE_BASE};
 use hc_tensor::{ParallelConfig, Tensor2};
 
@@ -26,11 +26,10 @@ pub const NORM_EPS: f32 = 1e-5;
 pub fn norm_rows(cfg: &ModelConfig, x: &Tensor2, gain: &[f32], bias: &[f32]) -> Tensor2 {
     let mut out = Tensor2::zeros(x.rows(), x.cols());
     for r in 0..x.rows() {
-        let y = match cfg.norm {
-            NormKind::RmsNorm => rmsnorm(x.row(r), gain, NORM_EPS),
-            NormKind::LayerNorm => layernorm(x.row(r), gain, bias, NORM_EPS),
-        };
-        out.row_mut(r).copy_from_slice(&y);
+        match cfg.norm {
+            NormKind::RmsNorm => rmsnorm_into(x.row(r), gain, NORM_EPS, out.row_mut(r)),
+            NormKind::LayerNorm => layernorm_into(x.row(r), gain, bias, NORM_EPS, out.row_mut(r)),
+        }
     }
     out
 }
@@ -66,9 +65,13 @@ pub fn project_kv_par(
     start_pos: usize,
     par: &ParallelConfig,
 ) -> (Tensor2, Tensor2) {
+    debug_assert!(
+        lw.packed_in_step(),
+        "a LayerWeights projection was written to after construction"
+    );
     let normed = norm_rows(cfg, hidden, &lw.attn_gain, &lw.attn_bias);
-    let mut k = matmul_nt_par(&normed, &lw.wk, par);
-    let v = matmul_nt_par(&normed, &lw.wv, par);
+    let mut k = matmul_par(&normed, &lw.wk_t, par);
+    let v = matmul_par(&normed, &lw.wv_t, par);
     if cfg.pos == PosKind::Rope {
         for r in 0..k.rows() {
             rope_row(k.row_mut(r), start_pos + r, cfg.n_heads, DEFAULT_ROPE_BASE);
@@ -100,7 +103,7 @@ pub fn project_qkv_par(
     par: &ParallelConfig,
 ) -> (Tensor2, Tensor2, Tensor2) {
     let normed = norm_rows(cfg, hidden, &lw.attn_gain, &lw.attn_bias);
-    let mut q = matmul_nt_par(&normed, &lw.wq, par);
+    let mut q = matmul_par(&normed, &lw.wq_t, par);
     if cfg.pos == PosKind::Rope {
         for r in 0..q.rows() {
             rope_row(q.row_mut(r), start_pos + r, cfg.n_heads, DEFAULT_ROPE_BASE);
@@ -143,14 +146,35 @@ pub fn attention_par(
     start_pos: usize,
     par: &ParallelConfig,
 ) -> Tensor2 {
-    assert_eq!(keys.shape(), values.shape(), "K/V shape mismatch");
+    let none = Tensor2::zeros(0, keys.cols());
+    attention_split(cfg, q, (keys, values), (&none, &none), start_pos, par)
+}
+
+/// Causal attention over keys/values held as two row ranges: token `t` is
+/// row `t` of `cached` while `t < cached.rows()` and row
+/// `t − cached.rows()` of `new` after that. Tokens are visited in ascending
+/// `t` exactly as over the concatenation `cached.vcat(new)`, so the result
+/// is bit-identical to [`attention_par`] on that concatenation without
+/// building it — the per-token KV copy a decode step used to pay.
+fn attention_split(
+    cfg: &ModelConfig,
+    q: &Tensor2,
+    cached: (&Tensor2, &Tensor2),
+    new: (&Tensor2, &Tensor2),
+    start_pos: usize,
+    par: &ParallelConfig,
+) -> Tensor2 {
+    let d = cfg.d_model;
+    for (keys, values) in [cached, new] {
+        assert_eq!(keys.shape(), values.shape(), "K/V shape mismatch");
+        assert_eq!(keys.cols(), d, "K/V width mismatch");
+    }
+    let total = cached.0.rows() + new.0.rows();
     assert!(
-        keys.rows() >= start_pos + q.rows(),
-        "attention: cache has {} tokens, need {}",
-        keys.rows(),
+        total >= start_pos + q.rows(),
+        "attention: cache has {total} tokens, need {}",
         start_pos + q.rows()
     );
-    let d = cfg.d_model;
     let h = cfg.n_heads;
     let hd = cfg.head_dim();
     let scale = 1.0 / (hd as f32).sqrt();
@@ -170,23 +194,24 @@ pub fn attention_par(
             let hs = (head0 + head_rel) * hd;
             for i in 0..n {
                 let visible = start_pos + i + 1; // causal horizon
-                let q_row = q.row(i);
+                let q_head = &q.row(i)[hs..hs + hd];
+                let keys = cached.0.as_slice().chunks_exact(d);
+                let keys = keys.chain(new.0.as_slice().chunks_exact(d));
                 scores.clear();
-                scores.reserve(visible);
-                for t in 0..visible {
-                    let k_row = keys.row(t);
+                scores.extend(keys.take(visible).map(|k_row| {
                     let mut dot = 0.0_f32;
-                    for j in 0..hd {
-                        dot += q_row[hs + j] * k_row[hs + j];
+                    for (qv, kv) in q_head.iter().zip(&k_row[hs..hs + hd]) {
+                        dot += qv * kv;
                     }
-                    scores.push(dot * scale);
-                }
+                    dot * scale
+                }));
                 softmax_inplace(&mut scores);
                 let out_row = &mut head_out[i * hd..(i + 1) * hd];
-                for (t, &w) in scores.iter().enumerate() {
-                    let v_row = values.row(t);
-                    for j in 0..hd {
-                        out_row[j] += w * v_row[hs + j];
+                let values = cached.1.as_slice().chunks_exact(d);
+                let values = values.chain(new.1.as_slice().chunks_exact(d));
+                for (&w, v_row) in scores.iter().zip(values) {
+                    for (o, vv) in out_row.iter_mut().zip(&v_row[hs..hs + hd]) {
+                        *o += w * vv;
                     }
                 }
             }
@@ -218,12 +243,12 @@ pub fn ffn_par(
     par: &ParallelConfig,
 ) -> Tensor2 {
     let normed = norm_rows(cfg, hidden, &lw.ffn_gain, &lw.ffn_bias);
-    let mut up = matmul_nt_par(&normed, &lw.fc1, par);
+    let mut up = matmul_par(&normed, &lw.fc1_t, par);
     match cfg.norm {
         NormKind::RmsNorm => map_inplace(&mut up, silu),
         NormKind::LayerNorm => map_inplace(&mut up, gelu),
     }
-    matmul_nt_par(&up, &lw.fc2, par)
+    matmul_par(&up, &lw.fc2_t, par)
 }
 
 /// Full layer forward for a batch of new tokens.
@@ -270,10 +295,15 @@ pub fn layer_forward_par(
         "cache size vs start_pos mismatch"
     );
     let (q, new_k, new_v) = project_qkv_par(cfg, lw, hidden, start_pos, par);
-    let all_k = cached_k.vcat(&new_k);
-    let all_v = cached_v.vcat(&new_v);
-    let attn = attention_par(cfg, &q, &all_k, &all_v, start_pos, par);
-    let proj = matmul_nt_par(&attn, &lw.wo, par);
+    let attn = attention_split(
+        cfg,
+        &q,
+        (cached_k, cached_v),
+        (&new_k, &new_v),
+        start_pos,
+        par,
+    );
+    let proj = matmul_par(&attn, &lw.wo_t, par);
     let mut x = hidden.clone();
     x.add_assign(&proj); // residual 1
     let f = ffn_par(cfg, lw, &x, par);
@@ -510,6 +540,44 @@ mod tests {
                 let par = ParallelConfig::new(threads);
                 let parallel = attention_par(&cfg, &q_new, &k, &v, n_cached, &par);
                 prop_assert_eq!(serial, parallel);
+            }
+
+            /// A layer forward over a cache held apart from the new tokens
+            /// is bit-identical to the reference it replaced: project,
+            /// concatenate cached and new K/V, run `attention` over the
+            /// copy — for any split point and thread budget.
+            #[test]
+            fn layer_forward_over_split_cache_matches_concatenated_attention(
+                n_cached in 0usize..12,
+                n_new in 1usize..12,
+                threads in 1usize..9,
+                seed in 0u64..1000,
+            ) {
+                let cfg = ModelConfig::tiny_llama();
+                let m = Model::new(&cfg, seed);
+                let lw = &m.layers[(seed % 4) as usize];
+                let rows = |n: usize, salt: usize| Tensor2::from_fn(n, cfg.d_model, |r, c| {
+                    ((r * 29 + c * 5 + salt + seed as usize) % 31) as f32 * 0.07 - 1.0
+                });
+                let (cached_k, cached_v) = (rows(n_cached, 1), rows(n_cached, 2));
+                let hidden = rows(n_new, 3);
+
+                let (q, new_k, new_v) = project_qkv(&cfg, lw, &hidden, n_cached);
+                let attn = attention(
+                    &cfg, &q, &cached_k.vcat(&new_k), &cached_v.vcat(&new_v), n_cached,
+                );
+                let mut expect = hidden.clone();
+                expect.add_assign(&matmul_nt(&attn, &lw.wo));
+                let f = ffn(&cfg, lw, &expect);
+                expect.add_assign(&f);
+
+                let par = ParallelConfig::new(threads);
+                let (x, k, v) =
+                    layer_forward_par(&cfg, lw, &hidden, &cached_k, &cached_v, n_cached, &par);
+                let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&x), bits(&expect));
+                prop_assert_eq!(bits(&k), bits(&new_k));
+                prop_assert_eq!(bits(&v), bits(&new_v));
             }
         }
     }

@@ -19,6 +19,8 @@
 //! analytic performance models in `hc-simhw`/`hc-sched` can compute FLOP and
 //! byte volumes for the paper's actual models.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod kv;
 pub mod layer;

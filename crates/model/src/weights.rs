@@ -7,7 +7,13 @@ use crate::kv::KvCache;
 use crate::layer;
 
 /// Weights of one transformer layer. Projection matrices are stored
-/// `out × in` so activations multiply via `x · Wᵀ` (`matmul_nt`).
+/// `out × in`, the layout activations multiply as `x · Wᵀ`; each also has
+/// its `in × out` transpose packed once by [`LayerWeights::new`], which is
+/// what the forward pass feeds the GEMM (`matmul(x, Wᵀ)`) so that no call
+/// transposes a weight again. The packed copies are private and built only
+/// there, and they are all the forward pass reads: writing to an `out × in`
+/// field after construction is unsupported (it would change nothing the
+/// model computes), and debug builds trip on it at the next K/V projection.
 #[derive(Clone, Debug)]
 pub struct LayerWeights {
     /// Query projection (`d × d`).
@@ -30,6 +36,64 @@ pub struct LayerWeights {
     pub ffn_gain: Vec<f32>,
     /// Pre-FFN norm bias (`d`).
     pub ffn_bias: Vec<f32>,
+    pub(crate) wq_t: Tensor2,
+    pub(crate) wk_t: Tensor2,
+    pub(crate) wv_t: Tensor2,
+    pub(crate) wo_t: Tensor2,
+    pub(crate) fc1_t: Tensor2,
+    pub(crate) fc2_t: Tensor2,
+}
+
+impl LayerWeights {
+    /// Takes the six `out × in` projection matrices and packs their
+    /// transposes; norm gains start at 1 and biases at 0 (`d` = the
+    /// projections' input width).
+    pub fn new(
+        wq: Tensor2,
+        wk: Tensor2,
+        wv: Tensor2,
+        wo: Tensor2,
+        fc1: Tensor2,
+        fc2: Tensor2,
+    ) -> Self {
+        let d = wq.cols();
+        Self {
+            wq_t: wq.transpose(),
+            wk_t: wk.transpose(),
+            wv_t: wv.transpose(),
+            wo_t: wo.transpose(),
+            fc1_t: fc1.transpose(),
+            fc2_t: fc2.transpose(),
+            wq,
+            wk,
+            wv,
+            wo,
+            fc1,
+            fc2,
+            attn_gain: vec![1.0; d],
+            attn_bias: vec![0.0; d],
+            ffn_gain: vec![1.0; d],
+            ffn_bias: vec![0.0; d],
+        }
+    }
+
+    /// Whether row 0 of every projection is still column 0 of its packed
+    /// panel: the cheap tripwire behind the read-only contract.
+    pub(crate) fn packed_in_step(&self) -> bool {
+        [
+            (&self.wq, &self.wq_t),
+            (&self.wk, &self.wk_t),
+            (&self.wv, &self.wv_t),
+            (&self.wo, &self.wo_t),
+            (&self.fc1, &self.fc1_t),
+            (&self.fc2, &self.fc2_t),
+        ]
+        .iter()
+        .all(|(w, w_t)| {
+            let mut row = w.row(0).iter().enumerate();
+            row.all(|(c, v)| w_t.get(c, 0).to_bits() == v.to_bits())
+        })
+    }
 }
 
 /// A decoder-only transformer with deterministic random weights.
@@ -107,17 +171,15 @@ impl Model {
             PosKind::Rope => None,
         };
         let layers = (0..cfg.n_layers)
-            .map(|_| LayerWeights {
-                wq: rng.tensor(d, d, scale),
-                wk: rng.tensor(d, d, scale),
-                wv: rng.tensor(d, d, scale),
-                wo: rng.tensor(d, d, scale),
-                fc1: rng.tensor(cfg.d_ff, d, scale),
-                fc2: rng.tensor(d, cfg.d_ff, (cfg.d_ff as f32).sqrt().recip()),
-                attn_gain: vec![1.0; d],
-                attn_bias: vec![0.0; d],
-                ffn_gain: vec![1.0; d],
-                ffn_bias: vec![0.0; d],
+            .map(|_| {
+                LayerWeights::new(
+                    rng.tensor(d, d, scale),
+                    rng.tensor(d, d, scale),
+                    rng.tensor(d, d, scale),
+                    rng.tensor(d, d, scale),
+                    rng.tensor(cfg.d_ff, d, scale),
+                    rng.tensor(d, cfg.d_ff, (cfg.d_ff as f32).sqrt().recip()),
+                )
             })
             .collect();
         Self {
@@ -145,11 +207,10 @@ impl Model {
     pub fn embed_tokens(&self, tokens: &[u32], start_pos: usize) -> Tensor2 {
         let mut h = layer::embed_gather(&self.embed, tokens);
         if let Some(pe) = &self.pos_embed {
-            for (i, r) in (0..tokens.len()).enumerate() {
+            for i in 0..tokens.len() {
                 let pos = start_pos + i;
                 assert!(pos < pe.rows(), "position {pos} exceeds max_seq_len");
-                let row = pe.row(pos).to_vec();
-                for (dst, src) in h.row_mut(r).iter_mut().zip(row.iter()) {
+                for (dst, src) in h.row_mut(i).iter_mut().zip(pe.row(pos)) {
                     *dst += src;
                 }
             }
@@ -395,8 +456,9 @@ mod tests {
         let m = model();
         let mut kv = KvCache::new(&m.cfg);
         m.prefill(&tokens(4, 5), &mut kv, false);
-        let (_, captured) = m.decode_step(7, &mut kv, true);
+        let (row, captured) = m.decode_step(7, &mut kv, true);
         assert_eq!(kv.n_tokens(), 5);
+        assert_eq!(row.len(), m.cfg.d_model);
         let hs = captured.unwrap();
         assert_eq!(hs.len(), m.cfg.n_layers);
         assert_eq!(hs[0].len(), m.cfg.d_model);
@@ -477,5 +539,88 @@ mod tests {
         let t2 = m.greedy_next_token(out.final_hidden.row(5));
         assert_eq!(t1, t2);
         assert!((t1 as usize) < m.cfg.vocab_size);
+    }
+
+    #[test]
+    fn packed_panels_are_the_transposes_of_the_weights() {
+        for cfg in [ModelConfig::tiny_llama(), ModelConfig::tiny_opt()] {
+            for (l, lw) in Model::new(&cfg, 5).layers.iter().enumerate() {
+                let pairs = [
+                    (&lw.wq, &lw.wq_t),
+                    (&lw.wk, &lw.wk_t),
+                    (&lw.wv, &lw.wv_t),
+                    (&lw.wo, &lw.wo_t),
+                    (&lw.fc1, &lw.fc1_t),
+                    (&lw.fc2, &lw.fc2_t),
+                ];
+                for (i, (w, w_t)) in pairs.into_iter().enumerate() {
+                    assert_eq!(&w.transpose(), w_t, "{} layer {l} weight {i}", cfg.name);
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "written to after construction")]
+    fn writing_to_a_projection_after_construction_trips_the_debug_guard() {
+        let mut m = model();
+        m.layers[2].wv.set(0, 3, 0.5);
+        let h = Tensor2::zeros(1, m.cfg.d_model);
+        let _ = m.restore_layer_kv(2, &h, 0);
+    }
+
+    /// FNV-1a over the little-endian f32 bit patterns of `t`.
+    fn fnv1a_bits(hash: &mut u64, t: &Tensor2) {
+        for v in t.as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                *hash ^= u64::from(b);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// `(forward, restore)` hashes: every layer's K and V after a 70-token
+    /// prefill + 8 greedy decode steps, and `restore_layer_kv` of the
+    /// prefill's captured hidden states.
+    fn golden_hashes(cfg: &ModelConfig) -> (u64, u64) {
+        let m = Model::new(cfg, 1234);
+        let mut kv = KvCache::new(cfg);
+        let out = m.prefill(&tokens(70, 21), &mut kv, true);
+        let mut tok = 5u32;
+        for _ in 0..8 {
+            let (row, _) = m.decode_step(tok, &mut kv, false);
+            tok = m.greedy_next_token(&row);
+        }
+        let mut forward = 0xcbf2_9ce4_8422_2325_u64;
+        for l in 0..cfg.n_layers {
+            fnv1a_bits(&mut forward, kv.keys(l));
+            fnv1a_bits(&mut forward, kv.values(l));
+        }
+        let mut restore = 0xcbf2_9ce4_8422_2325_u64;
+        for (l, h) in out.hidden_per_layer.unwrap().iter().enumerate() {
+            let (k, v) = m.restore_layer_kv(l, h, 0);
+            fnv1a_bits(&mut restore, &k);
+            fnv1a_bits(&mut restore, &v);
+        }
+        (forward, restore)
+    }
+
+    #[test]
+    fn forward_and_restore_bits_match_the_golden_hashes() {
+        // Constants computed with this very function at commit 14e78e0,
+        // the last one with the transposing, untiled GEMM. The other
+        // oracles prove the paths agree with each other; this one that
+        // none of them has moved a bit since. A mismatch means every
+        // stored and restored state changed — never refresh the constants
+        // to make a kernel change pass.
+        assert_eq!(
+            golden_hashes(&ModelConfig::tiny_llama()),
+            (0x2f0f_6fc6_7ac7_50fa, 0x89ad_6f65_130a_ff9c)
+        );
+        assert_eq!(
+            golden_hashes(&ModelConfig::tiny_opt()),
+            (0x6e4e_b84b_9a1a_cf8d, 0xdc9f_e33d_5933_8f7d)
+        );
     }
 }

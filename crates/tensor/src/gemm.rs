@@ -1,6 +1,6 @@
 //! Matrix multiplication kernels.
 //!
-//! The paper restores KV via cuBLAS GEMMs; here we provide cache-blocked
+//! The paper restores KV via cuBLAS GEMMs; here we provide register-tiled
 //! CPU GEMMs that are fast enough for the functional test models while
 //! keeping a bit-for-bit deterministic accumulation order: every output
 //! element accumulates its products in one ascending-`k` chain, in every
@@ -9,14 +9,33 @@
 //! restoration path for *exact* equality when they perform the same
 //! mathematical operation.
 //!
-//! The performance-critical choice: the inner loop always runs over the
-//! *output* axis `j` (`c[j] += a_ik · b[j]`), whose lanes are independent
-//! and therefore vectorize, instead of over the reduction axis `k`, whose
-//! floating-point adds form a serial dependency chain the compiler must not
-//! reorder. `matmul_nt` gets this treatment by materializing `Bᵀ` once
-//! (O(n·k), negligible against the O(m·n·k) multiply) and running the same
-//! blocked kernel — measured ~4× over the naïve dot-product triple loop at
-//! projection sizes.
+//! The performance-critical choices:
+//!
+//! * The inner loop runs over the *output* axis `j` (`c[j] += a_ik · b[j]`),
+//!   whose lanes are independent and therefore vectorize, instead of over
+//!   the reduction axis `k`, whose floating-point adds form a serial
+//!   dependency chain the compiler must not reorder.
+//! * The kernel holds an `MR × NR` tile of C in registers across the whole
+//!   `k` loop: one load of a `b` segment feeds `MR` rows, and each C element
+//!   is stored once instead of being read and written back at every `k`.
+//!   Rows and columns that do not fill a tile take the plain row-streaming
+//!   loop; both accumulate every output in the same ascending-`k` order, so
+//!   where a row falls relative to a tile (which depends on how rows were
+//!   split across threads) never changes a bit.
+//! * `B` must already be `k × n`. [`matmul_nt`] takes `B` as `n × k` and
+//!   transposes it on every call, which is *not* negligible at inference
+//!   shapes: for a one-token decode (`m = 1`) the transpose touches as many
+//!   elements as the multiply, and at `m = 64` it was still ≈ 45 % of a
+//!   256 × 256 projection. Callers that multiply by the same matrix
+//!   repeatedly — the model's weights — keep the `k × n` form and call
+//!   [`matmul_par`]; `matmul_nt` remains for operands that exist only once.
+//!
+//! Every product is accumulated — there is no skip for a zero `a` element.
+//! For finite inputs a skip could not change a bit anyway: C starts at
+//! `+0.0`, `x + ±0.0 == x` for every nonzero `x`, and `+0.0 + -0.0 == +0.0`,
+//! so not even the sign of a zero output depends on it. For non-finite
+//! inputs the kernels follow IEEE-754 exactly as the naïve reference does:
+//! `0 · ∞` and `0 · NaN` contribute `NaN`.
 //!
 //! The `*_par` variants split work by output rows across scoped threads
 //! (budget from [`ParallelConfig`]); each row is computed by the same code
@@ -26,34 +45,68 @@
 use crate::parallel::ParallelConfig;
 use crate::Tensor2;
 
-/// Cache block edge used by the blocked kernels.
-const BLOCK: usize = 64;
+/// Rows of C held in registers by the tiled kernel.
+const MR: usize = 4;
+/// Columns of C held in registers by the tiled kernel.
+const NR: usize = 16;
 
-/// Computes C rows `[row0, row0 + c_rows.len()/n)` of `C = A · B` into the
-/// caller's row-major slice. i-k blocked with the inner loop streaming over
-/// contiguous rows of B and C.
-fn matmul_rows(a: &Tensor2, b: &Tensor2, row0: usize, c_rows: &mut [f32]) {
-    let k = a.cols();
-    let n = b.cols();
-    let rows = c_rows.len() / n;
-    for i0 in (0..rows).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(rows);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for i in i0..i1 {
-                let a_row = a.row(row0 + i);
-                let c_row = &mut c_rows[i * n..(i + 1) * n];
-                for (kk, &aval) in a_row.iter().enumerate().take(k1).skip(k0) {
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    let b_row = b.row(kk);
-                    for j in 0..n {
-                        c_row[j] += aval * b_row[j];
-                    }
-                }
+/// One `MR × NR` tile of `C = A · B`: rows `a_rows` of A against columns
+/// `[j0, j0 + NR)` of B, accumulated in registers over ascending `k` and
+/// stored once into `c_rows` (the `MR` full-width C rows of the tile).
+#[inline(always)]
+fn matmul_tile(a_rows: &[&[f32]; MR], b: &[f32], n: usize, j0: usize, c_rows: &mut [f32]) {
+    let mut acc = [[0.0_f32; NR]; MR];
+    for (kk, b_row) in b.chunks_exact(n).enumerate() {
+        let b_seg: &[f32; NR] = b_row[j0..j0 + NR]
+            .try_into()
+            .expect("a slice of NR elements");
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let aval = a_row[kk];
+            for (c, &bval) in acc_row.iter_mut().zip(b_seg) {
+                *c += aval * bval;
             }
         }
+    }
+    for (acc_row, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
+        c_row[j0..j0 + NR].copy_from_slice(acc_row);
+    }
+}
+
+/// Columns `[j0, n)` of one C row, streaming over rows of B: the edge path
+/// for what the tiles leave over.
+fn matmul_row_edge(a_row: &[f32], b: &[f32], n: usize, j0: usize, c_row: &mut [f32]) {
+    let c_edge = &mut c_row[j0..];
+    for (&aval, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (c, &bval) in c_edge.iter_mut().zip(&b_row[j0..]) {
+            *c += aval * bval;
+        }
+    }
+}
+
+/// Computes C rows `[row0, row0 + c_rows.len()/n)` of `C = A · B` into the
+/// caller's zeroed row-major slice: full `MR × NR` tiles through
+/// [`matmul_tile`], leftover columns and rows through [`matmul_row_edge`].
+fn matmul_rows(a: &Tensor2, b: &Tensor2, row0: usize, c_rows: &mut [f32]) {
+    let n = b.cols();
+    let b = b.as_slice();
+    let n_tiled = n - n % NR;
+    let mut groups = c_rows.chunks_exact_mut(MR * n);
+    let mut row = row0;
+    for c_group in groups.by_ref() {
+        let a_rows: [&[f32]; MR] = std::array::from_fn(|r| a.row(row + r));
+        for j0 in (0..n_tiled).step_by(NR) {
+            matmul_tile(&a_rows, b, n, j0, c_group);
+        }
+        if n_tiled < n {
+            for (a_row, c_row) in a_rows.iter().zip(c_group.chunks_exact_mut(n)) {
+                matmul_row_edge(a_row, b, n, n_tiled, c_row);
+            }
+        }
+        row += MR;
+    }
+    for c_row in groups.into_remainder().chunks_exact_mut(n) {
+        matmul_row_edge(a.row(row), b, n, 0, c_row);
+        row += 1;
     }
 }
 
@@ -93,8 +146,9 @@ pub fn matmul_par(a: &Tensor2, b: &Tensor2, par: &ParallelConfig) -> Tensor2 {
 ///
 /// This is the natural layout for attention scores (`Q · Kᵀ`) when K is
 /// stored tokens-major, and for projections whose weights are stored
-/// `out×in` (as this crate's model layer does). Internally transposes `B`
-/// once and runs the blocked vectorizable kernel; see the module docs.
+/// `out×in`. Transposes `B` on every call and runs the tiled kernel, so it
+/// is the entry point for a `B` used once; a `B` used repeatedly should be
+/// kept as `k×n` and go through [`matmul`] (see the module docs).
 pub fn matmul_nt(a: &Tensor2, b: &Tensor2) -> Tensor2 {
     matmul_nt_par(a, b, &ParallelConfig::serial())
 }
@@ -111,17 +165,7 @@ pub fn matmul_nt_par(a: &Tensor2, b: &Tensor2, par: &ParallelConfig) -> Tensor2 
         b.rows(),
         b.cols()
     );
-    let bt = b.transpose();
-    let m = a.rows();
-    let n = bt.cols();
-    let mut c = Tensor2::zeros(m, n);
-    if n == 0 {
-        return c; // degenerate output: nothing to compute (and rows/n below would be 0/0)
-    }
-    par.run_row_blocks(c.as_mut_slice(), m, n, |row0, chunk| {
-        matmul_rows(a, &bt, row0, chunk)
-    });
-    c
+    matmul_par(a, &b.transpose(), par)
 }
 
 /// Reference `A · Bᵀ` kernel: the naïve triple loop with one scalar
@@ -299,7 +343,45 @@ mod tests {
         }
     }
 
+    fn bits(t: &Tensor2) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     proptest! {
+        /// Shapes straddling the register tile's edges (`MR` = 4 rows,
+        /// `NR` = 16 columns) and inputs containing zeros: every output bit
+        /// equals the naïve one-accumulator reference.
+        #[test]
+        fn tiled_kernel_matches_naive_bitwise_at_tile_edges(
+            m in 1usize..10, n in 1usize..40, k in 1usize..70, seed in 0u64..500
+        ) {
+            let a = pseudo_tensor(m, k, seed);
+            let b = pseudo_tensor(n, k, seed ^ 0x77);
+            prop_assert_eq!(bits(&matmul_nt(&a, &b)), bits(&matmul_nt_naive(&a, &b)));
+        }
+
+        /// What makes the kernel safe to thread: computing C in any two
+        /// contiguous row blocks (so rows land in different tiles, or in
+        /// the edge path instead of a tile) gives the bits of one call.
+        #[test]
+        fn row_block_boundaries_never_change_a_bit(
+            m in 1usize..14, n in 1usize..40, k in 1usize..40,
+            cut in 0usize..14, seed in 0u64..500
+        ) {
+            let a = pseudo_tensor(m, k, seed);
+            let b = pseudo_tensor(k, n, seed ^ 0x99);
+            let cut = cut.min(m);
+            let mut split = vec![0.0_f32; m * n];
+            let (top, bottom) = split.split_at_mut(cut * n);
+            matmul_rows(&a, &b, 0, top);
+            matmul_rows(&a, &b, cut, bottom);
+            let whole = matmul(&a, &b);
+            prop_assert_eq!(
+                split.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&whole)
+            );
+        }
+
         #[test]
         fn matmul_matches_naive(
             m in 1usize..8, k in 1usize..8, n in 1usize..8, seed in 0u64..1000

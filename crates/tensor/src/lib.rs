@@ -10,7 +10,7 @@
 //! Contents:
 //! * [`Tensor2`] — a dense row-major 2-D f32 tensor with the small set of
 //!   operations an inference engine needs.
-//! * [`gemm`] — blocked matrix multiplication kernels (`A·B`, `A·Bᵀ`).
+//! * [`gemm`] — register-tiled matrix multiplication kernels (`A·B`, `A·Bᵀ`).
 //! * [`ops`] — softmax, RMSNorm, LayerNorm, SiLU, GELU, residual adds.
 //! * [`rope`] — rotary position embeddings (applied to Q and K).
 //! * [`f16`] — an IEEE-754 binary16 codec used by the storage layer to keep
@@ -21,6 +21,8 @@
 //!   multi-threaded kernel variants (`gemm::matmul_par`,
 //!   `gemm::matmul_nt_par`, `f16::encode_f16_par`, `f16::decode_f16_par`),
 //!   all bit-for-bit equal to their serial counterparts.
+
+#![forbid(unsafe_code)]
 
 pub mod f16;
 pub mod gemm;

@@ -30,37 +30,41 @@ pub fn softmax_rows(t: &mut Tensor2) {
 }
 
 /// RMSNorm as used by Llama-family models:
-/// `y_i = x_i / sqrt(mean(x^2) + eps) * g_i`.
-pub fn rmsnorm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
+/// `y_i = x_i / sqrt(mean(x^2) + eps) * g_i`, written into the caller's
+/// `out` (same length as `x`).
+pub fn rmsnorm_into(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
     assert_eq!(x.len(), gain.len(), "rmsnorm gain length mismatch");
+    assert_eq!(x.len(), out.len(), "rmsnorm output length mismatch");
     let ms = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
     let inv = 1.0 / (ms + eps).sqrt();
-    x.iter().zip(gain).map(|(v, g)| v * inv * g).collect()
+    for (y, (v, g)) in out.iter_mut().zip(x.iter().zip(gain)) {
+        *y = v * inv * g;
+    }
 }
 
-/// Applies [`rmsnorm`] to every row, producing a new tensor.
+/// Applies [`rmsnorm_into`] to every row, producing a new tensor.
 pub fn rmsnorm_rows(t: &Tensor2, gain: &[f32], eps: f32) -> Tensor2 {
     let mut out = Tensor2::zeros(t.rows(), t.cols());
     for r in 0..t.rows() {
-        let y = rmsnorm(t.row(r), gain, eps);
-        out.row_mut(r).copy_from_slice(&y);
+        rmsnorm_into(t.row(r), gain, eps, out.row_mut(r));
     }
     out
 }
 
 /// LayerNorm as used by OPT-family models:
-/// `y_i = (x_i - mean) / sqrt(var + eps) * g_i + b_i`.
-pub fn layernorm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32) -> Vec<f32> {
+/// `y_i = (x_i - mean) / sqrt(var + eps) * g_i + b_i`, written into the
+/// caller's `out` (same length as `x`).
+pub fn layernorm_into(x: &[f32], gain: &[f32], bias: &[f32], eps: f32, out: &mut [f32]) {
     assert_eq!(x.len(), gain.len(), "layernorm gain length mismatch");
     assert_eq!(x.len(), bias.len(), "layernorm bias length mismatch");
+    assert_eq!(x.len(), out.len(), "layernorm output length mismatch");
     let n = x.len() as f32;
     let mean = x.iter().sum::<f32>() / n;
     let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
     let inv = 1.0 / (var + eps).sqrt();
-    x.iter()
-        .zip(gain.iter().zip(bias))
-        .map(|(v, (g, b))| (v - mean) * inv * g + b)
-        .collect()
+    for (y, (v, (g, b))) in out.iter_mut().zip(x.iter().zip(gain.iter().zip(bias))) {
+        *y = (v - mean) * inv * g + b;
+    }
 }
 
 /// SiLU (a.k.a. swish) activation: `x * sigmoid(x)`.
@@ -95,6 +99,18 @@ pub fn add(a: &Tensor2, b: &Tensor2) -> Tensor2 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn rmsnorm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
+        let mut out = vec![0.0; x.len()];
+        rmsnorm_into(x, gain, eps, &mut out);
+        out
+    }
+
+    fn layernorm(x: &[f32], gain: &[f32], bias: &[f32], eps: f32) -> Vec<f32> {
+        let mut out = vec![0.0; x.len()];
+        layernorm_into(x, gain, bias, eps, &mut out);
+        out
+    }
 
     #[test]
     fn softmax_sums_to_one_and_orders() {

@@ -11,6 +11,14 @@
 //! by *output rows* and leave the per-row computation untouched, so their
 //! results are bit-for-bit identical to the serial kernels no matter the
 //! thread count — the property the restoration-losslessness tests rely on.
+//!
+//! Threads are scoped and created per call, which costs tens of
+//! microseconds (≈ 70 µs for two on the 2-core reference host) — more than
+//! a one-token GEMM or one chunk's f16 decode. Callers on a latency path
+//! pass [`ParallelConfig::serial`] for such calls (`Model::decode_step`
+//! does). A per-call work threshold inside `run_row_blocks` was measured
+//! and left out: it bought medians and cost tails (README "Forward pass");
+//! the spawn cost is the persistent-worker item in ROADMAP.md.
 
 /// Thread budget shared by the parallel kernels and pipelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,36 +10,44 @@
 /// Default RoPE base used by Llama-family models.
 pub const DEFAULT_ROPE_BASE: f32 = 10_000.0;
 
+/// Sine and cosine of pair `i`'s rotation angle, `pos / base^(2i/d)`: the
+/// one place the angle is computed, so every kernel below rotates by the
+/// same bits.
+#[inline]
+fn pair_sin_cos(pos: usize, i: usize, head_dim: usize, base: f32) -> (f32, f32) {
+    let theta = (pos as f32) * base.powf(-2.0 * i as f32 / head_dim as f32);
+    theta.sin_cos()
+}
+
 /// Applies RoPE in place to one head vector `x` (length = head_dim, must be
 /// even) for absolute position `pos`.
 ///
 /// Pairs `(x[2i], x[2i+1])` are rotated by angle `pos / base^(2i/d)`.
 pub fn rope_inplace(x: &mut [f32], pos: usize, base: f32) {
-    let d = x.len();
-    assert!(
-        d.is_multiple_of(2),
-        "RoPE head dimension must be even, got {d}"
-    );
-    let half = d / 2;
-    for i in 0..half {
-        let theta = (pos as f32) * base.powf(-2.0 * i as f32 / d as f32);
-        let (sin, cos) = theta.sin_cos();
-        let a = x[2 * i];
-        let b = x[2 * i + 1];
-        x[2 * i] = a * cos - b * sin;
-        x[2 * i + 1] = a * sin + b * cos;
-    }
+    rope_row(x, pos, 1, base);
 }
 
 /// Applies RoPE to a full row of concatenated heads.
 ///
 /// `row` has length `n_heads * head_dim`; each head segment is rotated
-/// independently with the same position.
+/// independently with the same position. The angle of pair `i` depends only
+/// on `(pos, i)`, so its sine and cosine are computed once and reused by
+/// every head.
 pub fn rope_row(row: &mut [f32], pos: usize, n_heads: usize, base: f32) {
     assert_eq!(row.len() % n_heads, 0, "row not divisible into heads");
     let head_dim = row.len() / n_heads;
-    for h in 0..n_heads {
-        rope_inplace(&mut row[h * head_dim..(h + 1) * head_dim], pos, base);
+    assert!(
+        head_dim.is_multiple_of(2),
+        "RoPE head dimension must be even, got {head_dim}"
+    );
+    for i in 0..head_dim / 2 {
+        let (sin, cos) = pair_sin_cos(pos, i, head_dim, base);
+        for head in row.chunks_exact_mut(head_dim) {
+            let a = head[2 * i];
+            let b = head[2 * i + 1];
+            head[2 * i] = a * cos - b * sin;
+            head[2 * i + 1] = a * sin + b * cos;
+        }
     }
 }
 
@@ -50,10 +58,8 @@ pub fn unrope_inplace(x: &mut [f32], pos: usize, base: f32) {
         d.is_multiple_of(2),
         "RoPE head dimension must be even, got {d}"
     );
-    let half = d / 2;
-    for i in 0..half {
-        let theta = (pos as f32) * base.powf(-2.0 * i as f32 / d as f32);
-        let (sin, cos) = theta.sin_cos();
+    for i in 0..d / 2 {
+        let (sin, cos) = pair_sin_cos(pos, i, d, base);
         let a = x[2 * i];
         let b = x[2 * i + 1];
         x[2 * i] = a * cos + b * sin;
@@ -127,6 +133,28 @@ mod tests {
     }
 
     proptest! {
+        /// Sharing a pair's angle across heads moves no bit: one call over
+        /// `n_heads` heads equals `n_heads` one-head calls.
+        #[test]
+        fn rope_row_matches_per_head_rope_bitwise(
+            pos in 0usize..8192,
+            n_heads in 1usize..9,
+            half_dim in 1usize..17,
+            seed in 0u32..1000,
+        ) {
+            let head_dim = 2 * half_dim;
+            let mut row: Vec<f32> = (0..n_heads * head_dim)
+                .map(|i| ((i as u32).wrapping_mul(2_654_435_761).wrapping_add(seed) % 2001) as f32 * 0.01 - 10.0)
+                .collect();
+            let mut per_head = row.clone();
+            for head in per_head.chunks_exact_mut(head_dim) {
+                rope_inplace(head, pos, DEFAULT_ROPE_BASE);
+            }
+            rope_row(&mut row, pos, n_heads, DEFAULT_ROPE_BASE);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&row), bits(&per_head));
+        }
+
         #[test]
         fn rope_roundtrip_random(
             v in proptest::collection::vec(-5.0f32..5.0, 2..10),

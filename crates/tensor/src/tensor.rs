@@ -169,12 +169,32 @@ impl Tensor2 {
         self.rows += other.rows;
     }
 
-    /// Returns the transpose as a new tensor.
+    /// Drops every row after the first `n` in place (no-op when the tensor
+    /// already holds `n` rows or fewer); the allocation is kept.
+    pub fn truncate_rows(&mut self, n: usize) {
+        if n < self.rows {
+            self.data.truncate(n * self.cols);
+            self.rows = n;
+        }
+    }
+
+    /// Returns the transpose as a new tensor. Copies in square tiles read
+    /// through row slices, so both the source rows and the destination
+    /// rows of a tile stay cache-resident while it is written.
     pub fn transpose(&self) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        const TILE: usize = 32;
+        let (rows, cols) = self.shape();
+        let mut out = Tensor2::zeros(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for c0 in (0..cols).step_by(TILE) {
+                let c1 = (c0 + TILE).min(cols);
+                for r in r0..r1 {
+                    let src = &self.data[r * cols + c0..r * cols + c1];
+                    for (c, &v) in (c0..c1).zip(src) {
+                        out.data[c * rows + r] = v;
+                    }
+                }
             }
         }
         out
@@ -281,6 +301,35 @@ mod tests {
         let t = Tensor2::from_fn(3, 5, |r, c| (r * 5 + c) as f32);
         assert_eq!(t.transpose().transpose(), t);
         assert_eq!(t.transpose().get(4, 2), t.get(2, 4));
+    }
+
+    #[test]
+    fn transpose_matches_elementwise_definition_across_tile_edges() {
+        for (rows, cols) in [(1, 1), (1, 70), (33, 32), (65, 31), (64, 96), (0, 5)] {
+            let t = Tensor2::from_fn(rows, cols, |r, c| (r * 131 + c) as f32);
+            let tt = t.transpose();
+            assert_eq!(tt.shape(), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(tt.get(c, r), t.get(r, c), "{rows}x{cols} at ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncate_rows_keeps_the_prefix_in_place() {
+        let mut t = Tensor2::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
+        let expect = t.slice_rows(0, 2);
+        t.truncate_rows(9); // longer than the tensor: no-op
+        assert_eq!(t.rows(), 4);
+        t.truncate_rows(2);
+        assert_eq!(t, expect);
+        t.append_rows(&expect);
+        assert_eq!(t.shape(), (4, 3));
+        t.truncate_rows(0);
+        assert!(t.is_empty());
+        assert_eq!(t.shape(), (0, 3));
     }
 
     #[test]
