@@ -10,6 +10,7 @@ use hc_restore::engine::{
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::MemStore;
 use hc_storage::manager::StorageManager;
+use hc_storage::reactor::Reactor;
 use hc_tensor::ParallelConfig;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -22,10 +23,13 @@ struct Fixture {
     tokens: Vec<u32>,
 }
 
+/// A saved 128-token session over a four-device store and its IO reactor,
+/// the shape `HCacheSystem` builds.
 fn fixture(scheme: &PartitionScheme) -> Fixture {
     let cfg = ModelConfig::tiny_llama();
     let model = Model::new(&cfg, 3);
-    let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model);
+    let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+        .with_reactor(Reactor::new(4, 2));
     let tokens: Vec<u32> = (0..N_TOKENS as u32).map(|i| (i * 37) % 256).collect();
     let mut kv = KvCache::new(&cfg);
     let out = model.prefill(&tokens, &mut kv, true);
@@ -73,8 +77,9 @@ fn bench_restore(c: &mut Criterion) {
 }
 
 /// Sequential-vs-pipelined comparison group: the same restoration executed
-/// by `restore_session` and by the two-stream pipelined executor across
-/// thread budgets (results are bit-identical; only wall-clock differs).
+/// by `restore_session` and by the restore state machine over the IO
+/// reactor across thread budgets (results are bit-identical; only
+/// wall-clock differs).
 fn bench_restore_pipelined(c: &mut Criterion) {
     let mut group = c.benchmark_group("functional_restore_pipelined");
     group.sample_size(15);

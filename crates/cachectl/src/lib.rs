@@ -19,9 +19,9 @@
 //!   sharded manager's tombstone protocol, so the bytes `delete_stream`
 //!   reports stay exactly the bytes the ledger credited even while
 //!   restores and the save daemon run concurrently.
-//! * [`scheduler::RestoreScheduler`] — admits N concurrent pipelined
-//!   restores from an arrival trace, splitting one host `ParallelConfig`
-//!   budget across in-flight sessions.
+//! * [`scheduler::RestoreScheduler`] — runs a burst of restores as one
+//!   reactor batch, splitting one host `ParallelConfig` budget across the
+//!   batch's compute workers.
 //!
 //! The controller is also where the **device-health plane** lands on the
 //! session axis: [`CacheController::on_device_down`] marks a storage lane
@@ -90,13 +90,6 @@ pub enum CtlError {
     UnknownSession(u64),
     /// Storage failure during restore or eviction.
     Storage(StorageError),
-    /// The pipelined restore's prefetch stage died (panicking backend)
-    /// while fetching this layer. Isolated to the one job: the scheduler
-    /// worker that ran it keeps serving the queue.
-    Prefetch {
-        /// Layer whose fetch was in flight.
-        layer: usize,
-    },
 }
 
 impl std::fmt::Display for CtlError {
@@ -104,9 +97,6 @@ impl std::fmt::Display for CtlError {
         match self {
             CtlError::UnknownSession(id) => write!(f, "unknown session {id}"),
             CtlError::Storage(e) => write!(f, "storage error: {e}"),
-            CtlError::Prefetch { layer } => {
-                write!(f, "restore prefetch failed at layer {layer}")
-            }
         }
     }
 }
@@ -123,11 +113,8 @@ impl From<hc_restore::engine::RestoreError> for CtlError {
     fn from(e: hc_restore::engine::RestoreError) -> Self {
         match e {
             hc_restore::engine::RestoreError::Storage(s) => CtlError::Storage(s),
-            hc_restore::engine::RestoreError::PrefetchFailed { layer } => {
-                CtlError::Prefetch { layer }
-            }
-            hc_restore::engine::RestoreError::WorkerLost => CtlError::Storage(
-                hc_storage::StorageError::Io("restore worker pool disconnected".to_string()),
+            hc_restore::engine::RestoreError::Panicked => CtlError::Storage(
+                hc_storage::StorageError::Io("restore state machine panicked".to_string()),
             ),
         }
     }
@@ -553,8 +540,8 @@ impl<S: ChunkStore + 'static> CacheController<S> {
 
     /// A fresh (unprimed) run of the restore loop: [`Self::restore`]
     /// (`degrade` off, report dropped) and [`Self::restore_with_report`]
-    /// (`degrade` on) — the scheduler's thread-per-restore mode picks
-    /// between the two with the same flag.
+    /// (`degrade` on) — the scheduler's route for a manager without a
+    /// reactor picks between the two with the same flag.
     pub(crate) fn restore_reported(
         &self,
         model: &Model,
@@ -1168,10 +1155,10 @@ mod tests {
     fn restore_after_demotion_is_bit_identical_to_sequential_and_correct() {
         let cfg_m = ModelConfig::tiny_llama();
         let model = Model::new(&cfg_m, 5);
-        let mgr = Arc::new(StorageManager::new(
-            Arc::new(MemStore::new(2)),
-            cfg_m.d_model,
-        ));
+        let mgr = Arc::new(
+            StorageManager::new(Arc::new(MemStore::new(2)), cfg_m.d_model)
+                .with_reactor(hc_storage::reactor::Reactor::new(2, 2)),
+        );
         // Quota that fits ~2 of the 4 hidden layer streams of 80 tokens.
         let stream_bytes = 80 * cfg_m.d_model as u64 * 2;
         let ctl = CacheController::new(
@@ -1286,6 +1273,8 @@ mod tests {
 
     #[test]
     fn scheduler_reactor_route_matches_thread_per_restore() {
+        // The scheduler's reactor batch against the sequential reference,
+        // `restore_session_with_methods`, session by session.
         use crate::scheduler::{RestoreJob, RestoreScheduler};
         use hc_storage::reactor::Reactor;
 
@@ -1334,7 +1323,6 @@ mod tests {
             tokens: vec![1, 2, 3],
         });
         let sched = RestoreScheduler::new(4, ParallelConfig::new(4)).with_reactor(64);
-        assert_eq!(sched.reactor_inflight(), Some(64));
         let results = sched.run(&model, &ctl, &jobs);
         assert_eq!(results.len(), 7);
         for (s, (session, r)) in results.into_iter().enumerate() {
@@ -1353,8 +1341,9 @@ mod tests {
         assert_eq!(reactor.restores_in_flight(), 0, "gauge drains");
         assert_eq!(ctl.metrics().restore_hits, 6);
 
-        // A reactor-configured scheduler over a reactor-less manager falls
-        // back to the thread-per-restore path and still restores.
+        // The same scheduler over a reactor-less manager runs the jobs one
+        // after another through the controller's loop, and still
+        // restores.
         let plain_mgr = Arc::new(StorageManager::new(
             Arc::new(MemStore::new(4)),
             cfg_m.d_model,
@@ -1402,7 +1391,10 @@ mod tests {
         let fault = Arc::new(hc_storage::fault::FaultStore::new(Arc::new(MemStore::new(
             4,
         ))));
-        let mgr = Arc::new(StorageManager::new(Arc::clone(&fault), cfg_m.d_model));
+        let mgr = Arc::new(
+            StorageManager::new(Arc::clone(&fault), cfg_m.d_model)
+                .with_reactor(hc_storage::reactor::Reactor::new(4, 2)),
+        );
         let ctl = CacheController::new(
             Arc::clone(&mgr),
             cfg_m.n_layers,

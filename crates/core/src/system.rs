@@ -30,12 +30,6 @@ pub enum SystemError {
     UnknownSession(u64),
     /// Storage failure.
     Storage(StorageError),
-    /// The pipelined restore's prefetch stage died at this layer (the
-    /// typed form of a backend panic — isolated to the one restore).
-    Prefetch {
-        /// Layer whose fetch was in flight.
-        layer: usize,
-    },
 }
 
 impl std::fmt::Display for SystemError {
@@ -43,9 +37,6 @@ impl std::fmt::Display for SystemError {
         match self {
             SystemError::UnknownSession(id) => write!(f, "unknown session {id}"),
             SystemError::Storage(e) => write!(f, "storage error: {e}"),
-            SystemError::Prefetch { layer } => {
-                write!(f, "restore prefetch failed at layer {layer}")
-            }
         }
     }
 }
@@ -62,11 +53,8 @@ impl From<hc_restore::engine::RestoreError> for SystemError {
     fn from(e: hc_restore::engine::RestoreError) -> Self {
         match e {
             hc_restore::engine::RestoreError::Storage(s) => SystemError::Storage(s),
-            hc_restore::engine::RestoreError::PrefetchFailed { layer } => {
-                SystemError::Prefetch { layer }
-            }
-            hc_restore::engine::RestoreError::WorkerLost => SystemError::Storage(StorageError::Io(
-                "restore worker pool disconnected".to_string(),
+            hc_restore::engine::RestoreError::Panicked => SystemError::Storage(StorageError::Io(
+                "restore state machine panicked".to_string(),
             )),
         }
     }
@@ -77,7 +65,6 @@ impl From<CtlError> for SystemError {
         match e {
             CtlError::UnknownSession(id) => SystemError::UnknownSession(id),
             CtlError::Storage(e) => SystemError::Storage(e),
-            CtlError::Prefetch { layer } => SystemError::Prefetch { layer },
         }
     }
 }
@@ -308,16 +295,17 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     }
 
     /// Restores a session's KV cache from host storage (the cache-miss
-    /// path). Every restore runs the one chunk-streaming executor
+    /// path). Every restore runs the one restore executor
     /// (`hc_restore::engine::restore_session_pipelined_with_methods`) over
-    /// this system's IO reactor: the recompute prefix's forward pass runs
-    /// first, while a prefetch stage streams the stored layers' 64-token
-    /// chunks from all storage devices at once (up to `REACTOR_IODEPTH`
-    /// reads in flight per device); the calling thread then projects each
-    /// hidden layer's newly contiguous token prefix — everything that
-    /// landed since its last GEMM, in one call — and places K/V chunks as
-    /// both streams' prefixes pair up, all under this system's thread
-    /// budget. With a controller attached the session's current (possibly
+    /// this system's IO reactor: one restore state machine, advanced on
+    /// the calling thread, submits the first stored layers' 64-token chunk
+    /// reads to all storage devices at once (up to `REACTOR_IODEPTH` reads
+    /// in flight per device) and runs the recompute prefix's forward pass
+    /// while they are served; each advance then projects every hidden
+    /// layer's newly contiguous token prefix — everything that landed
+    /// since its last GEMM, in one call — and places K/V chunks as both
+    /// streams' prefixes pair up, all under this system's thread budget.
+    /// With a controller attached the session's current (possibly
     /// demoted) method mix is restored and hits/fallbacks are counted;
     /// without one the static scheme is. The result is bit-identical to
     /// `restore_session_with_methods` under that mix. A read that dies on

@@ -18,58 +18,20 @@
 //!
 //! [`restore_session`] is the sequential reference: it reads layer `l`'s
 //! streams, projects/loads them, and only then reads layer `l+1`.
-//! [`restore_session_pipelined_with_methods`] — the one pipelined
-//! executor — runs the *same* work as the two-stream schedule that
-//! `hc_sched::pipeline` models analytically, at **token-chunk
-//! granularity** (§4.1.2's token-wise partitioning):
-//!
-//! * an **IO stream** (one prefetch thread) walks the non-recompute layers
-//!   in restoration order, *streaming* each layer's chunks out of the
-//!   [`StorageManager`] via `read_rows_streaming` — every decoded 64-token
-//!   chunk is forwarded the moment its IO lands (in device-completion
-//!   order when the manager reads through an IO reactor, so up to its
-//!   queue depth of chunk reads stay in flight while earlier chunks are
-//!   already being consumed; in range order over a bare manager's
-//!   sequential walk) — and
-//! * a **compute stream** (the caller's thread) consumes *chunks*, not
-//!   layers: a hidden-method layer's projection GEMMs run over each newly
-//!   contiguous token prefix as it becomes ready — compute on chunk `k`
-//!   overlaps the IO of chunk `k+1` *inside the same layer* — and a
-//!   KV-method layer's rows are placed into the destination [`KvCache`]
-//!   incrementally as K/V prefixes pair up. The recompute prefix's forward
-//!   pass still runs *before* the first `recv`, overlapping the prefetcher
-//!   exactly like the `compute_needs_io = false` tasks at the front of a
-//!   `sched::pipeline::Timeline`.
-//!
-//! **Greedy batching.** The compute stream never projects "one chunk per
-//! message". Each turn it blocks for one message and then takes, without
-//! blocking again, everything that has *already landed* for the layer
-//! being assembled (`drain_landed`); the whole newly contiguous prefix is
-//! then projected (or the paired K/V prefix placed) in one call. The GEMM
-//! granularity therefore follows whichever side is the bound, with no
-//! mode and no parameter: when the devices are the bound the channel is
-//! nearly empty at every turn, so projections run per chunk (or per group
-//! of chunks the devices completed together) and overlap the reads still
-//! in flight; when compute is the bound (`MemStore`, page-cache reads) the
-//! prefetcher runs ahead, a turn finds the rest of the layer waiting, and
-//! a layer costs one or two GEMMs — what a layer-granular executor would
-//! pay. A turn ends early in exactly three cases: the layer's streams are all
-//! complete (the next message belongs to the next layer and is never
-//! popped early), a `Reset` (the stream's staging, including what this
-//! turn staged, is forgotten and the layer's installed rows are rolled
-//! back before anything behind the reset is taken), or a `Failed`
-//! (returned at once).
-//!
-//! The stages are linked by a **bounded channel of chunk work items**
-//! (depth `2 × read parallelism`, minimum 4), so what may be in flight at
-//! any instant is: at most one layer being assembled on the compute side
-//! (its staging tensors), plus a bounded-channel's worth of decoded
-//! chunks, plus the manager's in-flight chunk reads — O(1) layers of host
-//! staging, like the paper's staging buffer, never the whole restore. A
-//! mid-stream tombstone (concurrent delete/re-append) resets the layer
-//! being assembled — [`hc_model::KvCache::truncate_layer`] rolls back
-//! exactly the rows placed for it — and the stream redelivers wholesale,
-//! so the incremental placement never leaks a dead generation.
+//! [`restore_session_pipelined_with_methods`] runs the *same* work as the
+//! two-stream schedule that `hc_sched::pipeline` models analytically, at
+//! **token-chunk granularity** (§4.1.2's token-wise partitioning): it
+//! advances one restore state machine of [`crate::reactor`] on the
+//! calling thread — the machine the batch driver
+//! [`crate::reactor::restore_sessions_reactor`] advances N at a time on
+//! its worker pool. The machine submits its first layers' chunk reads to
+//! the manager's IO reactor before it runs the recompute prefix, so the
+//! devices serve them while the prefix's forward pass runs, and each
+//! advance projects (hidden layers) or places (KV layers) whatever
+//! contiguous prefix landed since the last one — compute on chunk `k`
+//! overlaps the IO of chunk `k+1` inside a layer, on top of the
+//! layer-to-layer overlap. The reactor module documents the schedule, the
+//! in-flight bounds and the blast radius.
 //!
 //! Because projection/norm/RoPE are row-wise (a chunk projected at its
 //! absolute start position is bit-equal to the same rows inside a whole-
@@ -77,49 +39,35 @@
 //! kernels are bit-for-bit equal to the serial ones, the pipelined restore
 //! returns a [`KvCache`] *bit-identical* to [`restore_session`]'s — the
 //! tests at the bottom enforce this across every scheme shape, thread
-//! counts 1–8, a bare manager and reactor iodepths 1–4.
+//! counts 1–8 and reactor iodepths 1–4.
 //!
 //! **The one facade path.** `HCacheSystem` attaches an IO reactor (one
 //! submission queue per storage device) to the manager it builds, so
 //! every `HCacheSystem::restore` / `round` — directly or through the cache
-//! controller — runs this executor with its streamed reads riding the
-//! reactor's device queues: one layer's chunks are striped over the
-//! devices, and all of them serve the restore at once.
-//!
-//! Prefetch failures are **typed**: a panicking backend inside the
-//! prefetch stage surfaces as
-//! [`RestoreError::PrefetchFailed`] carrying the layer index, instead of
-//! unwinding through the scope and tearing down whichever scheduler
-//! worker ran the restore — `RestoreScheduler` fails the one job and its
-//! worker lives on.
+//! controller — runs this executor: one layer's chunks are striped over
+//! the devices, and all of them serve the restore at once. A manager
+//! without a reactor has no IO plane to overlap: the pipelined entry point
+//! then runs the sequential reference. Only tests and benches build one.
 
-use crossbeam::channel::bounded;
 use hc_model::{layer, KvCache, Model};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
-use hc_storage::chunk::chunks_for_range;
-use hc_storage::manager::{DeliveredRows, RowSink, StorageManager};
-use hc_storage::{StateKind, StorageError, StreamId};
+use hc_storage::manager::StorageManager;
+use hc_storage::{StorageError, StreamId};
 use hc_tensor::{ParallelConfig, Tensor2};
 
-/// Errors surfaced by the pipelined restore executors.
+use crate::reactor::RestoreRequest;
+
+/// Errors surfaced by the pipelined restore drivers.
 #[derive(Debug, PartialEq)]
 pub enum RestoreError {
     /// A storage-layer failure while reading a layer's streams.
     Storage(StorageError),
-    /// The prefetch stage died while fetching `layer` — a panicking
-    /// [`ChunkStore`] implementation. Typed (rather than propagating the
-    /// panic through the thread scope) so a multi-session scheduler can
-    /// fail this one job and keep its worker.
-    PrefetchFailed {
-        /// Layer whose fetch was in flight when the stage died.
-        layer: usize,
-    },
-    /// The reactor-restore worker pool disconnected before this session
-    /// reached a terminal state — every compute worker died, so the
-    /// machine could never advance again. Typed so the surviving
-    /// sessions' results are still returned.
-    WorkerLost,
+    /// The step advancing this session's restore panicked — a bug in a
+    /// model kernel or a backend call outside the read jobs' own
+    /// containment. Typed so the thread advancing the restore lives on
+    /// and a batch still returns every other session's result.
+    Panicked,
 }
 
 impl From<StorageError> for RestoreError {
@@ -132,12 +80,7 @@ impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreError::Storage(e) => write!(f, "storage error: {e}"),
-            RestoreError::PrefetchFailed { layer } => {
-                write!(f, "prefetch stage failed while fetching layer {layer}")
-            }
-            RestoreError::WorkerLost => {
-                write!(f, "restore worker pool disconnected before completion")
-            }
+            RestoreError::Panicked => write!(f, "restore state machine panicked"),
         }
     }
 }
@@ -146,7 +89,7 @@ impl std::error::Error for RestoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RestoreError::Storage(e) => Some(e),
-            RestoreError::PrefetchFailed { .. } | RestoreError::WorkerLost => None,
+            RestoreError::Panicked => None,
         }
     }
 }
@@ -328,242 +271,26 @@ pub fn restore_session_with_methods<S: ChunkStore>(
     Ok(kv)
 }
 
-/// Floor for the chunk-streaming pipeline's channel depth (chunks), so a
-/// manager without a reactor still keeps the prefetcher a few chunks ahead.
-const MIN_CHUNK_DEPTH: usize = 4;
-
-/// One token-chunk work item flowing from the streaming prefetcher to the
-/// compute stage.
-enum ChunkMsg {
-    /// A decoded chunk slice of (layer, kind) landed.
-    Rows {
-        layer: usize,
-        kind: StateKind,
-        slice_idx: usize,
-        row_start: usize,
-        rows: Tensor2,
-    },
-    /// (layer, kind)'s stream was invalidated mid-flight by a concurrent
-    /// delete: discard that stream's progress; every slice is redelivered.
-    Reset { layer: usize, kind: StateKind },
-    /// The prefetch stage is done for good (storage error or panic).
-    Failed { err: RestoreError },
-}
-
-/// [`RowSink`] that forwards each streamed chunk of one (layer, kind)
-/// stream into the pipeline's bounded channel. A send failure means the
-/// compute stage is gone (error return or panic): the sink cancels the
-/// rest of the read.
-struct ChannelSink<'a> {
-    tx: &'a crossbeam::channel::Sender<ChunkMsg>,
-    layer: usize,
-    kind: StateKind,
-    cancelled: bool,
-}
-
-impl RowSink for ChannelSink<'_> {
-    fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-        let sent = self
-            .tx
-            .send(ChunkMsg::Rows {
-                layer: self.layer,
-                kind: self.kind,
-                slice_idx: chunk.slice_idx,
-                row_start: chunk.row_start,
-                rows: chunk.rows,
-            })
-            .is_ok();
-        self.cancelled |= !sent;
-        sent
-    }
-
-    fn reset(&mut self) {
-        self.cancelled |= self
-            .tx
-            .send(ChunkMsg::Reset {
-                layer: self.layer,
-                kind: self.kind,
-            })
-            .is_err();
-    }
-}
-
-/// Compute-side assembly of one stream (hidden, K or V) of the layer
-/// currently being restored: a destination-sized staging tensor plus the
-/// contiguous-prefix bookkeeping that drives incremental consumption.
-/// Shared with the event-driven [`crate::reactor`] driver, whose restore
-/// state machines assemble streams the same way.
-pub(crate) struct StreamAssembly {
-    pub(crate) staged: Tensor2,
-    /// Which slices (64-token chunks of `0..n_tokens`) have landed.
-    pub(crate) received: Vec<bool>,
-    /// Leading received slices.
-    pub(crate) ready_slices: usize,
-    /// Rows covered by the leading received slices — the contiguous
-    /// prefix compute may consume.
-    pub(crate) ready_rows: usize,
-}
-
-impl StreamAssembly {
-    pub(crate) fn new(n_tokens: usize, d_model: usize, n_slices: usize) -> Self {
-        Self {
-            staged: Tensor2::zeros(n_tokens, d_model),
-            received: vec![false; n_slices],
-            ready_slices: 0,
-            ready_rows: 0,
-        }
-    }
-
-    /// Places one delivered chunk and advances the contiguous prefix.
-    pub(crate) fn place(
-        &mut self,
-        slice_idx: usize,
-        row_start: usize,
-        rows: &Tensor2,
-        slice_rows: &[usize],
-    ) {
-        // A chunk's rows are contiguous in both tensors (equal `d_model`).
-        let d = self.staged.cols();
-        debug_assert_eq!(rows.cols(), d, "chunk width differs from staging");
-        self.staged.as_mut_slice()[row_start * d..][..rows.as_slice().len()]
-            .copy_from_slice(rows.as_slice());
-        self.received[slice_idx] = true;
-        while self.ready_slices < self.received.len() && self.received[self.ready_slices] {
-            self.ready_rows += slice_rows[self.ready_slices];
-            self.ready_slices += 1;
-        }
-    }
-
-    /// Whether every slice has landed: the stream's read is over, nothing
-    /// more (not even a reset) will arrive for it.
-    pub(crate) fn complete(&self) -> bool {
-        self.ready_slices == self.received.len()
-    }
-
-    /// Forgets everything (a tombstone reset): the stream redelivers all
-    /// slices, overwriting the dead generation's staged rows.
-    pub(crate) fn reset(&mut self) {
-        self.received.iter_mut().for_each(|r| *r = false);
-        self.ready_slices = 0;
-        self.ready_rows = 0;
-    }
-}
-
-/// The streams a storage-backed layer is read from, in the order the
-/// prefetcher streams them.
-fn layer_streams(method: LayerMethod) -> &'static [StateKind] {
-    match method {
-        LayerMethod::Hidden => &[StateKind::Hidden],
-        LayerMethod::KvOffload => &[StateKind::Key, StateKind::Value],
-        LayerMethod::Recompute => unreachable!("recompute layers read no stream"),
-    }
-}
-
-/// The assembly of `kind`'s stream among the current layer's `streams`.
-fn stream_mut(streams: &mut [(StateKind, StreamAssembly)], kind: StateKind) -> &mut StreamAssembly {
-    match streams.iter_mut().find(|(k, _)| *k == kind) {
-        Some((_, asm)) => asm,
-        None => unreachable!("the layer being assembled streams no {kind:?} rows"),
-    }
-}
-
-/// How one [`drain_landed`] turn ended.
-#[derive(Debug, PartialEq)]
-enum Drained {
-    /// Chunks were staged; the layer's contiguous prefix may have grown.
-    Staged,
-    /// A stream of the layer was invalidated: its staging is forgotten and
-    /// the caller must roll the layer's installed rows back.
-    Reset,
-}
-
-/// One greedy turn of the compute stage on layer `l`: blocks for the next
-/// message, then stages everything that has **already landed** for the
-/// layer without blocking again, so the caller projects/places one batch
-/// per turn however many chunks arrived while it was busy. The turn ends
-/// * when the channel is momentarily empty — an IO-bound restore then
-///   batches whatever the devices completed together, a compute-bound one
-///   (memcpy-speed reads) finds the whole layer waiting;
-/// * the moment every stream of the layer is complete: the prefetcher
-///   finishes a layer's streams before it starts the next, so the message
-///   behind a complete layer belongs to layer `l + 1` and stays queued;
-/// * at a `Reset`, after forgetting that stream's staging — what this
-///   turn staged for it is discarded with the rest, and nothing behind the
-///   reset is taken before the caller rolled the layer back;
-/// * at a `Failed`, which returns the prefetch stage's error at once.
-fn drain_landed(
-    rx: &crossbeam::channel::Receiver<ChunkMsg>,
-    l: usize,
-    streams: &mut [(StateKind, StreamAssembly)],
-    slice_rows: &[usize],
-) -> Result<Drained, RestoreError> {
-    let mut msg = rx
-        .recv()
-        .map_err(|_| RestoreError::PrefetchFailed { layer: l })?;
-    loop {
-        match msg {
-            ChunkMsg::Rows {
-                layer,
-                kind,
-                slice_idx,
-                row_start,
-                rows,
-            } => {
-                debug_assert_eq!(layer, l, "chunk from a future layer");
-                stream_mut(streams, kind).place(slice_idx, row_start, &rows, slice_rows);
-            }
-            ChunkMsg::Reset { layer, kind } => {
-                debug_assert_eq!(layer, l, "reset from a future layer");
-                stream_mut(streams, kind).reset();
-                return Ok(Drained::Reset);
-            }
-            ChunkMsg::Failed { err } => return Err(err),
-        }
-        if streams.iter().all(|(_, asm)| asm.complete()) {
-            return Ok(Drained::Staged);
-        }
-        match rx.try_recv() {
-            Ok(next) => msg = next,
-            // Empty, or the prefetcher is gone: the next blocking `recv`
-            // tells which.
-            Err(_) => return Ok(Drained::Staged),
-        }
-    }
-}
-
 /// [`restore_session_with_methods`] restructured as the paper's
-/// bubble-free two-stream pipeline at **token-chunk granularity**: the
-/// prefetch thread streams decoded 64-token chunks as their IO lands, and
-/// the calling thread projects each hidden layer's newly contiguous prefix
-/// (under `par`'s thread budget) or places K/V chunks into the destination
-/// cache incrementally — so compute on chunk `k` overlaps the IO of chunk
-/// `k+1` inside a layer, on top of the layer-to-layer overlap. The
-/// recompute prefix's forward pass runs before the first chunk is awaited
-/// (also under `par`'s budget, bit-identical to serial), so it overlaps
-/// the prefetcher and a restore dominated by demoted layers still uses its
-/// thread share. See the module docs for the schedule correspondence and
-/// in-flight bounds.
+/// bubble-free two-stream pipeline at **token-chunk granularity**: one
+/// restore state machine ([`crate::reactor`]) advanced on the calling
+/// thread, its chunk reads riding the manager's IO reactor — every device
+/// holding a chunk of the layer serves it at once — while the calling
+/// thread runs the recompute prefix and projects each hidden layer's newly
+/// landed prefix (or places K/V chunks into the destination cache) under
+/// `par`'s thread budget. See the module docs for the schedule; the result
+/// is bit-identical to [`restore_session_with_methods`]'s for every mix,
+/// model, iodepth and thread count. Over a manager without a reactor this
+/// *is* [`restore_session_with_methods`].
 ///
 /// Takes an explicit per-layer method vector because the cache
 /// controller's demotion ladder produces three-way mixes no
 /// [`PartitionScheme`] can express; callers holding a scheme pass
 /// `&scheme.layer_methods(n_layers)`.
 ///
-/// A prefetch-thread panic (buggy backend) is isolated and surfaced as
-/// [`RestoreError::PrefetchFailed`] with the in-flight layer index — the
-/// caller's thread never unwinds.
-///
-/// This is the executor behind every `HCacheSystem` restore: the facade's
-/// manager carries an IO reactor, so the streamed reads ride its
-/// per-device submission queues and every device holding a chunk of the
-/// layer serves it at once, while the compute stage batches greedily — it
-/// projects/places whatever prefix has landed since its last call, so
-/// GEMM granularity follows the bound (per chunk when IO-bound, about one
-/// GEMM per layer when reads are memcpy-speed; see the module docs). Over
-/// a manager without a reactor the same pipeline is fed chunk by chunk in
-/// range order by the sequential walk. Either way the result is
-/// bit-identical to [`restore_session_with_methods`]'s for every mix,
-/// model, iodepth and thread count.
+/// A panicking backend fails the restore with a typed
+/// [`RestoreError::Storage`] (`StorageError::Io`) — the caller's thread
+/// never unwinds.
 ///
 /// # Panics
 /// Panics when `methods` does not cover the model's layers or when its
@@ -577,180 +304,18 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
     methods: &[LayerMethod],
     par: &ParallelConfig,
 ) -> Result<KvCache, RestoreError> {
-    let cfg = &model.cfg;
-    assert_eq!(methods.len(), cfg.n_layers, "methods do not cover model");
-
-    let n_recompute = methods
-        .iter()
-        .take_while(|m| **m == LayerMethod::Recompute)
-        .count();
-    assert!(
-        methods[n_recompute..]
-            .iter()
-            .all(|m| *m != LayerMethod::Recompute),
-        "recompute layers must form a prefix (§4.1.2)"
-    );
-
-    // Chunk geometry of one stream's full range, shared by every layer.
-    let slice_rows: Vec<usize> = chunks_for_range(0, n_tokens as u64)
-        .iter()
-        .map(|s| s.len as usize)
-        .collect();
-    let n_slices = slice_rows.len();
-    let depth = (mgr.read_parallelism() * 2).max(MIN_CHUNK_DEPTH);
-
-    let mut kv = KvCache::new(cfg);
-    std::thread::scope(|scope| -> Result<(), RestoreError> {
-        // IO stream: walk storage-backed layers in restoration order,
-        // streaming each decoded chunk into the bounded channel the moment
-        // its IO lands. Panics are contained per layer and converted to a
-        // typed failure message.
-        let (tx, rx) = bounded::<ChunkMsg>(depth);
-        scope.spawn(move || {
-            for (l, method) in methods.iter().enumerate().skip(n_recompute) {
-                let kinds = layer_streams(*method);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || -> Result<bool, StorageError> {
-                        for &kind in kinds {
-                            let stream = StreamId {
-                                session,
-                                layer: l as u32,
-                                kind,
-                            };
-                            let mut sink = ChannelSink {
-                                tx: &tx,
-                                layer: l,
-                                kind,
-                                cancelled: false,
-                            };
-                            mgr.read_rows_streaming(stream, 0, n_tokens as u64, &mut sink)?;
-                            if sink.cancelled {
-                                return Ok(false);
-                            }
-                        }
-                        Ok(true)
-                    },
-                ));
-                let err = match outcome {
-                    Ok(Ok(true)) => continue,
-                    // The compute stage is gone (panic or early error
-                    // return); this stream is done.
-                    Ok(Ok(false)) => return,
-                    Ok(Err(e)) => RestoreError::Storage(e),
-                    Err(_panic) => RestoreError::PrefetchFailed { layer: l },
-                };
-                let _ = tx.send(ChunkMsg::Failed { err });
-                return;
-            }
-        });
-
-        // Compute stream. The recompute prefix needs no IO, so it runs
-        // first and overlaps the prefetcher — the schedule's fill stage.
-        if n_recompute > 0 {
-            assert!(
-                tokens.len() >= n_tokens,
-                "recompute layers need the original tokens"
-            );
-            let mut hidden = model.embed_tokens(&tokens[..n_tokens], 0);
-            for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
-                let (next, new_k, new_v) =
-                    layer::layer_forward_par(cfg, lw, &hidden, kv.keys(l), kv.values(l), 0, par);
-                kv.append(l, &new_k, &new_v);
-                hidden = next;
-            }
-        }
-
-        // Then consume chunk work items, one layer at a time, batching
-        // greedily: each turn takes everything that has already landed for
-        // the layer and projects/places the whole newly contiguous prefix
-        // in one call.
-        for (l, method) in methods.iter().enumerate().skip(n_recompute) {
-            let mut streams: Vec<(StateKind, StreamAssembly)> = layer_streams(*method)
-                .iter()
-                .map(|&kind| (kind, StreamAssembly::new(n_tokens, cfg.d_model, n_slices)))
-                .collect();
-            // Rows of layer `l` already in the cache; chases the prefix
-            // every stream of the layer has contiguously delivered.
-            let mut installed = 0usize;
-            while installed < n_tokens {
-                if drain_landed(&rx, l, &mut streams, &slice_rows)? == Drained::Reset {
-                    // The reset stream redelivers every slice, so the
-                    // prefix regrows from row 0 (a KV layer's other
-                    // stream keeps its staging).
-                    kv.truncate_layer(l, 0);
-                    installed = 0;
-                    continue;
-                }
-                let ready = streams
-                    .iter()
-                    .map(|(_, asm)| asm.ready_rows)
-                    .min()
-                    .unwrap_or(0);
-                if ready <= installed {
-                    continue;
-                }
-                match streams.as_slice() {
-                    // Project the newly contiguous rows at their absolute
-                    // positions: row-wise norm/GEMM/RoPE make this
-                    // bit-equal to a whole-layer projection.
-                    [(_, hidden)] => {
-                        let h = hidden.staged.slice_rows(installed, ready);
-                        let (k, v) = model.restore_layer_kv_par(l, &h, installed, par);
-                        kv.append(l, &k, &v);
-                    }
-                    // Install the prefix both K and V have delivered.
-                    [(_, k), (_, v)] => kv.append(
-                        l,
-                        &k.staged.slice_rows(installed, ready),
-                        &v.staged.slice_rows(installed, ready),
-                    ),
-                    _ => unreachable!("a layer streams hidden or K+V"),
-                }
-                installed = ready;
-            }
-        }
-        Ok(())
-    })?;
-
-    debug_assert!(kv.is_consistent());
-    Ok(kv)
-}
-
-/// The work-queue harness behind `hc-cachectl`'s thread-per-restore
-/// `RestoreScheduler` mode: applies `f` to every item with up to `workers`
-/// scoped threads pulling from a shared queue (so a slow item never
-/// convoys the others behind a fixed assignment), returning results in
-/// item order. With one worker (or ≤ 1 item) it runs inline — no threads
-/// spawned.
-pub fn map_concurrent<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = workers.clamp(1, items.len().max(1));
-    if workers == 1 {
-        return items.iter().map(f).collect();
+    if mgr.reactor().is_none() {
+        return Ok(restore_session_with_methods(
+            model, mgr, session, tokens, n_tokens, methods,
+        )?);
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<R>>> = items
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // hc-analyze: allow(relaxed) work-stealing index: fetch_add uniqueness is all that matters; slot data is published by the Mutex
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock() = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        // hc-analyze: allow(panic) scope-join invariant: every index below items.len() was claimed and filled before scope exit
-        .map(|s| s.into_inner().expect("worker filled every slot"))
-        .collect()
+    let request = RestoreRequest {
+        session,
+        tokens: tokens.to_vec(),
+        n_tokens,
+        methods: methods.to_vec(),
+    };
+    crate::reactor::restore_on_caller(model, mgr, &request, par)
 }
 
 /// Maximum element-wise error between two KV caches (over keys and values
@@ -792,11 +357,13 @@ mod tests {
         fixture_of(seed, N_TOKENS)
     }
 
-    /// A prefilled `n_tokens` history and an empty plain manager.
+    /// A prefilled `n_tokens` history and an empty manager over an IO
+    /// reactor — the shape every facade restore runs on.
     fn fixture_of(seed: u64, n_tokens: usize) -> Fixture {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, seed);
-        let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model);
+        let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+            .with_reactor(Reactor::new(4, 2));
         let tokens: Vec<u32> = (0..n_tokens as u32)
             .map(|i| (i * 37 + seed as u32) % 256)
             .collect();
@@ -992,40 +559,35 @@ mod tests {
 
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
-        // Every scheme shape × thread counts 1–8, over a plain manager
-        // (chunk streaming fed in range order by the sequential walk) and
-        // over reactor-attached ones at iodepth 1/2/4 (completions out of
-        // order). 144 tokens = two device chunks and a buffered tail per
+        // Every scheme shape × thread counts 1–8 × reactor iodepths 1/2/4
+        // (completions out of order) through the single-session driver,
+        // against the sequential reference over a manager without a
+        // reactor. 144 tokens = two device chunks and a buffered tail per
         // stream.
         const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
             let f = fixture_of(41 + i as u64, MATRIX_TOKENS);
-            save_session_state(&f.model, &f.mgr, 1, &f.hidden, &f.reference_kv, &scheme).unwrap();
+            let save = |mgr: &StorageManager<MemStore>| {
+                save_session_state(&f.model, mgr, 1, &f.hidden, &f.reference_kv, &scheme).unwrap();
+            };
+            let plain = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model);
+            save(&plain);
             let seq =
-                restore_session(&f.model, &f.mgr, 1, &f.tokens, MATRIX_TOKENS, &scheme).unwrap();
-            let reactor_mgrs: Vec<_> = [1usize, 2, 4]
-                .into_iter()
-                .map(|iodepth| {
-                    let mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model)
-                        .with_reactor(Reactor::new(4, iodepth));
-                    save_session_state(&f.model, &mgr, 1, &f.hidden, &f.reference_kv, &scheme)
-                        .unwrap();
-                    (iodepth, mgr)
-                })
-                .collect();
+                restore_session(&f.model, &plain, 1, &f.tokens, MATRIX_TOKENS, &scheme).unwrap();
             let methods = scheme.layer_methods(4);
-            for threads in [1usize, 2, 4, 8] {
-                let par = hc_tensor::ParallelConfig::new(threads);
-                let plain = std::iter::once((0usize, &f.mgr));
-                for (iodepth, mgr) in plain.chain(reactor_mgrs.iter().map(|(d, m)| (*d, m))) {
+            for iodepth in [1usize, 2, 4] {
+                let mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model)
+                    .with_reactor(Reactor::new(4, iodepth));
+                save(&mgr);
+                for threads in [1usize, 2, 4, 8] {
                     let piped = restore_session_pipelined_with_methods(
                         &f.model,
-                        mgr,
+                        &mgr,
                         1,
                         &f.tokens,
                         MATRIX_TOKENS,
                         &methods,
-                        &par,
+                        &ParallelConfig::new(threads),
                     )
                     .unwrap();
                     assert_eq!(
@@ -1038,139 +600,18 @@ mod tests {
         }
     }
 
-    /// A `Rows` message of `rows` rows filled with `fill`.
-    fn rows_msg(
-        layer: usize,
-        kind: StateKind,
-        slice_idx: usize,
-        row_start: usize,
-        rows: usize,
-        fill: f32,
-    ) -> ChunkMsg {
-        ChunkMsg::Rows {
-            layer,
-            kind,
-            slice_idx,
-            row_start,
-            rows: Tensor2::from_vec(rows, 2, vec![fill; rows * 2]),
-        }
-    }
-
-    /// Messages still queued behind a drain (drains the channel).
-    fn left_queued(rx: &crossbeam::channel::Receiver<ChunkMsg>) -> usize {
-        std::iter::from_fn(|| rx.try_recv().ok()).count()
-    }
-
     #[test]
-    fn drain_takes_everything_landed_and_stops_at_reset_failure_and_layer_end() {
-        // Three 64-row slices per stream, d_model 2, fed by hand so each
-        // stop condition is hit exactly.
-        let slice_rows = [64usize, 64, 64];
-        let asm = |kind| (kind, StreamAssembly::new(192, 2, 3));
-        let reset = |layer, kind| ChunkMsg::Reset { layer, kind };
-        let feed = |msgs: Vec<ChunkMsg>| {
-            let (tx, rx) = bounded::<ChunkMsg>(16);
-            msgs.into_iter().for_each(|m| tx.send(m).unwrap());
-            (tx, rx)
-        };
-        use StateKind::{Hidden, Key, Value};
-
-        // A burst: slices 2, 1, 0 landed (out of order) before the compute
-        // stage looked — one turn stages all three, and because that
-        // completes the layer, the next layer's chunk stays queued.
-        let mut hidden = [asm(Hidden)];
-        let (_tx, rx) = feed(vec![
-            rows_msg(0, Hidden, 2, 128, 64, 3.0),
-            rows_msg(0, Hidden, 1, 64, 64, 2.0),
-            rows_msg(0, Hidden, 0, 0, 64, 1.0),
-            rows_msg(1, Hidden, 0, 0, 64, 9.0),
-        ]);
-        assert_eq!(
-            drain_landed(&rx, 0, &mut hidden, &slice_rows),
-            Ok(Drained::Staged)
-        );
-        assert_eq!(hidden[0].1.ready_rows, 192, "one turn took the whole burst");
-        assert_eq!(hidden[0].1.staged.row(0), &[1.0, 1.0]);
-        assert_eq!(hidden[0].1.staged.row(191), &[3.0, 3.0]);
-        assert_eq!(left_queued(&rx), 1, "the next layer's chunk was popped");
-
-        // A reset in the middle of a drain: the turn ends there with the
-        // stream's staging forgotten and the redelivery behind it queued;
-        // the next turn stages the redelivery until the channel runs dry.
-        let mut hidden = [asm(Hidden)];
-        let (_tx, rx) = feed(vec![
-            rows_msg(1, Hidden, 0, 0, 64, 9.0),
-            rows_msg(1, Hidden, 1, 64, 64, 9.0),
-            reset(1, Hidden),
-            rows_msg(1, Hidden, 0, 0, 64, 5.0),
-        ]);
-        assert_eq!(
-            drain_landed(&rx, 1, &mut hidden, &slice_rows),
-            Ok(Drained::Reset)
-        );
-        assert_eq!(hidden[0].1.ready_rows, 0, "the drain's staging survived");
-        assert_eq!(
-            drain_landed(&rx, 1, &mut hidden, &slice_rows),
-            Ok(Drained::Staged)
-        );
-        assert_eq!(hidden[0].1.ready_rows, 64);
-        assert_eq!(hidden[0].1.staged.row(0), &[5.0, 5.0]);
-
-        // KV layer: a V reset forgets V's staging only — K keeps its
-        // prefix, so the paired prefix regrows as V redelivers.
-        let mut kv = [asm(Key), asm(Value)];
-        let (_tx, rx) = feed(vec![
-            rows_msg(2, Key, 0, 0, 64, 1.0),
-            rows_msg(2, Key, 1, 64, 64, 1.0),
-            rows_msg(2, Key, 2, 128, 64, 1.0),
-            rows_msg(2, Value, 0, 0, 64, 2.0),
-            reset(2, Value),
-            rows_msg(2, Value, 0, 0, 64, 2.0),
-        ]);
-        assert_eq!(
-            drain_landed(&rx, 2, &mut kv, &slice_rows),
-            Ok(Drained::Reset)
-        );
-        assert_eq!((kv[0].1.ready_rows, kv[1].1.ready_rows), (192, 0));
-        assert_eq!(left_queued(&rx), 1);
-
-        // A failure returns at once, leaving what is behind it; a vanished
-        // prefetcher is the typed failure of the layer being assembled
-        // once the channel has run dry.
-        let (tx, rx) = feed(vec![
-            rows_msg(2, Value, 0, 0, 64, 2.0),
-            ChunkMsg::Failed {
-                err: RestoreError::WorkerLost,
-            },
-            rows_msg(2, Value, 1, 64, 64, 2.0),
-        ]);
-        assert_eq!(
-            drain_landed(&rx, 2, &mut kv, &slice_rows),
-            Err(RestoreError::WorkerLost)
-        );
-        drop(tx);
-        assert_eq!(
-            drain_landed(&rx, 2, &mut kv, &slice_rows),
-            Ok(Drained::Staged)
-        );
-        assert_eq!(
-            drain_landed(&rx, 2, &mut kv, &slice_rows),
-            Err(RestoreError::PrefetchFailed { layer: 2 })
-        );
-    }
-
-    #[test]
-    fn greedy_drain_restores_bit_identically_through_a_burst_and_a_mid_drain_delete_reappend() {
+    fn burst_and_mid_stream_delete_reappend_restore_bit_identically() {
         // A reactor-attached manager over a FaultStore, 320-token history
         // (five chunks per stream), hidden ×3 + KV ×1. For one hidden
         // stream and for the KV layer's V stream in turn: the first chunk
         // read of the stream to start is held back inside the store until
         // the fourth one starts — so its siblings land as a burst ahead of
-        // it — and that fourth read first deletes the stream and
-        // re-appends a different generation of the same size, so the
-        // reset reaches the compute stage in the middle of a drain. The
-        // restore must equal the sequential restore of the successor
-        // state, bit for bit.
+        // it and one pump places them together — and that fourth read
+        // first deletes the stream and re-appends a different generation
+        // of the same size, so the reset reaches a layer whose prefix is
+        // partly placed. The restore must equal the sequential restore of
+        // the successor state, bit for bit.
         use hc_storage::fault::FaultStore;
         use std::sync::mpsc;
 
@@ -1247,11 +688,14 @@ mod tests {
     }
 
     /// MemStore wrapper that panics on any read of one poisoned layer's
-    /// streams — the "buggy backend" the typed prefetch failure isolates.
+    /// streams — the "buggy backend" a restore must fail typed on. With
+    /// `front_tier` every chunk is a DRAM-front hit, read inline by the
+    /// thread pumping the restore instead of on a reactor IO thread.
     struct PanicStore {
         inner: MemStore,
         poison_session: u64,
         poison_layer: u32,
+        front_tier: bool,
     }
 
     impl hc_storage::backend::ChunkStore for PanicStore {
@@ -1287,17 +731,19 @@ mod tests {
         fn stats(&self) -> hc_storage::backend::StoreStats {
             self.inner.stats()
         }
+
+        fn chunk_in_fast_tier(&self, _key: hc_storage::chunk::ChunkKey) -> bool {
+            self.front_tier
+        }
     }
 
     #[test]
     fn prefetch_panic_is_a_typed_error_not_a_teardown() {
-        // Session 5's layer-2 stream panics the backend mid-restore. Over
-        // a bare manager the read runs on the prefetch thread, whose
-        // unwind must come back as PrefetchFailed { layer: 2 } on the
-        // calling thread; over a reactor the read runs on a device IO
-        // thread, which converts the unwind to a typed storage error. In
-        // both cases nothing is torn down: the healthy session restores
-        // bit-identically on the same manager afterwards.
+        // Session 5's layer-2 stream panics the backend mid-restore, read
+        // on a device IO thread or — as a front-tier hit — inline on the
+        // calling thread. Either way the unwind comes back as a typed
+        // storage error and nothing is torn down: the healthy session
+        // restores bit-identically on the same manager afterwards.
         const TOKENS: usize = 144; // two device chunks: rides the reactor
         let cfg = hc_model::ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 83);
@@ -1309,16 +755,14 @@ mod tests {
                 .map(|t| (t * 31 + s as u32) % 256)
                 .collect()
         };
-        for reactor in [None, Some(Reactor::new(4, 2))] {
+        for front_tier in [false, true] {
             let store = Arc::new(PanicStore {
                 inner: MemStore::new(4),
                 poison_session: 5,
                 poison_layer: 2,
+                front_tier,
             });
-            let mut mgr = StorageManager::new(store, cfg.d_model);
-            if let Some(r) = &reactor {
-                mgr = mgr.with_reactor(Arc::clone(r));
-            }
+            let mgr = StorageManager::new(store, cfg.d_model).with_reactor(Reactor::new(4, 2));
             for s in [1u64, 5] {
                 let mut kv = KvCache::new(&cfg);
                 let out = model.prefill(&tokens_of(s), &mut kv, true);
@@ -1335,13 +779,10 @@ mod tests {
                 &par,
             )
             .unwrap_err();
-            match reactor {
-                None => assert_eq!(err, RestoreError::PrefetchFailed { layer: 2 }),
-                Some(_) => assert!(
-                    matches!(err, RestoreError::Storage(StorageError::Io(_))),
-                    "a panic on a device IO thread must come back typed: {err:?}"
-                ),
-            }
+            assert!(
+                matches!(err, RestoreError::Storage(StorageError::Io(_))),
+                "a backend panic (front tier: {front_tier}) must come back typed: {err:?}"
+            );
             let reference =
                 restore_session_with_methods(&model, &mgr, 1, &tokens_of(1), TOKENS, &methods)
                     .unwrap();
@@ -1363,9 +804,8 @@ mod tests {
     fn pipelined_restore_missing_state_is_an_error_not_a_hang() {
         let f = fixture(43);
         let scheme = PartitionScheme::pure_hidden(4);
-        // Nothing saved for session 77: the IO stream must surface the
-        // error and both stages must shut down (no deadlock on the bounded
-        // channel).
+        // Nothing saved for session 77: the read jobs must surface the
+        // error and the restore must return instead of waiting on IO.
         let err = restore_session_pipelined_with_methods(
             &f.model,
             &f.mgr,

@@ -1,34 +1,52 @@
-//! Event-driven many-session restore driver: thousands of concurrent
-//! restores on a fixed thread budget.
+//! The restore executor: every pipelined restore is one state machine,
+//! whichever driver advances it.
 //!
-//! A thread-per-restore batch gives each in-flight session a worker (plus
-//! a prefetch thread), so in-flight restores are clamped to the host
-//! thread grant — fine for 8 sessions, wrong for 10k. This module drives
-//! each restore as a **state machine** advanced by a small pool of compute
-//! workers, with all IO riding the storage manager's
+//! HCache's bubble-free restoration (§4.1.2) is one schedule — a restore's
+//! storage reads stream while its projection and its recompute prefix
+//! run — and this module executes it as one [`Machine`] per session, in
+//! two drivers:
+//!
+//! * the **single-session driver** behind
+//!   [`restore_session_pipelined_with_methods`](crate::engine::restore_session_pipelined_with_methods)
+//!   advances one machine on the calling thread, which sleeps on the
+//!   machine's `notify` between advances;
+//! * the **batch driver** [`restore_sessions_reactor`] advances up to
+//!   `max_inflight` machines on a small pool of compute workers, so
+//!   thousands of restores share a fixed thread budget.
+//!
+//! A machine holds its `KvCache` under construction plus a sliding window
+//! of active layers ([`LAYER_WINDOW`]), each layer holding one
+//! [`ReactorReadJob`] per stream (one for hidden layers, K+V for
+//! KV-offloaded layers), all IO riding the storage manager's
 //! [`Reactor`](hc_storage::reactor::Reactor) submission queues:
 //!
-//! * Each admitted session becomes a [`Machine`]: its `KvCache` under
-//!   construction, plus a sliding window of active layers
-//!   ([`LAYER_WINDOW`]), each layer holding one
-//!   [`ReactorReadJob`] per stream (one for hidden layers, K+V for
-//!   KV-offloaded layers).
-//! * IO completions fire the machine's `notify` callback, which enqueues
-//!   the machine's index on a shared
-//!   [`WorkQueue`](hc_storage::reactor::WorkQueue) (deduplicated by a
-//!   per-machine pending flag, so a burst of completions costs one wakeup).
-//! * `workers` compute threads pop machine indices and **advance** them:
-//!   pump every active job (decode staged chunks, project/place newly
-//!   contiguous prefixes into the cache — the same incremental consumption
-//!   as the single-session chunk pipeline), retire finished layers, and
-//!   submit the next layer's reads.
-//! * The main thread admits sessions into a `max_inflight` window
-//!   (bounding staging memory to `max_inflight × LAYER_WINDOW` layers) and
-//!   records each session's restore latency for TTFR accounting.
+//! * Its first advance opens the first layer window and submits those
+//!   reads **before** it runs the recompute prefix, so the devices serve
+//!   the window while the prefix's forward pass runs — the
+//!   `compute_needs_io = false` tasks at the front of a
+//!   `sched::pipeline::Timeline`. (Recomputing first leaves the devices
+//!   idle for the whole prefix: the bubble §4.1.2 exists to remove.)
+//! * Every advance pumps each active job, places the chunks that landed
+//!   and projects (hidden layers, at absolute positions) or installs (KV
+//!   layers, as both streams' prefixes pair up) the newly contiguous
+//!   prefix in one call, retires finished layers and submits the next
+//!   layer's reads. Each pump projects whatever landed since the last
+//!   one, so the GEMM granularity follows the bound with no mode and no
+//!   parameter: when the devices are the bound a pump finds a chunk or
+//!   two and the projection overlaps the reads still in flight; when
+//!   compute is the bound (`MemStore`, page-cache reads) a pump finds the
+//!   rest of the layer waiting and a layer costs one or two GEMMs.
+//! * IO completions fire the machine's `notify`. The batch driver turns
+//!   it into a token on a shared
+//!   [`WorkQueue`](hc_storage::reactor::WorkQueue), deduplicated by a
+//!   per-machine pending flag, so a burst of completions costs one
+//!   wakeup; the single-session driver drains a channel.
 //!
-//! In-flight restores are therefore bounded by **memory and iodepth**, not
-//! threads: `n_devices × iodepth` reactor IO threads plus `workers`
-//! compute threads serve any number of admitted sessions.
+//! What may be in flight per restore is bounded: `LAYER_WINDOW` layers of
+//! staging and each job's reactor window of chunk reads — never the whole
+//! restore. The batch driver's admission window bounds machines in flight
+//! by memory and iodepth, not threads: `n_devices × iodepth` reactor IO
+//! threads plus `workers` compute threads serve any number of them.
 //!
 //! # Determinism and blast radius
 //!
@@ -36,44 +54,53 @@
 //! chunk decode via the manager's helpers, row-wise projection at absolute
 //! positions, paired K/V prefix installation — so each restored cache is
 //! **bit-identical** to [`restore_session_with_methods`]'s, at any worker
-//! count, iodepth, or admission window (the tests enforce this). A failing
-//! session (missing stream, dead device, even a panicking backend — the
-//! reactor converts IO panics to typed [`StorageError::Io`] completions)
-//! resolves only its own slot to `Err`; its machine is torn down, its
-//! admission slot is recycled, and every other machine advances
-//! untouched.
+//! count, thread budget, iodepth or admission window (the tests enforce
+//! this). A mid-stream tombstone (concurrent delete/re-append) resets the
+//! layer being assembled — [`KvCache::truncate_layer`] rolls back exactly
+//! the rows placed for it — and the stream redelivers wholesale, so the
+//! incremental placement never leaks a dead generation.
+//!
+//! A failing session (missing stream, dead device, a panicking backend —
+//! the read jobs convert those panics to typed [`StorageError::Io`]
+//! results) resolves only its own result to `Err`; a panic anywhere else
+//! in an advance fails the session as [`RestoreError::Panicked`]. Its
+//! machine is torn down, and every other machine — and the thread that
+//! advanced it — carries on.
 //!
 //! When the manager's [`RetryPolicy`](hc_storage::health::RetryPolicy)
-//! carries an IO deadline, the admission thread also acts as a stall
-//! watchdog: if no session completes for a deadline's worth of time it
-//! sweeps the live machines and expires any read job whose IO made no
+//! carries an IO deadline, both drivers watch for stalls: after a
+//! deadline's worth of silence they expire any read job whose IO made no
 //! progress for the deadline (`ReactorReadJob::expire_stalled`), typing
-//! that one session's next pump as a transient
-//! [`StorageError::DeviceFailed`](hc_storage::StorageError) — a wedged
-//! device submission can never hang the batch.
+//! that session's next advance as a transient
+//! [`StorageError::DeviceFailed`] — a wedged device submission can never
+//! hang a restore.
+//!
+//! [`restore_session_with_methods`]: crate::engine::restore_session_with_methods
+//! [`StorageError::Io`]: hc_storage::StorageError::Io
+//! [`StorageError::DeviceFailed`]: hc_storage::StorageError::DeviceFailed
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use hc_model::{layer, KvCache, Model};
+use hc_model::{layer, KvCache, Model, ModelConfig};
 use hc_sched::partition::LayerMethod;
 use hc_storage::backend::ChunkStore;
 use hc_storage::chunk::chunks_for_range;
 use hc_storage::manager::{DeliveredRows, PumpOutcome, ReactorReadJob, RowSink, StorageManager};
 use hc_storage::StreamId;
-use hc_tensor::ParallelConfig;
+use hc_tensor::{ParallelConfig, Tensor2};
 
-use crate::engine::{RestoreError, StreamAssembly};
+use crate::engine::RestoreError;
 
 /// How many layers of one restore may have reads in flight at once. Two
 /// keeps the next layer's IO running while the current layer's tail is
-/// being projected (the same bubble-free fill as the single-session
-/// pipeline) while bounding per-session staging to O(2 layers).
+/// being projected, while bounding per-session staging to O(2 layers).
 const LAYER_WINDOW: usize = 2;
 
-/// One session's restore work for [`restore_sessions_reactor`].
+/// One session's restore work.
 #[derive(Debug, Clone)]
 pub struct RestoreRequest {
     /// Session whose streams hold the state.
@@ -95,6 +122,53 @@ pub struct SessionRestore {
     pub result: Result<KvCache, RestoreError>,
     /// Admission-to-completion latency.
     pub latency: Duration,
+}
+
+/// Assembly of one stream (hidden, K or V) of an active layer: a
+/// destination-sized staging tensor plus the contiguous-prefix
+/// bookkeeping that drives incremental consumption.
+struct StreamAssembly {
+    staged: Tensor2,
+    /// Which slices (64-token chunks of `0..n_tokens`) have landed.
+    received: Vec<bool>,
+    /// Leading received slices.
+    ready_slices: usize,
+    /// Rows covered by the leading received slices — the contiguous
+    /// prefix compute may consume.
+    ready_rows: usize,
+}
+
+impl StreamAssembly {
+    fn new(n_tokens: usize, d_model: usize, n_slices: usize) -> Self {
+        Self {
+            staged: Tensor2::zeros(n_tokens, d_model),
+            received: vec![false; n_slices],
+            ready_slices: 0,
+            ready_rows: 0,
+        }
+    }
+
+    /// Places one delivered chunk and advances the contiguous prefix.
+    fn place(&mut self, chunk: &DeliveredRows, slice_rows: &[usize]) {
+        // A chunk's rows are contiguous in both tensors (equal `d_model`).
+        let d = self.staged.cols();
+        let rows = chunk.rows.as_slice();
+        debug_assert_eq!(chunk.rows.cols(), d, "chunk width differs from staging");
+        self.staged.as_mut_slice()[chunk.row_start * d..][..rows.len()].copy_from_slice(rows);
+        self.received[chunk.slice_idx] = true;
+        while self.ready_slices < self.received.len() && self.received[self.ready_slices] {
+            self.ready_rows += slice_rows[self.ready_slices];
+            self.ready_slices += 1;
+        }
+    }
+
+    /// Forgets everything (a tombstone reset): the stream redelivers all
+    /// slices, overwriting the dead generation's staged rows.
+    fn reset(&mut self) {
+        self.received.iter_mut().for_each(|r| *r = false);
+        self.ready_slices = 0;
+        self.ready_rows = 0;
+    }
 }
 
 /// [`RowSink`] that buffers one pump's deliveries so they can be applied
@@ -142,7 +216,16 @@ enum Lane<S: ChunkStore> {
     },
 }
 
-/// One admitted session's restore state machine.
+impl<S: ChunkStore> Lane<S> {
+    fn jobs(&self) -> Vec<&Arc<ReactorReadJob<S>>> {
+        match self {
+            Lane::Hidden { job, .. } => vec![job],
+            Lane::Kv { k_job, v_job, .. } => vec![k_job, v_job],
+        }
+    }
+}
+
+/// One session's restore state machine.
 struct Machine<S: ChunkStore> {
     kv: KvCache,
     /// Active layers, oldest first; at most [`LAYER_WINDOW`].
@@ -161,19 +244,79 @@ struct Machine<S: ChunkStore> {
     finished: Option<Instant>,
 }
 
-/// Restores `requests` through the manager's IO reactor: `workers` compute
-/// threads advance up to `max_inflight` concurrent restore state machines,
-/// all IO flowing through the reactor's per-device submission queues. See
+impl<S: ChunkStore> Machine<S> {
+    fn new(cfg: &ModelConfig, req: &RestoreRequest, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
+        Self {
+            kv: KvCache::new(cfg),
+            active: VecDeque::with_capacity(LAYER_WINDOW),
+            next_layer: recompute_prefix(&req.methods),
+            started: false,
+            slice_rows: chunks_for_range(0, req.n_tokens as u64)
+                .iter()
+                .map(|s| s.len as usize)
+                .collect(),
+            notify,
+            result: None,
+            admitted: Instant::now(),
+            finished: None,
+        }
+    }
+
+    /// Advances the machine as far as currently possible (see [`step`]).
+    /// A panic anywhere in the step — a model kernel, a sink, a backend
+    /// call outside the read jobs' own containment — ends this machine
+    /// alone as [`RestoreError::Panicked`]; the thread advancing it, and
+    /// every other machine that thread serves, carries on. A finished
+    /// machine drops its read jobs.
+    fn advance(
+        &mut self,
+        req: &RestoreRequest,
+        model: &Model,
+        mgr: &StorageManager<S>,
+        par: &ParallelConfig,
+    ) {
+        if catch_unwind(AssertUnwindSafe(|| step(self, req, model, mgr, par))).is_err() {
+            self.result = Some(Err(RestoreError::Panicked));
+        }
+        if self.result.is_some() {
+            self.finished = Some(Instant::now());
+            self.active.clear();
+        }
+    }
+
+    /// Expires every active read job whose IO made no progress for
+    /// `deadline`; returns whether any did (the machine then needs an
+    /// advance to resolve them).
+    fn expire_stalled(&self, deadline: Duration) -> bool {
+        let mut expired = false;
+        for (_, lane) in &self.active {
+            for job in lane.jobs() {
+                expired |= job.expire_stalled(deadline);
+            }
+        }
+        expired
+    }
+}
+
+/// The batch driver's split of the host grant `par` over a batch of
+/// `batch` sessions: `workers` compute workers, clamped to the batch and
+/// to `par.threads()`, each advancing its machines under
+/// `⌊par.threads / workers⌋` threads. Workers × per-machine threads never
+/// exceeds the grant and neither is ever zero; the reactor's IO threads
+/// spend their lives blocked on device service and are not charged.
+pub fn worker_split(workers: usize, batch: usize, par: &ParallelConfig) -> (usize, ParallelConfig) {
+    let workers = workers.clamp(1, batch.max(1)).min(par.threads());
+    (workers, ParallelConfig::new(par.threads() / workers))
+}
+
+/// Restores `requests` through the manager's IO reactor: compute workers
+/// (split from `par` by [`worker_split`]) advance up to `max_inflight`
+/// concurrent restore state machines (floored to the worker count), all
+/// IO flowing through the reactor's per-device submission queues. See
 /// the module docs for the architecture; results return in request order,
 /// each bit-identical to a sequential
 /// [`restore_session_with_methods`](crate::engine::restore_session_with_methods)
 /// call, with per-session restore latencies for TTFR accounting.
-///
-/// The host thread budget `par` is split across the compute workers
-/// (`⌊par.threads / workers⌋` each, floor 1), and `workers` is clamped to
-/// `par.threads()` — the aggregate never exceeds the caller's grant, while
-/// `max_inflight` (floored to `workers`) independently bounds admitted
-/// sessions and therefore staging memory.
 ///
 /// # Panics
 /// Panics when the manager has no reactor attached
@@ -184,38 +327,22 @@ struct Machine<S: ChunkStore> {
 /// partial batch starts.
 pub fn restore_sessions_reactor<S: ChunkStore>(
     model: &Model,
-    mgr: &Arc<StorageManager<S>>,
+    mgr: &StorageManager<S>,
     requests: &[RestoreRequest],
     workers: usize,
     max_inflight: usize,
     par: &ParallelConfig,
 ) -> Vec<SessionRestore> {
-    let reactor = Arc::clone(
-        mgr.reactor()
-            // hc-analyze: allow(panic) documented API contract: callers must configure the manager with_reactor first
-            .expect("restore_sessions_reactor requires a manager with_reactor"),
-    );
-    let cfg = &model.cfg;
-    for r in requests {
-        assert_eq!(r.methods.len(), cfg.n_layers, "methods do not cover model");
-        let n_recompute = recompute_prefix(&r.methods);
-        assert!(
-            r.methods[n_recompute..]
-                .iter()
-                .all(|m| *m != LayerMethod::Recompute),
-            "recompute layers must form a prefix (§4.1.2)"
-        );
-        assert!(
-            n_recompute == 0 || r.tokens.len() >= r.n_tokens,
-            "recompute layers need the original tokens"
-        );
-    }
+    let reactor = mgr
+        .reactor()
+        // hc-analyze: allow(panic) documented API contract: callers must configure the manager with_reactor first
+        .expect("restore_sessions_reactor requires a manager with_reactor");
+    requests.iter().for_each(|r| validate(&model.cfg, r));
     if requests.is_empty() {
         return Vec::new();
     }
 
-    let workers = workers.clamp(1, requests.len()).min(par.threads().max(1));
-    let per_machine = ParallelConfig::new((par.threads() / workers).max(1));
+    let (workers, per_machine) = worker_split(workers, requests.len(), par);
     let max_inflight = max_inflight.max(workers);
 
     let queue = hc_storage::reactor::WorkQueue::new();
@@ -233,10 +360,7 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
         for _ in 0..workers {
             let queue = Arc::clone(&queue);
             let done_tx = done_tx.clone();
-            let machines = &machines;
-            let pendings = &pendings;
-            let reactor = &reactor;
-            let per_machine = &per_machine;
+            let (machines, pendings, per_machine) = (&machines, &pendings, &per_machine);
             scope.spawn(move || {
                 while let Some(i) = queue.pop() {
                     // Clear the dedup flag before advancing: completions
@@ -247,12 +371,8 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
                     if m.result.is_some() {
                         continue; // late wakeup after completion
                     }
-                    advance(m, &requests[i], model, mgr, per_machine);
+                    m.advance(&requests[i], model, mgr, per_machine);
                     let finished = m.result.is_some();
-                    if finished {
-                        m.finished = Some(Instant::now());
-                        m.active.clear(); // drop any surviving jobs
-                    }
                     // The completion gauge and channel don't need the
                     // machine lock — release it before touching them.
                     drop(slot);
@@ -268,7 +388,6 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
         // Admission: the main thread keeps up to `max_inflight` machines
         // live, admitting the next request as each one finishes.
         let admit = |i: usize| {
-            let r = &requests[i];
             let pending = Arc::clone(&pendings[i]);
             let q = Arc::clone(&queue);
             let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
@@ -276,23 +395,9 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
                     q.push(i);
                 }
             });
-            let slice_rows: Vec<usize> = chunks_for_range(0, r.n_tokens as u64)
-                .iter()
-                .map(|s| s.len as usize)
-                .collect();
-            *machines[i].lock() = Some(Machine {
-                kv: KvCache::new(cfg),
-                active: VecDeque::with_capacity(LAYER_WINDOW),
-                next_layer: recompute_prefix(&r.methods),
-                started: false,
-                slice_rows,
-                notify: Arc::clone(&notify),
-                result: None,
-                admitted: Instant::now(),
-                finished: None,
-            });
+            *machines[i].lock() = Some(Machine::new(&model.cfg, &requests[i], Arc::clone(&notify)));
             reactor.restore_admitted();
-            notify(); // first advancement: recompute prefix + initial reads
+            notify(); // first advancement: initial reads + recompute prefix
         };
 
         let mut next_admit = 0usize;
@@ -300,36 +405,19 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
             admit(next_admit);
             next_admit += 1;
         }
-        // When the manager's retry policy carries an IO deadline, the
-        // admission thread doubles as the stall watchdog: every deadline's
-        // worth of silence, sweep the live machines and expire jobs whose
-        // reads made no progress for the deadline
-        // (`ReactorReadJob::expire_stalled` blames the slow lane's device
-        // and types the job's next pump as a transient `DeviceFailed`), so
-        // a wedged submission fails one session instead of hanging the
-        // whole batch.
+        // Under an IO deadline the admission thread doubles as the stall
+        // watchdog: every deadline's worth of silence it sweeps the live
+        // machines and expires stalled jobs, so a wedged submission fails
+        // one session instead of hanging the whole batch.
         let io_deadline = mgr.retry_policy().io_deadline;
         let sweep_stalled = |deadline: Duration| {
             for (i, slot) in machines.iter().enumerate() {
                 // A machine we cannot lock is being advanced right now —
                 // that is progress, not a stall.
-                let Some(mut guard) = slot.try_lock() else {
+                let Some(guard) = slot.try_lock() else {
                     continue;
                 };
-                let Some(m) = guard.as_mut() else { continue };
-                if m.result.is_some() {
-                    continue;
-                }
-                let mut expired = false;
-                for (_, lane) in m.active.iter() {
-                    match lane {
-                        Lane::Hidden { job, .. } => expired |= job.expire_stalled(deadline),
-                        Lane::Kv { k_job, v_job, .. } => {
-                            expired |= k_job.expire_stalled(deadline);
-                            expired |= v_job.expire_stalled(deadline);
-                        }
-                    }
-                }
+                let expired = guard.as_ref().is_some_and(|m| m.expire_stalled(deadline));
                 drop(guard);
                 if expired && !pendings[i].swap(true, Ordering::AcqRel) {
                     queue.push(i);
@@ -338,9 +426,9 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
         };
         let mut completed = 0usize;
         while completed < requests.len() {
-            // A disconnect means every compute worker died: no surviving
-            // machine can ever advance, so stop admitting and let the
-            // collection below type the unfinished slots as `WorkerLost`.
+            // A disconnect would mean every compute worker died; no
+            // surviving machine could advance again, so stop admitting and
+            // let the collection below type the unfinished slots.
             let received = match io_deadline {
                 Some(deadline) => match done_rx.recv_timeout(deadline) {
                     Ok(_) => true,
@@ -368,7 +456,7 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
         .into_iter()
         .map(|slot| match slot.into_inner() {
             Some(m) => SessionRestore {
-                result: m.result.unwrap_or(Err(RestoreError::WorkerLost)),
+                result: m.result.unwrap_or(Err(RestoreError::Panicked)),
                 latency: m
                     .finished
                     .map(|f| f - m.admitted)
@@ -376,11 +464,70 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
             },
             // Never admitted: the pool died before this request's turn.
             None => SessionRestore {
-                result: Err(RestoreError::WorkerLost),
+                result: Err(RestoreError::Panicked),
                 latency: Duration::ZERO,
             },
         })
         .collect()
+}
+
+/// Restores one session by advancing its machine on the calling thread:
+/// advance, sleep on the machine's `notify`, advance again — one advance
+/// per burst of completions. Under the manager's IO deadline a deadline's
+/// worth of silence expires the stalled reads, the rule the batch
+/// watchdog applies, so the next advance fails the restore typed instead
+/// of waiting out a wedged device.
+///
+/// # Panics
+/// Panics on the request contract of [`restore_sessions_reactor`].
+pub(crate) fn restore_on_caller<S: ChunkStore>(
+    model: &Model,
+    mgr: &StorageManager<S>,
+    req: &RestoreRequest,
+    par: &ParallelConfig,
+) -> Result<KvCache, RestoreError> {
+    validate(&model.cfg, req);
+    let (wake, woken) = mpsc::channel::<()>();
+    let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+        let _ = wake.send(());
+    });
+    let mut m = Machine::new(&model.cfg, req, notify);
+    let io_deadline = mgr.retry_policy().io_deadline;
+    loop {
+        m.advance(req, model, mgr, par);
+        if let Some(result) = m.result.take() {
+            return result;
+        }
+        // The machine owns `wake`, so a wait ends on a notify or, under a
+        // deadline, on silence.
+        match io_deadline {
+            Some(deadline) => {
+                if woken.recv_timeout(deadline).is_err() {
+                    m.expire_stalled(deadline);
+                }
+            }
+            None => {
+                let _ = woken.recv();
+            }
+        }
+        while woken.try_recv().is_ok() {}
+    }
+}
+
+/// The request contract every driver checks before any IO starts.
+fn validate(cfg: &ModelConfig, r: &RestoreRequest) {
+    assert_eq!(r.methods.len(), cfg.n_layers, "methods do not cover model");
+    let n_recompute = recompute_prefix(&r.methods);
+    assert!(
+        r.methods[n_recompute..]
+            .iter()
+            .all(|m| *m != LayerMethod::Recompute),
+        "recompute layers must form a prefix (§4.1.2)"
+    );
+    assert!(
+        n_recompute == 0 || r.tokens.len() >= r.n_tokens,
+        "recompute layers need the original tokens"
+    );
 }
 
 fn recompute_prefix(methods: &[LayerMethod]) -> usize {
@@ -390,91 +537,58 @@ fn recompute_prefix(methods: &[LayerMethod]) -> usize {
         .count()
 }
 
-/// Advances one machine as far as currently possible: first advancement
-/// runs the recompute prefix and opens the layer window; every advancement
-/// pumps the active jobs, applies their deliveries, retires finished
-/// layers and submits the next layer's reads (pumping newly opened jobs in
-/// the same call, since their first pump is what submits their IO).
-fn advance<S: ChunkStore>(
+/// Advances one machine as far as currently possible: open the layer
+/// window, pump every active job (a new job's first pump submits its IO)
+/// and apply its deliveries, run the recompute prefix on the first
+/// advancement — after the first window's reads are submitted, so they
+/// overlap it — then retire finished layers and go again until the window
+/// is waiting on IO or the restore is complete.
+fn step<S: ChunkStore>(
     m: &mut Machine<S>,
     req: &RestoreRequest,
     model: &Model,
-    mgr: &Arc<StorageManager<S>>,
+    mgr: &StorageManager<S>,
     par: &ParallelConfig,
 ) {
     let cfg = &model.cfg;
-    if !m.started {
-        m.started = true;
-        let n_recompute = m.next_layer;
-        if n_recompute > 0 {
-            let mut hidden = model.embed_tokens(&req.tokens[..req.n_tokens], 0);
-            for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
-                let (next, new_k, new_v) = layer::layer_forward_par(
-                    cfg,
-                    lw,
-                    &hidden,
-                    m.kv.keys(l),
-                    m.kv.values(l),
-                    0,
-                    par,
-                );
-                m.kv.append(l, &new_k, &new_v);
-                hidden = next;
-            }
-        }
-    }
     loop {
-        // Open the layer window (lazily-started jobs submit their IO on
-        // the first pump below).
         while m.active.len() < LAYER_WINDOW && m.next_layer < req.methods.len() {
             let l = m.next_layer;
             m.next_layer += 1;
-            let n = req.n_tokens as u64;
             let n_slices = m.slice_rows.len();
+            let begin = |stream: StreamId| {
+                mgr.begin_read_reactor(stream, 0, req.n_tokens as u64, Arc::clone(&m.notify))
+            };
+            let assembly = || StreamAssembly::new(req.n_tokens, cfg.d_model, n_slices);
             let lane = match req.methods[l] {
                 LayerMethod::Hidden => Lane::Hidden {
-                    asm: StreamAssembly::new(req.n_tokens, cfg.d_model, n_slices),
-                    job: mgr.begin_read_reactor(
-                        StreamId::hidden(req.session, l as u32),
-                        0,
-                        n,
-                        Arc::clone(&m.notify),
-                    ),
+                    asm: assembly(),
+                    job: begin(StreamId::hidden(req.session, l as u32)),
                     projected: 0,
                 },
                 LayerMethod::KvOffload => Lane::Kv {
-                    k_asm: StreamAssembly::new(req.n_tokens, cfg.d_model, n_slices),
-                    v_asm: StreamAssembly::new(req.n_tokens, cfg.d_model, n_slices),
-                    k_job: mgr.begin_read_reactor(
-                        StreamId::key(req.session, l as u32),
-                        0,
-                        n,
-                        Arc::clone(&m.notify),
-                    ),
-                    v_job: mgr.begin_read_reactor(
-                        StreamId::value(req.session, l as u32),
-                        0,
-                        n,
-                        Arc::clone(&m.notify),
-                    ),
+                    k_asm: assembly(),
+                    v_asm: assembly(),
+                    k_job: begin(StreamId::key(req.session, l as u32)),
+                    v_job: begin(StreamId::value(req.session, l as u32)),
                     placed: 0,
                 },
                 LayerMethod::Recompute => unreachable!("prefix checked at admission"),
             };
             m.active.push_back((l, lane));
         }
-        if m.active.is_empty() {
-            // Nothing left to read: the restore is complete.
-            let kv = std::mem::replace(&mut m.kv, KvCache::new(cfg));
-            debug_assert!(kv.is_consistent());
-            m.result = Some(Ok(kv));
-            return;
-        }
         let mut finished_this_round = false;
-        let kv = &mut m.kv;
-        let slice_rows = &m.slice_rows;
         for (l, lane) in m.active.iter_mut() {
-            match pump_lane(*l, lane, kv, model, slice_rows, req.n_tokens, par) {
+            match pump_lane(
+                *l,
+                lane,
+                &mut m.kv,
+                model,
+                mgr,
+                &m.slice_rows,
+                req.n_tokens,
+                par,
+            ) {
                 Ok(done) => finished_this_round |= done,
                 Err(e) => {
                     // This session fails alone; sibling machines and the
@@ -483,6 +597,33 @@ fn advance<S: ChunkStore>(
                     return;
                 }
             }
+        }
+        if !m.started {
+            m.started = true;
+            let n_recompute = recompute_prefix(&req.methods);
+            if n_recompute > 0 {
+                let mut hidden = model.embed_tokens(&req.tokens[..req.n_tokens], 0);
+                for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
+                    let (next, new_k, new_v) = layer::layer_forward_par(
+                        cfg,
+                        lw,
+                        &hidden,
+                        m.kv.keys(l),
+                        m.kv.values(l),
+                        0,
+                        par,
+                    );
+                    m.kv.append(l, &new_k, &new_v);
+                    hidden = next;
+                }
+            }
+        }
+        if m.active.is_empty() {
+            // Nothing left to read: the restore is complete.
+            let kv = std::mem::replace(&mut m.kv, KvCache::new(cfg));
+            debug_assert!(kv.is_consistent());
+            m.result = Some(Ok(kv));
+            return;
         }
         if !finished_this_round {
             return; // window full of pending IO — wait for completions
@@ -499,14 +640,36 @@ fn lane_done<S: ChunkStore>(lane: &Lane<S>, n_tokens: usize) -> bool {
     }
 }
 
+/// Pumps one job once and applies what landed to `asm`. Returns the
+/// pump's outcome and whether the stream was reset (mid-read tombstone):
+/// the caller must then roll the layer's installed rows back.
+fn pump_stream<S: ChunkStore>(
+    job: &Arc<ReactorReadJob<S>>,
+    asm: &mut StreamAssembly,
+    mgr: &StorageManager<S>,
+    slice_rows: &[usize],
+) -> (PumpOutcome, bool) {
+    let mut sink = BufSink::default();
+    let outcome = job.pump(mgr, &mut sink);
+    if sink.reset {
+        asm.reset();
+    }
+    for chunk in &sink.rows {
+        asm.place(chunk, slice_rows);
+    }
+    (outcome, sink.reset)
+}
+
 /// Pumps one lane's job(s) once and applies whatever landed: place chunks,
 /// project/install the newly contiguous prefix, roll back on a tombstone
 /// reset. Returns `Ok(true)` when the lane finished its range.
+#[allow(clippy::too_many_arguments)]
 fn pump_lane<S: ChunkStore>(
     l: usize,
     lane: &mut Lane<S>,
     kv: &mut KvCache,
     model: &Model,
+    mgr: &StorageManager<S>,
     slice_rows: &[usize],
     n_tokens: usize,
     par: &ParallelConfig,
@@ -517,15 +680,10 @@ fn pump_lane<S: ChunkStore>(
             job,
             projected,
         } => {
-            let mut sink = BufSink::default();
-            let outcome = job.pump(&mut sink);
-            if sink.reset {
-                asm.reset();
+            let (outcome, reset) = pump_stream(job, asm, mgr, slice_rows);
+            if reset {
                 kv.truncate_layer(l, 0);
                 *projected = 0;
-            }
-            for c in sink.rows.drain(..) {
-                asm.place(c.slice_idx, c.row_start, &c.rows, slice_rows);
             }
             if asm.ready_rows > *projected {
                 // Project the newly contiguous rows at their absolute
@@ -553,18 +711,13 @@ fn pump_lane<S: ChunkStore>(
         } => {
             let mut done = true;
             for (asm, job) in [(&mut *k_asm, &*k_job), (&mut *v_asm, &*v_job)] {
-                let mut sink = BufSink::default();
-                let outcome = job.pump(&mut sink);
-                if sink.reset {
-                    // Roll back this layer's installed rows; the reset
-                    // stream redelivers every slice, so the paired prefix
-                    // regrows (the other stream's staging survives).
-                    asm.reset();
+                let (outcome, reset) = pump_stream(job, asm, mgr, slice_rows);
+                if reset {
+                    // The reset stream redelivers every slice, so the
+                    // paired prefix regrows (the other stream's staging
+                    // survives).
                     kv.truncate_layer(l, 0);
                     *placed = 0;
-                }
-                for c in sink.rows.drain(..) {
-                    asm.place(c.slice_idx, c.row_start, &c.rows, slice_rows);
                 }
                 match outcome {
                     PumpOutcome::Done => {}
@@ -630,7 +783,7 @@ mod tests {
 
     fn saved_batch<S: ChunkStore>(
         model: &Model,
-        mgr: &Arc<StorageManager<S>>,
+        mgr: &StorageManager<S>,
         scheme: &PartitionScheme,
         sessions: std::ops::Range<u64>,
     ) -> (Vec<RestoreRequest>, Vec<KvCache>) {
@@ -663,10 +816,8 @@ mod tests {
             let cfg = ModelConfig::tiny_llama();
             let model = Model::new(&cfg, 101 + i as u64);
             for (iodepth, workers) in [(1usize, 1usize), (2, 2), (4, 3)] {
-                let mgr = Arc::new(
-                    StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
-                        .with_reactor(Reactor::new(4, iodepth)),
-                );
+                let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+                    .with_reactor(Reactor::new(4, iodepth));
                 let (requests, references) = saved_batch(&model, &mgr, &scheme, 0..6);
                 let results = restore_sessions_reactor(
                     &model,
@@ -695,10 +846,8 @@ mod tests {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 211);
         let reactor = Reactor::new(4, 2);
-        let mgr = Arc::new(
-            StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
-                .with_reactor(Arc::clone(&reactor)),
-        );
+        let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+            .with_reactor(Arc::clone(&reactor));
         let scheme = PartitionScheme {
             l_h: 3,
             l_o: 1,
@@ -720,10 +869,8 @@ mod tests {
     fn one_failed_session_fails_alone() {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 223);
-        let mgr = Arc::new(
-            StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
-                .with_reactor(Reactor::new(4, 2)),
-        );
+        let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+            .with_reactor(Reactor::new(4, 2));
         let scheme = PartitionScheme::pure_hidden(4);
         let (mut requests, references) = saved_batch(&model, &mgr, &scheme, 0..5);
         requests[2].session = 999; // never saved
@@ -741,6 +888,20 @@ mod tests {
         }
     }
 
+    /// A typed stall timeout blaming device 1, as both drivers must
+    /// report a session whose reads sit on the wedged lane.
+    fn assert_stalled_on_device_1(what: &str, result: Result<KvCache, RestoreError>) {
+        match result {
+            Err(RestoreError::Storage(StorageError::DeviceFailed {
+                device, transient, ..
+            })) => {
+                assert_eq!(device, 1, "{what} blamed the wrong lane");
+                assert!(transient, "a stall is transient, not data loss");
+            }
+            other => panic!("{what}: expected a typed stall timeout, got {other:?}"),
+        }
+    }
+
     #[test]
     fn io_deadline_expires_stalled_sessions_instead_of_wedging_the_batch() {
         use hc_storage::fault::{FaultStore, FaultTarget};
@@ -749,13 +910,9 @@ mod tests {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 229);
         let fault = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
-        let mgr = Arc::new(
-            StorageManager::new(Arc::clone(&fault), cfg.d_model)
-                .with_reactor(Reactor::new(4, 2))
-                .with_retry_policy(
-                    RetryPolicy::default().with_io_deadline(Duration::from_millis(40)),
-                ),
-        );
+        let mgr = StorageManager::new(Arc::clone(&fault), cfg.d_model)
+            .with_reactor(Reactor::new(4, 2))
+            .with_retry_policy(RetryPolicy::default().with_io_deadline(Duration::from_millis(40)));
         let scheme = PartitionScheme::pure_hidden(4);
         let (requests, _) = saved_batch(&model, &mgr, &scheme, 0..4);
         // Wedge device 1 far past the deadline: every session's 80-token
@@ -770,18 +927,13 @@ mod tests {
             "watchdog must fail stalled sessions before the stall drains"
         );
         for (s, r) in results.into_iter().enumerate() {
-            match r.result {
-                Err(RestoreError::Storage(StorageError::DeviceFailed {
-                    device,
-                    transient,
-                    ..
-                })) => {
-                    assert_eq!(device, 1, "session {s} blamed the wrong lane");
-                    assert!(transient, "a stall is transient, not data loss");
-                }
-                other => panic!("session {s}: expected a typed stall timeout, got {other:?}"),
-            }
+            assert_stalled_on_device_1(&format!("session {s}"), r.result);
         }
+        // The single-session driver applies the same deadline rule.
+        let start = Instant::now();
+        let single = restore_on_caller(&model, &mgr, &requests[0], &ParallelConfig::new(2));
+        assert!(start.elapsed() < Duration::from_millis(450));
+        assert_stalled_on_device_1("the single-session driver", single);
         assert!(
             mgr.device_health().counters(1).1 >= 1,
             "the stall must be recorded against device 1's health"
@@ -792,12 +944,119 @@ mod tests {
     fn empty_request_batch_is_a_no_op() {
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 227);
-        let mgr = Arc::new(
-            StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
-                .with_reactor(Reactor::new(4, 2)),
-        );
+        let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+            .with_reactor(Reactor::new(4, 2));
         assert!(
             restore_sessions_reactor(&model, &mgr, &[], 2, 8, &ParallelConfig::new(2)).is_empty()
         );
+    }
+
+    /// A MemStore whose every chunk is a DRAM-front hit, so the pumping
+    /// compute worker reads it inline. Once armed, one session's chunk
+    /// reads panic — or, with `in_tier_lookup`, its front-tier lookups,
+    /// which the job makes while planning on the pumping thread.
+    struct PanicStore {
+        inner: MemStore,
+        poison: u64,
+        in_tier_lookup: bool,
+        armed: AtomicBool,
+    }
+
+    impl PanicStore {
+        fn poisoned(&self, key: hc_storage::chunk::ChunkKey) -> bool {
+            self.armed.load(Ordering::SeqCst) && key.stream.session == self.poison
+        }
+    }
+
+    impl ChunkStore for PanicStore {
+        fn write_chunk(
+            &self,
+            key: hc_storage::chunk::ChunkKey,
+            data: &[u8],
+        ) -> Result<(), StorageError> {
+            self.inner.write_chunk(key, data)
+        }
+
+        fn read_chunk(&self, key: hc_storage::chunk::ChunkKey) -> Result<Vec<u8>, StorageError> {
+            assert!(
+                self.in_tier_lookup || !self.poisoned(key),
+                "poisoned chunk read"
+            );
+            self.inner.read_chunk(key)
+        }
+
+        fn contains(&self, key: hc_storage::chunk::ChunkKey) -> bool {
+            self.inner.contains(key)
+        }
+
+        fn delete_stream(&self, stream: StreamId) -> u64 {
+            self.inner.delete_stream(stream)
+        }
+
+        fn n_devices(&self) -> usize {
+            self.inner.n_devices()
+        }
+
+        fn stats(&self) -> hc_storage::backend::StoreStats {
+            self.inner.stats()
+        }
+
+        fn chunk_in_fast_tier(&self, key: hc_storage::chunk::ChunkKey) -> bool {
+            assert!(
+                !(self.in_tier_lookup && self.poisoned(key)),
+                "poisoned tier lookup"
+            );
+            true
+        }
+    }
+
+    #[test]
+    fn a_panicking_store_fails_its_session_alone_instead_of_hanging_the_batch() {
+        // Four sessions over two workers, session 2's store calls
+        // panicking on the compute worker that pumps its jobs. The batch
+        // must return — bounded here, so a hung batch fails the test
+        // instead of hanging the suite — with session 2 failed typed and
+        // its siblings bit-identical. A panicking front-hit read is
+        // contained by the read job (a storage error); any other panic in
+        // an advance by the machine (`Panicked`).
+        for in_tier_lookup in [false, true] {
+            let cfg = ModelConfig::tiny_llama();
+            let model = Model::new(&cfg, 233);
+            let store = Arc::new(PanicStore {
+                inner: MemStore::new(4),
+                poison: 2,
+                in_tier_lookup,
+                armed: AtomicBool::new(false),
+            });
+            let mgr = StorageManager::new(Arc::clone(&store), cfg.d_model)
+                .with_reactor(Reactor::new(4, 2));
+            let (requests, references) =
+                saved_batch(&model, &mgr, &PartitionScheme::pure_hidden(4), 0..4);
+            store.armed.store(true, Ordering::SeqCst);
+            let (tx, rx) = mpsc::channel();
+            let batch = std::thread::spawn(move || {
+                let results = restore_sessions_reactor(
+                    &model,
+                    &mgr,
+                    &requests,
+                    2,
+                    4,
+                    &ParallelConfig::new(2),
+                );
+                let _ = tx.send(results.into_iter().map(|r| r.result).collect::<Vec<_>>());
+            });
+            let results = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a panicking store must not hang the batch");
+            batch.join().expect("the batch thread returned its results");
+            for (s, result) in results.into_iter().enumerate() {
+                match (s, result) {
+                    (2, Err(RestoreError::Storage(StorageError::Io(_)))) if !in_tier_lookup => {}
+                    (2, Err(RestoreError::Panicked)) if in_tier_lookup => {}
+                    (2, other) => panic!("session 2 (tier lookup: {in_tier_lookup}): {other:?}"),
+                    (s, result) => assert_eq!(kv_max_error(&result.unwrap(), &references[s]), 0.0),
+                }
+            }
+        }
     }
 }

@@ -55,7 +55,7 @@ pub struct ServingConfig {
     /// Host thread budget handed to the functional layer when this config
     /// drives real restoration (`hcache::HCacheSystem`): sizes the restore
     /// pipeline's projection GEMMs and the storage chunk codec, so the
-    /// chunk daemon and the restore prefetcher never oversubscribe the
+    /// chunk daemon and the restore drivers never oversubscribe the
     /// host. The virtual-time engine carries it so a simulated deployment
     /// and its functional counterpart are configured identically.
     pub parallel: hc_tensor::ParallelConfig,

@@ -40,32 +40,33 @@
 //! [`StorageManager::read_rows`], exposed to callers that want each token
 //! chunk *as soon as its IO lands* instead of waiting for the whole range:
 //! the caller supplies a [`RowSink`] and the manager delivers one decoded
-//! [`DeliveredRows`] per chunk slice. The restore engine's chunk-granular
-//! pipeline (§4.1.2 token-wise partitioning) feeds its compute stage from
-//! this, so projection on chunk *k* overlaps the IO of chunk *k+1* inside
-//! one layer.
+//! [`DeliveredRows`] per chunk slice.
 //!
 //! There are two walks. The **sequential walk** reads one chunk at a time
 //! from the calling thread and delivers in range order; it is the
 //! reference every other path is asserted bit-identical to, and what a
 //! manager without a reactor runs. With an IO [`Reactor`] attached
 //! ([`StorageManager::with_reactor`]) — the one parallel read executor —
-//! the range's device-occupying chunks are submitted to the reactor's
-//! per-device queues in ascending order with at most `iodepth × occupied
-//! devices` in flight, and the calling thread decodes and delivers each
-//! chunk as its completion lands (completion order; every slice owns a
-//! disjoint row range, so order never affects the assembled result). The
-//! locking discipline is unchanged: the reactor walk runs entirely inside
-//! the lock-free phase, IO threads touch only the backend (never a stream
-//! lock or the map), and both walks share the validate/decode/copy
-//! helpers, so output is bit-identical at every iodepth.
+//! a range is read by one [`ReactorReadJob`], the asynchronous read state
+//! machine the restore drivers advance, pumped on the calling thread until
+//! it is terminal: the range's device-occupying chunks are submitted to
+//! the reactor's per-device queues in ascending order with at most
+//! `iodepth × occupied devices` in flight, and each pump decodes and
+//! delivers whatever has landed (completion order; every slice owns a
+//! disjoint row range, so order never affects the assembled result). IO
+//! threads touch only the backend (never a stream lock or the map), and
+//! both walks share the snapshot/validate/decode/deliver helpers, so
+//! output is bit-identical at every iodepth.
 //!
 //! The reactor is consulted per range: a range with ≤ 1 chunk that would
 //! actually occupy a device is read inline by the sequential walk (a
 //! single device read serializes anyway), and DRAM-tier front hits
 //! ([`crate::backend::ChunkStore::chunk_in_fast_tier`]) never ride the
-//! device queues — they complete at memcpy speed, so the calling thread
-//! reads them inline while the device IO is in flight.
+//! device queues — they complete at memcpy speed, so the pumping thread
+//! reads them inline while the device IO is in flight. A panicking
+//! backend fails the one chunk read with a typed [`StorageError::Io`]
+//! wherever a job reads it — on an IO thread or inline — so it can never
+//! strand a job or take down the thread pumping it.
 //!
 //! The tombstone revalidation is preserved **per delivered chunk**: the
 //! snapshot cell's tombstone is re-checked after each chunk's IO and
@@ -155,13 +156,11 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use hc_tensor::Tensor2;
 use parking_lot::RwLock;
-
-use crossbeam::channel::{bounded, RecvTimeoutError};
 
 use crate::backend::{ChunkStore, FileStore, StoreStats};
 use crate::chunk::{chunks_for_range, device_for, ChunkKey, ChunkSlice, CHUNK_TOKENS};
@@ -244,6 +243,29 @@ pub(crate) fn read_chunk_retrying<S: ChunkStore + ?Sized>(
     }
 }
 
+/// [`read_chunk_retrying`] with a panicking backend contained: the unwind
+/// becomes a typed [`StorageError::Io`]. Every chunk read of a
+/// [`ReactorReadJob`] goes through here — on a reactor IO thread, where an
+/// escaped panic would strand the job on a completion that never comes,
+/// and inline for DRAM-front hits, where it would unwind the pumping
+/// thread and with it every restore that thread advances.
+fn read_chunk_contained<S: ChunkStore + ?Sized>(
+    store: &S,
+    key: ChunkKey,
+    policy: &RetryPolicy,
+    health: &DeviceHealth,
+) -> Result<Vec<u8>, StorageError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        read_chunk_retrying(store, key, policy, health)
+    }))
+    .unwrap_or_else(|_| {
+        Err(StorageError::Io(format!(
+            "chunk read panicked (chunk {} of {:?})",
+            key.chunk_idx, key.stream
+        )))
+    })
+}
+
 /// Per-stream append state.
 #[derive(Debug, Default)]
 struct StreamState {
@@ -270,18 +292,36 @@ struct StreamState {
     deleted: bool,
 }
 
-/// One `read_rows` call's lock-free-phase inputs: the range's chunk
-/// slices plus everything snapshotted under the brief stream read lock.
-struct ReadPlan<'a> {
+/// One attempt at a range: its chunk slices plus everything snapshotted
+/// under the brief stream read lock — the lock-free-phase inputs of both
+/// walks.
+struct ReadPlan {
     stream: StreamId,
-    slices: &'a [ChunkSlice],
+    /// First token of the requested range (maps to output row 0).
+    range_start: u64,
+    slices: Vec<ChunkSlice>,
     /// Durable-token cursor at snapshot time.
     durable: u64,
     /// Snapshotted partial tail; present iff the range reaches past
     /// `durable` and the buffer was non-empty.
-    tail: Option<&'a [f32]>,
-    /// First token of the requested range (maps to output row 0).
-    range_start: u64,
+    tail: Option<Vec<f32>>,
+    /// The snapshotted state cell, whose tombstone is re-checked before
+    /// every delivery (`None`: the stream did not exist).
+    cell: Option<Arc<RwLock<StreamState>>>,
+}
+
+impl ReadPlan {
+    /// True when a concurrent delete tombstoned the snapshotted cell (a
+    /// missing cell never was tombstoned: it reads as empty).
+    fn tombstoned(&self) -> bool {
+        self.cell.as_ref().is_some_and(|c| c.read().deleted)
+    }
+
+    /// True when every row of `slice` is covered by the durable cursor, so
+    /// its bytes come from the backend rather than the snapshotted tail.
+    fn is_durable(&self, slice: &ChunkSlice) -> bool {
+        slice.chunk_idx as u64 * CHUNK_TOKENS + slice.start_in_chunk + slice.len <= self.durable
+    }
 }
 
 /// One decoded token-chunk slice streamed out of
@@ -325,24 +365,6 @@ enum StreamPhase {
     Restart,
 }
 
-/// `(slice_idx, key, device)` of device-occupying durable chunks,
-/// ascending slice order.
-type DeviceChunks = Vec<(usize, ChunkKey, usize)>;
-/// `(slice_idx, key)` of DRAM-tier front hits, ascending slice order.
-type FastChunks = Vec<(usize, ChunkKey)>;
-
-/// One reactor-eligible read's submission plan: every device-occupying
-/// durable chunk with its owning device (ascending slice order — the
-/// order submissions enter the device queues), the DRAM-tier front hits
-/// read inline, and the in-flight window.
-struct ReactorPlan {
-    device_chunks: DeviceChunks,
-    fast: FastChunks,
-    /// Max chunk reads in flight at once: `iodepth × occupied devices`,
-    /// capped at the chunk count — also the completion-staging bound.
-    window: usize,
-}
-
 /// Chunked f16 storage for token-row streams, generic over the backend.
 ///
 /// All rows are `d_model` wide (hidden states, keys and values all have the
@@ -360,7 +382,7 @@ pub struct StorageManager<S: ChunkStore> {
     d_model: usize,
     precision: Precision,
     /// Thread budget for chunk encode/decode (shared with the two-stage
-    /// saver's daemon and the restore prefetcher, which run through this
+    /// saver's daemon and the restore drivers, which run through this
     /// manager).
     parallel: hc_tensor::ParallelConfig,
     /// Event-driven IO reactor (None: chunks are read sequentially from
@@ -493,16 +515,6 @@ impl<S: ChunkStore> StorageManager<S> {
     /// The attached IO reactor, if any.
     pub fn reactor(&self) -> Option<&Arc<Reactor>> {
         self.reactor.as_ref()
-    }
-
-    /// How many chunk reads one `read_rows` call can keep in flight: the
-    /// reactor's aggregate queue depth when one is attached, else 1
-    /// (sequential). Restore pipelines size their chunk-staging depth from
-    /// this.
-    pub fn read_parallelism(&self) -> usize {
-        self.reactor
-            .as_ref()
-            .map_or(1, |r| r.n_devices() * r.iodepth())
     }
 
     /// Storage precision in use.
@@ -763,88 +775,108 @@ impl<S: ChunkStore> StorageManager<S> {
     ) -> Result<(), StorageError> {
         assert!(start <= end, "reversed range {start}..{end}");
         loop {
-            // --- Locked phase: snapshot the cursors (+ tail if needed). ---
-            let cell = self.stream_handle(stream);
-            let (available, durable, tail) = match &cell {
-                Some(cell) => {
-                    let state = cell.read();
-                    let available = state.n_tokens;
-                    // The tail buffer is only needed when the range reaches
-                    // past the durable prefix; clone it under the read lock
-                    // so the quantization round-trip below runs lock-free.
-                    let tail = if end > state.n_durable && !state.partial.is_empty() {
-                        Some(state.partial.clone())
-                    } else {
-                        None
-                    };
-                    (available, state.n_durable, tail)
-                }
-                None => (0, 0, None),
-            };
-            if end > available {
-                // A tombstoned cell reads as empty — the linearization
-                // point is "just after the delete", like a sequential
-                // read-after-delete.
-                return Err(StorageError::OutOfRange {
-                    stream,
-                    available,
-                    requested: end,
-                });
-            }
-            if start == end {
-                return Ok(());
-            }
-
+            let plan = self.plan_read(stream, start, end)?;
             // --- Lock-free phase: backend IO + decode, one delivery per
-            // chunk slice. Reads ride the reactor's device queues when the
-            // adaptive decision says the range profits from it; either walk
-            // decodes through the same helpers, so delivered bytes are
-            // identical.
-            let slices = chunks_for_range(start, end);
-            let plan = ReadPlan {
-                stream,
-                slices: &slices,
-                durable,
-                tail: tail.as_deref(),
-                range_start: start,
+            // chunk slice. A range with two or more device-occupying chunks
+            // rides the reactor's device queues through one read job;
+            // anything else is read inline. Both decode through the same
+            // helpers, so delivered bytes are identical.
+            let plan = match &self.reactor {
+                Some(reactor) => {
+                    let pass = JobPass::new(self.store.as_ref(), plan, reactor.iodepth());
+                    if pass.device_chunks.len() > 1 {
+                        return self.read_through_job(pass, end, sink);
+                    }
+                    pass.plan
+                }
+                None => plan,
             };
-            let phase = match self.reactor_plan_for_range(&plan) {
-                Some(rp) => self.stream_slices_reactor(rp, &plan, &cell, sink),
-                None => self.stream_slices_sequential(&plan, &cell, sink),
-            };
-
-            match phase {
+            match self.stream_slices_sequential(&plan, sink) {
                 Ok(StreamPhase::Done | StreamPhase::Cancelled) => return Ok(()),
                 // Tombstoned mid-stream: everything delivered belongs to a
                 // dead generation. Tell the sink, retry on the successor.
-                Ok(StreamPhase::Restart) => {
-                    sink.reset();
-                    continue;
-                }
-                Err(e) => {
-                    // Spurious MissingChunk from a concurrent wipe: retry
-                    // against the successor state (same rule read_rows
-                    // always had); a genuine error surfaces as-is.
-                    if Self::cell_tombstoned(&cell) {
-                        sink.reset();
-                        continue;
-                    }
-                    return Err(e);
-                }
+                Ok(StreamPhase::Restart) => sink.reset(),
+                // Spurious MissingChunk from a concurrent wipe: retry
+                // against the successor state; a genuine error surfaces
+                // as-is.
+                Err(_) if plan.tombstoned() => sink.reset(),
+                Err(e) => return Err(e),
             }
         }
     }
 
-    /// True when the snapshot's cell has been tombstoned by a concurrent
-    /// delete (a missing cell never was tombstoned: it reads as empty).
-    fn cell_tombstoned(cell: &Option<Arc<RwLock<StreamState>>>) -> bool {
-        cell.as_ref().is_some_and(|c| c.read().deleted)
+    /// Snapshots `stream` for a read of `[start, end)` under a brief read
+    /// lock: the cursors, plus a copy of the partial tail when the range
+    /// reaches past the durable prefix (so its quantization round-trip
+    /// runs lock-free). A range past the stream's end is `OutOfRange`; a
+    /// tombstoned cell reads as empty — the linearization point is "just
+    /// after the delete", like a sequential read-after-delete.
+    fn plan_read(&self, stream: StreamId, start: u64, end: u64) -> Result<ReadPlan, StorageError> {
+        let cell = self.stream_handle(stream);
+        let (available, durable, tail) = match &cell {
+            Some(cell) => {
+                let state = cell.read();
+                let tail = (end > state.n_durable && !state.partial.is_empty())
+                    .then(|| state.partial.clone());
+                (state.n_tokens, state.n_durable, tail)
+            }
+            None => (0, 0, None),
+        };
+        if end > available {
+            return Err(StorageError::OutOfRange {
+                stream,
+                available,
+                requested: end,
+            });
+        }
+        Ok(ReadPlan {
+            stream,
+            range_start: start,
+            slices: chunks_for_range(start, end),
+            durable,
+            tail,
+            cell,
+        })
     }
 
-    /// True when every row of `slice` is covered by the durable cursor, so
-    /// its bytes come from the backend rather than the snapshotted tail.
-    fn slice_is_durable(slice: &ChunkSlice, durable: u64) -> bool {
-        slice.chunk_idx as u64 * CHUNK_TOKENS + slice.start_in_chunk + slice.len <= durable
+    /// Reads a planned range through one [`ReactorReadJob`] pumped on the
+    /// calling thread, which sleeps on the job's `notify` between pumps.
+    /// Under an IO deadline, a deadline's worth of silence expires the
+    /// stalled pass; the next pump then fails the read typed-transient on
+    /// the lowest outstanding chunk instead of waiting out the device.
+    fn read_through_job(
+        &self,
+        pass: JobPass,
+        end: u64,
+        sink: &mut dyn RowSink,
+    ) -> Result<(), StorageError> {
+        let (wake, woken) = mpsc::channel::<()>();
+        let job = self.begin_read_reactor(
+            pass.plan.stream,
+            pass.plan.range_start,
+            end,
+            Arc::new(move || {
+                let _ = wake.send(());
+            }),
+        );
+        job.install(&mut job.core.lock(), pass);
+        loop {
+            match job.pump(self, sink) {
+                PumpOutcome::Done => return Ok(()),
+                PumpOutcome::Failed(e) => return Err(e),
+                PumpOutcome::Pending => match self.retry.io_deadline {
+                    Some(deadline) => {
+                        if woken.recv_timeout(deadline).is_err() {
+                            job.expire_stalled(deadline);
+                        }
+                    }
+                    // The job owns `wake`, so this returns on a notify.
+                    None => {
+                        let _ = woken.recv();
+                    }
+                },
+            }
+        }
     }
 
     /// Validates and decodes one durable chunk's backend bytes. A chunk
@@ -873,9 +905,16 @@ impl<S: ChunkStore> StorageManager<S> {
             .decode_par(bytes, self.d_model, &self.parallel))
     }
 
-    /// Rebuilds the tail chunk's rows from the snapshotted partial buffer,
-    /// applying the same quantization round-trip a durable chunk carries.
-    fn decode_tail(&self, partial: &[f32]) -> Vec<f32> {
+    /// Rebuilds the tail chunk's rows from the plan's snapshotted partial
+    /// buffer, applying the same quantization round-trip a durable chunk
+    /// carries. The tail slice (at most one, always last) never touches
+    /// the backend.
+    fn decode_tail(&self, plan: &ReadPlan) -> Vec<f32> {
+        let partial = plan
+            .tail
+            .as_deref()
+            // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
+            .expect("range past durable implies tail");
         self.precision.decode_par(
             &self
                 .precision
@@ -907,8 +946,7 @@ impl<S: ChunkStore> StorageManager<S> {
     /// declined; `Done` when delivered.
     fn deliver_slice(
         &self,
-        plan: &ReadPlan<'_>,
-        cell: &Option<Arc<RwLock<StreamState>>>,
+        plan: &ReadPlan,
         sink: &mut dyn RowSink,
         slice_idx: usize,
         rows: Vec<f32>,
@@ -917,7 +955,7 @@ impl<S: ChunkStore> StorageManager<S> {
         // the same chunk keys) that raced this chunk's IO set the
         // tombstone before any successor bytes could exist, so checking
         // here — after the IO, before the delivery — catches every mix.
-        if Self::cell_tombstoned(cell) {
+        if plan.tombstoned() {
             return StreamPhase::Restart;
         }
         let slice = &plan.slices[slice_idx];
@@ -939,14 +977,13 @@ impl<S: ChunkStore> StorageManager<S> {
     /// thread, delivered in range order.
     fn stream_slices_sequential(
         &self,
-        plan: &ReadPlan<'_>,
-        cell: &Option<Arc<RwLock<StreamState>>>,
+        plan: &ReadPlan,
         sink: &mut dyn RowSink,
     ) -> Result<StreamPhase, StorageError> {
         for (i, slice) in plan.slices.iter().enumerate() {
             // Rows of this chunk that are durable come from the backend;
             // otherwise from the snapshotted partial buffer.
-            let rows: Vec<f32> = if Self::slice_is_durable(slice, plan.durable) {
+            let rows: Vec<f32> = if plan.is_durable(slice) {
                 let bytes = read_chunk_retrying(
                     self.store.as_ref(),
                     ChunkKey {
@@ -958,244 +995,10 @@ impl<S: ChunkStore> StorageManager<S> {
                 )?;
                 self.decode_durable_chunk(plan.stream, slice, &bytes)?
             } else {
-                // Tail chunk: buffer rows start at token n_durable ==
-                // chunk_start_token for the tail.
                 debug_assert_eq!(slice.chunk_idx as u64 * CHUNK_TOKENS, plan.durable);
-                // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
-                self.decode_tail(plan.tail.expect("range past durable implies tail"))
+                self.decode_tail(plan)
             };
-            match self.deliver_slice(plan, cell, sink, i, rows) {
-                StreamPhase::Done => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(StreamPhase::Done)
-    }
-
-    /// Partitions a planned range for the reactor: every durable chunk
-    /// that occupies a device (ascending slice order, tagged with its
-    /// owning device), fast-tier front hits separately, plus the in-flight
-    /// window (`iodepth × occupied devices`, capped at the chunk count).
-    fn reactor_partition(
-        &self,
-        plan: &ReadPlan<'_>,
-        iodepth: usize,
-    ) -> (DeviceChunks, FastChunks, usize) {
-        let n_dev = self.store.n_devices().max(1);
-        let mut device_chunks: Vec<(usize, ChunkKey, usize)> = Vec::new();
-        let mut fast: Vec<(usize, ChunkKey)> = Vec::new();
-        let mut occupied: HashSet<usize> = HashSet::new();
-        for (i, slice) in plan.slices.iter().enumerate() {
-            if Self::slice_is_durable(slice, plan.durable) {
-                let key = ChunkKey {
-                    stream: plan.stream,
-                    chunk_idx: slice.chunk_idx,
-                };
-                if self.store.chunk_in_fast_tier(key) {
-                    fast.push((i, key));
-                } else {
-                    let device = device_for(&key, n_dev);
-                    occupied.insert(device);
-                    device_chunks.push((i, key, device));
-                }
-            }
-        }
-        let window = (iodepth * occupied.len().max(1))
-            .min(device_chunks.len())
-            .max(1);
-        (device_chunks, fast, window)
-    }
-
-    /// The adaptive reactor decision for one planned read: `Some(plan)`
-    /// when at least two chunks occupy devices (a single device-occupying
-    /// chunk serializes anyway, and fast-tier hits are read inline either
-    /// way), `None` to read every chunk inline on the sequential walk.
-    fn reactor_plan_for_range(&self, plan: &ReadPlan<'_>) -> Option<ReactorPlan> {
-        let reactor = self.reactor.as_ref()?;
-        let (device_chunks, fast, window) = self.reactor_partition(plan, reactor.iodepth());
-        if device_chunks.len() <= 1 {
-            return None;
-        }
-        Some(ReactorPlan {
-            device_chunks,
-            fast,
-            window,
-        })
-    }
-
-    /// The reactor streaming walk: device chunks are submitted to the
-    /// per-device queues in ascending slice order with at most
-    /// `rp.window` in flight; the calling thread serves fast-tier front
-    /// hits inline, then validates, decodes and delivers each chunk as
-    /// its completion lands, topping the window back up after every
-    /// completion. Front hits go first because they complete at memcpy
-    /// speed — queueing them on IO threads would only add handoff latency,
-    /// and their early delivery grows the consumer's contiguous prefix
-    /// while the devices work. Ascending submission makes error
-    /// resolution deterministic: any chunk not yet submitted has a higher
-    /// slice index than every submitted one, so draining the in-flight
-    /// set always surfaces the same error the sequential walk would have
-    /// hit first.
-    ///
-    /// IO threads never block on this reader's completion channel (its
-    /// capacity equals the window, and at most `window` completions are
-    /// outstanding), so a slow consumer cannot head-of-line block other
-    /// readers sharing the device queues.
-    fn stream_slices_reactor(
-        &self,
-        rp: ReactorPlan,
-        plan: &ReadPlan<'_>,
-        cell: &Option<Arc<RwLock<StreamState>>>,
-        sink: &mut dyn RowSink,
-    ) -> Result<StreamPhase, StorageError> {
-        // hc-analyze: allow(panic) invariant: a ReactorPlan is only built when the manager has a reactor
-        let reactor = self.reactor.as_ref().expect("plan implies reactor");
-        let slices = plan.slices;
-        let total = rp.device_chunks.len();
-        let (tx, rx) = bounded::<(usize, Result<Vec<u8>, StorageError>)>(rp.window);
-        let mut next = 0usize;
-        let mut in_flight = 0usize;
-        // Outstanding submissions by slice index. A deadline breach blames
-        // the lowest outstanding chunk — the one the sequential walk would
-        // be stuck on — so the synthesized error is deterministic.
-        let mut outstanding: BTreeMap<usize, (ChunkKey, usize)> = BTreeMap::new();
-        let submit_next =
-            |next: &mut usize,
-             in_flight: &mut usize,
-             outstanding: &mut BTreeMap<usize, (ChunkKey, usize)>| {
-                let (i, key, device) = rp.device_chunks[*next];
-                *next += 1;
-                *in_flight += 1;
-                outstanding.insert(i, (key, device));
-                let store = Arc::clone(&self.store);
-                let policy = self.retry;
-                let health = Arc::clone(&self.health);
-                let tx = tx.clone();
-                reactor.submit_io(device, move || {
-                    // A panicking store must not strand the reader waiting on
-                    // a completion that never comes: convert to a typed error.
-                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        read_chunk_retrying(store.as_ref(), key, &policy, &health)
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(StorageError::Io(format!(
-                            "chunk read panicked (chunk {} of {:?})",
-                            key.chunk_idx, key.stream
-                        )))
-                    });
-                    let _ = tx.send((i, res));
-                });
-            };
-        while in_flight < rp.window && next < total {
-            submit_next(&mut next, &mut in_flight, &mut outstanding);
-        }
-        // Front hits inline, in range order, while device IO is in flight.
-        // An error here does not return yet: the drain below may surface a
-        // lower-index device error, and the window must drain either way.
-        let mut first_err: Option<(usize, StorageError)> = None;
-        let mut ended: Option<StreamPhase> = None;
-        for (i, key) in rp.fast.iter().copied() {
-            match read_chunk_retrying(self.store.as_ref(), key, &self.retry, &self.health)
-                .and_then(|bytes| self.decode_durable_chunk(plan.stream, &slices[i], &bytes))
-            {
-                Ok(rows) => match self.deliver_slice(plan, cell, sink, i, rows) {
-                    StreamPhase::Done => {}
-                    other => {
-                        ended = Some(other);
-                        break;
-                    }
-                },
-                Err(e) => {
-                    // Lowest-index determinism: later fast chunks cannot
-                    // have a lower index, so stop reading them.
-                    first_err = Some((i, e));
-                    break;
-                }
-            }
-        }
-        // Drain in-flight completions; keep the window topped up while
-        // healthy. On error/restart/cancel, submission stops and the
-        // remaining in-flight chunks drain cheaply (without decoding), so
-        // the lowest-index error wins — the one a sequential walk would
-        // have surfaced first, regardless of device timing.
-        while in_flight > 0 {
-            // A dropped completion means a reactor IO thread died: surface
-            // a typed error instead of aborting the read path. Under an IO
-            // deadline a stalled submission times out into the typed
-            // transient DeviceFailed path (counted as a stall against the
-            // lane's breaker) instead of wedging this reader; the
-            // abandoned completions cannot block their IO threads (the
-            // channel's capacity equals the window) and are dropped with
-            // the receiver.
-            let recvd = match self.retry.io_deadline {
-                Some(deadline) => match rx.recv_timeout(deadline) {
-                    Ok(v) => Some(v),
-                    Err(RecvTimeoutError::Timeout) => {
-                        let (_, &(key, device)) = outstanding
-                            .iter()
-                            .next()
-                            // hc-analyze: allow(panic) invariant: in_flight > 0 implies an outstanding entry
-                            .expect("in-flight read with no outstanding entry");
-                        self.health.record_stall(device);
-                        return Err(StorageError::DeviceFailed {
-                            key,
-                            device,
-                            transient: true,
-                            msg: format!(
-                                "io deadline {deadline:?} exceeded with {in_flight} reads in flight"
-                            ),
-                        });
-                    }
-                    Err(RecvTimeoutError::Disconnected) => None,
-                },
-                None => rx.recv().ok(),
-            };
-            let Some((i, res)) = recvd else {
-                return Err(StorageError::Io(
-                    "reactor dropped a completion (IO thread lost)".to_string(),
-                ));
-            };
-            in_flight -= 1;
-            outstanding.remove(&i);
-            if ended.is_none() && first_err.is_none() && next < total {
-                submit_next(&mut next, &mut in_flight, &mut outstanding);
-            }
-            if ended.is_some() {
-                continue;
-            }
-            match res.and_then(|bytes| self.decode_durable_chunk(plan.stream, &slices[i], &bytes)) {
-                Ok(rows) => {
-                    if first_err.is_none() {
-                        match self.deliver_slice(plan, cell, sink, i, rows) {
-                            StreamPhase::Done => {}
-                            other => ended = Some(other),
-                        }
-                    }
-                }
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-        if let Some(phase) = ended {
-            return Ok(phase);
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        // The tail slice (at most one, always last) never touches the
-        // backend; rebuild it inline like the sequential walk does.
-        if let Some(slice) = slices
-            .last()
-            .filter(|s| !Self::slice_is_durable(s, plan.durable))
-        {
-            debug_assert_eq!(slice.chunk_idx as u64 * CHUNK_TOKENS, plan.durable);
-            let rows = // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
-                self.decode_tail(plan.tail.expect("range past durable implies tail"));
-            let i = slices.len() - 1;
-            match self.deliver_slice(plan, cell, sink, i, rows) {
+            match self.deliver_slice(plan, sink, i, rows) {
                 StreamPhase::Done => {}
                 other => return Ok(other),
             }
@@ -1207,11 +1010,13 @@ impl<S: ChunkStore> StorageManager<S> {
     /// by the attached reactor: the per-restore read state machine
     /// (`planned → submitted → decoded → placed`).
     ///
-    /// The returned job immediately owns no thread. Device IO is
-    /// submitted (ascending, windowed) on the first [`ReactorReadJob::pump`];
-    /// each completion stages its raw bytes on the job and fires `notify`.
-    /// The owner — typically a restore driver's compute worker pool —
-    /// responds to `notify` by calling `pump` with its sink, which
+    /// The returned job owns no thread, and of the manager only what its
+    /// IO completions touch (store, reactor, health registry, retry
+    /// policy). Device IO is submitted (ascending, windowed) on the first
+    /// [`ReactorReadJob::pump`]; each completion stages its raw bytes on
+    /// the job and fires `notify`. The owner — a restore driver, or
+    /// [`StorageManager::read_rows_streaming`] itself — responds to
+    /// `notify` by calling `pump` with this manager and its sink, which
     /// validates/decodes/delivers every staged chunk through the exact
     /// helpers the sequential walk uses (bit-identical output), restarts
     /// the pass on a mid-read tombstone (after `sink.reset()`) — whether a
@@ -1219,25 +1024,29 @@ impl<S: ChunkStore> StorageManager<S> {
     /// live generation to the lowest slice index once the window drains.
     ///
     /// Caller contract: `pump` must not run concurrently for one job (the
-    /// driver's run-queue serialization provides this); `notify` must be
+    /// drivers' run-queue serialization provides this); `notify` must be
     /// cheap and non-blocking (push a token, nothing more).
     ///
     /// # Panics
     /// Panics when no reactor is attached, or on a reversed range.
     pub fn begin_read_reactor(
-        self: &Arc<Self>,
+        &self,
         stream: StreamId,
         start: u64,
         end: u64,
         notify: Arc<dyn Fn() + Send + Sync>,
     ) -> Arc<ReactorReadJob<S>> {
         assert!(start <= end, "reversed range {start}..{end}");
-        assert!(
-            self.reactor.is_some(),
-            "begin_read_reactor requires a manager with_reactor"
-        );
+        let reactor = self
+            .reactor
+            .as_ref()
+            // hc-analyze: allow(panic) documented API contract: callers must configure the manager with_reactor first
+            .expect("begin_read_reactor requires a manager with_reactor");
         Arc::new(ReactorReadJob {
-            mgr: Arc::clone(self),
+            store: Arc::clone(&self.store),
+            reactor: Arc::clone(reactor),
+            health: Arc::clone(&self.health),
+            retry: self.retry,
             stream,
             start,
             end,
@@ -1668,20 +1477,56 @@ pub enum PumpOutcome {
     Failed(StorageError),
 }
 
-/// Pass-immutable snapshot of one attempt at the range: built under the
-/// brief stream read lock (same discipline as `read_rows_streaming`),
-/// then shared by pump passes so decode runs with no job lock held.
+/// One attempt at the range as the reactor reads it: the snapshot plan
+/// partitioned into device-occupying chunks and DRAM-tier front hits.
+/// Pass-immutable, so pump passes decode with no job lock held.
 struct JobPass {
-    slices: Vec<ChunkSlice>,
-    durable: u64,
-    tail: Option<Vec<f32>>,
-    cell: Option<Arc<RwLock<StreamState>>>,
-    /// `(slice_idx, key, device)` of device-occupying chunks, ascending.
+    plan: ReadPlan,
+    /// `(slice_idx, key, device)` of device-occupying durable chunks, in
+    /// ascending slice order — the order submissions enter the device
+    /// queues, which makes error resolution deterministic: any chunk not
+    /// yet submitted has a higher slice index than every submitted one.
     device_chunks: Vec<(usize, ChunkKey, usize)>,
-    /// `(slice_idx, key)` of fast-tier front hits, ascending.
+    /// `(slice_idx, key)` of front hits, ascending, read inline on the
+    /// first pump while the device IO is in flight.
     fast: Vec<(usize, ChunkKey)>,
-    /// In-flight submission window (also bounds staged raw bytes).
+    /// Max chunk reads in flight at once: `iodepth × occupied devices`,
+    /// capped at the chunk count — also the completion-staging bound.
     window: usize,
+}
+
+impl JobPass {
+    fn new<S: ChunkStore>(store: &S, plan: ReadPlan, iodepth: usize) -> Self {
+        let n_dev = store.n_devices().max(1);
+        let mut device_chunks = Vec::new();
+        let mut fast = Vec::new();
+        let mut occupied: HashSet<usize> = HashSet::new();
+        for (i, slice) in plan.slices.iter().enumerate() {
+            if !plan.is_durable(slice) {
+                continue;
+            }
+            let key = ChunkKey {
+                stream: plan.stream,
+                chunk_idx: slice.chunk_idx,
+            };
+            if store.chunk_in_fast_tier(key) {
+                fast.push((i, key));
+            } else {
+                let device = device_for(&key, n_dev);
+                occupied.insert(device);
+                device_chunks.push((i, key, device));
+            }
+        }
+        let window = (iodepth * occupied.len().max(1))
+            .min(device_chunks.len())
+            .max(1);
+        Self {
+            plan,
+            device_chunks,
+            fast,
+            window,
+        }
+    }
 }
 
 /// Mutable state of one async read job, guarded by the job mutex. The
@@ -1717,6 +1562,26 @@ struct JobCore {
     terminal: Option<Result<(), StorageError>>,
 }
 
+impl JobCore {
+    /// Abandons the running pass (the epoch bump fences off its in-flight
+    /// completions) and starts `pass` — `None` to plan a fresh one on the
+    /// next pump.
+    fn fence(&mut self, pass: Option<Arc<JobPass>>) {
+        self.epoch += 1;
+        self.pass = pass;
+        self.staged.clear();
+        self.in_flight = 0;
+        self.in_flight_keys.clear();
+        self.last_progress = std::time::Instant::now();
+        self.next_submit = 0;
+        self.halted = false;
+        self.first_err = None;
+        self.delivered = 0;
+        self.fast_done = false;
+        self.tail_done = false;
+    }
+}
+
 /// The per-read state machine of the event-driven read path: each chunk
 /// advances `planned` (in `pass.device_chunks`, not yet submitted) →
 /// `submitted` (in its device queue / in flight) → `decoded` (staged
@@ -1724,7 +1589,10 @@ struct JobCore {
 /// sink). Created by [`StorageManager::begin_read_reactor`]; see there
 /// for the ownership contract.
 pub struct ReactorReadJob<S: ChunkStore> {
-    mgr: Arc<StorageManager<S>>,
+    store: Arc<S>,
+    reactor: Arc<Reactor>,
+    health: Arc<DeviceHealth>,
+    retry: RetryPolicy,
     stream: StreamId,
     start: u64,
     end: u64,
@@ -1735,10 +1603,11 @@ pub struct ReactorReadJob<S: ChunkStore> {
 }
 
 /// What one pump iteration decided to do, resolved under the job lock
-/// and executed (IO, decode, delivery) after releasing it.
+/// and executed (planning, IO, decode, delivery) after releasing it.
 enum PumpStep {
-    /// State changed under the lock; re-decide.
-    Continue,
+    /// No pass yet (first pump, or after a tombstone restart): snapshot
+    /// the stream and submit a fresh pass.
+    Plan,
     Done,
     Failed(StorageError),
     Pending,
@@ -1755,7 +1624,7 @@ enum PumpStep {
         batch: Vec<(usize, Result<Vec<u8>, StorageError>)>,
         fast_todo: bool,
         /// An earlier pump already recorded an error: drain without
-        /// delivering (mirrors the synchronous walk's post-error drain).
+        /// delivering, so the lowest-index error wins.
         prior_failed: bool,
     },
     /// All device chunks placed; rebuild and deliver the tail slice.
@@ -1773,69 +1642,14 @@ impl<S: ChunkStore> ReactorReadJob<S> {
         (self.start, self.end)
     }
 
-    /// Starts a pass: snapshot the stream (brief read lock), plan the
-    /// range, submit the initial window. Caller holds the core lock.
-    fn start_pass(self: &Arc<Self>, core: &mut JobCore) -> Result<(), StorageError> {
-        let mgr = &self.mgr;
-        let cell = mgr.stream_handle(self.stream);
-        let (available, durable, tail) = match &cell {
-            Some(cell) => {
-                let state = cell.read();
-                let available = state.n_tokens;
-                let tail = if self.end > state.n_durable && !state.partial.is_empty() {
-                    Some(state.partial.clone())
-                } else {
-                    None
-                };
-                (available, state.n_durable, tail)
-            }
-            None => (0, 0, None),
-        };
-        if self.end > available {
-            return Err(StorageError::OutOfRange {
-                stream: self.stream,
-                available,
-                requested: self.end,
-            });
-        }
-        let slices = chunks_for_range(self.start, self.end);
-        // hc-analyze: allow(panic) invariant: begin_read_reactor requires a manager with a reactor
-        let iodepth = mgr.reactor.as_ref().expect("job implies reactor").iodepth();
-        let (device_chunks, fast, window) = {
-            let plan = ReadPlan {
-                stream: self.stream,
-                slices: &slices,
-                durable,
-                tail: tail.as_deref(),
-                range_start: self.start,
-            };
-            mgr.reactor_partition(&plan, iodepth)
-        };
-        core.epoch += 1;
-        core.staged.clear();
-        core.in_flight = 0;
-        core.in_flight_keys.clear();
-        core.last_progress = std::time::Instant::now();
-        core.next_submit = 0;
-        core.halted = false;
-        core.first_err = None;
-        core.delivered = 0;
-        core.fast_done = false;
-        core.tail_done = false;
-        let pass = Arc::new(JobPass {
-            slices,
-            durable,
-            tail,
-            cell,
-            device_chunks,
-            fast,
-            window,
-        });
-        core.pass = Some(Arc::clone(&pass));
+    /// Makes `pass` the current pass and submits its initial window.
+    /// Caller holds the core lock.
+    fn install(self: &Arc<Self>, core: &mut JobCore, pass: JobPass) {
+        let pass = Arc::new(pass);
+        core.fence(Some(Arc::clone(&pass)));
         while core.in_flight < pass.window && core.next_submit < pass.device_chunks.len() {
             self.submit_one(core, &pass);
         }
-        Ok(())
     }
 
     /// Submits the next planned chunk to its device queue (a channel
@@ -1848,28 +1662,10 @@ impl<S: ChunkStore> ReactorReadJob<S> {
         core.last_progress = std::time::Instant::now();
         let epoch = core.epoch;
         let job = Arc::clone(self);
-        let store = Arc::clone(&self.mgr.store);
-        let policy = self.mgr.retry;
-        let health = Arc::clone(&self.mgr.health);
-        self.mgr
-            .reactor
-            .as_ref()
-            // hc-analyze: allow(panic) invariant: begin_read_reactor requires a manager with a reactor
-            .expect("job implies reactor")
-            .submit_io(device, move || {
-                // A panicking store must not strand the machine on a
-                // completion that never comes: convert to a typed error.
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    read_chunk_retrying(store.as_ref(), key, &policy, &health)
-                }))
-                .unwrap_or_else(|_| {
-                    Err(StorageError::Io(format!(
-                        "chunk read panicked (chunk {} of {:?})",
-                        key.chunk_idx, key.stream
-                    )))
-                });
-                job.complete_io(epoch, i, res);
-            });
+        self.reactor.submit_io(device, move || {
+            let res = read_chunk_contained(job.store.as_ref(), key, &job.retry, &job.health);
+            job.complete_io(epoch, i, res);
+        });
     }
 
     /// IO-thread side of a completion: stage the raw bytes, top the
@@ -1952,101 +1748,99 @@ impl<S: ChunkStore> ReactorReadJob<S> {
             ));
         }
         drop(core);
-        self.mgr.health.record_stall(device);
+        self.health.record_stall(device);
         true
     }
 
-    /// Abandons the current pass after a tombstone observation: the epoch
-    /// bump fences off its in-flight completions, the sink discards
-    /// everything delivered, and the next decide starts a fresh pass
-    /// against the successor state.
+    /// Abandons the current pass after a tombstone observation: the sink
+    /// discards everything delivered, and the next pump plans a fresh
+    /// pass against the successor state.
     fn restart(&self, sink: &mut dyn RowSink) {
-        let mut core = self.core.lock();
-        core.epoch += 1;
-        core.pass = None;
-        core.staged.clear();
-        core.in_flight = 0;
-        core.in_flight_keys.clear();
-        core.last_progress = std::time::Instant::now();
-        core.next_submit = 0;
-        core.halted = false;
-        core.first_err = None;
-        core.delivered = 0;
-        core.fast_done = false;
-        core.tail_done = false;
-        drop(core);
+        self.core.lock().fence(None);
         sink.reset();
+    }
+
+    /// Applies how a delivery run ended: a dead generation restarts the
+    /// pass (`None`: keep pumping); a cancelling sink finishes the job.
+    fn settle(&self, ended: Option<StreamPhase>, sink: &mut dyn RowSink) -> Option<PumpOutcome> {
+        match ended {
+            Some(StreamPhase::Restart) => {
+                self.restart(sink);
+                None
+            }
+            Some(StreamPhase::Cancelled) => {
+                self.core.lock().terminal = Some(Ok(()));
+                Some(PumpOutcome::Done)
+            }
+            Some(StreamPhase::Done) | None => None,
+        }
     }
 
     /// Advances the state machine: validates, decodes and delivers every
     /// staged completion to `sink` (through the same helpers the
     /// sequential walk uses — bit-identical output), handling tombstone
     /// restarts, sink cancellation and deterministic error resolution.
+    /// `mgr` is the manager that began the job.
     ///
     /// Must not run concurrently for one job (see
     /// [`StorageManager::begin_read_reactor`]); IO threads staging new
     /// completions during a pump are fine — they fire another `notify`.
-    pub fn pump(self: &Arc<Self>, sink: &mut dyn RowSink) -> PumpOutcome {
+    pub fn pump(self: &Arc<Self>, mgr: &StorageManager<S>, sink: &mut dyn RowSink) -> PumpOutcome {
         loop {
             let step = {
                 let mut core = self.core.lock();
-                if let Some(t) = &core.terminal {
-                    match t {
-                        Ok(()) => PumpStep::Done,
-                        Err(e) => PumpStep::Failed(e.clone()),
-                    }
-                } else if core.pass.is_none() {
-                    match self.start_pass(&mut core) {
-                        Ok(()) => PumpStep::Continue,
-                        Err(e) => {
-                            core.terminal = Some(Err(e.clone()));
-                            PumpStep::Failed(e)
-                        }
-                    }
-                } else if !core.staged.is_empty() || !core.fast_done {
-                    // hc-analyze: allow(panic) invariant: this branch is only reached with a live pass (checked above)
-                    let pass = Arc::clone(core.pass.as_ref().expect("checked above"));
-                    let batch: Vec<_> = core.staged.drain(..).collect();
-                    let fast_todo = !core.fast_done;
-                    core.fast_done = true;
-                    PumpStep::Batch {
-                        pass,
-                        batch,
-                        fast_todo,
-                        prior_failed: core.first_err.is_some(),
-                    }
-                } else if core.halted {
-                    if core.in_flight == 0 {
-                        // hc-analyze: allow(panic) invariant: halted is only set together with first_err
-                        let (_, err) = core.first_err.clone().expect("halted implies an error");
-                        // hc-analyze: allow(panic) invariant: this branch is only reached with a live pass (checked above)
-                        let pass = Arc::clone(core.pass.as_ref().expect("checked above"));
-                        PumpStep::Halted { pass, err }
-                    } else {
-                        PumpStep::Pending
-                    }
-                } else {
-                    // hc-analyze: allow(panic) invariant: this branch is only reached with a live pass (checked above)
-                    let pass = Arc::clone(core.pass.as_ref().expect("checked above"));
-                    if core.delivered == pass.device_chunks.len() && core.in_flight == 0 {
-                        let has_tail = pass.slices.last().is_some_and(|s| {
-                            !StorageManager::<S>::slice_is_durable(s, pass.durable)
-                        });
-                        if core.tail_done || !has_tail {
-                            core.terminal = Some(Ok(()));
-                            PumpStep::Done
+                match (&core.terminal, core.pass.clone()) {
+                    (Some(Ok(())), _) => PumpStep::Done,
+                    (Some(Err(e)), _) => PumpStep::Failed(e.clone()),
+                    (None, None) => PumpStep::Plan,
+                    (None, Some(pass)) => {
+                        if !core.staged.is_empty() || !core.fast_done {
+                            let batch: Vec<_> = core.staged.drain(..).collect();
+                            let fast_todo = !core.fast_done;
+                            core.fast_done = true;
+                            PumpStep::Batch {
+                                pass,
+                                batch,
+                                fast_todo,
+                                prior_failed: core.first_err.is_some(),
+                            }
+                        } else if core.in_flight > 0
+                            || (!core.halted && core.delivered < pass.device_chunks.len())
+                        {
+                            PumpStep::Pending
+                        } else if core.halted {
+                            // hc-analyze: allow(panic) invariant: a drained halted pass has recorded its error
+                            let (_, err) = core.first_err.clone().expect("halted implies an error");
+                            PumpStep::Halted { pass, err }
                         } else {
-                            core.tail_done = true;
-                            PumpStep::Tail(pass)
+                            let has_tail = pass
+                                .plan
+                                .slices
+                                .last()
+                                .is_some_and(|s| !pass.plan.is_durable(s));
+                            if core.tail_done || !has_tail {
+                                core.terminal = Some(Ok(()));
+                                PumpStep::Done
+                            } else {
+                                core.tail_done = true;
+                                PumpStep::Tail(pass)
+                            }
                         }
-                    } else {
-                        PumpStep::Pending
                     }
                 }
             };
 
             match step {
-                PumpStep::Continue => continue,
+                PumpStep::Plan => match mgr.plan_read(self.stream, self.start, self.end) {
+                    Ok(plan) => {
+                        let pass = JobPass::new(self.store.as_ref(), plan, self.reactor.iodepth());
+                        self.install(&mut self.core.lock(), pass);
+                    }
+                    Err(e) => {
+                        self.core.lock().terminal = Some(Err(e.clone()));
+                        return PumpOutcome::Failed(e);
+                    }
+                },
                 PumpStep::Done => return PumpOutcome::Done,
                 PumpStep::Failed(e) => return PumpOutcome::Failed(e),
                 PumpStep::Pending => return PumpOutcome::Pending,
@@ -2058,7 +1852,7 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     // instead of failing. Checked outside the job lock:
                     // the window is drained and the pass halted, so no
                     // completion can race this decision.
-                    if StorageManager::<S>::cell_tombstoned(&pass.cell) {
+                    if pass.plan.tombstoned() {
                         self.restart(sink);
                         continue;
                     }
@@ -2066,28 +1860,11 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     return PumpOutcome::Failed(err);
                 }
                 PumpStep::Tail(pass) => {
-                    let plan = ReadPlan {
-                        stream: self.stream,
-                        slices: &pass.slices,
-                        durable: pass.durable,
-                        tail: pass.tail.as_deref(),
-                        range_start: self.start,
-                    };
-                    let rows = self
-                        .mgr
-                        // hc-analyze: allow(panic) planner invariant: a tail slice always snapshots the partial buffer
-                        .decode_tail(plan.tail.expect("tail slice implies snapshotted tail"));
-                    let i = pass.slices.len() - 1;
-                    match self.mgr.deliver_slice(&plan, &pass.cell, sink, i, rows) {
-                        StreamPhase::Done => continue,
-                        StreamPhase::Cancelled => {
-                            self.core.lock().terminal = Some(Ok(()));
-                            return PumpOutcome::Done;
-                        }
-                        StreamPhase::Restart => {
-                            self.restart(sink);
-                            continue;
-                        }
+                    let rows = mgr.decode_tail(&pass.plan);
+                    let i = pass.plan.slices.len() - 1;
+                    let ended = mgr.deliver_slice(&pass.plan, sink, i, rows);
+                    if let Some(out) = self.settle(Some(ended), sink) {
+                        return out;
                     }
                 }
                 PumpStep::Batch {
@@ -2096,38 +1873,35 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     fast_todo,
                     prior_failed,
                 } => {
-                    let plan = ReadPlan {
-                        stream: self.stream,
-                        slices: &pass.slices,
-                        durable: pass.durable,
-                        tail: pass.tail.as_deref(),
-                        range_start: self.start,
+                    let plan = &pass.plan;
+                    let decode = |i: usize, bytes: Vec<u8>| {
+                        mgr.decode_durable_chunk(self.stream, &plan.slices[i], &bytes)
                     };
                     let mut errs: Vec<(usize, StorageError)> = Vec::new();
                     let mut delivered = 0usize;
                     let mut ended: Option<StreamPhase> = None;
                     if fast_todo && !prior_failed {
-                        for (i, key) in pass.fast.iter().copied() {
-                            if ended.is_some() || !errs.is_empty() {
-                                break;
-                            }
-                            match read_chunk_retrying(
-                                self.mgr.store.as_ref(),
+                        for &(i, key) in &pass.fast {
+                            let read = read_chunk_contained(
+                                self.store.as_ref(),
                                 key,
-                                &self.mgr.retry,
-                                &self.mgr.health,
-                            )
-                            .and_then(|bytes| {
-                                self.mgr
-                                    .decode_durable_chunk(self.stream, &pass.slices[i], &bytes)
-                            }) {
-                                Ok(rows) => {
-                                    match self.mgr.deliver_slice(&plan, &pass.cell, sink, i, rows) {
-                                        StreamPhase::Done => {}
-                                        other => ended = Some(other),
+                                &self.retry,
+                                &self.health,
+                            );
+                            match read.and_then(|bytes| decode(i, bytes)) {
+                                Ok(rows) => match mgr.deliver_slice(plan, sink, i, rows) {
+                                    StreamPhase::Done => {}
+                                    other => {
+                                        ended = Some(other);
+                                        break;
                                     }
+                                },
+                                // Lowest-index determinism: later front
+                                // hits cannot have a lower index.
+                                Err(e) => {
+                                    errs.push((i, e));
+                                    break;
                                 }
-                                Err(e) => errs.push((i, e)),
                             }
                         }
                     }
@@ -2135,18 +1909,14 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                         if ended.is_some() {
                             continue;
                         }
-                        match res.and_then(|bytes| {
-                            self.mgr
-                                .decode_durable_chunk(self.stream, &pass.slices[i], &bytes)
-                        }) {
-                            Ok(rows) => {
-                                if !prior_failed && errs.is_empty() {
-                                    match self.mgr.deliver_slice(&plan, &pass.cell, sink, i, rows) {
-                                        StreamPhase::Done => delivered += 1,
-                                        other => ended = Some(other),
-                                    }
+                        match res.and_then(|bytes| decode(i, bytes)) {
+                            Ok(rows) if !prior_failed && errs.is_empty() => {
+                                match mgr.deliver_slice(plan, sink, i, rows) {
+                                    StreamPhase::Done => delivered += 1,
+                                    other => ended = Some(other),
                                 }
                             }
+                            Ok(_) => {}
                             Err(e) => errs.push((i, e)),
                         }
                     }
@@ -2160,15 +1930,9 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                             }
                         }
                     }
-                    match ended {
-                        Some(StreamPhase::Restart) => self.restart(sink),
-                        Some(StreamPhase::Cancelled) => {
-                            self.core.lock().terminal = Some(Ok(()));
-                            return PumpOutcome::Done;
-                        }
-                        _ => {}
+                    if let Some(out) = self.settle(ended, sink) {
+                        return out;
                     }
-                    continue;
                 }
             }
         }
@@ -2206,7 +1970,6 @@ mod tests {
     use crate::backend::MemStore;
     use crate::fault::{FaultStore, FaultTarget};
     use hc_tensor::f16::f16_roundtrip;
-    use std::sync::mpsc;
 
     const D: usize = 8;
 
@@ -3036,14 +2799,14 @@ mod tests {
         store.stall_reads(FaultTarget::Any, Duration::from_millis(100));
         let job = m.begin_read_reactor(s, 0, 256, Arc::new(|| {}));
         let mut sink = RecordingSink::default();
-        assert!(matches!(job.pump(&mut sink), PumpOutcome::Pending));
+        assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Pending));
         assert!(
             !job.expire_stalled(Duration::from_millis(500)),
             "deadline not reached yet"
         );
         std::thread::sleep(Duration::from_millis(30));
         assert!(job.expire_stalled(Duration::from_millis(20)));
-        match job.pump(&mut sink) {
+        match job.pump(&m, &mut sink) {
             PumpOutcome::Failed(StorageError::DeviceFailed {
                 transient: true, ..
             }) => {}
@@ -3052,7 +2815,7 @@ mod tests {
         // Late completions of the fenced pass must not revive the job.
         std::thread::sleep(Duration::from_millis(120));
         assert!(
-            matches!(job.pump(&mut sink), PumpOutcome::Failed(_)),
+            matches!(job.pump(&m, &mut sink), PumpOutcome::Failed(_)),
             "terminal result is sticky"
         );
     }
@@ -3296,7 +3059,6 @@ mod tests {
             let reactor = Reactor::new(4, iodepth);
             let m = StorageManager::new(Arc::new(MemStore::new(4)), D)
                 .with_reactor(Arc::clone(&reactor));
-            assert_eq!(m.read_parallelism(), 4 * iodepth);
             m.append_rows(s, &t).unwrap();
             for &(a, b) in &ranges {
                 assert_eq!(
@@ -3425,12 +3187,13 @@ mod tests {
     /// staged completion fires it, so no wakeup can be lost; the bound
     /// only turns a broken job into a failure instead of a hang).
     fn drive_job<S: ChunkStore>(
+        m: &StorageManager<S>,
         job: &Arc<ReactorReadJob<S>>,
         woken: &mpsc::Receiver<()>,
         sink: &mut AsyncAssemble,
     ) -> Result<(), StorageError> {
         loop {
-            match job.pump(sink) {
+            match job.pump(m, sink) {
                 PumpOutcome::Done => return Ok(()),
                 PumpOutcome::Failed(e) => return Err(e),
                 PumpOutcome::Pending => woken
@@ -3462,10 +3225,10 @@ mod tests {
             assert_eq!(job.stream(), s);
             assert_eq!(job.range(), (a, b));
             let mut sink = AsyncAssemble::new((b - a) as usize, D);
-            drive_job(&job, &woken, &mut sink).unwrap();
+            drive_job(&m, &job, &woken, &mut sink).unwrap();
             assert_eq!(sink.out, m.read_rows(s, a, b).unwrap(), "range {a}..{b}");
             // Terminal outcomes are sticky.
-            assert!(matches!(job.pump(&mut sink), PumpOutcome::Done));
+            assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Done));
         }
     }
 
@@ -3478,7 +3241,7 @@ mod tests {
         m.append_rows(s, &rows(10, 1)).unwrap();
         let (job, woken) = begin_job(&m, s, 0, 100);
         let mut sink = AsyncAssemble::new(100, D);
-        let err = drive_job(&job, &woken, &mut sink).unwrap_err();
+        let err = drive_job(&m, &job, &woken, &mut sink).unwrap_err();
         assert_eq!(
             err,
             StorageError::OutOfRange {
@@ -3488,7 +3251,7 @@ mod tests {
             }
         );
         assert!(matches!(
-            job.pump(&mut sink),
+            job.pump(&m, &mut sink),
             PumpOutcome::Failed(StorageError::OutOfRange { .. })
         ));
     }
@@ -3503,7 +3266,7 @@ mod tests {
         store.delete_stream(s);
         let (job, woken) = begin_job(&m, s, 0, 256);
         let mut sink = AsyncAssemble::new(256, D);
-        let err = drive_job(&job, &woken, &mut sink).unwrap_err();
+        let err = drive_job(&m, &job, &woken, &mut sink).unwrap_err();
         assert_eq!(
             err,
             StorageError::MissingChunk {
@@ -3527,7 +3290,7 @@ mod tests {
         });
         let (job, woken) = begin_job(&m, s, 0, 128);
         let mut sink = AsyncAssemble::new(128, D);
-        drive_job(&job, &woken, &mut sink).unwrap();
+        drive_job(&m, &job, &woken, &mut sink).unwrap();
         assert!(sink.resets >= 1, "the dead generation must be discarded");
         assert_eq!(sink.out, gen2_roundtrip());
     }
@@ -3571,7 +3334,7 @@ mod tests {
         });
         let (job, woken) = begin_job(&m, s, 0, 128);
         let mut sink = AsyncAssemble::new(128, D);
-        drive_job(&job, &woken, &mut sink).unwrap();
+        drive_job(&m, &job, &woken, &mut sink).unwrap();
         assert!(sink.resets >= 1, "the dead generation must be discarded");
         assert_eq!(sink.out, gen2_roundtrip());
     }
@@ -3591,12 +3354,12 @@ mod tests {
         let gates = [park_device(&reactor, 0), park_device(&reactor, 1)];
         let (job, woken) = begin_job(&m, s, 0, 128);
         let mut sink = AsyncAssemble::new(128, D);
-        assert!(matches!(job.pump(&mut sink), PumpOutcome::Pending));
+        assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Pending));
         m.delete_stream(s);
         m.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         assert!(job.expire_stalled(Duration::ZERO));
         drop(gates);
-        drive_job(&job, &woken, &mut sink).unwrap();
+        drive_job(&m, &job, &woken, &mut sink).unwrap();
         assert!(sink.resets >= 1, "the dead generation must be discarded");
         assert_eq!(sink.out, gen2_roundtrip());
     }

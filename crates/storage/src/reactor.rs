@@ -2,11 +2,11 @@
 //! compute run queue, so in-flight restores are bounded by memory and
 //! iodepth instead of threads.
 //!
-//! A thread-per-restore scheduler clamps in-flight restores to the host
-//! thread grant: every concurrently-restoring session pins one blocking
-//! worker for its whole lifetime. That is fine for 8-session bursts and
-//! wrong for thousands of concurrent restores overlapping IO on a handful
-//! of devices. The reactor inverts the ownership:
+//! Giving each restore a thread of its own would clamp in-flight restores
+//! to the host thread grant: every concurrently-restoring session would
+//! pin one blocking worker for its whole lifetime — fine for 8-session
+//! bursts, wrong for thousands of concurrent restores overlapping IO on a
+//! handful of devices. The reactor inverts the ownership:
 //!
 //! * **Per-device submission queues** ([`Reactor`]): each modeled device
 //!   gets its own queue served by `iodepth` dedicated IO threads, the
@@ -19,9 +19,12 @@
 //!   a thread; it stages its raw bytes on the owning read job and nudges
 //!   the job's owner through a notify callback.
 //! * **Shared compute run queue** ([`WorkQueue`]): a small pool of compute
-//!   workers (owned by the restore driver, counted against the host
+//!   workers (owned by the batch restore driver, counted against the host
 //!   grant) pops ready work tokens and advances whichever state machine
 //!   has staged completions — instead of one thread per lane per restore.
+//!   A single restore, or a synchronous `read_rows`, pumps its read jobs
+//!   on the calling thread instead, sleeping on their `notify` between
+//!   pumps.
 //!
 //! Determinism: the reactor moves *scheduling*, never *content*. Decoding
 //! and placement reuse the manager's sequential-path helpers, byte
@@ -103,10 +106,11 @@ impl Drop for DeviceQueue {
 /// plus the process-wide restore-in-flight gauge.
 ///
 /// Attach one to a manager with
-/// [`crate::manager::StorageManager::with_reactor`]; `read_rows_streaming`
-/// then routes multi-chunk reads through the device queues, and the async
-/// [`crate::manager::ReactorReadJob`] API lets a driver keep thousands of
-/// restores in flight from a fixed worker pool.
+/// [`crate::manager::StorageManager::with_reactor`]; every multi-chunk
+/// read of the manager then runs as an async
+/// [`crate::manager::ReactorReadJob`] over the device queues — pumped by
+/// `read_rows_streaming` on its calling thread, or by a restore driver that
+/// keeps thousands of restores in flight from a fixed worker pool.
 pub struct Reactor {
     devices: Vec<DeviceQueue>,
     iodepth: usize,
@@ -126,8 +130,8 @@ impl Reactor {
     /// `iodepth` requests in flight per device (clamped to ≥ 1).
     ///
     /// Total IO threads: `n_devices × iodepth`. They block on device
-    /// service time, not CPU, so they are budgeted like the manager's
-    /// prefetch threads rather than compute workers.
+    /// service time, not CPU, so they are not charged against the compute
+    /// grant the restore drivers split.
     pub fn new(n_devices: usize, iodepth: usize) -> Arc<Self> {
         let n_devices = n_devices.max(1);
         let iodepth = iodepth.max(1);
@@ -209,9 +213,9 @@ impl Reactor {
     }
 
     /// High-water mark of [`Self::restores_in_flight`]. This is the
-    /// headline "10k restores on a 4-thread grant" number: with a
-    /// thread-per-restore scheduler it can never exceed the thread budget,
-    /// with the reactor it is bounded by admission (memory), not threads.
+    /// headline "10k restores on a 4-thread grant" number: a thread per
+    /// restore could never take it past the thread budget; with the
+    /// reactor it is bounded by admission (memory), not threads.
     pub fn peak_restores_in_flight(&self) -> u64 {
         self.peak_in_flight.load(Ordering::Acquire)
     }

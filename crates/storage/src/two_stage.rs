@@ -19,7 +19,7 @@
 //!
 //! The daemon's chunk encoding runs under the [`StorageManager`]'s
 //! `ParallelConfig` (set via `StorageManager::with_parallel`), so the save
-//! path and the restore prefetcher draw from one shared thread budget.
+//! path and the restore drivers draw from one shared thread budget.
 //!
 //! The daemon is one *appender* among the manager's concurrent clients: it
 //! holds only the written stream's write lock per append (the manager is

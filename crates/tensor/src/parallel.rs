@@ -1,7 +1,7 @@
 //! Thread-budget configuration and the scoped row-parallel helper.
 //!
 //! Everything multi-threaded in the workspace — the blocked GEMM kernels,
-//! the f16 bulk codec, the storage chunk codec and the restore prefetcher —
+//! the f16 bulk codec, the storage chunk codec and the restore drivers —
 //! draws its thread budget from one [`ParallelConfig`], so the saving
 //! daemon and the restoration pipeline never oversubscribe the host
 //! (§4.2.2's chunk daemon and §4.1.2's two-stream schedule share cores in

@@ -15,6 +15,7 @@ use hc_restore::engine::{kv_max_error, restore_session_with_methods, save_sessio
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::MemStore;
 use hc_storage::manager::StorageManager;
+use hc_storage::reactor::Reactor;
 use hc_tensor::ParallelConfig;
 use hcache::HCacheSystem;
 
@@ -111,14 +112,18 @@ fn restores_are_bit_identical_to_sequential_under_any_quota_and_policy() {
     }
 }
 
-/// Concurrent scheduling never changes results: N workers over one shared
-/// budget produce bit-identical caches to one-at-a-time restores, for
-/// every mix, and aggregate work completes for every worker count.
+/// Concurrent scheduling never changes results: N workers of the reactor
+/// batch over one shared budget produce bit-identical caches to
+/// one-at-a-time sequential restores, and aggregate work completes for
+/// every worker count.
 #[test]
 fn restore_scheduler_is_bit_identical_to_sequential_at_any_worker_count() {
     let cfg = ModelConfig::tiny_llama();
     let model = Model::new(&cfg, 23);
-    let mgr = Arc::new(StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model));
+    let mgr = Arc::new(
+        StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
+            .with_reactor(Reactor::new(4, 2)),
+    );
     let ctl = CacheController::new(
         Arc::clone(&mgr),
         cfg.n_layers,
@@ -173,10 +178,9 @@ fn restore_scheduler_is_bit_identical_to_sequential_at_any_worker_count() {
     assert_eq!(ctl.metrics().restore_hits as usize, 3 * jobs.len());
 }
 
-/// A prefetch-stage panic (buggy backend under exactly one session's
-/// stream) fails that one scheduled job with the typed
-/// `CtlError::Prefetch { layer }` — the scheduler's workers survive and
-/// every healthy session still restores bit-identically.
+/// A panicking backend under exactly one session's stream fails that one
+/// scheduled job with a typed storage error — the batch's workers survive
+/// and every healthy session still restores bit-identically.
 #[test]
 fn restore_scheduler_fails_one_job_on_prefetch_panic_without_tearing_down() {
     use hc_storage::backend::{ChunkStore, StoreStats};
@@ -223,7 +227,7 @@ fn restore_scheduler_fails_one_job_on_prefetch_panic_without_tearing_down() {
         poison_session: 2,
         poison_layer: 1,
     });
-    let mgr = Arc::new(StorageManager::new(store, cfg.d_model));
+    let mgr = Arc::new(StorageManager::new(store, cfg.d_model).with_reactor(Reactor::new(4, 2)));
     let ctl = CacheController::new(
         Arc::clone(&mgr),
         cfg.n_layers,
@@ -265,8 +269,13 @@ fn restore_scheduler_fails_one_job_on_prefetch_panic_without_tearing_down() {
     for (session, result) in results {
         if session == 2 {
             assert!(
-                matches!(result, Err(hc_cachectl::CtlError::Prefetch { layer: 1 })),
-                "poisoned session must fail with the typed prefetch error"
+                matches!(
+                    result,
+                    Err(hc_cachectl::CtlError::Storage(
+                        hc_storage::StorageError::Io(_)
+                    ))
+                ),
+                "poisoned session must fail with a typed storage error: {result:?}"
             );
         } else {
             let kv = result.unwrap();
@@ -277,89 +286,4 @@ fn restore_scheduler_fails_one_job_on_prefetch_panic_without_tearing_down() {
             );
         }
     }
-}
-
-/// The scheduler consumes `workload::arrival` traces: requests sorted by
-/// Poisson arrival drive restores in arrival order; sessions without
-/// history are skipped, unknown sessions surface errors.
-#[test]
-fn restore_scheduler_drains_an_arrival_trace() {
-    use hc_workload::arrival::poisson_arrivals;
-    use hc_workload::Request;
-
-    let cfg = ModelConfig::tiny_llama();
-    let model = Model::new(&cfg, 29);
-    let mgr = Arc::new(StorageManager::new(Arc::new(MemStore::new(2)), cfg.d_model));
-    let ctl = CacheController::new(
-        Arc::clone(&mgr),
-        cfg.n_layers,
-        cfg.d_model,
-        ControllerConfig::unlimited(),
-    );
-    let scheme = PartitionScheme::pure_hidden(cfg.n_layers);
-    const N_TOKENS: usize = 70;
-    let mut token_map = std::collections::HashMap::new();
-    for s in 1..=4u64 {
-        ctl.open_session(s, &scheme);
-        let tokens: Vec<u32> = (0..N_TOKENS as u32)
-            .map(|i| (i * 3 + s as u32) % 256)
-            .collect();
-        let mut kv = KvCache::new(&cfg);
-        let out = model.prefill(&tokens, &mut kv, true);
-        save_session_state(
-            &model,
-            &mgr,
-            s,
-            &out.hidden_per_layer.unwrap(),
-            &kv,
-            &scheme,
-        )
-        .unwrap();
-        ctl.on_saved(s, N_TOKENS as u64).unwrap();
-        token_map.insert(s, tokens);
-    }
-    let arrivals = poisson_arrivals(1.0, 1000.0, 3);
-    let mut requests: Vec<Request> = (1..=4u64)
-        .map(|s| Request {
-            session_id: s,
-            arrival: arrivals[s as usize],
-            history_tokens: N_TOKENS as u32,
-            input_tokens: 8,
-            output_tokens: 4,
-        })
-        .collect();
-    // A fresh session (no history → skipped) and an unknown one (error).
-    requests.push(Request {
-        session_id: 50,
-        arrival: arrivals[6],
-        history_tokens: 0,
-        input_tokens: 8,
-        output_tokens: 4,
-    });
-    requests.push(Request {
-        session_id: 99,
-        arrival: arrivals[7],
-        history_tokens: 10,
-        input_tokens: 8,
-        output_tokens: 4,
-    });
-    requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-
-    let sched = RestoreScheduler::new(2, ParallelConfig::new(4));
-    let results = sched.run_trace(&model, &ctl, &requests, |s| token_map.get(&s).cloned());
-    assert_eq!(results.len(), 5, "4 restores + 1 unknown; fresh skipped");
-    let mut ok = 0;
-    for (session, result) in results {
-        if session == 99 {
-            assert!(matches!(
-                result,
-                Err(hc_cachectl::CtlError::UnknownSession(99))
-            ));
-        } else {
-            let kv = result.unwrap();
-            assert_eq!(kv.n_tokens(), N_TOKENS);
-            ok += 1;
-        }
-    }
-    assert_eq!(ok, 4);
 }

@@ -53,7 +53,9 @@ fn rig() -> Rig {
     let cfg = ModelConfig::tiny_llama();
     let model = Model::new(&cfg, 31);
     let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
-    let mgr = Arc::new(StorageManager::new(Arc::clone(&store), cfg.d_model));
+    let mgr = Arc::new(
+        StorageManager::new(Arc::clone(&store), cfg.d_model).with_reactor(Reactor::new(4, 2)),
+    );
     let ctl = CacheController::new(
         Arc::clone(&mgr),
         cfg.n_layers,
@@ -314,7 +316,8 @@ fn degraded_rig(breaker: BreakerConfig) -> DegradedRig {
     let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
     let mgr = Arc::new(
         StorageManager::new(Arc::clone(&store), cfg.d_model)
-            .with_device_health(Arc::new(DeviceHealth::with_config(4, breaker))),
+            .with_device_health(Arc::new(DeviceHealth::with_config(4, breaker)))
+            .with_reactor(Reactor::new(4, 2)),
     );
     let ctl = CacheController::new(
         Arc::clone(&mgr),

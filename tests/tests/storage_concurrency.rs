@@ -643,7 +643,7 @@ fn dead_generation_error_restarts_the_async_read_job() {
     );
     let mut sink = CollectSink::default();
     loop {
-        match job.pump(&mut sink) {
+        match job.pump(&mgr, &mut sink) {
             PumpOutcome::Done => break,
             PumpOutcome::Failed(e) => panic!("a dead generation's error must restart: {e}"),
             // Every staged completion fires `notify`; the bound only turns
