@@ -26,7 +26,7 @@
 //! The controller is also where the **device-health plane** lands on the
 //! session axis: [`CacheController::on_device_down`] marks a storage lane
 //! out, and [`CacheController::restore_with_report`] /
-//! [`CacheController::restore_batch_reactor_with_reports`] degrade any
+//! [`scheduler::RestoreScheduler::run_with_reports`] degrade any
 //! layer whose chunks sit behind a down or breaker-tripped device to
 //! recomputation — preemptively when known up front, reactively when a
 //! read dies mid-restore — returning a per-session
@@ -553,39 +553,6 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         self.restore_loop(model, session, tokens, par, degrade, 0, None, None)
     }
 
-    /// Restores a batch of sessions through the storage manager's IO
-    /// reactor ([`hc_restore::reactor::restore_sessions_reactor`]):
-    /// `workers` compute threads advance up to `max_inflight` restore
-    /// state machines, so the in-flight session count is bounded by
-    /// memory and iodepth instead of threads. Each job's method mix and
-    /// history length are snapshotted under the state lock (bumping the
-    /// same hit/fallback metrics as [`CacheController::restore`]); unknown
-    /// sessions fail only their own slot. A job whose reactor restore
-    /// fails is re-resolved through the single-session retry loop, so a
-    /// concurrent save that demoted it mid-flight (its mix changed since
-    /// the snapshot) costs a retry, and a genuine failure surfaces typed.
-    ///
-    /// Returns `(session, result)` pairs in job order, each successful
-    /// cache bit-identical to a sequential restore of the snapshot mix.
-    ///
-    /// # Panics
-    /// Panics when the manager has no reactor attached
-    /// (`StorageManager::with_reactor`) or on a model/controller layer
-    /// mismatch.
-    pub fn restore_batch_reactor(
-        &self,
-        model: &Model,
-        jobs: &[crate::scheduler::RestoreJob],
-        workers: usize,
-        max_inflight: usize,
-        par: &ParallelConfig,
-    ) -> Vec<(u64, Result<KvCache, CtlError>)> {
-        self.restore_batch(model, jobs, workers, max_inflight, par, false)
-            .into_iter()
-            .map(|(session, r)| (session, r.map(|(kv, _)| kv)))
-            .collect()
-    }
-
     /// Marks a storage device administratively down. Until
     /// [`CacheController::on_device_recovered`] clears the mark, restores
     /// preemptively degrade any layer whose chunks live on that lane to
@@ -794,26 +761,29 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         }
     }
 
-    /// [`CacheController::restore_batch_reactor`] with the device-health
-    /// plane engaged: each snapshot mix is preemptively degraded around
-    /// down-marked / breaker-tripped devices before submission, and a job
-    /// whose reactor restore still fails on a device falls back to the
-    /// single-session degraded loop (primed with what the failure taught).
-    /// Returns per-session results paired with [`DegradationReport`]s.
-    pub fn restore_batch_reactor_with_reports(
-        &self,
-        model: &Model,
-        jobs: &[crate::scheduler::RestoreJob],
-        workers: usize,
-        max_inflight: usize,
-        par: &ParallelConfig,
-    ) -> Vec<ReportedRestore> {
-        self.restore_batch(model, jobs, workers, max_inflight, par, true)
-    }
-
-    /// The one reactor batch loop: snapshot every job's mix, (when
-    /// `degrade`) degrade it around sick devices, run the batch, and
-    /// re-resolve each failed job through [`Self::restore_loop`].
+    /// Restores a batch of sessions through the storage manager's IO
+    /// reactor ([`hc_restore::reactor::restore_sessions_reactor`]) — the
+    /// route [`scheduler::RestoreScheduler`] takes over a reactor-attached
+    /// manager. `workers` compute threads advance up to `max_inflight`
+    /// restore state machines, so the in-flight session count is bounded
+    /// by memory and iodepth instead of threads. Each job's method mix and
+    /// history length are snapshotted under the state lock (bumping the
+    /// same hit/fallback metrics as [`CacheController::restore`]); unknown
+    /// sessions fail only their own slot. With `degrade` on, each snapshot
+    /// mix is preemptively degraded around down-marked / breaker-tripped
+    /// devices before submission. A job whose reactor restore fails is
+    /// re-resolved through [`Self::restore_loop`] (primed with what the
+    /// failure taught), so a concurrent save that demoted it mid-flight
+    /// (its mix changed since the snapshot) costs a retry, and a genuine
+    /// failure surfaces typed.
+    ///
+    /// Returns `(session, result)` pairs in job order, each successful
+    /// cache bit-identical to a sequential restore of the snapshot mix.
+    ///
+    /// # Panics
+    /// Panics when the manager has no reactor attached
+    /// (`StorageManager::with_reactor`) or on a model/controller layer
+    /// mismatch.
     pub(crate) fn restore_batch(
         &self,
         model: &Model,
@@ -1504,7 +1474,7 @@ mod tests {
 
     #[test]
     fn batch_reactor_with_reports_degrades_and_repromotes() {
-        use crate::scheduler::RestoreJob;
+        use crate::scheduler::{RestoreJob, RestoreScheduler};
         use hc_storage::fault::FaultStore;
         use hc_storage::reactor::Reactor;
 
@@ -1545,8 +1515,10 @@ mod tests {
             session: 1,
             tokens: mk_tokens(1),
         }];
-        let results =
-            ctl.restore_batch_reactor_with_reports(&model, &jobs, 2, 4, &ParallelConfig::new(2));
+        // Two workers on a two-thread grant, four machines in flight: the
+        // scheduler's reactor route into the batch loop.
+        let sched = RestoreScheduler::new(2, ParallelConfig::new(2)).with_reactor(4);
+        let results = sched.run_with_reports(&model, &ctl, &jobs);
         assert_eq!(results.len(), 1);
         let (sid, res) = &results[0];
         assert_eq!(*sid, 1);
@@ -1565,8 +1537,7 @@ mod tests {
         .unwrap();
         assert_eq!(kv_max_error(kv_deg, &seq), 0.0);
         ctl.on_device_recovered(3);
-        let results =
-            ctl.restore_batch_reactor_with_reports(&model, &jobs, 2, 4, &ParallelConfig::new(2));
+        let results = sched.run_with_reports(&model, &ctl, &jobs);
         let (kv_back, rep) = results[0].1.as_ref().unwrap();
         assert_eq!(rep.layers_recomputed, 0);
         let full = restore_session_with_methods(

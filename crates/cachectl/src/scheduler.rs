@@ -6,7 +6,7 @@
 //! the controller's manager alone:
 //!
 //! * **Over an IO reactor** — what every `HCacheSystem` runs — the batch
-//!   goes through [`CacheController::restore_batch_reactor`]: each restore
+//!   goes through the controller's reactor batch loop: each restore
 //!   is a state machine advanced by a fixed pool of compute workers
 //!   (`n_workers`, clamped to the thread grant, which they split evenly),
 //!   IO flows through per-device submission queues, and the in-flight
@@ -90,13 +90,11 @@ impl RestoreScheduler {
             .collect()
     }
 
-    /// [`RestoreScheduler::run`] with the device-health plane engaged:
-    /// restores route through the controller's degraded entry points
-    /// ([`CacheController::restore_batch_reactor_with_reports`], or
-    /// [`CacheController::restore_with_report`] per job without a
-    /// reactor), so sessions whose layers sit behind a down or
-    /// breaker-tripped device complete via recomputation and report how
-    /// many layers degraded instead of failing.
+    /// [`RestoreScheduler::run`] with the device-health plane engaged: the
+    /// reactor batch loop, or [`CacheController::restore_with_report`] per
+    /// job without a reactor, degrades instead of failing, so sessions
+    /// whose layers sit behind a down or breaker-tripped device complete
+    /// via recomputation and report how many layers degraded.
     pub fn run_with_reports<S: ChunkStore + Sync + 'static>(
         &self,
         model: &Model,

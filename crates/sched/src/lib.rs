@@ -15,11 +15,10 @@
 //!
 //! [`partition`] implements the closed-form `L_H`/`L_O` solution of §4.1.2
 //! plus a brute-force reference; [`pipeline`] builds the explicit per-layer
-//! two-stream timeline (Figures 5 and 8d) with bubble accounting; and
-//! [`ablation`] implements the token-wise partition variants the paper
-//! compares against in §6.3.2 (Figure 13).
+//! two-stream timeline (Figures 5 and 8d) with bubble accounting. Only
+//! layer-wise partitioning is implemented: the token-wise variants the
+//! paper rejects in §6.3.2 (Figure 13) are not modelled.
 
-pub mod ablation;
 pub mod partition;
 pub mod pipeline;
 

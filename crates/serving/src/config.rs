@@ -47,11 +47,6 @@ pub struct ServingConfig {
     /// Think time between a response and the next round of the same
     /// session, when [`ServingConfig::serialize_sessions`] is on.
     pub round_think_time: Sec,
-    /// Prefetch extension (§4: AttentionStore-style): during a session's
-    /// think time, its state is staged from SSD into host DRAM, so the
-    /// restoration of follow-up rounds streams at PCIe speed instead of
-    /// SSD speed. Off by default (the paper evaluates without it).
-    pub prefetch_to_dram: bool,
     /// Host thread budget handed to the functional layer when this config
     /// drives real restoration (`hcache::HCacheSystem`): sizes the restore
     /// pipeline's projection GEMMs and the storage chunk codec, so the
@@ -90,7 +85,6 @@ impl ServingConfig {
             direct_io_qd: 4,
             serialize_sessions: true,
             round_think_time: 30.0,
-            prefetch_to_dram: false,
             parallel: hc_tensor::ParallelConfig::serial(),
             host_quota_bytes: None,
             host_policy: PolicyKind::Lru,

@@ -128,9 +128,6 @@ impl HostCacheSim {
 /// Virtual-time continuous-batching serving engine.
 pub struct ServingEngine {
     profile: PlatformProfile,
-    /// The same platform with a DRAM storage tier — the profile a
-    /// prefetched (DRAM-staged) restoration runs under.
-    dram_profile: PlatformProfile,
     cfg: ServingConfig,
     /// KV pool capacity in tokens.
     capacity_tokens: u64,
@@ -142,12 +139,8 @@ impl ServingEngine {
         let kv_per_token = profile.shape.kv_bytes_layer(1) * profile.shape.n_layers as u64;
         let capacity_tokens =
             profile.platform.kv_budget_bytes(profile.shape.weight_bytes) / kv_per_token.max(1);
-        let mut dram_platform = profile.platform.clone();
-        dram_platform.storage = StorageTier::Dram;
-        let dram_profile = PlatformProfile::new(dram_platform, profile.shape.clone());
         Self {
             profile,
-            dram_profile,
             cfg,
             capacity_tokens,
         }
@@ -262,9 +255,6 @@ impl ServingEngine {
         let mut lru = GpuKvCache::new(self.capacity_tokens);
         let mut active_resident: u64 = 0;
         let mut done: Vec<RequestMetrics> = Vec::new();
-        // Sessions that completed at least one round (their host state can
-        // have been prefetched into DRAM during think time).
-        let mut warm_sessions: std::collections::HashSet<u64> = std::collections::HashSet::new();
         // Host cache pool mirror (None = unlimited, the paper's setting).
         let mut host = self.host_cache_sim();
 
@@ -328,16 +318,8 @@ impl ServingEngine {
                 let req = admit_q.remove(scan).unwrap();
                 let history = req.history_tokens as u64;
                 let needs_restore = history > 0 && !cache_hit;
-                // Prefetch extension: a warm session's state was staged to
-                // host DRAM during think time, so its restoration runs
-                // under the DRAM-tier profile (link-speed IO and the
-                // schedule the bubble-free scheduler picks for it).
-                let prefetched = self.cfg.prefetch_to_dram
-                    && needs_restore
-                    && warm_sessions.contains(&req.session_id);
                 // Quota check: an evicted session's state is gone; its
-                // restore falls back to token recomputation (and there is
-                // nothing staged in DRAM for it either).
+                // restore falls back to token recomputation.
                 let host_fallback = needs_restore
                     && host
                         .as_mut()
@@ -348,12 +330,7 @@ impl ServingEngine {
                     } else {
                         self.cfg.restore_method
                     };
-                    let profile = if prefetched && !host_fallback {
-                        &self.dram_profile
-                    } else {
-                        &self.profile
-                    };
-                    restore_occupancy(profile, method, history)
+                    restore_occupancy(&self.profile, method, history)
                 } else {
                     hc_restore::sim::RestoreOccupancy {
                         io: 0.0,
@@ -455,7 +432,6 @@ impl ServingEngine {
                         &mut lru,
                         &mut held_rounds,
                         &mut released,
-                        &mut warm_sessions,
                         &mut host,
                     );
                 } else {
@@ -482,7 +458,6 @@ impl ServingEngine {
                             &mut lru,
                             &mut held_rounds,
                             &mut released,
-                            &mut warm_sessions,
                             &mut host,
                         );
                     } else {
@@ -514,7 +489,6 @@ impl ServingEngine {
         lru: &mut GpuKvCache,
         held_rounds: &mut std::collections::HashMap<u64, VecDeque<Request>>,
         released: &mut Vec<Request>,
-        warm: &mut std::collections::HashSet<u64>,
         host: &mut Option<HostCacheSim>,
     ) {
         *active_resident -= run.footprint;
@@ -537,7 +511,6 @@ impl ServingEngine {
         }
         // Think time: the session's next round arrives after the user reads
         // this response.
-        warm.insert(run.req.session_id);
         if self.cfg.serialize_sessions {
             if let Some(q) = held_rounds.get_mut(&run.req.session_id) {
                 if let Some(mut next) = q.pop_front() {
@@ -736,50 +709,6 @@ mod tests {
             direct > two_stage * 1.10,
             "direct {direct} should stall vs two-stage {two_stage}"
         );
-    }
-
-    #[test]
-    fn prefetch_speeds_up_followup_rounds_on_ssd_bound_platform() {
-        // 1 SSD: restoration is SSD-bound (6.9 GB/s vs 32 GB/s PCIe).
-        let profile_1ssd = PlatformProfile::new(
-            hc_simhw::platform::Platform::a100_with_ssds(1, 1),
-            shape_7b(),
-        );
-        let run_with = |prefetch: bool| {
-            let mut cfg = ServingConfig::for_method(RestoreMethod::HCache);
-            cfg.prefetch_to_dram = prefetch;
-            cfg.round_think_time = 5.0;
-            let e = ServingEngine::new(profile_1ssd.clone(), cfg);
-            // Two rounds of one session.
-            let reqs = vec![req(1, 0.0, 2048, 32, 4), req(1, 1.0, 4096, 32, 4)];
-            let r = e.run(&reqs);
-            (r.requests[0].ttft(), r.requests[1].ttft())
-        };
-        let (first_no, second_no) = run_with(false);
-        let (first_yes, second_yes) = run_with(true);
-        // First rounds identical (nothing to prefetch yet).
-        assert!((first_no - first_yes).abs() < 1e-9);
-        // Follow-up round restores much faster with DRAM staging.
-        assert!(
-            second_yes < second_no * 0.7,
-            "prefetch {second_yes} vs none {second_no}"
-        );
-    }
-
-    #[test]
-    fn prefetch_is_noop_on_dram_backed_platform() {
-        let profile_dram = PlatformProfile::new(
-            hc_simhw::platform::Platform::dram_backed(hc_simhw::gpu::GpuSpec::a100(), 1),
-            shape_7b(),
-        );
-        let run_with = |prefetch: bool| {
-            let mut cfg = ServingConfig::for_method(RestoreMethod::HCache);
-            cfg.prefetch_to_dram = prefetch;
-            let e = ServingEngine::new(profile_dram.clone(), cfg);
-            let reqs = vec![req(1, 0.0, 2048, 32, 4), req(1, 1.0, 4096, 32, 4)];
-            e.run(&reqs).mean_ttft()
-        };
-        assert!((run_with(false) - run_with(true)).abs() < 1e-12);
     }
 
     #[test]

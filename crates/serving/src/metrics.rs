@@ -94,15 +94,6 @@ impl ServingReport {
         mean(self.requests.iter().map(|r| r.ttft()))
     }
 
-    /// TTFT percentile (0–100).
-    pub fn ttft_percentile(&self, p: f64) -> Sec {
-        let mut v: Vec<Sec> = self.requests.iter().map(|r| r.ttft()).collect();
-        assert!(!v.is_empty(), "no requests");
-        v.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        v[idx]
-    }
-
     /// Mean first-token sojourn (queueing included).
     pub fn mean_sojourn(&self) -> Sec {
         mean(self.requests.iter().map(|r| r.sojourn()))
@@ -192,8 +183,6 @@ mod tests {
         };
         assert_eq!(report.mean_ttft(), 2.0);
         assert_eq!(report.throughput(), 0.5);
-        assert_eq!(report.ttft_percentile(0.0), 1.0);
-        assert_eq!(report.ttft_percentile(100.0), 3.0);
     }
 
     #[test]

@@ -48,30 +48,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA GeForce RTX 4090.
-    pub fn rtx4090() -> Self {
-        Self {
-            name: "4090",
-            hbm_bytes: 24 * GB,
-            peak_flops: 330e12,
-            pcie_bw: 32e9,
-            nvlink_bw: 32e9, // no NVLink; falls back to PCIe
-            hbm_bw: 1.008e12,
-        }
-    }
-
-    /// NVIDIA L20.
-    pub fn l20() -> Self {
-        Self {
-            name: "L20",
-            hbm_bytes: 48 * GB,
-            peak_flops: 120e12,
-            pcie_bw: 32e9,
-            nvlink_bw: 32e9,
-            hbm_bw: 0.864e12,
-        }
-    }
-
     /// NVIDIA H800 (PCIe 5.0 host link: 64 GB/s in Table 2).
     pub fn h800() -> Self {
         Self {
@@ -84,22 +60,30 @@ impl GpuSpec {
         }
     }
 
-    /// All Table 2 entries in the paper's order.
+    /// All Table 2 entries in the paper's order. The RTX 4090 and the L20
+    /// appear only here: nothing else picks them by name.
     pub fn table2() -> Vec<GpuSpec> {
         vec![
             Self::a100(),
             Self::a30(),
-            Self::rtx4090(),
-            Self::l20(),
+            Self {
+                name: "4090",
+                hbm_bytes: 24 * GB,
+                peak_flops: 330e12,
+                pcie_bw: 32e9,
+                nvlink_bw: 32e9, // no NVLink; falls back to PCIe
+                hbm_bw: 1.008e12,
+            },
+            Self {
+                name: "L20",
+                hbm_bytes: 48 * GB,
+                peak_flops: 120e12,
+                pcie_bw: 32e9,
+                nvlink_bw: 32e9,
+                hbm_bw: 0.864e12,
+            },
             Self::h800(),
         ]
-    }
-
-    /// Looks a spec up by (case-insensitive) name.
-    pub fn by_name(name: &str) -> Option<GpuSpec> {
-        Self::table2()
-            .into_iter()
-            .find(|g| g.name.eq_ignore_ascii_case(name))
     }
 }
 
@@ -122,17 +106,9 @@ mod tests {
     #[test]
     fn compute_ordering_per_paper() {
         // Table 2 FLOPS ordering: H800 > 4090 > A100 > A30 > L20.
-        let f = |n: &str| GpuSpec::by_name(n).unwrap().peak_flops;
-        assert!(f("H800") > f("4090"));
-        assert!(f("4090") > f("A100"));
-        assert!(f("A100") > f("A30"));
-        assert!(f("A30") > f("L20"));
-    }
-
-    #[test]
-    fn by_name_is_case_insensitive() {
-        assert!(GpuSpec::by_name("a100").is_some());
-        assert!(GpuSpec::by_name("A100").is_some());
-        assert!(GpuSpec::by_name("B200").is_none());
+        let mut by_flops = GpuSpec::table2();
+        by_flops.sort_by(|a, b| b.peak_flops.total_cmp(&a.peak_flops));
+        let names: Vec<&str> = by_flops.iter().map(|g| g.name).collect();
+        assert_eq!(names, ["H800", "4090", "A100", "A30", "L20"]);
     }
 }

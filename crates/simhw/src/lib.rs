@@ -4,29 +4,26 @@
 //!
 //! The paper's evaluation runs on real A100/A30/4090/L20/H800 GPUs and
 //! Samsung PM9A3 SSD arrays (Table 2). This environment has neither, so all
-//! timing in the reproduction comes from the analytic + discrete-event
-//! models in this crate:
+//! timing in the reproduction comes from the analytic models in this
+//! crate:
 //!
 //! * [`gpu::GpuSpec`] — the five GPUs of Table 2 (FP16 FLOPS, HBM size,
 //!   PCIe transmission speed, NVLink bandwidth).
 //! * [`gemm::GemmModel`] — a cuBLAS-like GEMM timing model whose runtime is
 //!   a *step function* of the row count (tile rounding), reproducing the
 //!   effect the paper measures in Figure 13b and exploits in §4.1.1.
-//! * [`storagehw`] — PM9A3 SSD arrays (per-IO latency + bandwidth, per-device
-//!   queues, round-robin chunk placement) and DRAM backends.
+//! * [`storagehw`] — PM9A3 SSD arrays (per-IO latency + bandwidth,
+//!   aggregated over the array) and DRAM backends.
 //! * [`platform::Platform`] — a (GPU × count × storage tier) bundle with the
 //!   derived effective restore bandwidth and FLOPS, including the paper's
 //!   tensor-parallel sharded-read + all-gather scheme (§5, Multi-GPU).
 //! * [`profile::PlatformProfile`] — the offline profiling step of §4.1.2:
 //!   per-layer `IO_H`, `IO_KV`, `C_H`, `C_Token` for a given (platform,
 //!   model, context length), consumed by the bubble-free scheduler.
-//! * [`event::EventQueue`] — a small deterministic discrete-event queue used
-//!   by the serving simulator.
 //!
 //! All times are `f64` seconds ([`Sec`]); all computations are closed-form,
 //! so results are exactly reproducible.
 
-pub mod event;
 pub mod gemm;
 pub mod gpu;
 pub mod platform;
@@ -38,26 +35,3 @@ pub type Sec = f64;
 
 /// Bytes.
 pub type Bytes = u64;
-
-/// Converts a byte count and bandwidth (B/s) into seconds.
-pub fn transfer_secs(bytes: Bytes, bandwidth: f64) -> Sec {
-    assert!(bandwidth > 0.0, "bandwidth must be positive");
-    bytes as f64 / bandwidth
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn transfer_secs_basic() {
-        assert_eq!(transfer_secs(1_000_000_000, 1e9), 1.0);
-        assert_eq!(transfer_secs(0, 1e9), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn transfer_secs_rejects_zero_bandwidth() {
-        let _ = transfer_secs(1, 0.0);
-    }
-}

@@ -117,16 +117,6 @@ impl PlatformProfile {
         }
     }
 
-    /// Whole-model restore time lower bounds for the two pure baselines.
-    pub fn full_kv_offload_secs(&self, n_tokens: u64) -> Sec {
-        self.layer_costs(n_tokens).io_kv * self.shape.n_layers as f64
-    }
-
-    /// Whole-model token recomputation time.
-    pub fn full_recompute_secs(&self, n_tokens: u64) -> Sec {
-        self.layer_costs(n_tokens).c_token * self.shape.n_layers as f64
-    }
-
     /// Decode iteration time for a batch whose sequences have the given
     /// total context size (tokens). Decode is bound by reading the weights
     /// plus the live KV cache from HBM, with a small per-iteration launch
@@ -238,7 +228,7 @@ mod tests {
         // Ballpark check against Fig 11d (7B, 4 SSDs, history 1024):
         // KV offload restores at tens of K tokens/s.
         let p = default_profile();
-        let t_kv = p.full_kv_offload_secs(1024);
+        let t_kv = p.layer_costs(1024).io_kv * p.shape.n_layers as f64;
         let speed = 1024.0 / t_kv;
         assert!(
             speed > 20_000.0 && speed < 120_000.0,

@@ -5,7 +5,7 @@
 //! in host DRAM (Fig 11a–c). Chunks of one layer are placed round-robin
 //! across devices (§4.2.1) so a layer read aggregates bandwidth.
 
-use crate::{Bytes, Sec};
+use crate::Sec;
 
 /// Characteristics of one NVMe SSD.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,83 +62,11 @@ impl StorageTier {
             StorageTier::Dram => f64::INFINITY,
         }
     }
-
-    /// Aggregate write bandwidth (B/s).
-    pub fn aggregate_write_bw(&self) -> f64 {
-        match self {
-            StorageTier::SsdArray { spec, count } => spec.write_bw * *count as f64,
-            StorageTier::Dram => f64::INFINITY,
-        }
-    }
-
-    /// Number of independent devices (1 for DRAM).
-    pub fn device_count(&self) -> usize {
-        match self {
-            StorageTier::SsdArray { count, .. } => *count,
-            StorageTier::Dram => 1,
-        }
-    }
-
-    /// Time to read `n_chunks` chunks of `chunk_bytes` each, striped
-    /// round-robin starting at device `first_dev`, with reads on different
-    /// devices proceeding in parallel and reads on the same device queued.
-    ///
-    /// Per-device time models NVMe queueing: one submission latency is paid
-    /// up front (subsequent commands overlap with data transfer), then the
-    /// device streams its share at `read_bw`.
-    pub fn read_chunks_secs(&self, n_chunks: usize, chunk_bytes: Bytes, first_dev: usize) -> Sec {
-        match self {
-            StorageTier::Dram => 0.0, // PCIe accounted by the platform link
-            StorageTier::SsdArray { spec, count } => {
-                if n_chunks == 0 {
-                    return 0.0;
-                }
-                let mut per_dev = vec![0usize; *count];
-                for i in 0..n_chunks {
-                    per_dev[(first_dev + i) % count] += 1;
-                }
-                per_dev
-                    .iter()
-                    .filter(|&&c| c > 0)
-                    .map(|&c| spec.io_latency + (c as u64 * chunk_bytes) as f64 / spec.read_bw)
-                    .fold(0.0_f64, f64::max)
-            }
-        }
-    }
-
-    /// Time to flush one chunk to its device (two-stage saver back end).
-    pub fn write_chunk_secs(&self, chunk_bytes: Bytes) -> Sec {
-        match self {
-            StorageTier::Dram => 0.0,
-            StorageTier::SsdArray { spec, .. } => {
-                spec.io_latency + chunk_bytes as f64 / spec.write_bw
-            }
-        }
-    }
-
-    /// Time for `bytes` of *small scattered* writes (the DirectIO baseline
-    /// of Fig 14): each write of `io_size` pays the full command latency
-    /// because there is no batching to hide it behind.
-    pub fn scattered_write_secs(&self, bytes: Bytes, io_size: Bytes) -> Sec {
-        match self {
-            StorageTier::Dram => 0.0,
-            StorageTier::SsdArray { spec, count } => {
-                if bytes == 0 {
-                    return 0.0;
-                }
-                let n_ios = bytes.div_ceil(io_size.max(1));
-                let per_dev_ios = n_ios.div_ceil(*count as u64);
-                per_dev_ios as f64 * (spec.io_latency + io_size as f64 / spec.write_bw)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const MIB: u64 = 1024 * 1024;
 
     #[test]
     fn pm9a3_matches_paper_bandwidth() {
@@ -156,72 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_parallelizes_reads() {
-        let spec = SsdSpec::pm9a3();
-        let one = StorageTier::SsdArray {
-            spec: spec.clone(),
-            count: 1,
-        };
-        let four = StorageTier::SsdArray { spec, count: 4 };
-        // 8 chunks of 1 MiB: 4 disks should be ~4x faster (minus latency).
-        let t1 = one.read_chunks_secs(8, MIB, 0);
-        let t4 = four.read_chunks_secs(8, MIB, 0);
-        assert!(t4 < t1 / 2.5, "t1={t1} t4={t4}");
-    }
-
-    #[test]
-    fn uneven_stripes_bound_by_busiest_device() {
-        let tier = StorageTier::SsdArray {
-            spec: SsdSpec::pm9a3(),
-            count: 4,
-        };
-        // 5 chunks starting at dev 0: dev0 gets 2, others 1.
-        let t5 = tier.read_chunks_secs(5, MIB, 0);
-        let t4 = tier.read_chunks_secs(4, MIB, 0);
-        let t8 = tier.read_chunks_secs(8, MIB, 0);
-        assert!(t5 > t4);
-        // dev0's 2 chunks dominate, so 5 chunks ≈ 8 chunks.
-        assert!((t5 - t8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn first_dev_offset_shifts_stripes() {
-        let tier = StorageTier::SsdArray {
-            spec: SsdSpec::pm9a3(),
-            count: 4,
-        };
-        // Same chunk count, different starting device: same max, since the
-        // distribution is just rotated.
-        assert_eq!(
-            tier.read_chunks_secs(6, MIB, 0),
-            tier.read_chunks_secs(6, MIB, 2)
-        );
-    }
-
-    #[test]
     fn dram_reads_are_link_bound_only() {
-        assert_eq!(StorageTier::Dram.read_chunks_secs(100, MIB, 0), 0.0);
         assert!(StorageTier::Dram.aggregate_read_bw().is_infinite());
-    }
-
-    #[test]
-    fn scattered_writes_pay_latency_per_io() {
-        let tier = StorageTier::SsdArray {
-            spec: SsdSpec::pm9a3(),
-            count: 1,
-        };
-        let batched = tier.write_chunk_secs(MIB);
-        let scattered = tier.scattered_write_secs(MIB, 8 * 1024);
-        assert!(
-            scattered > 5.0 * batched,
-            "scattered {scattered} vs batched {batched}"
-        );
-    }
-
-    #[test]
-    fn zero_work_is_free() {
-        let tier = StorageTier::default_testbed();
-        assert_eq!(tier.read_chunks_secs(0, MIB, 0), 0.0);
-        assert_eq!(tier.scattered_write_secs(0, 4096,), 0.0);
     }
 }

@@ -4,8 +4,9 @@
 //! …) "can be applied in HCache to reduce the size of hidden states". This
 //! module provides the simplest sound variant: symmetric per-row int8
 //! quantization (one f32 scale per token row). It halves storage and IO
-//! relative to fp16 at the cost of bounded quantization error — the
-//! `ext_quantization` experiment quantifies the trade-off.
+//! relative to fp16 at the cost of bounded quantization error, which
+//! `tests/extensions.rs` bounds end to end (restored KV and generated
+//! tokens).
 //!
 //! Wire format per row: 4-byte little-endian f32 scale, then `width` i8
 //! values; `x ≈ scale * q` with `q ∈ [-127, 127]`.

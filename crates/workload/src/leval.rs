@@ -91,12 +91,6 @@ pub fn generate_requests(task: &SubTask, n: usize, max_ctx: u32, seed: u64) -> V
         .collect()
 }
 
-/// The "mixed" trace of Figure 10d: 200 requests sampled across sub-tasks
-/// proportionally (the paper samples 200 requests from the full trace).
-pub fn mixed_trace(n: usize, max_ctx: u32, seed: u64) -> Vec<Request> {
-    generate_requests(&LEVAL_AVG, n, max_ctx, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,12 +44,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(hi >= lo, "empty range");
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics

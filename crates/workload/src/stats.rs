@@ -1,5 +1,5 @@
-//! Summary-statistics helpers used by generators, tests and the experiment
-//! harness (means, percentiles, CDF sampling, histograms).
+//! Summary-statistics helpers used by generators, tests and hcbench
+//! (means and percentiles).
 
 /// Arithmetic mean; 0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -34,28 +34,6 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
-/// Empirical CDF evaluated at `x`: fraction of samples `<= x`.
-pub fn cdf_at(xs: &[f64], x: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().filter(|&&v| v <= x).count() as f64 / xs.len() as f64
-}
-
-/// Fixed-width histogram over `[lo, hi)` with `bins` buckets; values outside
-/// the range clamp into the edge buckets.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<u64> {
-    assert!(bins > 0 && hi > lo, "bad histogram spec");
-    let mut h = vec![0u64; bins];
-    let width = (hi - lo) / bins as f64;
-    for &x in xs {
-        let idx = ((x - lo) / width).floor();
-        let idx = idx.clamp(0.0, (bins - 1) as f64) as usize;
-        h[idx] += 1;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,21 +64,5 @@ mod tests {
     #[should_panic(expected = "empty slice")]
     fn percentile_empty_panics() {
         percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn cdf_monotone() {
-        let xs = [1.0, 2.0, 2.0, 8.0];
-        assert_eq!(cdf_at(&xs, 0.0), 0.0);
-        assert_eq!(cdf_at(&xs, 2.0), 0.75);
-        assert_eq!(cdf_at(&xs, 10.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let xs = [-1.0, 0.5, 1.5, 2.5, 99.0];
-        let h = histogram(&xs, 0.0, 3.0, 3);
-        assert_eq!(h, vec![2, 1, 2]); // -1 clamps low, 99 clamps high
-        assert_eq!(h.iter().sum::<u64>() as usize, xs.len());
     }
 }

@@ -169,20 +169,20 @@ pub fn generate_tenant_trace(cfg: &TenantTraceConfig) -> Vec<TenantOp> {
     ops
 }
 
-/// Sessions per tenant in a trace (index = tenant id).
-pub fn sessions_per_tenant(ops: &[TenantOp], n_tenants: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; n_tenants];
-    for op in ops {
-        if op.kind == TenantOpKind::Open {
-            counts[op.tenant as usize] += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sessions per tenant in a trace (index = tenant id).
+    fn sessions_per_tenant(ops: &[TenantOp], n_tenants: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; n_tenants];
+        for op in ops {
+            if op.kind == TenantOpKind::Open {
+                counts[op.tenant as usize] += 1;
+            }
+        }
+        counts
+    }
 
     fn cfg() -> TenantTraceConfig {
         TenantTraceConfig {

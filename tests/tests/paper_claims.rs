@@ -1,13 +1,19 @@
 //! The paper's headline quantitative claims, asserted end to end against
-//! the calibrated models (abstract + §6):
+//! the calibrated models (abstract + §6). Where the simulator's band departs
+//! from the paper's, the test's comment gives both:
 //!
-//! * TTFT up to 1.93× better than KV offload, up to 5.73× better than
-//!   recomputation (long-context);
-//! * storage 1.92–2.40× smaller than KV offload;
+//! * L-Eval TTFT at batch 1 vs KV offload and recomputation (Fig 10; the
+//!   abstract's "up to 1.93× / 5.73×" long-context headline);
+//! * TTFT of recomputation and KV offload vs the ideal case (Fig 4);
+//! * TTFT vs KV offload and recomputation on ShareGPT4 (§6.1.1);
+//! * restoration speed vs KV offload across hardware and vs recomputation
+//!   (§6.2);
+//! * storage 1.92–2.40× smaller than KV offload, and the Table 3 schedules;
 //! * TBT within ~4% of ideal;
-//! * restoration speed 1.33–2.66× vs KV offload across hardware;
 //! * HCache-O can lose to KV offload on IO-sufficient platforms, the
-//!   bubble-free scheduler always wins (Fig 12).
+//!   bubble-free scheduler always wins (Fig 12);
+//! * with on-GPU KV reuse, the hit ratio rises with skew and HCache still
+//!   beats KV offload (Fig 15).
 
 use hc_model::ModelConfig;
 use hc_restore::sim::{hcache_scheme, simulate_restore};
@@ -18,7 +24,11 @@ use hc_simhw::gpu::GpuSpec;
 use hc_simhw::platform::Platform;
 use hc_simhw::profile::PlatformProfile;
 use hc_workload::arrival::schedule_sessions;
+use hc_workload::leval::{generate_requests, table1_subtasks, LEVAL_AVG};
+use hc_workload::rng::Rng;
 use hc_workload::sharegpt::{generate_sessions, ShareGptConfig};
+use hc_workload::zipf::Zipf;
+use hc_workload::Request;
 
 fn paper_profile(cfg: &ModelConfig) -> PlatformProfile {
     let platform = if cfg.n_layers >= 48 {
@@ -27,6 +37,24 @@ fn paper_profile(cfg: &ModelConfig) -> PlatformProfile {
         Platform::default_testbed_single_gpu()
     };
     PlatformProfile::new(platform, shape_of(cfg))
+}
+
+/// Mean TTFT of `reqs` under `method` with the paper's default serving
+/// config.
+fn mean_ttft(profile: &PlatformProfile, method: RestoreMethod, reqs: &[Request]) -> f64 {
+    ServingEngine::new(profile.clone(), ServingConfig::for_method(method))
+        .run(reqs)
+        .mean_ttft()
+}
+
+/// `reqs` served one at a time (the paper's L-Eval batch size 1): distinct
+/// contexts, arrivals far enough apart that nothing queues.
+fn batch_of_one(mut reqs: Vec<Request>) -> Vec<Request> {
+    for (i, r) in reqs.iter_mut().enumerate() {
+        r.arrival = i as f64 * 1000.0;
+        r.session_id = i as u64;
+    }
+    reqs
 }
 
 #[test]
@@ -216,4 +244,153 @@ fn ttft_speedups_on_serving_path() {
     // Paper band is 2.21-3.57x; recompute queues harder in our simulator
     // once several long histories overlap, so allow up to 6x.
     assert!((1.8..6.0).contains(&vs_rec), "vs recompute: {vs_rec}");
+}
+
+/// Smallest and largest of `xs`.
+fn band(xs: &[f64]) -> (f64, f64) {
+    let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = xs.iter().cloned().fold(0.0_f64, f64::max);
+    (lo, hi)
+}
+
+#[test]
+fn leval_ttft_speedups_at_batch_one() {
+    // Fig 10 / abstract: on L-Eval at batch 1, HCache's TTFT is 1.62-1.93x
+    // better than KV offload and 2.66-5.73x better than recomputation,
+    // over four sub-task groups x three models. The simulator gives
+    // 1.55-2.17x and 2.84-8.37x at this size (100 requests per cell): it
+    // wins every cell, but it OVERSTATES both headline maxima. The last
+    // assert pins that overstatement, so a calibration change that removes
+    // it has to update this comment.
+    let (mut vs_kv, mut vs_rec) = (Vec::new(), Vec::new());
+    for cfg in ModelConfig::paper_models() {
+        let profile = paper_profile(&cfg);
+        let max_ctx = cfg.max_seq_len as u32 - 512;
+        for task in table1_subtasks() {
+            let reqs = batch_of_one(generate_requests(&task, 100, max_ctx, 3));
+            let hc = mean_ttft(&profile, RestoreMethod::HCache, &reqs);
+            vs_kv.push(mean_ttft(&profile, RestoreMethod::KvOffload, &reqs) / hc);
+            vs_rec.push(mean_ttft(&profile, RestoreMethod::Recompute, &reqs) / hc);
+        }
+    }
+    let (kv_lo, kv_hi) = band(&vs_kv);
+    let (rec_lo, rec_hi) = band(&vs_rec);
+    assert!(kv_lo > 1.5 && kv_hi < 2.25, "vs KV offload {kv_lo}-{kv_hi}");
+    assert!(
+        rec_lo > 2.8 && rec_hi < 8.5,
+        "vs recompute {rec_lo}-{rec_hi}"
+    );
+    assert!(
+        kv_hi > 1.93 && rec_hi > 5.73,
+        "the simulator no longer overstates the paper's maxima \
+         ({kv_hi} vs 1.93, {rec_hi} vs 5.73): update this test's comment"
+    );
+}
+
+#[test]
+fn recompute_and_kv_offload_slowdown_vs_ideal() {
+    // Fig 4: on the L-Eval trace at batch 1, recomputation's TTFT is
+    // 20.0-26.0x and KV offload's 6.5-13.0x the ideal (state resident)
+    // case. The simulator gives 22.6-33.1x and 6.1-14.9x at this size (50
+    // requests per sub-task, per model). The ordering holds on every
+    // model; the bands are wider than the paper's at both ends
+    // (recomputation 33.1x on 13B, KV offload 6.1x on 7B and 14.9x on
+    // OPT-30B).
+    let (mut rec_slow, mut kv_slow) = (Vec::new(), Vec::new());
+    for cfg in ModelConfig::paper_models() {
+        let profile = paper_profile(&cfg);
+        let max_ctx = cfg.max_seq_len as u32 - 512;
+        let reqs = batch_of_one(
+            table1_subtasks()
+                .iter()
+                .zip(99..)
+                .flat_map(|(task, seed)| generate_requests(task, 50, max_ctx, seed))
+                .collect(),
+        );
+        let ideal = mean_ttft(&profile, RestoreMethod::Ideal, &reqs);
+        let rec = mean_ttft(&profile, RestoreMethod::Recompute, &reqs) / ideal;
+        let kv = mean_ttft(&profile, RestoreMethod::KvOffload, &reqs) / ideal;
+        assert!(rec > kv, "{}: recompute {rec} vs KV offload {kv}", cfg.name);
+        rec_slow.push(rec);
+        kv_slow.push(kv);
+    }
+    let (rec_lo, rec_hi) = band(&rec_slow);
+    let (kv_lo, kv_hi) = band(&kv_slow);
+    assert!(
+        rec_lo > 22.0 && rec_hi < 34.0,
+        "recompute slowdown {rec_lo}-{rec_hi}"
+    );
+    assert!(
+        kv_lo > 6.0 && kv_hi < 15.5,
+        "KV offload slowdown {kv_lo}-{kv_hi}"
+    );
+}
+
+/// A request stream over `n_contexts` distinct contexts whose popularity
+/// follows Zipf(`alpha`) (`alpha = 0` is uniform), with L-Eval-scale
+/// context lengths bounded so several fit the GPU KV pool at once.
+fn zipf_context_requests(n_contexts: usize, n_requests: usize, alpha: f64) -> Vec<Request> {
+    let mut rng = Rng::new(5);
+    let zipf = Zipf::new(n_contexts, alpha);
+    let ctx_len: Vec<u32> = (0..n_contexts)
+        .map(|_| {
+            (rng.lognormal_with_mean(LEVAL_AVG.context_mean.min(5500.0), 0.3) as u32)
+                .clamp(1024, 12 * 1024)
+        })
+        .collect();
+    (0..n_requests)
+        .map(|i| {
+            let ctx = zipf.sample(&mut rng);
+            Request {
+                session_id: ctx as u64,
+                arrival: i as f64 * 2.0,
+                history_tokens: ctx_len[ctx],
+                input_tokens: 45,
+                output_tokens: 8,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn gpu_kv_reuse_hit_ratio_rises_with_skew_and_hcache_still_wins() {
+    // Fig 15 (§6.4): with finished contexts kept in an LRU GPU cache, the
+    // hit ratio rises with the Zipf skew of context popularity (paper:
+    // ~15% uniform, ~94% at alpha = 2.0), and HCache's TTFT stays below
+    // KV offload's (1.67x uniform, 1.15x at alpha = 2.0). Over 60 contexts
+    // and 1000 requests on 7B, the simulator gives 15% uniform rising
+    // monotonically to 92% at alpha = 2.0, with HCache 1.58x ahead of KV
+    // offload uniform and 1.13x at alpha = 2.0: the claim holds. A session
+    // id names a shared context here, not a conversation, so requests are
+    // not serialized into rounds; with rounds held back by the 30 s think
+    // time, the uniform hit ratio collapses to 2%.
+    let profile = paper_profile(&ModelConfig::llama2_7b());
+    let mut hit_ratios = Vec::new();
+    for alpha in [0.0, 1.2, 1.4, 1.6, 1.8, 2.0] {
+        let reqs = zipf_context_requests(60, 1000, alpha);
+        let run = |method: RestoreMethod| {
+            let mut cfg = ServingConfig::for_method(method);
+            cfg.reuse_gpu_cache = true;
+            cfg.serialize_sessions = false;
+            ServingEngine::new(profile.clone(), cfg).run(&reqs)
+        };
+        let kv = run(RestoreMethod::KvOffload);
+        let hc = run(RestoreMethod::HCache);
+        let speedup = kv.mean_ttft() / hc.mean_ttft();
+        assert!(
+            (1.1..1.65).contains(&speedup),
+            "alpha {alpha}: HCache vs KV offload {speedup}"
+        );
+        hit_ratios.push(hc.cache_hit_ratio().unwrap());
+    }
+    assert!(
+        hit_ratios.windows(2).all(|w| w[0] < w[1]),
+        "hit ratio must rise with skew: {hit_ratios:?}"
+    );
+    assert!(
+        (0.1..0.2).contains(&hit_ratios[0]),
+        "uniform hit ratio {}",
+        hit_ratios[0]
+    );
+    assert!(hit_ratios[5] > 0.9, "alpha 2.0 hit ratio {}", hit_ratios[5]);
 }
