@@ -20,20 +20,28 @@
 //!   reports stay exactly the bytes the ledger credited even while
 //!   restores and the save daemon run concurrently.
 //! * [`scheduler::RestoreScheduler`] — runs a burst of restores as one
-//!   reactor batch, splitting one host `ParallelConfig` budget across the
-//!   batch's compute workers.
+//!   batch, splitting one host `ParallelConfig` budget across the batch's
+//!   compute workers.
+//!
+//! Both restore entries — [`CacheController::restore_with_report`] (one
+//! job, on the calling thread) and the scheduler's
+//! [`run`](scheduler::RestoreScheduler::run) /
+//! [`run_with_reports`](scheduler::RestoreScheduler::run_with_reports) —
+//! are one private body, `restore_jobs`, which calls the `hc-restore`
+//! driver from its one place and retries in rounds.
 //!
 //! The controller is also where the **device-health plane** lands on the
-//! session axis: [`CacheController::on_device_down`] marks a storage lane
-//! out, and [`CacheController::restore_with_report`] /
-//! [`scheduler::RestoreScheduler::run_with_reports`] degrade any
-//! layer whose chunks sit behind a down or breaker-tripped device to
-//! recomputation — preemptively when known up front, reactively when a
-//! read dies mid-restore — returning a per-session
-//! [`DegradationReport`] instead of an error. Mixes are never demoted for
-//! device failure, so a healed device ([`CacheController::on_device_recovered`],
-//! or the breaker's half-open probe succeeding) re-promotes affected
-//! sessions to full-mix restores automatically.
+//! session axis, on every restore entry: [`CacheController::on_device_down`]
+//! marks a storage lane out, and any layer whose chunks sit behind a down
+//! or breaker-tripped device is degraded to recomputation — preemptively
+//! when known up front, reactively when a read dies mid-restore — with a
+//! per-session [`DegradationReport`] instead of an error. Errors that
+//! degradation cannot cure still surface typed: an unknown session, a
+//! deleted stream, a panic, or a job whose history cannot replay the
+//! recompute prefix. Mixes are never demoted for device failure, so a
+//! healed device ([`CacheController::on_device_recovered`], or the
+//! breaker's half-open probe succeeding) re-promotes affected sessions to
+//! full-mix restores automatically.
 //!
 //! Session bookkeeping lives in [`table::SessionTable`], a
 //! structure-of-arrays store sized for millions of concurrent sessions:
@@ -67,9 +75,8 @@ use std::sync::Arc;
 
 use hc_model::{KvCache, Model};
 use hc_restore::cost::CostInputs;
-use hc_restore::engine::{
-    restore_session_pipelined_with_methods, DegradationReport, DegradeCause, RestoreError,
-};
+use hc_restore::engine::{DegradationReport, DegradeCause, RestoreError};
+use hc_restore::reactor::{restore_sessions, RestoreRequest};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
@@ -120,9 +127,9 @@ impl From<hc_restore::engine::RestoreError> for CtlError {
     }
 }
 
-/// Per-session outcome of a degraded-mode batch restore: the session id
-/// paired with either the restored cache and its [`DegradationReport`]
-/// or the typed error that survived degradation.
+/// Per-session outcome of a batch restore: the session id paired with
+/// either the restored cache and its [`DegradationReport`] or the typed
+/// error that survived degradation.
 pub type ReportedRestore = (u64, Result<(KvCache, DegradationReport), CtlError>);
 
 /// Controller tunables.
@@ -511,48 +518,6 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         }
     }
 
-    /// Restores a session's KV cache under its *current* (possibly
-    /// demoted) method mix, through the bubble-free pipelined engine with
-    /// `par`'s thread budget. Counts a hit when any layer was served from
-    /// cache, a fallback when the session had been dropped to token-only.
-    ///
-    /// The mix is snapshotted under the state lock but streams are read
-    /// outside it, so a concurrent save on another thread can demote this
-    /// session mid-restore and delete a stream the snapshot still expects.
-    /// A storage error is therefore retried under the refreshed mix when
-    /// the placement changed — demotion only ever shrinks the set of
-    /// streams a restore needs, so the retry count is bounded by the layer
-    /// count and a restorable session never fails spuriously.
-    ///
-    /// The device-health plane is *not* engaged: a read that dies on a
-    /// sick device surfaces its typed error
-    /// ([`CacheController::restore_with_report`] degrades instead).
-    pub fn restore(
-        &self,
-        model: &Model,
-        session: u64,
-        tokens: &[u32],
-        par: &ParallelConfig,
-    ) -> Result<KvCache, CtlError> {
-        self.restore_reported(model, session, tokens, par, false)
-            .map(|(kv, _)| kv)
-    }
-
-    /// A fresh (unprimed) run of the restore loop: [`Self::restore`]
-    /// (`degrade` off, report dropped) and [`Self::restore_with_report`]
-    /// (`degrade` on) — the scheduler's route for a manager without a
-    /// reactor picks between the two with the same flag.
-    pub(crate) fn restore_reported(
-        &self,
-        model: &Model,
-        session: u64,
-        tokens: &[u32],
-        par: &ParallelConfig,
-        degrade: bool,
-    ) -> Result<(KvCache, DegradationReport), CtlError> {
-        self.restore_loop(model, session, tokens, par, degrade, 0, None, None)
-    }
-
     /// Marks a storage device administratively down. Until
     /// [`CacheController::on_device_recovered`] clears the mark, restores
     /// preemptively degrade any layer whose chunks live on that lane to
@@ -626,19 +591,23 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         }
     }
 
-    /// [`CacheController::restore`] with the device-health plane engaged:
-    /// layers whose chunks sit behind a down-marked or breaker-tripped
-    /// device are degraded to recomputation *before* any IO (preemptive),
-    /// and a read that still dies mid-restore — breaker opening under it,
-    /// retry budget exhausted, outright device loss — widens the recompute
-    /// prefix over the failed layer and retries (reactive) instead of
-    /// surfacing `RestoreError`. The returned [`DegradationReport`] says
-    /// how many layers were served degraded and why; the restored cache is
-    /// bit-identical to a sequential restore of the same degraded mix.
+    /// Restores a session's KV cache under its *current* (possibly
+    /// demoted) method mix, through the bubble-free pipelined executor on
+    /// the calling thread with `par`'s thread budget — one job of the
+    /// controller's one restore body (see [`Self::restore_jobs`]). Counts
+    /// a hit when any layer was served from cache, a fallback when the
+    /// session had been dropped to token-only.
     ///
-    /// The session table is never demoted: once the breaker closes (or the
-    /// device is marked recovered), the next restore reads the full mix
-    /// again at full speed.
+    /// The device-health plane is engaged: layers whose chunks sit behind
+    /// a down-marked or breaker-tripped device are degraded to
+    /// recomputation *before* any IO, and a read that still dies
+    /// mid-restore widens the recompute prefix over the failed layer and
+    /// retries. The returned [`DegradationReport`] says how many layers
+    /// were served degraded and why; the restored cache is bit-identical
+    /// to a sequential restore of the same degraded mix. The session
+    /// table is never demoted for device failure: once the breaker closes
+    /// (or the device is marked recovered), the next restore reads the
+    /// full mix again.
     pub fn restore_with_report(
         &self,
         model: &Model,
@@ -646,219 +615,144 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         tokens: &[u32],
         par: &ParallelConfig,
     ) -> Result<(KvCache, DegradationReport), CtlError> {
-        self.restore_reported(model, session, tokens, par, true)
+        self.restore_jobs(model, &[(session, tokens)], 1, 1, par)
+            .pop()
+            // hc-analyze: allow(panic) restore_jobs returns one result per job
+            .expect("one job, one result")
     }
 
-    /// The one restore loop, behind [`CacheController::restore`],
-    /// [`CacheController::restore_with_report`] and the reactor batch
-    /// path's failure fallback. `degrade` engages the device-health plane
-    /// (off: the forced prefix never grows, a device failure falls through
-    /// to the stale-mix check, and the report stays empty).
-    /// `forced_prefix` / `cause` prime the loop with degradation a prior
-    /// attempt already learned; `last_methods` is the mix a batch attempt
-    /// already failed under — it primes the racing-demotion retry (an
-    /// unchanged mix surfaces its error) and means the batch snapshot
-    /// already counted the hit/fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn restore_loop(
+    /// The controller's one restore body, behind
+    /// [`Self::restore_with_report`] and
+    /// [`scheduler::RestoreScheduler`]: restores `(session, history)` jobs
+    /// on `workers` compute workers with up to `max_inflight` restores in
+    /// flight, in retry rounds. Each round, for every pending job:
+    ///
+    /// 1. under the state lock, snapshot its mix and history length and
+    ///    `touch` it, counting a hit/fallback once per job across rounds;
+    /// 2. outside the lock, degrade preemptively around down-marked or
+    ///    breaker-tripped devices (only a job whose history covers the
+    ///    recompute prefix can be degraded);
+    /// 3. restore every pending job in one
+    ///    [`hc_restore::reactor::restore_sessions`] call;
+    /// 4. per failure, widen the recompute prefix over a `DeviceFailed`
+    ///    layer and go again, or — the mix is read outside the lock, so a
+    ///    concurrent save may have demoted the session and deleted a
+    ///    stream the snapshot still expected — retry under a mix that
+    ///    changed. An unchanged mix surfaces the error typed.
+    ///
+    /// Both retries are bounded: the forced prefix only grows, and
+    /// demotion only shrinks the streams a restore needs. Results come
+    /// back in job order; an unknown session fails only its own slot.
+    pub(crate) fn restore_jobs(
         &self,
         model: &Model,
-        session: u64,
-        tokens: &[u32],
-        par: &ParallelConfig,
-        degrade: bool,
-        mut forced_prefix: usize,
-        mut cause: Option<DegradeCause>,
-        mut last_methods: Option<Vec<LayerMethod>>,
-    ) -> Result<(KvCache, DegradationReport), CtlError> {
-        assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
-        let mut counted = last_methods.is_some();
-        loop {
-            let (methods, n_tokens, down) = {
-                let mut st = self.state.lock();
-                if !st.table.touch(session) {
-                    return Err(CtlError::UnknownSession(session));
-                }
-                // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                let mix = st.table.mix_of(session).expect("session just touched");
-                if !counted {
-                    counted = true;
-                    let counter = if st.table.mixes().is_fully_dropped(mix) {
-                        &self.metrics.restore_fallbacks
-                    } else {
-                        &self.metrics.restore_hits
-                    };
-                    CtlMetrics::bump(counter, 1);
-                }
-                (
-                    st.table.mixes().methods(mix).to_vec(),
-                    // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                    st.table.n_tokens_of(session).expect("session exists") as usize,
-                    st.down_devices.clone(),
-                )
-            };
-            let base_prefix = recompute_prefix_of(&methods);
-            // Degrading needs the history tokens to replay; without them
-            // the error path must surface instead.
-            let can_degrade = degrade && tokens.len() >= n_tokens;
-            if can_degrade {
-                let (pre, pre_cause) = self.degraded_prefix_for(session, &methods, &down);
-                if pre > forced_prefix {
-                    forced_prefix = pre;
-                    cause = pre_cause.or(cause);
-                }
-            }
-            let mut cur = methods.clone();
-            for m in cur.iter_mut().take(forced_prefix.min(self.n_layers)) {
-                *m = LayerMethod::Recompute;
-            }
-            let stale = last_methods.as_deref() == Some(&cur[..]);
-            match restore_session_pipelined_with_methods(
-                model, &self.mgr, session, tokens, n_tokens, &cur, par,
-            ) {
-                Ok(kv) => {
-                    let layers_recomputed = forced_prefix.saturating_sub(base_prefix);
-                    if layers_recomputed > 0 {
-                        CtlMetrics::bump(&self.metrics.restores_degraded, 1);
-                        CtlMetrics::bump(&self.metrics.layers_degraded, layers_recomputed as u64);
-                    }
-                    return Ok((
-                        kv,
-                        DegradationReport {
-                            layers_recomputed,
-                            cause: if layers_recomputed > 0 { cause } else { None },
-                        },
-                    ));
-                }
-                Err(e) => {
-                    if let RestoreError::Storage(StorageError::DeviceFailed {
-                        key,
-                        device,
-                        transient,
-                        ..
-                    }) = &e
-                    {
-                        let widened = (key.stream.layer as usize + 1).min(self.n_layers);
-                        if can_degrade && widened > forced_prefix {
-                            // Reactive rung of the ladder: recompute over
-                            // the failed layer and go again. `widened`
-                            // strictly grows, so this terminates within
-                            // n_layers extra attempts.
-                            cause = Some(self.classify_failure(&down, *device, *transient));
-                            forced_prefix = widened;
-                            last_methods = Some(cur);
-                            continue;
-                        }
-                    }
-                    if stale {
-                        // The mix did not change since the failed attempt:
-                        // the error is real, not a racing demotion.
-                        return Err(e.into());
-                    }
-                    last_methods = Some(cur);
-                }
-            }
-        }
-    }
-
-    /// Restores a batch of sessions through the storage manager's IO
-    /// reactor ([`hc_restore::reactor::restore_sessions_reactor`]) — the
-    /// route [`scheduler::RestoreScheduler`] takes over a reactor-attached
-    /// manager. `workers` compute threads advance up to `max_inflight`
-    /// restore state machines, so the in-flight session count is bounded
-    /// by memory and iodepth instead of threads. Each job's method mix and
-    /// history length are snapshotted under the state lock (bumping the
-    /// same hit/fallback metrics as [`CacheController::restore`]); unknown
-    /// sessions fail only their own slot. With `degrade` on, each snapshot
-    /// mix is preemptively degraded around down-marked / breaker-tripped
-    /// devices before submission. A job whose reactor restore fails is
-    /// re-resolved through [`Self::restore_loop`] (primed with what the
-    /// failure taught), so a concurrent save that demoted it mid-flight
-    /// (its mix changed since the snapshot) costs a retry, and a genuine
-    /// failure surfaces typed.
-    ///
-    /// Returns `(session, result)` pairs in job order, each successful
-    /// cache bit-identical to a sequential restore of the snapshot mix.
-    ///
-    /// # Panics
-    /// Panics when the manager has no reactor attached
-    /// (`StorageManager::with_reactor`) or on a model/controller layer
-    /// mismatch.
-    pub(crate) fn restore_batch(
-        &self,
-        model: &Model,
-        jobs: &[crate::scheduler::RestoreJob],
+        jobs: &[(u64, &[u32])],
         workers: usize,
         max_inflight: usize,
         par: &ParallelConfig,
-        degrade: bool,
-    ) -> Vec<ReportedRestore> {
+    ) -> Vec<Result<(KvCache, DegradationReport), CtlError>> {
         assert_eq!(model.cfg.n_layers, self.n_layers, "model mismatch");
-        enum Slot {
-            Req(usize),
-            Unknown(u64),
+        /// What the rounds so far taught one job.
+        #[derive(Default)]
+        struct Learned {
+            counted: bool,
+            forced: usize,
+            cause: Option<DegradeCause>,
+            /// The mix the last attempt failed under.
+            failed: Option<Vec<LayerMethod>>,
         }
-        let mut slots = Vec::with_capacity(jobs.len());
-        let mut requests: Vec<hc_restore::reactor::RestoreRequest> = Vec::new();
-        let down;
-        {
-            let mut st = self.state.lock();
-            down = st.down_devices.clone();
-            for job in jobs {
-                if !st.table.touch(job.session) {
-                    slots.push(Slot::Unknown(job.session));
-                    continue;
-                }
-                // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                let mix = st.table.mix_of(job.session).expect("session just touched");
-                let counter = if st.table.mixes().is_fully_dropped(mix) {
-                    &self.metrics.restore_fallbacks
-                } else {
-                    &self.metrics.restore_hits
-                };
-                CtlMetrics::bump(counter, 1);
-                slots.push(Slot::Req(requests.len()));
-                requests.push(hc_restore::reactor::RestoreRequest {
-                    session: job.session,
-                    tokens: job.tokens.clone(),
+        /// One job's attempt in the current round.
+        struct Attempt {
+            job: usize,
+            n_tokens: usize,
+            base: usize,
+            forced: usize,
+            can_degrade: bool,
+            methods: Vec<LayerMethod>,
+        }
+        let mut learned: Vec<Learned> = jobs.iter().map(|_| Learned::default()).collect();
+        let mut results: Vec<Option<Result<(KvCache, DegradationReport), CtlError>>> =
+            jobs.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..jobs.len()).collect();
+        while !pending.is_empty() {
+            let mut snapshots = Vec::with_capacity(pending.len());
+            let down = {
+                let mut st = self.state.lock();
+                for &job in &pending {
+                    let session = jobs[job].0;
+                    if !st.table.touch(session) {
+                        results[job] = Some(Err(CtlError::UnknownSession(session)));
+                        continue;
+                    }
                     // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
-                    n_tokens: st.table.n_tokens_of(job.session).expect("session exists") as usize,
-                    methods: st.table.mixes().methods(mix).to_vec(),
-                });
-            }
-        }
-        // Preemptive degradation, outside the state lock (stream_devices
-        // takes the manager's stream locks).
-        let mut plans: Vec<(usize, usize, Option<DegradeCause>)> =
-            Vec::with_capacity(requests.len());
-        for req in &mut requests {
-            let base = recompute_prefix_of(&req.methods);
-            // No tokens to replay: cannot degrade.
-            let (forced, cause) = if degrade && req.tokens.len() >= req.n_tokens {
-                self.degraded_prefix_for(req.session, &req.methods, &down)
-            } else {
-                (base, None)
+                    let mix = st.table.mix_of(session).expect("session just touched");
+                    if !learned[job].counted {
+                        learned[job].counted = true;
+                        let counter = if st.table.mixes().is_fully_dropped(mix) {
+                            &self.metrics.restore_fallbacks
+                        } else {
+                            &self.metrics.restore_hits
+                        };
+                        CtlMetrics::bump(counter, 1);
+                    }
+                    snapshots.push((
+                        job,
+                        st.table.mixes().methods(mix).to_vec(),
+                        // hc-analyze: allow(panic) touch() returned true above, so the session row exists under this same lock hold
+                        st.table.n_tokens_of(session).expect("session exists") as usize,
+                    ));
+                }
+                st.down_devices.clone()
             };
-            for m in req.methods.iter_mut().take(forced) {
-                *m = LayerMethod::Recompute;
-            }
-            plans.push((base, forced, cause));
-        }
-        let outcomes = hc_restore::reactor::restore_sessions_reactor(
-            model,
-            &self.mgr,
-            &requests,
-            workers,
-            max_inflight,
-            par,
-        );
-        let mut results: Vec<Option<Result<(KvCache, DegradationReport), CtlError>>> = outcomes
-            .into_iter()
-            .zip(requests.iter().zip(plans.iter()))
-            .map(|(o, (req, &(base, forced, cause)))| {
-                Some(match o.result {
+            // Preemptive degradation, outside the state lock
+            // (`stream_devices` takes the manager's stream locks).
+            let attempts: Vec<Attempt> = snapshots
+                .into_iter()
+                .map(|(job, mut methods, n_tokens)| {
+                    let (session, tokens) = jobs[job];
+                    let base = recompute_prefix_of(&methods);
+                    let can_degrade = tokens.len() >= n_tokens;
+                    let mut forced = 0;
+                    if can_degrade {
+                        let l = &mut learned[job];
+                        let (pre, cause) = self.degraded_prefix_for(session, &methods, &down);
+                        if pre > l.forced {
+                            l.forced = pre;
+                            l.cause = cause.or(l.cause);
+                        }
+                        forced = l.forced;
+                    }
+                    for m in methods.iter_mut().take(forced) {
+                        *m = LayerMethod::Recompute;
+                    }
+                    Attempt {
+                        job,
+                        n_tokens,
+                        base,
+                        forced,
+                        can_degrade,
+                        methods,
+                    }
+                })
+                .collect();
+            let requests: Vec<RestoreRequest> = attempts
+                .iter()
+                .map(|a| RestoreRequest {
+                    session: jobs[a.job].0,
+                    tokens: jobs[a.job].1,
+                    n_tokens: a.n_tokens,
+                    methods: &a.methods,
+                })
+                .collect();
+            let outcomes =
+                restore_sessions(model, &self.mgr, &requests, workers, max_inflight, par);
+            drop(requests);
+            pending.clear();
+            for (a, outcome) in attempts.into_iter().zip(outcomes) {
+                let l = &mut learned[a.job];
+                let e = match outcome {
                     Ok(kv) => {
-                        let layers_recomputed = forced - base;
+                        let layers_recomputed = a.forced.saturating_sub(a.base);
                         if layers_recomputed > 0 {
                             CtlMetrics::bump(&self.metrics.restores_degraded, 1);
                             CtlMetrics::bump(
@@ -866,59 +760,47 @@ impl<S: ChunkStore + 'static> CacheController<S> {
                                 layers_recomputed as u64,
                             );
                         }
-                        Ok((
-                            kv,
-                            DegradationReport {
-                                layers_recomputed,
-                                cause: if layers_recomputed > 0 { cause } else { None },
-                            },
-                        ))
-                    }
-                    Err(e) => {
-                        // Fall back to the single-session loop, primed:
-                        // when degrading, a device failure widens the
-                        // prefix over the failed layer; any failure
-                        // re-resolves racing demotions against the
-                        // refreshed mix.
-                        let (fp, c) = match &e {
-                            RestoreError::Storage(StorageError::DeviceFailed {
-                                key,
-                                device,
-                                transient,
-                                ..
-                            }) if degrade => (
-                                (key.stream.layer as usize + 1)
-                                    .min(self.n_layers)
-                                    .max(forced),
-                                Some(self.classify_failure(&down, *device, *transient)),
-                            ),
-                            _ => (forced, cause),
+                        let report = DegradationReport {
+                            layers_recomputed,
+                            cause: if layers_recomputed > 0 { l.cause } else { None },
                         };
-                        self.restore_loop(
-                            model,
-                            req.session,
-                            &req.tokens,
-                            par,
-                            degrade,
-                            fp,
-                            c.or(cause),
-                            Some(req.methods.clone()),
-                        )
+                        results[a.job] = Some(Ok((kv, report)));
+                        continue;
                     }
-                })
-            })
-            .collect();
-        slots
+                    Err(e) => e,
+                };
+                if let RestoreError::Storage(StorageError::DeviceFailed {
+                    key,
+                    device,
+                    transient,
+                    ..
+                }) = &e
+                {
+                    let widened = (key.stream.layer as usize + 1).min(self.n_layers);
+                    if a.can_degrade && widened > l.forced {
+                        // Reactive rung of the ladder: recompute over the
+                        // failed layer and go again.
+                        l.cause = Some(self.classify_failure(&down, *device, *transient));
+                        l.forced = widened;
+                        l.failed = Some(a.methods);
+                        pending.push(a.job);
+                        continue;
+                    }
+                }
+                if l.failed.as_ref() == Some(&a.methods) {
+                    // The mix did not change since the failed attempt: the
+                    // error is real, not a racing demotion.
+                    results[a.job] = Some(Err(e.into()));
+                } else {
+                    l.failed = Some(a.methods);
+                    pending.push(a.job);
+                }
+            }
+        }
+        results
             .into_iter()
-            .zip(jobs.iter())
-            .map(|(slot, job)| match slot {
-                Slot::Req(i) => (
-                    job.session,
-                    // hc-analyze: allow(panic) slot indices are distinct by construction, so each result is taken exactly once
-                    results[i].take().expect("each request consumed once"),
-                ),
-                Slot::Unknown(s) => (s, Err(CtlError::UnknownSession(s))),
-            })
+            // hc-analyze: allow(panic) the rounds run until every job has a result
+            .map(|r| r.expect("every job resolved"))
             .collect()
     }
 
@@ -1169,8 +1051,8 @@ mod tests {
         // bit for bit, at several thread budgets.
         let seq = restore_session_with_methods(&model, &mgr, 1, &tokens, 80, &demoted).unwrap();
         for threads in [1usize, 4] {
-            let kv = ctl
-                .restore(&model, 1, &tokens, &ParallelConfig::new(threads))
+            let (kv, _) = ctl
+                .restore_with_report(&model, 1, &tokens, &ParallelConfig::new(threads))
                 .unwrap();
             assert_eq!(kv_max_error(&kv, &seq), 0.0);
         }
@@ -1201,8 +1083,8 @@ mod tests {
         let tokens: Vec<u32> = (0..40u32).collect();
         // Nothing to save (all recompute); just record the round.
         ctl.on_saved(1, 40).unwrap();
-        let kv = ctl
-            .restore(&model, 1, &tokens, &ParallelConfig::serial())
+        let (kv, _) = ctl
+            .restore_with_report(&model, 1, &tokens, &ParallelConfig::serial())
             .unwrap();
         let mut reference = KvCache::new(&cfg_m);
         model.prefill(&tokens, &mut reference, false);
@@ -1236,7 +1118,7 @@ mod tests {
         let model = Model::new(&ModelConfig::tiny_llama(), 1);
         let ctl4 = CacheController::new(mgr(), 4, 8, ControllerConfig::unlimited());
         assert!(matches!(
-            ctl4.restore(&model, 9, &[1, 2], &ParallelConfig::serial()),
+            ctl4.restore_with_report(&model, 9, &[1, 2], &ParallelConfig::serial()),
             Err(CtlError::UnknownSession(9))
         ));
     }
@@ -1311,9 +1193,8 @@ mod tests {
         assert_eq!(reactor.restores_in_flight(), 0, "gauge drains");
         assert_eq!(ctl.metrics().restore_hits, 6);
 
-        // The same scheduler over a reactor-less manager runs the jobs one
-        // after another through the controller's loop, and still
-        // restores.
+        // The same scheduler over a reactor-less manager runs each job
+        // through the sequential reference walk, and still restores.
         let plain_mgr = Arc::new(StorageManager::new(
             Arc::new(MemStore::new(4)),
             cfg_m.d_model,
@@ -1464,12 +1345,149 @@ mod tests {
         ];
         let seq = restore_session_with_methods(&model, &mgr, 1, &tokens, 64, &degraded).unwrap();
         assert_eq!(kv_max_error(&kv_deg, &seq), 0.0);
-        // The plain entry point still surfaces the failure (no silent
-        // degradation where the caller didn't opt in).
-        assert!(matches!(
-            ctl.restore(&model, 1, &tokens, &par),
-            Err(CtlError::Storage(StorageError::DeviceFailed { .. }))
+        // A job given no history to replay cannot degrade: the same
+        // failure surfaces typed, naming the chunk on the dead lane.
+        match ctl.restore_with_report(&model, 1, &[], &par) {
+            Err(CtlError::Storage(StorageError::DeviceFailed { key, device, .. })) => {
+                assert_eq!((key.stream, key.chunk_idx), (StreamId::hidden(1, 1), 0));
+                assert_eq!(device, 1);
+            }
+            other => panic!("expected a typed DeviceFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn racing_demotion_retries_under_the_demoted_mix() {
+        // A concurrent save demotes the session being restored — deleting
+        // its layer-0 stream — in the middle of the restore's reads. The
+        // restore must retry under the demoted mix, on the single entry
+        // and on the scheduler alike, and count one hit per job however
+        // many rounds it took. One device served by one IO thread makes
+        // the race deterministic: the demotion runs inside the first chunk
+        // read, so no read of the layer-0 stream is served before it.
+        use crate::scheduler::{RestoreJob, RestoreScheduler};
+        use hc_storage::fault::FaultStore;
+
+        const TOKENS: usize = 128; // two chunks per stream
+        let cfg_m = ModelConfig::tiny_llama();
+        let model = Model::new(&cfg_m, 41);
+        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(1))));
+        let mgr = Arc::new(
+            StorageManager::new(Arc::clone(&store), cfg_m.d_model)
+                .with_reactor(hc_storage::reactor::Reactor::new(1, 1)),
+        );
+        let ctl = Arc::new(CacheController::new(
+            Arc::clone(&mgr),
+            cfg_m.n_layers,
+            cfg_m.d_model,
+            ControllerConfig::unlimited(),
         ));
+        let scheme = PartitionScheme::pure_hidden(cfg_m.n_layers);
+        // Session 1 (the racer) alone in tenant 1, session 2 in tenant 0.
+        let mut histories = Vec::new();
+        for (s, tenant) in [(1u64, 1u32), (2, 0)] {
+            ctl.open_session_in(s, tenant, &scheme);
+            let tokens: Vec<u32> = (0..TOKENS as u32)
+                .map(|i| (i * 29 + s as u32) % 256)
+                .collect();
+            let mut kv = KvCache::new(&cfg_m);
+            let out = model.prefill(&tokens, &mut kv, true);
+            save_session_state(
+                &model,
+                &mgr,
+                s,
+                &out.hidden_per_layer.unwrap(),
+                &kv,
+                &scheme,
+            )
+            .unwrap();
+            ctl.on_saved(s, TOKENS as u64).unwrap();
+            histories.push(tokens);
+        }
+        let full = vec![LayerMethod::Hidden; 4];
+        let demoted = [
+            LayerMethod::Recompute,
+            LayerMethod::Hidden,
+            LayerMethod::Hidden,
+            LayerMethod::Hidden,
+        ];
+        let reference = |s: u64, methods: &[LayerMethod]| {
+            restore_session_with_methods(
+                &model,
+                &mgr,
+                s,
+                &histories[s as usize - 1],
+                TOKENS,
+                methods,
+            )
+            .unwrap()
+        };
+        let sibling = reference(2, &full);
+        // Arms the demotion on the next chunk read: capping tenant 1 one
+        // byte under its usage makes the save's reconciliation demote
+        // session 1 one rung, which deletes its layer-0 hidden stream.
+        let arm = || {
+            let racer = Arc::clone(&ctl);
+            store.on_nth_read(0, move || {
+                let used = racer.tenant_stats(1).used_bytes;
+                racer.set_tenant_quota(
+                    1,
+                    TenantQuota {
+                        reservation_bytes: 0,
+                        cap_bytes: used - 1,
+                    },
+                );
+                racer.on_saved(1, TOKENS as u64).unwrap();
+            });
+        };
+
+        arm();
+        let (kv, rep) = ctl
+            .restore_with_report(&model, 1, &histories[0], &ParallelConfig::new(2))
+            .unwrap();
+        assert_eq!(ctl.session_methods(1).unwrap(), demoted);
+        assert_eq!(
+            rep,
+            DegradationReport::default(),
+            "a demotion is no degradation"
+        );
+        assert_eq!(kv_max_error(&kv, &reference(1, &demoted)), 0.0);
+        assert_eq!(ctl.metrics().restore_hits, 1);
+
+        // Again through the scheduler, after re-saving session 1 in full.
+        ctl.set_tenant_quota(1, TenantQuota::default());
+        ctl.close_session(1).unwrap();
+        ctl.open_session_in(1, 1, &scheme);
+        let mut kv1 = KvCache::new(&cfg_m);
+        let out = model.prefill(&histories[0], &mut kv1, true);
+        save_session_state(
+            &model,
+            &mgr,
+            1,
+            &out.hidden_per_layer.unwrap(),
+            &kv1,
+            &scheme,
+        )
+        .unwrap();
+        ctl.on_saved(1, TOKENS as u64).unwrap();
+        arm();
+        let jobs: Vec<RestoreJob> = histories
+            .iter()
+            .zip(1u64..)
+            .map(|(tokens, session)| RestoreJob {
+                session,
+                tokens: tokens.clone(),
+            })
+            .collect();
+        let results =
+            RestoreScheduler::new(2, ParallelConfig::new(2)).run_with_reports(&model, &ctl, &jobs);
+        assert_eq!(ctl.session_methods(1).unwrap(), demoted);
+        let [(1, Ok((racer, _))), (2, Ok((other, _)))] = &results[..] else {
+            panic!("both jobs must restore: {results:?}");
+        };
+        assert_eq!(kv_max_error(racer, &reference(1, &demoted)), 0.0);
+        assert_eq!(kv_max_error(other, &sibling), 0.0);
+        assert_eq!(ctl.metrics().restore_hits, 3);
     }
 
     #[test]

@@ -2,25 +2,22 @@
 //!
 //! One resuming conversation is a pipeline (`hc-restore`'s two-stream
 //! schedule); a *serving burst* is many of them at once. The
-//! [`RestoreScheduler`] runs an ordered job list, picking its route from
-//! the controller's manager alone:
+//! [`RestoreScheduler`] runs an ordered job list through the controller's
+//! one restore body — the same one a single
+//! [`CacheController::restore_with_report`] runs, here on the scheduler's
+//! split. Over an IO reactor — what every `HCacheSystem` runs — each
+//! restore is a state machine advanced by a fixed pool of compute workers
+//! (`n_workers`, clamped to the thread grant, which they split evenly; the
+//! calling thread is one of them), IO flows through per-device submission
+//! queues, and the in-flight count is bounded by the admission window
+//! (memory) and the reactor's iodepth, not by threads. 10k concurrent
+//! restores on a 4-thread grant is the design point. Without a reactor
+//! (tests and benches only) each job runs the sequential reference walk.
 //!
-//! * **Over an IO reactor** — what every `HCacheSystem` runs — the batch
-//!   goes through the controller's reactor batch loop: each restore
-//!   is a state machine advanced by a fixed pool of compute workers
-//!   (`n_workers`, clamped to the thread grant, which they split evenly),
-//!   IO flows through per-device submission queues, and the in-flight
-//!   count is bounded by the admission window (memory) and the reactor's
-//!   iodepth, not by threads. 10k concurrent restores on a 4-thread grant
-//!   is the design point.
-//! * **Without a reactor** (tests and benches only) the jobs run one
-//!   after another through the controller's restore loop, each over the
-//!   sequential reference walk.
-//!
-//! Either way results preserve job order and each is bit-identical to
-//! what a sequential restore of that session would produce: the
-//! per-session machines share no mutable state and every parallel kernel
-//! is bit-equal to its serial form.
+//! Results preserve job order and each is bit-identical to what a
+//! sequential restore of that session would produce: the per-session
+//! machines share no mutable state and every parallel kernel is bit-equal
+//! to its serial form.
 
 use hc_model::{KvCache, Model};
 use hc_storage::backend::ChunkStore;
@@ -77,64 +74,46 @@ impl RestoreScheduler {
     }
 
     /// Runs every job in queue order. Returns `(session, result)` pairs in
-    /// job order.
+    /// job order — [`RestoreScheduler::run_with_reports`] without the
+    /// reports.
     pub fn run<S: ChunkStore + Sync + 'static>(
         &self,
         model: &Model,
         ctl: &CacheController<S>,
         jobs: &[RestoreJob],
     ) -> Vec<(u64, Result<KvCache, CtlError>)> {
-        self.run_reported(model, ctl, jobs, false)
+        self.run_with_reports(model, ctl, jobs)
             .into_iter()
             .map(|(session, r)| (session, r.map(|(kv, _)| kv)))
             .collect()
     }
 
-    /// [`RestoreScheduler::run`] with the device-health plane engaged: the
-    /// reactor batch loop, or [`CacheController::restore_with_report`] per
-    /// job without a reactor, degrades instead of failing, so sessions
-    /// whose layers sit behind a down or breaker-tripped device complete
-    /// via recomputation and report how many layers degraded.
+    /// Runs every job in queue order through the controller's one restore
+    /// body on this scheduler's split, with the device-health plane
+    /// engaged: sessions whose layers sit behind a down or breaker-tripped
+    /// device complete via recomputation and report how many layers
+    /// degraded. Returns `(session, result)` pairs in job order.
     pub fn run_with_reports<S: ChunkStore + Sync + 'static>(
         &self,
         model: &Model,
         ctl: &CacheController<S>,
         jobs: &[RestoreJob],
     ) -> Vec<ReportedRestore> {
-        self.run_reported(model, ctl, jobs, true)
-    }
-
-    /// The one body behind `run` (`degrade` off, reports dropped) and
-    /// `run_with_reports` (`degrade` on).
-    fn run_reported<S: ChunkStore + Sync + 'static>(
-        &self,
-        model: &Model,
-        ctl: &CacheController<S>,
-        jobs: &[RestoreJob],
-        degrade: bool,
-    ) -> Vec<ReportedRestore> {
-        if ctl.mgr().reactor().is_some() {
-            return ctl.restore_batch(
-                model,
-                jobs,
-                self.n_workers,
-                self.max_inflight,
-                &self.host_budget,
-                degrade,
-            );
-        }
-        jobs.iter()
-            .map(|job| {
-                let r = ctl.restore_reported(
-                    model,
-                    job.session,
-                    &job.tokens,
-                    &self.host_budget,
-                    degrade,
-                );
-                (job.session, r)
-            })
-            .collect()
+        let histories: Vec<(u64, &[u32])> = jobs
+            .iter()
+            .map(|job| (job.session, job.tokens.as_slice()))
+            .collect();
+        ctl.restore_jobs(
+            model,
+            &histories,
+            self.n_workers,
+            self.max_inflight,
+            &self.host_budget,
+        )
+        .into_iter()
+        .zip(jobs)
+        .map(|(r, job)| (job.session, r))
+        .collect()
     }
 }
 
@@ -143,7 +122,7 @@ mod tests {
     use super::*;
     use hc_restore::reactor::worker_split;
 
-    /// The split the batch driver makes of `s`'s grant over `batch` jobs:
+    /// The split the restore driver makes of `s`'s grant over `batch` jobs:
     /// (compute workers, threads per machine).
     fn split(s: &RestoreScheduler, batch: usize) -> (usize, usize) {
         let (workers, per) = worker_split(s.n_workers, batch, &s.host_budget);
@@ -190,7 +169,7 @@ mod tests {
 
     #[test]
     fn aggregate_compute_plus_io_never_exceeds_the_grant() {
-        // The batch driver's split of a scheduler's grant, swept over
+        // The restore driver's split of a scheduler's grant, swept over
         // (threads, requested workers, batch size): admitted workers ×
         // per-machine threads ≤ granted, neither ever zero, and never more
         // workers than jobs. IO threads (the reactor's) block on device

@@ -295,38 +295,33 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     }
 
     /// Restores a session's KV cache from host storage (the cache-miss
-    /// path). Every restore runs the one restore executor
-    /// (`hc_restore::engine::restore_session_pipelined_with_methods`) over
-    /// this system's IO reactor: one restore state machine, advanced on
-    /// the calling thread, submits the first stored layers' 64-token chunk
-    /// reads to all storage devices at once (up to `REACTOR_IODEPTH` reads
-    /// in flight per device) and runs the recompute prefix's forward pass
-    /// while they are served; each advance then projects every hidden
-    /// layer's newly contiguous token prefix — everything that landed
-    /// since its last GEMM, in one call — and places K/V chunks as both
-    /// streams' prefixes pair up, all under this system's thread budget.
-    /// With a controller attached the session's current (possibly
-    /// demoted) method mix is restored and hits/fallbacks are counted;
-    /// without one the static scheme is. The result is bit-identical to
-    /// `restore_session_with_methods` under that mix. A read that dies on
-    /// a sick device surfaces its typed error here;
-    /// [`HCacheSystem::restore_with_report`] — what
-    /// [`HCacheSystem::round`] restores through — degrades instead.
+    /// path): [`HCacheSystem::restore_with_report`] without the report.
     pub fn restore(&self, session: u64) -> Result<KvCache, SystemError> {
-        let tokens = self.session_tokens(session)?;
-        match &self.controller {
-            Some(ctl) => Ok(ctl.restore(&self.model, session, tokens, &self.parallel)?),
-            None => self.restore_static(session, tokens),
-        }
+        self.restore_with_report(session).map(|(kv, _)| kv)
     }
 
-    /// [`HCacheSystem::restore`] with the device-health plane engaged:
-    /// when a controller is attached, layers stranded behind a down or
-    /// breaker-tripped storage device are served by token recomputation
+    /// Restores a session's KV cache and reports any degradation. Every
+    /// restore runs the one restore executor over this system's IO
+    /// reactor, as a one-request call of `hc_restore::reactor`'s driver:
+    /// one restore state machine, advanced on the calling thread (worker
+    /// 0 — no thread is spawned), submits the first stored layers'
+    /// 64-token chunk reads to all storage devices at once (up to
+    /// `REACTOR_IODEPTH` reads in flight per device) and runs the
+    /// recompute prefix's forward pass while they are served; each advance
+    /// then projects every hidden layer's newly contiguous token prefix —
+    /// everything that landed since its last GEMM, in one call — and
+    /// places K/V chunks as both streams' prefixes pair up, all under this
+    /// system's thread budget. The result is bit-identical to
+    /// `restore_session_with_methods` under the mix served.
+    ///
+    /// With a controller attached the session's current (possibly
+    /// demoted) method mix is restored, hits/fallbacks are counted, and
+    /// the device-health plane is engaged: layers stranded behind a down
+    /// or breaker-tripped storage device are served by token recomputation
     /// (preemptively or after the read fails mid-restore) and the returned
     /// [`DegradationReport`] says how many and why, instead of the restore
-    /// failing. Without a controller this is a plain restore with an empty
-    /// report.
+    /// failing. Without a controller the static scheme is restored and the
+    /// report is empty.
     pub fn restore_with_report(
         &self,
         session: u64,
@@ -336,25 +331,19 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
             Some(ctl) => {
                 Ok(ctl.restore_with_report(&self.model, session, tokens, &self.parallel)?)
             }
-            None => Ok((
-                self.restore_static(session, tokens)?,
-                DegradationReport::default(),
-            )),
+            None => {
+                let kv = hc_restore::engine::restore_session_pipelined_with_methods(
+                    &self.model,
+                    &self.mgr,
+                    session,
+                    tokens,
+                    tokens.len(),
+                    &self.scheme.layer_methods(self.model.cfg.n_layers),
+                    &self.parallel,
+                )?;
+                Ok((kv, DegradationReport::default()))
+            }
         }
-    }
-
-    /// The controller-free restore: the whole history under the static
-    /// scheme.
-    fn restore_static(&self, session: u64, tokens: &[u32]) -> Result<KvCache, SystemError> {
-        Ok(hc_restore::engine::restore_session_pipelined_with_methods(
-            &self.model,
-            &self.mgr,
-            session,
-            tokens,
-            tokens.len(),
-            &self.scheme.layer_methods(self.model.cfg.n_layers),
-            &self.parallel,
-        )?)
     }
 
     /// Marks a storage device down on the attached controller (see
@@ -411,11 +400,11 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         let methods = self.effective_methods(session);
 
         // 1. Restore evicted history (no GPU KV reuse, as in §4: "we do not
-        //    cache and reuse KV cache in GPU"). Through the degrading entry:
-        //    a sick storage device costs this round latency (its layers
-        //    are recomputed), not the session.
+        //    cache and reuse KV cache in GPU"). Every restore degrades: a
+        //    sick storage device costs this round latency (its layers are
+        //    recomputed), not the session.
         let mut kv = if history_len > 0 {
-            self.restore_with_report(session)?.0
+            self.restore(session)?
         } else {
             KvCache::new(&self.model.cfg)
         };

@@ -20,14 +20,15 @@
 //! streams, projects/loads them, and only then reads layer `l+1`.
 //! [`restore_session_pipelined_with_methods`] runs the *same* work as the
 //! two-stream schedule that `hc_sched::pipeline` models analytically, at
-//! **token-chunk granularity** (§4.1.2's token-wise partitioning): it
-//! advances one restore state machine of [`crate::reactor`] on the
-//! calling thread — the machine the batch driver
-//! [`crate::reactor::restore_sessions_reactor`] advances N at a time on
-//! its worker pool. The machine submits its first layers' chunk reads to
-//! the manager's IO reactor before it runs the recompute prefix, so the
-//! devices serve them while the prefix's forward pass runs, and each
-//! advance projects (hidden layers) or places (KV layers) whatever
+//! **token-chunk granularity** (§4.1.2's token-wise partitioning): it is a
+//! one-request call of the one restore driver,
+//! [`crate::reactor::restore_sessions`], which advances the request's
+//! state machine on the calling thread — the machine the same driver
+//! advances N at a time for a batch. The machine submits its first
+//! layers' chunk reads to the manager's IO reactor before it runs the
+//! recompute prefix, so the devices serve them while the prefix's forward
+//! pass runs, and each advance projects (hidden layers) or places (KV
+//! layers) whatever
 //! contiguous prefix landed since the last one — compute on chunk `k`
 //! overlaps the IO of chunk `k+1` inside a layer, on top of the
 //! layer-to-layer overlap. The reactor module documents the schedule, the
@@ -46,8 +47,8 @@
 //! every `HCacheSystem::restore` / `round` — directly or through the cache
 //! controller — runs this executor: one layer's chunks are striped over
 //! the devices, and all of them serve the restore at once. A manager
-//! without a reactor has no IO plane to overlap: the pipelined entry point
-//! then runs the sequential reference. Only tests and benches build one.
+//! without a reactor has no IO plane to overlap: the driver then runs the
+//! sequential reference. Only tests and benches build one.
 
 use hc_model::{layer, KvCache, Model};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
@@ -56,9 +57,9 @@ use hc_storage::manager::StorageManager;
 use hc_storage::{StorageError, StreamId};
 use hc_tensor::{ParallelConfig, Tensor2};
 
-use crate::reactor::RestoreRequest;
+use crate::reactor::{restore_sessions, RestoreRequest};
 
-/// Errors surfaced by the pipelined restore drivers.
+/// Errors surfaced by the pipelined restore driver.
 #[derive(Debug, PartialEq)]
 pub enum RestoreError {
     /// A storage-layer failure while reading a layer's streams.
@@ -272,11 +273,13 @@ pub fn restore_session_with_methods<S: ChunkStore>(
 }
 
 /// [`restore_session_with_methods`] restructured as the paper's
-/// bubble-free two-stream pipeline at **token-chunk granularity**: one
-/// restore state machine ([`crate::reactor`]) advanced on the calling
-/// thread, its chunk reads riding the manager's IO reactor — every device
-/// holding a chunk of the layer serves it at once — while the calling
-/// thread runs the recompute prefix and projects each hidden layer's newly
+/// bubble-free two-stream pipeline at **token-chunk granularity**: a
+/// one-request call of the restore driver
+/// ([`crate::reactor::restore_sessions`]), whose one state machine runs on
+/// the calling thread (no thread is spawned), its chunk reads riding the
+/// manager's IO reactor — every device holding a chunk of the layer
+/// serves it at once — while the calling thread runs the recompute prefix
+/// and projects each hidden layer's newly
 /// landed prefix (or places K/V chunks into the destination cache) under
 /// `par`'s thread budget. See the module docs for the schedule; the result
 /// is bit-identical to [`restore_session_with_methods`]'s for every mix,
@@ -304,18 +307,16 @@ pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
     methods: &[LayerMethod],
     par: &ParallelConfig,
 ) -> Result<KvCache, RestoreError> {
-    if mgr.reactor().is_none() {
-        return Ok(restore_session_with_methods(
-            model, mgr, session, tokens, n_tokens, methods,
-        )?);
-    }
     let request = RestoreRequest {
         session,
-        tokens: tokens.to_vec(),
+        tokens,
         n_tokens,
-        methods: methods.to_vec(),
+        methods,
     };
-    crate::reactor::restore_on_caller(model, mgr, &request, par)
+    restore_sessions(model, mgr, &[request], 1, 1, par)
+        .pop()
+        // hc-analyze: allow(panic) the driver returns one result per request
+        .expect("one request, one result")
 }
 
 /// Maximum element-wise error between two KV caches (over keys and values
@@ -560,10 +561,10 @@ mod tests {
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
         // Every scheme shape × thread counts 1–8 × reactor iodepths 1/2/4
-        // (completions out of order) through the single-session driver,
-        // against the sequential reference over a manager without a
-        // reactor. 144 tokens = two device chunks and a buffered tail per
-        // stream.
+        // (completions out of order) through a single restore (the driver
+        // on one worker, the calling thread), against the sequential
+        // reference over a manager without a reactor. 144 tokens = two
+        // device chunks and a buffered tail per stream.
         const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
             let f = fixture_of(41 + i as u64, MATRIX_TOKENS);

@@ -7,11 +7,11 @@
 //!   `hc-storage` manager and rebuilds a `KvCache` with real math, for any
 //!   layer-wise partition scheme (hidden / KV-offload / recompute layers).
 //!   This is where the correctness claims are tested end to end.
-//! * [`reactor`] — the **many-session** layer: an event-driven driver that
-//!   advances thousands of concurrent restore state machines with a fixed
-//!   pool of compute workers, all IO flowing through the storage manager's
-//!   per-device reactor queues — in-flight restores bounded by memory and
-//!   iodepth, not threads.
+//! * [`reactor`] — the **executor**: one restore state machine per session
+//!   and one event-driven driver that advances one or thousands of them on
+//!   the calling thread plus a fixed pool of compute workers, all IO
+//!   flowing through the storage manager's per-device reactor queues —
+//!   in-flight restores bounded by memory and iodepth, not threads.
 //! * [`sim`] — the **timed** layer: virtual-time restoration estimates for
 //!   every method on any platform, built from the `hc-simhw` profiles and
 //!   the `hc-sched` pipeline. This is what the evaluation figures use.
@@ -61,16 +61,6 @@ impl RestoreMethod {
             RestoreMethod::HCache => "HCache",
         }
     }
-
-    /// The four methods of the headline comparisons (Figs 4, 9, 10).
-    pub fn headline() -> [RestoreMethod; 4] {
-        [
-            RestoreMethod::Recompute,
-            RestoreMethod::KvOffload,
-            RestoreMethod::HCache,
-            RestoreMethod::Ideal,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -81,6 +71,5 @@ mod tests {
     fn names_match_paper_legends() {
         assert_eq!(RestoreMethod::HCache.name(), "HCache");
         assert_eq!(RestoreMethod::Recompute.name(), "Recomputation");
-        assert_eq!(RestoreMethod::headline().len(), 4);
     }
 }

@@ -1,18 +1,16 @@
 //! The restore executor: every pipelined restore is one state machine,
-//! whichever driver advances it.
+//! and one driver advances them all.
 //!
 //! HCache's bubble-free restoration (§4.1.2) is one schedule — a restore's
 //! storage reads stream while its projection and its recompute prefix
-//! run — and this module executes it as one [`Machine`] per session, in
-//! two drivers:
-//!
-//! * the **single-session driver** behind
-//!   [`restore_session_pipelined_with_methods`](crate::engine::restore_session_pipelined_with_methods)
-//!   advances one machine on the calling thread, which sleeps on the
-//!   machine's `notify` between advances;
-//! * the **batch driver** [`restore_sessions_reactor`] advances up to
-//!   `max_inflight` machines on a small pool of compute workers, so
-//!   thousands of restores share a fixed thread budget.
+//! run — and this module executes it as one [`Machine`] per session,
+//! advanced by one driver, [`restore_sessions`]. Its compute workers pop
+//! ready machines off a shared run queue and keep up to `max_inflight` of
+//! them live, so thousands of restores share a fixed thread budget. The
+//! calling thread is worker 0: a batch on `n` workers spawns `n − 1`
+//! threads, and a single restore
+//! ([`restore_session_pipelined_with_methods`](crate::engine::restore_session_pipelined_with_methods),
+//! a one-request batch) spawns none.
 //!
 //! A machine holds its `KvCache` under construction plus a sliding window
 //! of active layers ([`LAYER_WINDOW`]), each layer holding one
@@ -36,17 +34,20 @@
 //!   two and the projection overlaps the reads still in flight; when
 //!   compute is the bound (`MemStore`, page-cache reads) a pump finds the
 //!   rest of the layer waiting and a layer costs one or two GEMMs.
-//! * IO completions fire the machine's `notify`. The batch driver turns
-//!   it into a token on a shared
-//!   [`WorkQueue`](hc_storage::reactor::WorkQueue), deduplicated by a
-//!   per-machine pending flag, so a burst of completions costs one
-//!   wakeup; the single-session driver drains a channel.
+//! * IO completions fire the machine's `notify`, which turns into a token
+//!   on the driver's [`WorkQueue`], deduplicated by a per-machine pending
+//!   flag, so a burst of completions costs one wakeup. A worker that
+//!   finishes a machine admits the next request.
 //!
 //! What may be in flight per restore is bounded: `LAYER_WINDOW` layers of
 //! staging and each job's reactor window of chunk reads — never the whole
-//! restore. The batch driver's admission window bounds machines in flight
-//! by memory and iodepth, not threads: `n_devices × iodepth` reactor IO
+//! restore. The driver's admission window bounds machines in flight by
+//! memory and iodepth, not threads: `n_devices × iodepth` reactor IO
 //! threads plus `workers` compute threads serve any number of them.
+//!
+//! A manager without a reactor has no IO plane to overlap: the driver then
+//! runs each request through the sequential reference,
+//! [`restore_session_with_methods`].
 //!
 //! # Determinism and blast radius
 //!
@@ -68,10 +69,10 @@
 //! advanced it — carries on.
 //!
 //! When the manager's [`RetryPolicy`](hc_storage::health::RetryPolicy)
-//! carries an IO deadline, both drivers watch for stalls: after a
-//! deadline's worth of silence they expire any read job whose IO made no
-//! progress for the deadline (`ReactorReadJob::expire_stalled`), typing
-//! that session's next advance as a transient
+//! carries an IO deadline, a worker whose wait for work passes the
+//! deadline sweeps the live machines and expires any read job whose IO
+//! made no progress for the deadline (`ReactorReadJob::expire_stalled`),
+//! typing that session's next advance as a transient
 //! [`StorageError::DeviceFailed`] — a wedged device submission can never
 //! hang a restore.
 //!
@@ -81,47 +82,38 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use hc_model::{layer, KvCache, Model, ModelConfig};
 use hc_sched::partition::LayerMethod;
 use hc_storage::backend::ChunkStore;
 use hc_storage::chunk::chunks_for_range;
 use hc_storage::manager::{DeliveredRows, PumpOutcome, ReactorReadJob, RowSink, StorageManager};
+use hc_storage::reactor::{Popped, WorkQueue};
 use hc_storage::StreamId;
 use hc_tensor::{ParallelConfig, Tensor2};
 
-use crate::engine::RestoreError;
+use crate::engine::{restore_session_with_methods, RestoreError};
 
 /// How many layers of one restore may have reads in flight at once. Two
 /// keeps the next layer's IO running while the current layer's tail is
 /// being projected, while bounding per-session staging to O(2 layers).
 const LAYER_WINDOW: usize = 2;
 
-/// One session's restore work.
-#[derive(Debug, Clone)]
-pub struct RestoreRequest {
+/// One session's restore work. It borrows the caller's history and mix,
+/// so no restore copies either.
+#[derive(Debug, Clone, Copy)]
+pub struct RestoreRequest<'a> {
     /// Session whose streams hold the state.
     pub session: u64,
     /// Original history tokens (needed by recompute layers).
-    pub tokens: Vec<u32>,
+    pub tokens: &'a [u32],
     /// History length to restore.
     pub n_tokens: usize,
-    /// The session's current per-layer method mix.
-    pub methods: Vec<LayerMethod>,
-}
-
-/// One finished session restore: the result plus its restore latency
-/// (admission → completion), the TTFR sample the multi-session benches
-/// aggregate into percentiles.
-#[derive(Debug)]
-pub struct SessionRestore {
-    /// The restored cache, or this session's own failure.
-    pub result: Result<KvCache, RestoreError>,
-    /// Admission-to-completion latency.
-    pub latency: Duration,
+    /// The per-layer method mix to restore under.
+    pub methods: &'a [LayerMethod],
 }
 
 /// Assembly of one stream (hidden, K or V) of an active layer: a
@@ -240,8 +232,6 @@ struct Machine<S: ChunkStore> {
     notify: Arc<dyn Fn() + Send + Sync>,
     /// Terminal result; `Some` means the machine is done.
     result: Option<Result<KvCache, RestoreError>>,
-    admitted: Instant,
-    finished: Option<Instant>,
 }
 
 impl<S: ChunkStore> Machine<S> {
@@ -249,7 +239,7 @@ impl<S: ChunkStore> Machine<S> {
         Self {
             kv: KvCache::new(cfg),
             active: VecDeque::with_capacity(LAYER_WINDOW),
-            next_layer: recompute_prefix(&req.methods),
+            next_layer: recompute_prefix(req.methods),
             started: false,
             slice_rows: chunks_for_range(0, req.n_tokens as u64)
                 .iter()
@@ -257,8 +247,6 @@ impl<S: ChunkStore> Machine<S> {
                 .collect(),
             notify,
             result: None,
-            admitted: Instant::now(),
-            finished: None,
         }
     }
 
@@ -279,7 +267,6 @@ impl<S: ChunkStore> Machine<S> {
             self.result = Some(Err(RestoreError::Panicked));
         }
         if self.result.is_some() {
-            self.finished = Some(Instant::now());
             self.active.clear();
         }
     }
@@ -298,9 +285,9 @@ impl<S: ChunkStore> Machine<S> {
     }
 }
 
-/// The batch driver's split of the host grant `par` over a batch of
-/// `batch` sessions: `workers` compute workers, clamped to the batch and
-/// to `par.threads()`, each advancing its machines under
+/// The driver's split of the host grant `par` over a batch of `batch`
+/// sessions: `workers` compute workers, clamped to the batch and to
+/// `par.threads()`, each advancing its machines under
 /// `⌊par.threads / workers⌋` threads. Workers × per-machine threads never
 /// exceeds the grant and neither is ever zero; the reactor's IO threads
 /// spend their lives blocked on device service and are not charged.
@@ -309,43 +296,46 @@ pub fn worker_split(workers: usize, batch: usize, par: &ParallelConfig) -> (usiz
     (workers, ParallelConfig::new(par.threads() / workers))
 }
 
-/// Restores `requests` through the manager's IO reactor: compute workers
-/// (split from `par` by [`worker_split`]) advance up to `max_inflight`
-/// concurrent restore state machines (floored to the worker count), all
-/// IO flowing through the reactor's per-device submission queues. See
-/// the module docs for the architecture; results return in request order,
-/// each bit-identical to a sequential
-/// [`restore_session_with_methods`](crate::engine::restore_session_with_methods)
-/// call, with per-session restore latencies for TTFR accounting.
+/// Restores `requests`, results in request order, each bit-identical to a
+/// sequential [`restore_session_with_methods`] call; a failing session
+/// fails alone. Over the manager's IO reactor, compute workers (split from
+/// `par` by [`worker_split`]) advance up to `max_inflight` concurrent
+/// restore state machines (floored to the worker count), all IO flowing
+/// through the reactor's per-device submission queues. The calling thread
+/// is worker 0, so one worker — what a single restore gets — spawns no
+/// thread. See the module docs for the architecture. Over a manager
+/// without a reactor each request runs [`restore_session_with_methods`]
+/// in turn.
 ///
 /// # Panics
-/// Panics when the manager has no reactor attached
-/// ([`StorageManager::with_reactor`]), or when any request's methods do
-/// not cover the model / violate the recompute-prefix invariant (§4.1.2) /
-/// lack the tokens its recompute prefix needs — the same contract as the
-/// single-session entry points, validated for every request up front so no
-/// partial batch starts.
-pub fn restore_sessions_reactor<S: ChunkStore>(
+/// Panics when any request's methods do not cover the model / violate the
+/// recompute-prefix invariant (§4.1.2) / lack the tokens its recompute
+/// prefix needs — validated for every request up front, so no partial
+/// batch starts.
+pub fn restore_sessions<S: ChunkStore>(
     model: &Model,
     mgr: &StorageManager<S>,
-    requests: &[RestoreRequest],
+    requests: &[RestoreRequest<'_>],
     workers: usize,
     max_inflight: usize,
     par: &ParallelConfig,
-) -> Vec<SessionRestore> {
-    let reactor = mgr
-        .reactor()
-        // hc-analyze: allow(panic) documented API contract: callers must configure the manager with_reactor first
-        .expect("restore_sessions_reactor requires a manager with_reactor");
+) -> Vec<Result<KvCache, RestoreError>> {
     requests.iter().for_each(|r| validate(&model.cfg, r));
+    let Some(reactor) = mgr.reactor() else {
+        return requests
+            .iter()
+            .map(|r| {
+                restore_session_with_methods(model, mgr, r.session, r.tokens, r.n_tokens, r.methods)
+                    .map_err(RestoreError::from)
+            })
+            .collect();
+    };
     if requests.is_empty() {
         return Vec::new();
     }
 
     let (workers, per_machine) = worker_split(workers, requests.len(), par);
-    let max_inflight = max_inflight.max(workers);
-
-    let queue = hc_storage::reactor::WorkQueue::new();
+    let queue = WorkQueue::new();
     let machines: Vec<parking_lot::Mutex<Option<Machine<S>>>> = requests
         .iter()
         .map(|_| parking_lot::Mutex::new(None))
@@ -354,170 +344,102 @@ pub fn restore_sessions_reactor<S: ChunkStore>(
         .iter()
         .map(|_| Arc::new(AtomicBool::new(false)))
         .collect();
-    let (done_tx, done_rx) = mpsc::channel::<usize>();
+    let next_admit = AtomicUsize::new(0);
+    let completed = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = Arc::clone(&queue);
-            let done_tx = done_tx.clone();
-            let (machines, pendings, per_machine) = (&machines, &pendings, &per_machine);
-            scope.spawn(move || {
-                while let Some(i) = queue.pop() {
-                    // Clear the dedup flag before advancing: completions
-                    // landing mid-advance re-enqueue the machine.
-                    pendings[i].store(false, Ordering::Release);
-                    let mut slot = machines[i].lock();
-                    let Some(m) = slot.as_mut() else { continue };
-                    if m.result.is_some() {
-                        continue; // late wakeup after completion
-                    }
-                    m.advance(&requests[i], model, mgr, per_machine);
-                    let finished = m.result.is_some();
-                    // The completion gauge and channel don't need the
-                    // machine lock — release it before touching them.
-                    drop(slot);
-                    if finished {
-                        reactor.restore_completed();
-                        let _ = done_tx.send(i);
-                    }
-                }
-            });
+    // Admission keeps up to `max_inflight` machines live: the window opens
+    // below, and each worker that finishes a machine admits the next one.
+    let admit_next = || {
+        let i = next_admit.fetch_add(1, Ordering::AcqRel);
+        if i >= requests.len() {
+            return;
         }
-        drop(done_tx);
-
-        // Admission: the main thread keeps up to `max_inflight` machines
-        // live, admitting the next request as each one finishes.
-        let admit = |i: usize| {
-            let pending = Arc::clone(&pendings[i]);
-            let q = Arc::clone(&queue);
-            let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-                if !pending.swap(true, Ordering::AcqRel) {
-                    q.push(i);
-                }
-            });
-            *machines[i].lock() = Some(Machine::new(&model.cfg, &requests[i], Arc::clone(&notify)));
-            reactor.restore_admitted();
-            notify(); // first advancement: initial reads + recompute prefix
-        };
-
-        let mut next_admit = 0usize;
-        while next_admit < requests.len().min(max_inflight) {
-            admit(next_admit);
-            next_admit += 1;
-        }
-        // Under an IO deadline the admission thread doubles as the stall
-        // watchdog: every deadline's worth of silence it sweeps the live
-        // machines and expires stalled jobs, so a wedged submission fails
-        // one session instead of hanging the whole batch.
-        let io_deadline = mgr.retry_policy().io_deadline;
-        let sweep_stalled = |deadline: Duration| {
-            for (i, slot) in machines.iter().enumerate() {
-                // A machine we cannot lock is being advanced right now —
-                // that is progress, not a stall.
-                let Some(guard) = slot.try_lock() else {
-                    continue;
-                };
-                let expired = guard.as_ref().is_some_and(|m| m.expire_stalled(deadline));
-                drop(guard);
-                if expired && !pendings[i].swap(true, Ordering::AcqRel) {
-                    queue.push(i);
-                }
+        let pending = Arc::clone(&pendings[i]);
+        let q = Arc::clone(&queue);
+        let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
+            if !pending.swap(true, Ordering::AcqRel) {
+                q.push(i);
             }
-        };
-        let mut completed = 0usize;
-        while completed < requests.len() {
-            // A disconnect would mean every compute worker died; no
-            // surviving machine could advance again, so stop admitting and
-            // let the collection below type the unfinished slots.
-            let received = match io_deadline {
-                Some(deadline) => match done_rx.recv_timeout(deadline) {
-                    Ok(_) => true,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        sweep_stalled(deadline);
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => false,
-                },
-                None => done_rx.recv().is_ok(),
+        });
+        *machines[i].lock() = Some(Machine::new(&model.cfg, &requests[i], Arc::clone(&notify)));
+        reactor.restore_admitted();
+        notify(); // first advancement: initial reads + recompute prefix
+    };
+    // Under an IO deadline a worker that waited a deadline for work sweeps
+    // the live machines and expires stalled jobs, so a wedged submission
+    // fails one session instead of hanging the batch.
+    let io_deadline = mgr.retry_policy().io_deadline;
+    let sweep_stalled = |deadline: Duration| {
+        for (i, slot) in machines.iter().enumerate() {
+            // A machine we cannot lock is being advanced right now — that
+            // is progress, not a stall.
+            let Some(guard) = slot.try_lock() else {
+                continue;
             };
-            if !received {
-                break;
-            }
-            completed += 1;
-            if next_admit < requests.len() {
-                admit(next_admit);
-                next_admit += 1;
+            let expired = guard.as_ref().is_some_and(|m| m.expire_stalled(deadline));
+            drop(guard);
+            if expired && !pendings[i].swap(true, Ordering::AcqRel) {
+                queue.push(i);
             }
         }
-        queue.close();
+    };
+    let work = || loop {
+        match queue.pop(io_deadline) {
+            Popped::Token(i) => {
+                // Clear the dedup flag before advancing: completions
+                // landing mid-advance re-enqueue the machine.
+                pendings[i].store(false, Ordering::Release);
+                let mut slot = machines[i].lock();
+                let Some(m) = slot.as_mut() else { continue };
+                if m.result.is_some() {
+                    continue; // late wakeup after completion
+                }
+                m.advance(&requests[i], model, mgr, &per_machine);
+                let finished = m.result.is_some();
+                // Admission locks another machine: release this one first.
+                drop(slot);
+                if finished {
+                    reactor.restore_completed();
+                    if completed.fetch_add(1, Ordering::AcqRel) + 1 == requests.len() {
+                        queue.close();
+                    } else {
+                        admit_next();
+                    }
+                }
+            }
+            Popped::Idle => {
+                if let Some(deadline) = io_deadline {
+                    sweep_stalled(deadline);
+                }
+            }
+            Popped::Closed => return,
+        }
+    };
+
+    for _ in 0..max_inflight.max(workers).min(requests.len()) {
+        admit_next();
+    }
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 
     machines
         .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Some(m) => SessionRestore {
-                result: m.result.unwrap_or(Err(RestoreError::Panicked)),
-                latency: m
-                    .finished
-                    .map(|f| f - m.admitted)
-                    .unwrap_or_else(|| m.admitted.elapsed()),
-            },
-            // Never admitted: the pool died before this request's turn.
-            None => SessionRestore {
-                result: Err(RestoreError::Panicked),
-                latency: Duration::ZERO,
-            },
+        .map(|slot| {
+            slot.into_inner()
+                .and_then(|m| m.result)
+                .unwrap_or(Err(RestoreError::Panicked))
         })
         .collect()
 }
 
-/// Restores one session by advancing its machine on the calling thread:
-/// advance, sleep on the machine's `notify`, advance again — one advance
-/// per burst of completions. Under the manager's IO deadline a deadline's
-/// worth of silence expires the stalled reads, the rule the batch
-/// watchdog applies, so the next advance fails the restore typed instead
-/// of waiting out a wedged device.
-///
-/// # Panics
-/// Panics on the request contract of [`restore_sessions_reactor`].
-pub(crate) fn restore_on_caller<S: ChunkStore>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    req: &RestoreRequest,
-    par: &ParallelConfig,
-) -> Result<KvCache, RestoreError> {
-    validate(&model.cfg, req);
-    let (wake, woken) = mpsc::channel::<()>();
-    let notify: Arc<dyn Fn() + Send + Sync> = Arc::new(move || {
-        let _ = wake.send(());
-    });
-    let mut m = Machine::new(&model.cfg, req, notify);
-    let io_deadline = mgr.retry_policy().io_deadline;
-    loop {
-        m.advance(req, model, mgr, par);
-        if let Some(result) = m.result.take() {
-            return result;
-        }
-        // The machine owns `wake`, so a wait ends on a notify or, under a
-        // deadline, on silence.
-        match io_deadline {
-            Some(deadline) => {
-                if woken.recv_timeout(deadline).is_err() {
-                    m.expire_stalled(deadline);
-                }
-            }
-            None => {
-                let _ = woken.recv();
-            }
-        }
-        while woken.try_recv().is_ok() {}
-    }
-}
-
-/// The request contract every driver checks before any IO starts.
+/// The request contract the driver checks before any IO starts.
 fn validate(cfg: &ModelConfig, r: &RestoreRequest) {
     assert_eq!(r.methods.len(), cfg.n_layers, "methods do not cover model");
-    let n_recompute = recompute_prefix(&r.methods);
+    let n_recompute = recompute_prefix(r.methods);
     assert!(
         r.methods[n_recompute..]
             .iter()
@@ -600,7 +522,7 @@ fn step<S: ChunkStore>(
         }
         if !m.started {
             m.started = true;
-            let n_recompute = recompute_prefix(&req.methods);
+            let n_recompute = recompute_prefix(req.methods);
             if n_recompute > 0 {
                 let mut hidden = model.embed_tokens(&req.tokens[..req.n_tokens], 0);
                 for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
@@ -781,14 +703,36 @@ mod tests {
         ]
     }
 
+    /// Saved sessions: the histories and the mix the requests borrow, and
+    /// each session's sequential reference restore.
+    struct Saved {
+        histories: Vec<(u64, Vec<u32>)>,
+        methods: Vec<LayerMethod>,
+        references: Vec<KvCache>,
+    }
+
+    impl Saved {
+        fn requests(&self) -> Vec<RestoreRequest<'_>> {
+            self.histories
+                .iter()
+                .map(|(session, tokens)| RestoreRequest {
+                    session: *session,
+                    tokens,
+                    n_tokens: N_TOKENS,
+                    methods: &self.methods,
+                })
+                .collect()
+        }
+    }
+
     fn saved_batch<S: ChunkStore>(
         model: &Model,
         mgr: &StorageManager<S>,
         scheme: &PartitionScheme,
         sessions: std::ops::Range<u64>,
-    ) -> (Vec<RestoreRequest>, Vec<KvCache>) {
+    ) -> Saved {
         let methods = scheme.layer_methods(model.cfg.n_layers);
-        let mut requests = Vec::new();
+        let mut histories = Vec::new();
         let mut references = Vec::new();
         for s in sessions {
             let tokens: Vec<u32> = (0..N_TOKENS as u32)
@@ -800,14 +744,13 @@ mod tests {
             references.push(
                 restore_session_with_methods(model, mgr, s, &tokens, N_TOKENS, &methods).unwrap(),
             );
-            requests.push(RestoreRequest {
-                session: s,
-                tokens,
-                n_tokens: N_TOKENS,
-                methods: methods.clone(),
-            });
+            histories.push((s, tokens));
         }
-        (requests, references)
+        Saved {
+            histories,
+            methods,
+            references,
+        }
     }
 
     #[test]
@@ -818,24 +761,22 @@ mod tests {
             for (iodepth, workers) in [(1usize, 1usize), (2, 2), (4, 3)] {
                 let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
                     .with_reactor(Reactor::new(4, iodepth));
-                let (requests, references) = saved_batch(&model, &mgr, &scheme, 0..6);
-                let results = restore_sessions_reactor(
+                let saved = saved_batch(&model, &mgr, &scheme, 0..6);
+                let results = restore_sessions(
                     &model,
                     &mgr,
-                    &requests,
+                    &saved.requests(),
                     workers,
                     4,
                     &ParallelConfig::new(workers),
                 );
-                assert_eq!(results.len(), requests.len());
+                assert_eq!(results.len(), saved.histories.len());
                 for (s, r) in results.into_iter().enumerate() {
-                    let kv = r.result.unwrap();
                     assert_eq!(
-                        kv_max_error(&kv, &references[s]),
+                        kv_max_error(&r.unwrap(), &saved.references[s]),
                         0.0,
                         "scheme #{i} session {s} diverged at iodepth {iodepth} × {workers} workers"
                     );
-                    assert!(r.latency > Duration::ZERO);
                 }
             }
         }
@@ -853,10 +794,16 @@ mod tests {
             l_o: 1,
             complement: LayerMethod::KvOffload,
         };
-        let (requests, _) = saved_batch(&model, &mgr, &scheme, 0..12);
-        let results =
-            restore_sessions_reactor(&model, &mgr, &requests, 2, 3, &ParallelConfig::new(2));
-        assert!(results.iter().all(|r| r.result.is_ok()));
+        let saved = saved_batch(&model, &mgr, &scheme, 0..12);
+        let results = restore_sessions(
+            &model,
+            &mgr,
+            &saved.requests(),
+            2,
+            3,
+            &ParallelConfig::new(2),
+        );
+        assert!(results.iter().all(|r| r.is_ok()));
         assert!(
             reactor.peak_restores_in_flight() <= 3,
             "peak {} exceeded the admission window",
@@ -872,24 +819,24 @@ mod tests {
         let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
             .with_reactor(Reactor::new(4, 2));
         let scheme = PartitionScheme::pure_hidden(4);
-        let (mut requests, references) = saved_batch(&model, &mgr, &scheme, 0..5);
+        let saved = saved_batch(&model, &mgr, &scheme, 0..5);
+        let mut requests = saved.requests();
         requests[2].session = 999; // never saved
-        let results =
-            restore_sessions_reactor(&model, &mgr, &requests, 2, 8, &ParallelConfig::new(2));
+        let results = restore_sessions(&model, &mgr, &requests, 2, 8, &ParallelConfig::new(2));
         for (s, r) in results.into_iter().enumerate() {
             if s == 2 {
                 assert!(matches!(
-                    r.result,
+                    r,
                     Err(RestoreError::Storage(StorageError::OutOfRange { .. }))
                 ));
             } else {
-                assert_eq!(kv_max_error(&r.result.unwrap(), &references[s]), 0.0);
+                assert_eq!(kv_max_error(&r.unwrap(), &saved.references[s]), 0.0);
             }
         }
     }
 
-    /// A typed stall timeout blaming device 1, as both drivers must
-    /// report a session whose reads sit on the wedged lane.
+    /// A typed stall timeout blaming device 1, as the driver must report a
+    /// session whose reads sit on the wedged lane.
     fn assert_stalled_on_device_1(what: &str, result: Result<KvCache, RestoreError>) {
         match result {
             Err(RestoreError::Storage(StorageError::DeviceFailed {
@@ -906,6 +853,7 @@ mod tests {
     fn io_deadline_expires_stalled_sessions_instead_of_wedging_the_batch() {
         use hc_storage::fault::{FaultStore, FaultTarget};
         use hc_storage::health::RetryPolicy;
+        use std::time::Instant;
 
         let cfg = ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 229);
@@ -914,26 +862,26 @@ mod tests {
             .with_reactor(Reactor::new(4, 2))
             .with_retry_policy(RetryPolicy::default().with_io_deadline(Duration::from_millis(40)));
         let scheme = PartitionScheme::pure_hidden(4);
-        let (requests, _) = saved_batch(&model, &mgr, &scheme, 0..4);
+        let saved = saved_batch(&model, &mgr, &scheme, 0..4);
+        let requests = saved.requests();
         // Wedge device 1 far past the deadline: every session's 80-token
         // hidden streams put a chunk on it, so without the watchdog the
         // whole batch would sit on the stall.
         fault.stall_reads(FaultTarget::Device(1), Duration::from_millis(500));
         let start = Instant::now();
-        let results =
-            restore_sessions_reactor(&model, &mgr, &requests, 2, 4, &ParallelConfig::new(2));
+        let results = restore_sessions(&model, &mgr, &requests, 2, 4, &ParallelConfig::new(2));
         assert!(
             start.elapsed() < Duration::from_millis(450),
             "watchdog must fail stalled sessions before the stall drains"
         );
         for (s, r) in results.into_iter().enumerate() {
-            assert_stalled_on_device_1(&format!("session {s}"), r.result);
+            assert_stalled_on_device_1(&format!("session {s}"), r);
         }
-        // The single-session driver applies the same deadline rule.
+        // One worker — the calling thread alone — applies the same rule.
         let start = Instant::now();
-        let single = restore_on_caller(&model, &mgr, &requests[0], &ParallelConfig::new(2));
+        let single = restore_sessions(&model, &mgr, &requests[..1], 1, 1, &ParallelConfig::new(2));
         assert!(start.elapsed() < Duration::from_millis(450));
-        assert_stalled_on_device_1("the single-session driver", single);
+        assert_stalled_on_device_1("a single restore", single.into_iter().next().unwrap());
         assert!(
             mgr.device_health().counters(1).1 >= 1,
             "the stall must be recorded against device 1's health"
@@ -946,9 +894,7 @@ mod tests {
         let model = Model::new(&cfg, 227);
         let mgr = StorageManager::new(Arc::new(MemStore::new(4)), cfg.d_model)
             .with_reactor(Reactor::new(4, 2));
-        assert!(
-            restore_sessions_reactor(&model, &mgr, &[], 2, 8, &ParallelConfig::new(2)).is_empty()
-        );
+        assert!(restore_sessions(&model, &mgr, &[], 2, 8, &ParallelConfig::new(2)).is_empty());
     }
 
     /// A MemStore whose every chunk is a DRAM-front hit, so the pumping
@@ -1030,22 +976,21 @@ mod tests {
             });
             let mgr = StorageManager::new(Arc::clone(&store), cfg.d_model)
                 .with_reactor(Reactor::new(4, 2));
-            let (requests, references) =
-                saved_batch(&model, &mgr, &PartitionScheme::pure_hidden(4), 0..4);
+            let saved = saved_batch(&model, &mgr, &PartitionScheme::pure_hidden(4), 0..4);
             store.armed.store(true, Ordering::SeqCst);
-            let (tx, rx) = mpsc::channel();
+            let (tx, rx) = std::sync::mpsc::channel();
             let batch = std::thread::spawn(move || {
-                let results = restore_sessions_reactor(
+                let results = restore_sessions(
                     &model,
                     &mgr,
-                    &requests,
+                    &saved.requests(),
                     2,
                     4,
                     &ParallelConfig::new(2),
                 );
-                let _ = tx.send(results.into_iter().map(|r| r.result).collect::<Vec<_>>());
+                let _ = tx.send((results, saved.references));
             });
-            let results = rx
+            let (results, references) = rx
                 .recv_timeout(Duration::from_secs(30))
                 .expect("a panicking store must not hang the batch");
             batch.join().expect("the batch thread returned its results");

@@ -59,16 +59,6 @@ impl GemmModel {
         self.max_efficiency * m / (m + self.half_util_rows)
     }
 
-    /// Wall-clock seconds for an `m×k · k×n` GEMM (FMA = 2 FLOPs).
-    pub fn time(&self, m: usize, k: usize, n: usize) -> Sec {
-        if m == 0 || k == 0 || n == 0 {
-            return 0.0;
-        }
-        let m_pad = self.padded_rows(m);
-        let flops = 2.0 * m_pad as f64 * k as f64 * n as f64;
-        self.launch_overhead + flops / (self.peak_flops * self.efficiency(m_pad))
-    }
-
     /// Seconds to execute `flops` of *well-shaped* GEMM work for a batch of
     /// `m` tokens: used for the aggregate attention/FFN cost where we follow
     /// the paper's closed-form FLOP counts rather than per-kernel shapes.
@@ -89,6 +79,12 @@ mod tests {
         GemmModel::for_peak(312e12)
     }
 
+    /// Seconds for an `m×k · k×n` GEMM run on tile-padded rows (FMA = 2
+    /// FLOPs): the padded shape's FLOPs through `time_for_flops`.
+    fn padded_gemm(g: &GemmModel, m: usize, k: usize, n: usize) -> Sec {
+        g.time_for_flops(2 * (g.padded_rows(m) * k * n) as u64, m)
+    }
+
     #[test]
     fn padding_rounds_up_to_tile() {
         let g = a100();
@@ -105,9 +101,9 @@ mod tests {
         // boundary.
         let g = a100();
         let d = 5120;
-        let t500 = g.time(500, d, d);
-        let t512 = g.time(512, d, d);
-        let t513 = g.time(513, d, d);
+        let t500 = padded_gemm(&g, 500, d, d);
+        let t512 = padded_gemm(&g, 512, d, d);
+        let t513 = padded_gemm(&g, 513, d, d);
         assert_eq!(t500, t512, "within-tile times must be flat");
         assert!(t513 > t512 * 1.2, "tile boundary must produce a jump");
     }
@@ -118,7 +114,7 @@ mod tests {
         // makes token-wise partitioning lose.
         let g = a100();
         let d = 5120;
-        assert_eq!(g.time(794, d, d), g.time(1024, d, d));
+        assert_eq!(padded_gemm(&g, 794, d, d), padded_gemm(&g, 1024, d, d));
     }
 
     #[test]
@@ -138,7 +134,7 @@ mod tests {
         let g = a100();
         let d = 5120;
         // K and V projections: two m×d·d×d GEMMs.
-        let t = 2.0 * g.time(1024, d, d);
+        let t = 2.0 * padded_gemm(&g, 1024, d, d);
         assert!(
             t > 100e-6 && t < 1.5e-3,
             "per-layer projection {t}s out of range"
@@ -148,7 +144,7 @@ mod tests {
     #[test]
     fn zero_work_is_free() {
         let g = a100();
-        assert_eq!(g.time(0, 100, 100), 0.0);
+        assert_eq!(padded_gemm(&g, 0, 100, 100), 0.0);
         assert_eq!(g.time_for_flops(0, 5), 0.0);
     }
 
@@ -156,7 +152,7 @@ mod tests {
     fn faster_gpu_is_faster() {
         let slow = GemmModel::for_peak(120e12);
         let fast = GemmModel::for_peak(990e12);
-        assert!(fast.time(1024, 4096, 4096) < slow.time(1024, 4096, 4096));
+        assert!(padded_gemm(&fast, 1024, 4096, 4096) < padded_gemm(&slow, 1024, 4096, 4096));
     }
 
     #[test]
@@ -164,7 +160,10 @@ mod tests {
         let g = a100();
         let (m, k, n) = (512, 4096, 4096);
         let flops = 2u64 * m as u64 * k as u64 * n as u64;
-        // With m already tile-aligned the two formulations agree exactly.
-        assert!((g.time(m, k, n) - g.time_for_flops(flops, m)).abs() < 1e-12);
+        // With m already tile-aligned, padding adds no work: the model is
+        // exactly launch + flops / (peak · eff(m)).
+        let closed_form = g.launch_overhead + flops as f64 / (g.peak_flops * g.efficiency(m));
+        assert!((g.time_for_flops(flops, m) - closed_form).abs() < 1e-12);
+        assert!((padded_gemm(&g, m, k, n) - closed_form).abs() < 1e-12);
     }
 }

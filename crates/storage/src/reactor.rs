@@ -19,11 +19,11 @@
 //!   a thread; it stages its raw bytes on the owning read job and nudges
 //!   the job's owner through a notify callback.
 //! * **Shared compute run queue** ([`WorkQueue`]): a small pool of compute
-//!   workers (owned by the batch restore driver, counted against the host
-//!   grant) pops ready work tokens and advances whichever state machine
-//!   has staged completions — instead of one thread per lane per restore.
-//!   A single restore, or a synchronous `read_rows`, pumps its read jobs
-//!   on the calling thread instead, sleeping on their `notify` between
+//!   workers (owned by the restore driver, counted against the host grant;
+//!   the calling thread is one of them) pops ready work tokens and
+//!   advances whichever state machine has staged completions — instead of
+//!   one thread per lane per restore. A synchronous `read_rows` pumps its
+//!   read job on the calling thread, sleeping on its `notify` between
 //!   pumps.
 //!
 //! Determinism: the reactor moves *scheduling*, never *content*. Decoding
@@ -43,6 +43,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -230,6 +231,17 @@ impl std::fmt::Debug for Reactor {
     }
 }
 
+/// What [`WorkQueue::pop`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Popped {
+    /// A ready-work token.
+    Token(usize),
+    /// The wait elapsed with the queue empty and open.
+    Idle,
+    /// The queue is closed and drained — the worker's signal to exit.
+    Closed,
+}
+
 /// State of the shared run queue.
 struct WorkQueueState {
     tokens: VecDeque<usize>,
@@ -276,18 +288,31 @@ impl WorkQueue {
         self.ready.notify_one();
     }
 
-    /// Blocks for the next token. Returns `None` once the queue is closed
-    /// and drained — the worker's signal to exit.
-    pub fn pop(&self) -> Option<usize> {
+    /// Blocks for the next token — with `wait`, for at most that long.
+    pub fn pop(&self, wait: Option<Duration>) -> Popped {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut timed_out = false;
         loop {
             if let Some(token) = st.tokens.pop_front() {
-                return Some(token);
+                return Popped::Token(token);
             }
             if st.closed {
-                return None;
+                return Popped::Closed;
             }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+            if timed_out {
+                return Popped::Idle;
+            }
+            st = match wait {
+                None => self.ready.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(wait) => {
+                    let (st, timeout) = self
+                        .ready
+                        .wait_timeout(st, wait)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    timed_out = timeout.timed_out();
+                    st
+                }
+            };
         }
     }
 
@@ -381,13 +406,14 @@ mod tests {
     #[test]
     fn work_queue_delivers_fifo_and_drains_on_close() {
         let q = WorkQueue::new();
+        assert_eq!(q.pop(Some(Duration::from_millis(1))), Popped::Idle);
         q.push(1);
         q.push(2);
         q.close();
         q.push(3); // dropped: queue is closed
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(None), Popped::Token(1));
+        assert_eq!(q.pop(None), Popped::Token(2));
+        assert_eq!(q.pop(None), Popped::Closed);
     }
 
     #[test]
@@ -398,7 +424,7 @@ mod tests {
             let q = Arc::clone(&q);
             let popped = Arc::clone(&popped);
             std::thread::spawn(move || {
-                while let Some(t) = q.pop() {
+                while let Popped::Token(t) = q.pop(None) {
                     popped.store(t, Ordering::SeqCst);
                 }
             })

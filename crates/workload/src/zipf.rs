@@ -34,11 +34,6 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Support size.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Samples a rank in `0..n` (0 = most popular).
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.uniform();

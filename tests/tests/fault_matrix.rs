@@ -110,17 +110,21 @@ fn assert_sibling_bit_identical(r: &Rig, session: u64, result: Result<KvCache, C
     );
 }
 
-/// Matrix row 1: a permanent device read error fails exactly the faulted
-/// session, with a typed error naming the chunk and its device lane.
+/// Matrix row 1: a permanent device read error under a job given no
+/// history to replay fails exactly that session, with a typed error naming
+/// the chunk and its device lane. The same fault under a job with its
+/// history degrades the session to recompute over the faulted layer, bit
+/// for bit. Either way the siblings restore bit-identical.
 #[test]
 fn permanent_device_fault_fails_exactly_one_session() {
-    let r = rig();
+    let mut r = rig();
     // Every read of session 2's layer-1 hidden stream fails permanently.
     r.store.fail_reads(
         FaultTarget::Stream(StreamId::hidden(2, 1)),
         usize::MAX,
         false,
     );
+    let tokens = std::mem::take(&mut r.jobs[1].tokens);
     for (session, result) in run_sched(&r) {
         if session == 2 {
             match result {
@@ -129,10 +133,33 @@ fn permanent_device_fault_fails_exactly_one_session() {
                     transient: false,
                     ..
                 })) => {
-                    assert_eq!(key.stream.session, 2, "error must name the faulted stream");
+                    assert_eq!(
+                        key.stream,
+                        StreamId::hidden(2, 1),
+                        "error must name the faulted stream"
+                    );
                 }
                 other => panic!("expected a typed DeviceFailed, got {other:?}"),
             }
+        } else {
+            assert_sibling_bit_identical(&r, session, result);
+        }
+    }
+
+    r.jobs[1].tokens = tokens;
+    let degraded = restore_session_with_methods(
+        &r.model,
+        &r.mgr,
+        2,
+        &r.jobs[1].tokens,
+        N_TOKENS,
+        &degraded_methods(2, 4),
+    )
+    .expect("the surviving mix never reads the faulted stream");
+    for (session, result) in run_sched(&r) {
+        if session == 2 {
+            let kv = result.unwrap_or_else(|e| panic!("session 2 must degrade, not fail: {e}"));
+            assert_eq!(kv_max_error(&kv, &degraded), 0.0);
         } else {
             assert_sibling_bit_identical(&r, session, result);
         }
