@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_model::{KvCache, Model, ModelConfig};
-use hc_restore::engine::{
-    restore_session, restore_session_pipelined_with_methods, save_session_state,
-};
+use hc_restore::engine::{restore_session, save_session_state};
+use hc_restore::reactor::{restore_sessions, RestoreRequest};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::MemStore;
 use hc_storage::manager::StorageManager;
@@ -92,6 +91,12 @@ fn bench_restore_pipelined(c: &mut Criterion) {
         })
     });
     let methods = scheme.layer_methods(4);
+    let request = RestoreRequest {
+        session: 1,
+        tokens: &f.tokens,
+        n_tokens: N_TOKENS,
+        methods: &methods,
+    };
     for threads in [1usize, 2, 4] {
         let par = ParallelConfig::new(threads);
         group.bench_with_input(
@@ -100,10 +105,10 @@ fn bench_restore_pipelined(c: &mut Criterion) {
             |b, par| {
                 b.iter(|| {
                     black_box(
-                        restore_session_pipelined_with_methods(
-                            &f.model, &f.mgr, 1, &f.tokens, N_TOKENS, &methods, par,
-                        )
-                        .unwrap(),
+                        restore_sessions(&f.model, &f.mgr, &[request], 1, 1, par)
+                            .pop()
+                            .unwrap()
+                            .unwrap(),
                     )
                 })
             },
@@ -117,6 +122,12 @@ fn bench_restore_pipelined(c: &mut Criterion) {
     };
     let methods_mixed = scheme_mixed.layer_methods(4);
     let f2 = fixture(&scheme_mixed);
+    let request_mixed = RestoreRequest {
+        session: 1,
+        tokens: &f2.tokens,
+        n_tokens: N_TOKENS,
+        methods: &methods_mixed,
+    };
     group.bench_function("sequential_mixed_128tok", |b| {
         b.iter(|| {
             black_box(
@@ -131,16 +142,10 @@ fn bench_restore_pipelined(c: &mut Criterion) {
         |b, par| {
             b.iter(|| {
                 black_box(
-                    restore_session_pipelined_with_methods(
-                        &f2.model,
-                        &f2.mgr,
-                        1,
-                        &f2.tokens,
-                        N_TOKENS,
-                        &methods_mixed,
-                        par,
-                    )
-                    .unwrap(),
+                    restore_sessions(&f2.model, &f2.mgr, &[request_mixed], 1, 1, par)
+                        .pop()
+                        .unwrap()
+                        .unwrap(),
                 )
             })
         },

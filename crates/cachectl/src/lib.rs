@@ -47,21 +47,23 @@
 //! structure-of-arrays store sized for millions of concurrent sessions:
 //! dense columns instead of per-session heap cells, byte accounting that
 //! debug-asserts column-sum == atomic-total after every mutation, and an
-//! epoch-bucketed **O(1) exact LRU** so victim selection no longer scans
-//! the session population. The [`policy`] module's scan-based
-//! `LruPolicy`/`CostAwarePolicy` remain as the reference implementations
-//! (and `hc-serving`'s virtual-time simulator still drives them); the
-//! controller's LRU victims are equivalence-tested against the scan.
+//! ordered set of `(last_touch, session)` keys, an **O(log n) exact LRU**,
+//! so victim selection no longer scans the session population. The
+//! [`policy`] module's scan-based `LruPolicy` remains the reference
+//! implementation the controller's LRU victims are equivalence-tested
+//! against; its `CostAwarePolicy` is the cost-aware comparator the
+//! controller calls (and `hc-serving`'s virtual-time simulator drives
+//! both).
 //! Sessions carry a tenant id ([`CacheController::open_session_in`]):
 //! per-tenant caps demote within the offending tenant, and pool pressure
 //! never victimizes a tenant at or below its configured reservation
 //! ([`quota::TenantQuota`]), with per-tenant eviction counters reported
 //! separately ([`CacheController::tenant_stats`]).
 //!
-//! `hcache::HCacheSystem` routes session open/save/restore/close through
-//! the controller when one is attached; `hc-serving` mirrors the same
-//! quota/policy knobs in virtual time and reports hit/evict/fallback
-//! counts.
+//! Every `hcache::HCacheSystem` routes session open/save/restore/close
+//! through its controller (an unlimited-quota one unless the caller sets
+//! a quota); `hc-serving` mirrors the same quota/policy knobs in virtual
+//! time and reports hit/evict/fallback counts.
 
 pub mod metrics;
 pub mod placement;
@@ -86,7 +88,7 @@ use parking_lot::Mutex;
 
 use metrics::{CtlMetrics, MetricsSnapshot, TenantStats};
 use placement::{choose_placement, restore_secs_of, Placement};
-use policy::PolicyKind;
+use policy::{CostAwarePolicy, EvictionPolicy, PolicyKind, SessionMeta};
 use quota::{QuotaTracker, TenantQuota};
 use table::SessionTable;
 
@@ -300,11 +302,6 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         self.state.lock().quota.set_tenant(tenant, limits);
     }
 
-    /// The policy in force.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.cfg.policy
-    }
-
     /// A session's current per-layer method mix (`None` if unknown).
     pub fn session_methods(&self, session: u64) -> Option<Vec<LayerMethod>> {
         self.state.lock().table.methods_of(session)
@@ -386,46 +383,33 @@ impl<S: ChunkStore + 'static> CacheController<S> {
 
     /// Picks the next demotion victim among evictable sessions whose
     /// tenant index maps to `true` in `allowed` (empty = everyone).
-    /// LRU is the table's O(1) coldest-bucket pop; cost-aware streams the
-    /// columns once with the exact comparator of
-    /// [`policy::CostAwarePolicy`] (min benefit-per-byte, then recency,
-    /// then session id).
-    fn pick_victim(&self, st: &mut CtlState, allowed: &[bool]) -> Option<u64> {
+    /// LRU is the table's ordered-set first entry; cost-aware hands every
+    /// such session to [`policy::CostAwarePolicy`] (min benefit-per-byte,
+    /// then recency, then session id).
+    fn pick_victim(&self, st: &CtlState, allowed: &[bool]) -> Option<u64> {
+        let table = &st.table;
         match self.cfg.policy {
-            PolicyKind::Lru => st.table.coldest_evictable(allowed).map(|(id, _)| id),
+            PolicyKind::Lru => table.coldest_evictable(allowed).map(|(id, _)| id),
             PolicyKind::CostAware => {
-                let table = &st.table;
-                let mut best: Option<(f64, u64, u64)> = None;
-                for slot in 0..table.len() as u32 {
-                    let bytes = table.bytes_at(slot);
-                    if bytes == 0 {
-                        continue;
-                    }
-                    let mix = table.mix_at(slot);
-                    if table.mixes().is_fully_dropped(mix) {
-                        continue;
-                    }
-                    let tenant = table.tenant_at(slot) as usize;
-                    if !allowed.is_empty() && !allowed.get(tenant).copied().unwrap_or(true) {
-                        continue;
-                    }
-                    let c = self.cost_inputs(table.n_tokens_at(slot));
-                    let current = restore_secs_of(table.mixes().methods(mix), &c);
-                    let dropped = Placement::dropped(self.n_layers).restore_secs(&c);
-                    let benefit = (dropped - current).max(0.0) / bytes as f64;
-                    let key = (benefit, table.last_touch_at(slot), table.id_at(slot));
-                    let better = best.is_none_or(|b| {
-                        key.0
-                            .total_cmp(&b.0)
-                            .then_with(|| key.1.cmp(&b.1))
-                            .then_with(|| key.2.cmp(&b.2))
-                            .is_lt()
-                    });
-                    if better {
-                        best = Some(key);
-                    }
-                }
-                best.map(|(_, _, id)| id)
+                let candidates: Vec<SessionMeta> = table
+                    .evictable(allowed)
+                    .map(|(session, slot)| {
+                        let c = self.cost_inputs(table.n_tokens_at(slot));
+                        SessionMeta {
+                            session,
+                            resident_bytes: table.bytes_at(slot),
+                            last_access: table.last_touch_at(slot),
+                            n_tokens: table.n_tokens_at(slot),
+                            restore_secs_current: restore_secs_of(
+                                table.mixes().methods(table.mix_at(slot)),
+                                &c,
+                            ),
+                            restore_secs_dropped: Placement::dropped(self.n_layers)
+                                .restore_secs(&c),
+                        }
+                    })
+                    .collect();
+                (!candidates.is_empty()).then(|| CostAwarePolicy.pick_victim(&candidates))
             }
         }
     }

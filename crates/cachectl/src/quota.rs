@@ -85,11 +85,6 @@ impl QuotaTracker {
         used > self.quota
     }
 
-    /// Bytes that must be freed to get the pool back under quota.
-    pub fn excess(&self, used: u64) -> u64 {
-        used.saturating_sub(self.quota)
-    }
-
     /// Pool headroom (0 when over quota).
     pub fn free(&self, used: u64) -> u64 {
         self.quota.saturating_sub(used)
@@ -117,8 +112,6 @@ mod tests {
         assert_eq!(q.quota(), 100);
         assert!(!q.over_quota(100));
         assert!(q.over_quota(101));
-        assert_eq!(q.excess(130), 30);
-        assert_eq!(q.excess(70), 0);
         assert_eq!(q.free(70), 30);
         assert_eq!(q.free(130), 0);
     }

@@ -8,8 +8,8 @@
 //! concurrent conversations) that layout is cache-hostile and O(n) per
 //! demotion. This module replaces it with the layout the rust_dt
 //! architecture note reaches 5M agents with: one dense **column per
-//! field**, a stable id→slot map, and an **epoch-bucketed LRU** whose
-//! victim selection is O(1).
+//! field**, a stable id→slot map, and an **ordered-set LRU** whose
+//! victim selection is O(log n).
 //!
 //! ## Columns
 //!
@@ -21,9 +21,8 @@
 //! ```
 //!
 //! Slots are dense: closing a session swap-removes its row (the last row
-//! moves into the hole; the id→slot map and the moved row's LRU links are
-//! repaired), so iteration always touches `len` contiguous rows and the
-//! eviction scan of the cost-aware policy streams each column linearly.
+//! moves into the hole and the id→slot map is repaired), so iteration
+//! always touches `len` contiguous rows.
 //!
 //! Per-layer method mixes are **interned** ([`MixTable`]): sessions store
 //! a `u32` handle, and the demotion ladder hidden→KV→recompute is a
@@ -31,21 +30,17 @@
 //! the distinct mixes alive at any time are bounded by
 //! `admission schemes × n_layers`, not by session count.
 //!
-//! ## Epoch-bucketed LRU
+//! ## Ordered-set LRU
 //!
 //! Every mutating touch advances a monotonic `epoch` and stamps the
 //! session's `last_touch` column. Evictable sessions (resident bytes > 0
-//! and a demotable layer remaining) are additionally linked into a ring
-//! of `n_buckets` FIFO buckets at `epoch % n_buckets`. Because epochs
-//! only grow, every bucket's intrusive list is sorted by epoch for free,
-//! and when the ring wraps the oldest bucket is *prepended* onto its
-//! successor (all its epochs are older), preserving the order. Victim
-//! selection is therefore exact LRU: pop the head of the coldest
-//! non-empty bucket, found by a cursor that only moves forward (amortized
-//! O(1) — total cursor travel is bounded by total epoch advance). Ties
-//! cannot occur (epochs are unique per touch); the documented tie-break,
-//! matching the scan-based [`crate::policy::LruPolicy`] reference, is by
-//! session id.
+//! and a demotable layer remaining) are also keyed into one
+//! `BTreeSet<(last_touch, session_id)>`, so victim selection is exact
+//! LRU: the set's first entry is the coldest session, and a touch moves
+//! its key with one O(log n) remove and insert. Ties cannot occur (epochs
+//! are unique per touch); the key's second field is the documented
+//! tie-break of the scan-based [`crate::policy::LruPolicy`] reference,
+//! the session id.
 //!
 //! ## Byte accounting
 //!
@@ -62,15 +57,12 @@
 // so lock-free quota polls pair with it via Acquire.
 // hc-analyze: lock-order st=state
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hc_sched::partition::LayerMethod;
 
 use crate::placement::Placement;
-
-/// Sentinel for "no slot" in intrusive links and bucket heads.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Interned per-layer method mixes with cached demotion edges.
 ///
@@ -187,28 +179,15 @@ pub struct SessionTable {
     n_tokens: Vec<u64>,
     tenant: Vec<u32>,
     mix: Vec<u32>,
-    // Intrusive epoch-bucket links; NO_SLOT terminated. `linked[slot]`
-    // is true iff the slot is evictable and threaded into a bucket.
-    lru_prev: Vec<u32>,
-    lru_next: Vec<u32>,
-    linked: Vec<bool>,
 
     slot_of: HashMap<u64, u32>,
     mixes: MixTable,
 
-    // -- epoch-bucket LRU ring ------------------------------------------
-    bucket_head: Vec<u32>,
-    bucket_tail: Vec<u32>,
+    // -- LRU ---------------------------------------------------------------
+    /// `(last_touch, id)` of exactly the evictable sessions, coldest first.
+    lru: BTreeSet<(u64, u64)>,
     /// Monotonic touch epoch; unique per mutating touch.
     epoch: u64,
-    /// The oldest epoch whose ring slot has not been merged forward: all
-    /// linked sessions occupy bucket `max(last_touch, wrap_base) %
-    /// n_buckets`, and `epoch - wrap_base < n_buckets` always holds.
-    wrap_base: u64,
-    /// Victim-scan cursor (an epoch, not a ring index). Only advances;
-    /// buckets older than it are empty.
-    cold_hint: u64,
-    linked_count: usize,
 
     // -- byte accounting -------------------------------------------------
     total_bytes: AtomicU64,
@@ -216,17 +195,8 @@ pub struct SessionTable {
 }
 
 impl SessionTable {
-    /// A table with the default ring width (4096 buckets).
+    /// An empty table.
     pub fn new() -> Self {
-        Self::with_buckets(4096)
-    }
-
-    /// A table whose LRU ring has `n_buckets` buckets (rounded up to a
-    /// power of two, minimum 2). Ring width only affects how often the
-    /// coldest bucket is merged forward — victim order is exact LRU at
-    /// any width.
-    pub fn with_buckets(n_buckets: usize) -> Self {
-        let n = n_buckets.max(2).next_power_of_two();
         Self {
             ids: Vec::new(),
             bytes: Vec::new(),
@@ -234,17 +204,10 @@ impl SessionTable {
             n_tokens: Vec::new(),
             tenant: Vec::new(),
             mix: Vec::new(),
-            lru_prev: Vec::new(),
-            lru_next: Vec::new(),
-            linked: Vec::new(),
             slot_of: HashMap::new(),
             mixes: MixTable::new(),
-            bucket_head: vec![NO_SLOT; n],
-            bucket_tail: vec![NO_SLOT; n],
+            lru: BTreeSet::new(),
             epoch: 0,
-            wrap_base: 0,
-            cold_hint: 0,
-            linked_count: 0,
             total_bytes: AtomicU64::new(0),
             per_tenant: Vec::new(),
         }
@@ -307,10 +270,10 @@ impl SessionTable {
         self.per_tenant.len()
     }
 
-    /// Sessions currently linked into the LRU (evictable: bytes > 0 and
-    /// a demotable layer remaining).
+    /// Sessions currently in the LRU (evictable: bytes > 0 and a
+    /// demotable layer remaining).
     pub fn evictable_count(&self) -> usize {
-        self.linked_count
+        self.lru.len()
     }
 
     /// The slot of a session id, if open.
@@ -353,7 +316,7 @@ impl SessionTable {
         self.mix_of(id).map(|h| self.mixes.methods(h).to_vec())
     }
 
-    // -- column access by slot (the cost-aware scan streams these) ------
+    // -- column access by slot -------------------------------------------
 
     /// Session id at a slot.
     pub fn id_at(&self, slot: u32) -> u64 {
@@ -407,9 +370,7 @@ impl SessionTable {
         let slot = match self.slot_of.get(&id) {
             Some(&slot) => {
                 let s = slot as usize;
-                if self.linked[s] {
-                    self.unlink(slot);
-                }
+                let old_touch = self.last_touch[s];
                 let old_tenant = self.tenant[s] as usize;
                 let carried = self.bytes[s];
                 self.per_tenant[old_tenant].bytes -= carried;
@@ -420,9 +381,7 @@ impl SessionTable {
                 self.mix[s] = mix;
                 self.n_tokens[s] = 0;
                 self.last_touch[s] = self.epoch;
-                if carried > 0 && !self.mixes.is_fully_dropped(mix) {
-                    self.link(slot);
-                }
+                self.refile(s, old_touch);
                 slot
             }
             None => {
@@ -433,9 +392,6 @@ impl SessionTable {
                 self.n_tokens.push(0);
                 self.tenant.push(tenant);
                 self.mix.push(mix);
-                self.lru_prev.push(NO_SLOT);
-                self.lru_next.push(NO_SLOT);
-                self.linked.push(false);
                 self.slot_of.insert(id, slot);
                 self.per_tenant[tenant as usize].sessions += 1;
                 slot
@@ -452,14 +408,10 @@ impl SessionTable {
             return false;
         };
         self.epoch += 1;
-        let was_linked = self.linked[slot as usize];
-        if was_linked {
-            self.unlink(slot);
-        }
-        self.last_touch[slot as usize] = self.epoch;
-        if was_linked {
-            self.link(slot);
-        }
+        let s = slot as usize;
+        let old_touch = self.last_touch[s];
+        self.last_touch[s] = self.epoch;
+        self.refile(s, old_touch);
         true
     }
 
@@ -486,9 +438,7 @@ impl SessionTable {
         };
         self.epoch += 1;
         let s = slot as usize;
-        if self.linked[s] {
-            self.unlink(slot);
-        }
+        let old_touch = self.last_touch[s];
         let old = self.bytes[s];
         self.bytes[s] = bytes;
         self.last_touch[s] = self.epoch;
@@ -499,9 +449,7 @@ impl SessionTable {
         } else {
             self.total_bytes.fetch_sub(old - bytes, Ordering::Release);
         }
-        if bytes > 0 && !self.mixes.is_fully_dropped(self.mix[s]) {
-            self.link(slot);
-        }
+        self.refile(s, old_touch);
         self.debug_check_drift();
         true
     }
@@ -509,8 +457,8 @@ impl SessionTable {
     /// Credits `freed` bytes back from a session (a demotion deleted its
     /// streams). Saturating like the old ledger: crediting more than the
     /// charge clamps to zero. Does **not** touch recency (demotion is the
-    /// pool's doing, not the session's). Unlinks the session when its
-    /// charge reaches zero. Returns the bytes actually credited.
+    /// pool's doing, not the session's). The session leaves the LRU when
+    /// its charge reaches zero. Returns the bytes actually credited.
     pub fn credit(&mut self, id: u64, freed: u64) -> u64 {
         let Some(slot) = self.slot(id) else {
             return 0;
@@ -521,9 +469,7 @@ impl SessionTable {
         let t = self.tenant[s] as usize;
         self.per_tenant[t].bytes -= take;
         self.total_bytes.fetch_sub(take, Ordering::Release);
-        if self.bytes[s] == 0 && self.linked[s] {
-            self.unlink(slot);
-        }
+        self.refile(s, self.last_touch[s]);
         self.debug_check_drift();
         take
     }
@@ -539,22 +485,18 @@ impl SessionTable {
         let s = slot as usize;
         let (layer, old, succ) = self.mixes.demote(self.mix[s])?;
         self.mix[s] = succ;
-        if self.linked[s] && self.mixes.is_fully_dropped(succ) {
-            self.unlink(slot);
-        }
+        self.refile(s, self.last_touch[s]);
         Some((layer, old))
     }
 
-    /// Closes a session: unlinks it, swap-removes its row (the last row
-    /// fills the hole; its id→slot entry and LRU neighbor links are
-    /// repaired), and returns `(resident_bytes, tenant)` — the charge the
-    /// caller releases. `None` when the id is unknown.
+    /// Closes a session: drops it from the LRU, swap-removes its row (the
+    /// last row fills the hole; its id→slot entry is repaired), and
+    /// returns `(resident_bytes, tenant)` — the charge the caller
+    /// releases. `None` when the id is unknown.
     pub fn remove(&mut self, id: u64) -> Option<(u64, u32)> {
         let slot = self.slot(id)?;
         let s = slot as usize;
-        if self.linked[s] {
-            self.unlink(slot);
-        }
+        self.lru.remove(&(self.last_touch[s], id));
         let bytes = self.bytes[s];
         let tenant = self.tenant[s];
         let t = tenant as usize;
@@ -563,178 +505,66 @@ impl SessionTable {
         self.total_bytes.fetch_sub(bytes, Ordering::Release);
         self.slot_of.remove(&id);
 
-        let last = self.ids.len() - 1;
-        if s != last {
-            // The moved row's neighbors (and its bucket's head/tail)
-            // still point at index `last`; repoint them at `s` first.
-            if self.linked[last] {
-                let b = self.bucket_of(last as u32);
-                let p = self.lru_prev[last];
-                let n = self.lru_next[last];
-                if p == NO_SLOT {
-                    self.bucket_head[b] = s as u32;
-                } else {
-                    self.lru_next[p as usize] = s as u32;
-                }
-                if n == NO_SLOT {
-                    self.bucket_tail[b] = s as u32;
-                } else {
-                    self.lru_prev[n as usize] = s as u32;
-                }
-            }
-            self.ids.swap(s, last);
-            self.bytes.swap(s, last);
-            self.last_touch.swap(s, last);
-            self.n_tokens.swap(s, last);
-            self.tenant.swap(s, last);
-            self.mix.swap(s, last);
-            self.lru_prev.swap(s, last);
-            self.lru_next.swap(s, last);
-            self.linked.swap(s, last);
-            self.slot_of.insert(self.ids[s], s as u32);
+        self.ids.swap_remove(s);
+        self.bytes.swap_remove(s);
+        self.last_touch.swap_remove(s);
+        self.n_tokens.swap_remove(s);
+        self.tenant.swap_remove(s);
+        self.mix.swap_remove(s);
+        if let Some(&moved) = self.ids.get(s) {
+            self.slot_of.insert(moved, slot);
         }
-        self.ids.pop();
-        self.bytes.pop();
-        self.last_touch.pop();
-        self.n_tokens.pop();
-        self.tenant.pop();
-        self.mix.pop();
-        self.lru_prev.pop();
-        self.lru_next.pop();
-        self.linked.pop();
         self.debug_check_drift();
         Some((bytes, tenant))
     }
 
     // -- victim selection ------------------------------------------------
 
-    /// The coldest evictable session — exact LRU over linked sessions —
-    /// optionally filtered by tenant: when `tenant_ok` is non-empty, only
-    /// sessions whose tenant index maps to `true` qualify (out-of-range
-    /// tenants qualify). Returns `(id, slot)`.
+    /// The evictable sessions, coldest first, that pass
+    /// [`SessionTable::coldest_evictable`]'s tenant filter. Yields
+    /// `(id, slot)`.
+    pub(crate) fn evictable<'a>(
+        &'a self,
+        tenant_ok: &'a [bool],
+    ) -> impl Iterator<Item = (u64, u32)> + 'a {
+        self.lru
+            .iter()
+            .map(|&(_, id)| (id, self.slot_of[&id]))
+            .filter(move |&(_, slot)| {
+                let t = self.tenant[slot as usize] as usize;
+                tenant_ok.is_empty() || *tenant_ok.get(t).unwrap_or(&true)
+            })
+    }
+
+    /// The coldest evictable session — exact LRU — optionally filtered by
+    /// tenant: when `tenant_ok` is non-empty, only sessions whose tenant
+    /// index maps to `true` qualify (out-of-range tenants qualify).
+    /// Returns `(id, slot)`.
     ///
-    /// With no filter this is O(1) amortized: pop-position is the head of
-    /// the coldest non-empty bucket, found by a forward-only cursor. A
-    /// filter is honored by walking forward in exact epoch order past
-    /// filtered-out sessions, so the cost grows with the number of
-    /// *colder immune* sessions, not with the table.
-    pub fn coldest_evictable(&mut self, tenant_ok: &[bool]) -> Option<(u64, u32)> {
-        if self.linked_count == 0 {
-            return None;
-        }
-        let n = self.bucket_head.len() as u64;
-        let mut e = self.cold_hint.max(self.wrap_base);
-        let mut hint_set = false;
-        while e <= self.epoch {
-            let b = (e % n) as usize;
-            let mut cur = self.bucket_head[b];
-            if cur != NO_SLOT && !hint_set {
-                // The cursor only ever needs to reach the first
-                // non-empty bucket; filtered walks beyond it must not
-                // drag the hint forward past live cold sessions.
-                self.cold_hint = e;
-                hint_set = true;
-            }
-            while cur != NO_SLOT {
-                let t = self.tenant[cur as usize] as usize;
-                if tenant_ok.is_empty() || *tenant_ok.get(t).unwrap_or(&true) {
-                    return Some((self.ids[cur as usize], cur));
-                }
-                cur = self.lru_next[cur as usize];
-            }
-            e += 1;
-        }
-        None
+    /// With no filter this is the set's first entry; a filter walks
+    /// forward in exact recency order past filtered-out sessions, so the
+    /// cost grows with the number of *colder immune* sessions, not with
+    /// the table.
+    pub fn coldest_evictable(&self, tenant_ok: &[bool]) -> Option<(u64, u32)> {
+        self.evictable(tenant_ok).next()
     }
 
     // -- internals -------------------------------------------------------
 
-    /// The ring bucket a linked slot currently occupies. Sessions whose
-    /// epoch predates `wrap_base` were merged forward into the
-    /// `wrap_base` bucket.
-    fn bucket_of(&self, slot: u32) -> usize {
-        let e = self.last_touch[slot as usize].max(self.wrap_base);
-        (e % self.bucket_head.len() as u64) as usize
+    /// True when slot `s` holds resident bytes and a demotable layer.
+    fn is_evictable(&self, s: usize) -> bool {
+        self.bytes[s] > 0 && !self.mixes.is_fully_dropped(self.mix[s])
     }
 
-    /// Links an evictable slot at the tail of its epoch's bucket. Only
-    /// called with `last_touch == epoch` (the current touch), which is
-    /// what keeps every bucket list epoch-sorted for free.
-    fn link(&mut self, slot: u32) {
-        debug_assert_eq!(
-            self.last_touch[slot as usize], self.epoch,
-            "link must happen at the linking op's own epoch"
-        );
-        let n = self.bucket_head.len() as u64;
-        if self.linked_count == 0 {
-            // Empty ring: jump the window instead of merging nothing
-            // forward one epoch at a time.
-            self.wrap_base = self.epoch;
-            self.cold_hint = self.epoch;
+    /// Re-keys slot `s` in the LRU after a mutation: drops its entry
+    /// stamped `old_touch` and inserts it at its current stamp when the
+    /// session is evictable.
+    fn refile(&mut self, s: usize, old_touch: u64) {
+        let id = self.ids[s];
+        self.lru.remove(&(old_touch, id));
+        if self.is_evictable(s) {
+            self.lru.insert((self.last_touch[s], id));
         }
-        while self.epoch - self.wrap_base >= n {
-            self.merge_coldest_forward();
-        }
-        let b = (self.epoch % n) as usize;
-        let tail = self.bucket_tail[b];
-        self.lru_prev[slot as usize] = tail;
-        self.lru_next[slot as usize] = NO_SLOT;
-        if tail == NO_SLOT {
-            self.bucket_head[b] = slot;
-        } else {
-            self.lru_next[tail as usize] = slot;
-        }
-        self.bucket_tail[b] = slot;
-        self.linked[slot as usize] = true;
-        self.linked_count += 1;
-    }
-
-    /// Prepends the `wrap_base` bucket onto its successor and advances
-    /// the window. Every epoch in the cold bucket is older than every
-    /// epoch in the successor, so concatenation preserves exact LRU
-    /// order.
-    fn merge_coldest_forward(&mut self) {
-        let n = self.bucket_head.len() as u64;
-        let from = (self.wrap_base % n) as usize;
-        let to = ((self.wrap_base + 1) % n) as usize;
-        let head = self.bucket_head[from];
-        if head != NO_SLOT {
-            let tail = self.bucket_tail[from];
-            let to_head = self.bucket_head[to];
-            if to_head == NO_SLOT {
-                self.bucket_tail[to] = tail;
-            } else {
-                self.lru_next[tail as usize] = to_head;
-                self.lru_prev[to_head as usize] = tail;
-            }
-            self.bucket_head[to] = head;
-            self.bucket_head[from] = NO_SLOT;
-            self.bucket_tail[from] = NO_SLOT;
-        }
-        self.wrap_base += 1;
-        self.cold_hint = self.cold_hint.max(self.wrap_base);
-    }
-
-    /// Unthreads a slot from its bucket.
-    fn unlink(&mut self, slot: u32) {
-        debug_assert!(self.linked[slot as usize]);
-        let b = self.bucket_of(slot);
-        let p = self.lru_prev[slot as usize];
-        let n = self.lru_next[slot as usize];
-        if p == NO_SLOT {
-            self.bucket_head[b] = n;
-        } else {
-            self.lru_next[p as usize] = n;
-        }
-        if n == NO_SLOT {
-            self.bucket_tail[b] = p;
-        } else {
-            self.lru_prev[n as usize] = p;
-        }
-        self.lru_prev[slot as usize] = NO_SLOT;
-        self.lru_next[slot as usize] = NO_SLOT;
-        self.linked[slot as usize] = false;
-        self.linked_count -= 1;
     }
 
     /// Debug-build drift check after every byte mutation: the column sum
@@ -752,8 +582,13 @@ impl SessionTable {
             );
             let tenant_sum: u64 = self.per_tenant.iter().map(|t| t.bytes).sum();
             assert_eq!(tenant_sum, sum, "per-tenant ledger drift");
-            let linked = self.linked.iter().filter(|l| **l).count();
-            assert_eq!(linked, self.linked_count, "linked-count drift");
+            let mut evictable = 0;
+            for s in 0..self.ids.len() {
+                let filed = self.lru.contains(&(self.last_touch[s], self.ids[s]));
+                assert_eq!(filed, self.is_evictable(s), "LRU membership drift");
+                evictable += usize::from(filed);
+            }
+            assert_eq!(evictable, self.lru.len(), "stale LRU entries");
         }
     }
 }
@@ -843,7 +678,7 @@ mod tests {
         assert_eq!(t.bytes_of(5), Some(50));
         // LRU order is untouched by the move: 2 is now coldest.
         assert_eq!(t.coldest_evictable(&[]).unwrap().0, 2);
-        // Removing the coldest (a bucket head) keeps the chain sound.
+        // Removing the coldest keeps the order sound.
         t.remove(2);
         assert_eq!(t.coldest_evictable(&[]).unwrap().0, 3);
         t.remove(4);
@@ -880,8 +715,8 @@ mod tests {
         assert_eq!(t.evictable_count(), 0, "no bytes yet");
         t.set_bytes(1, 64);
         assert_eq!(t.evictable_count(), 1);
-        // Demote to the floor: nothing demotable remains → unlinked even
-        // though bytes remain until the credit lands.
+        // Demote to the floor: nothing demotable remains → out of the LRU
+        // even though bytes remain until the credit lands.
         let (layer, old) = t.demote(1).unwrap();
         assert_eq!((layer, old), (0, LayerMethod::Hidden));
         assert_eq!(t.evictable_count(), 0);
@@ -890,7 +725,7 @@ mod tests {
         assert_eq!(t.total_bytes(), 0);
         // Credit saturates.
         assert_eq!(t.credit(1, 10), 0);
-        // A fresh save with a demotable mix re-links.
+        // A fresh save with a demotable mix re-enters the LRU.
         let kv = t.mixes_mut().intern(&[LayerMethod::KvOffload]);
         t.open(2, 0, kv);
         t.set_bytes(2, 32);
@@ -915,7 +750,7 @@ mod tests {
         assert_eq!(t.coldest_evictable(&[false, true]).unwrap().0, 3);
         // Both immune → nothing.
         assert_eq!(t.coldest_evictable(&[false, false]), None);
-        // Filters must not break later unfiltered picks (hint intact).
+        // Filters must not break later unfiltered picks.
         assert_eq!(t.coldest_evictable(&[]).unwrap().0, 1);
         // Out-of-range tenants qualify by default.
         t.open(4, 7, mix);
@@ -924,10 +759,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_wrap_merges_preserve_exact_lru_order() {
-        // A 2-bucket ring forces a merge on almost every touch; victim
-        // order must still be exact LRU.
-        let mut t = SessionTable::with_buckets(2);
+    fn scattered_touches_keep_exact_lru_order() {
+        // Victim order must be exact LRU however recency was shuffled.
+        let mut t = SessionTable::new();
         let mix = hidden_mix(&mut t, 2);
         for id in 0..32u64 {
             t.open(id, 0, mix);
@@ -969,17 +803,18 @@ mod tests {
     }
 
     #[test]
-    fn epoch_gaps_far_beyond_the_ring_width_stay_sound() {
-        let mut t = SessionTable::with_buckets(4);
+    fn epoch_gaps_keep_older_sessions_coldest() {
+        let mut t = SessionTable::new();
         let mix = hidden_mix(&mut t, 2);
         t.open(1, 0, mix);
         t.set_bytes(1, 4);
-        // Burn epochs on unlinked churn far past the ring width.
+        // Burn epochs on churn of a session outside the LRU.
         t.open(2, 0, mix);
         for _ in 0..1000 {
             t.touch(2);
         }
-        // Linking now must wrap the window without losing session 1.
+        // Entering the LRU a thousand epochs later must not overtake
+        // session 1.
         t.set_bytes(2, 4);
         assert_eq!(t.coldest_evictable(&[]).unwrap().0, 1);
         t.touch(1);

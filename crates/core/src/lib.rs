@@ -24,7 +24,11 @@
 //!
 //! The [`HCacheSystem`] type wires the functional pieces into the serving
 //! workflow of Figure 7: prefill/decode with hidden-state capture →
-//! two-stage saving → eviction → bubble-free restoration on reuse.
+//! two-stage saving → eviction → bubble-free restoration on reuse. Every
+//! session of every system runs through one `hc_cachectl::CacheController`
+//! — placement, byte accounting, demotion under a quota, and restores that
+//! degrade around sick devices — with an unlimited quota unless
+//! [`HCacheSystem::with_cache_controller`] sets one.
 //!
 //! ```
 //! use hcache::{HCacheSystem, model::ModelConfig};
@@ -53,4 +57,4 @@ pub use hc_workload as workload;
 
 mod system;
 
-pub use system::{HCacheSystem, RoundStats, SystemError};
+pub use system::{HCacheSystem, SystemError};

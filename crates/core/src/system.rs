@@ -1,13 +1,15 @@
 //! The end-to-end functional HCache system (Figure 7 of the paper).
 //!
 //! [`HCacheSystem`] owns a model, a chunked storage manager, a two-stage
-//! saver and a partition scheme, and drives the full stateful-serving
-//! workflow: each conversation round restores evicted history (via the
-//! scheme's mix of hidden-state projection / KV reload / token
-//! recomputation), prefills the new prompt, generates tokens while saving
-//! their hidden states off the critical path, and finally evicts the
-//! session's KV cache from "GPU memory" (drops it — the state now lives in
-//! host storage).
+//! saver, a partition scheme and a cache controller, and drives the full
+//! stateful-serving workflow: each conversation round restores evicted
+//! history (via the session's mix of hidden-state projection / KV reload /
+//! token recomputation), prefills the new prompt, generates tokens while
+//! saving their hidden states off the critical path, and finally evicts
+//! the session's KV cache from "GPU memory" (drops it — the state now
+//! lives in host storage). There is one session path: open, save, restore
+//! and close all go through the controller, so every restore degrades
+//! around a sick device instead of failing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,17 +51,6 @@ impl From<StorageError> for SystemError {
     }
 }
 
-impl From<hc_restore::engine::RestoreError> for SystemError {
-    fn from(e: hc_restore::engine::RestoreError) -> Self {
-        match e {
-            hc_restore::engine::RestoreError::Storage(s) => SystemError::Storage(s),
-            hc_restore::engine::RestoreError::Panicked => SystemError::Storage(StorageError::Io(
-                "restore state machine panicked".to_string(),
-            )),
-        }
-    }
-}
-
 impl From<CtlError> for SystemError {
     fn from(e: CtlError) -> Self {
         match e {
@@ -67,19 +58,6 @@ impl From<CtlError> for SystemError {
             CtlError::Storage(e) => SystemError::Storage(e),
         }
     }
-}
-
-/// Statistics of one conversation round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundStats {
-    /// History tokens restored before prefill (0 on the first round).
-    pub restored_tokens: usize,
-    /// New prompt tokens prefilled.
-    pub prompt_tokens: usize,
-    /// Tokens generated.
-    pub generated_tokens: usize,
-    /// Session context length after the round.
-    pub context_tokens: usize,
 }
 
 /// Chunk reads the facade's IO reactor keeps in flight per storage
@@ -104,12 +82,11 @@ pub struct HCacheSystem<S: ChunkStore + 'static> {
     /// the storage codec (the saver daemon encodes under the manager's
     /// matching budget).
     parallel: hc_tensor::ParallelConfig,
-    /// Optional capacity control plane: when attached, session placement,
-    /// byte accounting, eviction and restoration all route through it.
-    controller: Option<CacheController<S>>,
+    /// The capacity control plane: session placement, byte accounting,
+    /// eviction and restoration all route through it.
+    controller: CacheController<S>,
     sessions: HashMap<u64, SessionState>,
     next_session: u64,
-    last_stats: Option<RoundStats>,
 }
 
 impl HCacheSystem<MemStore> {
@@ -147,7 +124,11 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     /// The storage manager gets an IO [`Reactor`] with one submission
     /// queue per device of `store`, so every restore streams its chunks
     /// from all devices at once; the reactor's IO threads live exactly as
-    /// long as the system (dropping it joins them).
+    /// long as the system (dropping it joins them). The system's cache
+    /// controller starts with [`ControllerConfig::unlimited`]: an
+    /// unlimited quota always honours `scheme`, so it only tracks bytes
+    /// and degrades restores around sick devices until
+    /// [`HCacheSystem::with_cache_controller`] sets a quota.
     pub fn with_store_parallel(
         cfg: &ModelConfig,
         seed: u64,
@@ -163,16 +144,21 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
                 .with_reactor(reactor),
         );
         let saver = StateSaver::new(Arc::clone(&mgr), SaveMode::TwoStage);
+        let controller = CacheController::new(
+            Arc::clone(&mgr),
+            cfg.n_layers,
+            cfg.d_model,
+            ControllerConfig::unlimited(),
+        );
         Self {
             model,
             mgr,
             saver,
             scheme,
             parallel,
-            controller: None,
+            controller,
             sessions: HashMap::new(),
             next_session: 1,
-            last_stats: None,
         }
     }
 
@@ -184,45 +170,35 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         self
     }
 
-    /// Attaches a capacity-governed cache controller. From then on,
-    /// sessions are admitted through its cost-model placement (the
-    /// system's scheme is the *desired* placement), their resident bytes
-    /// are charged against the quota after every round, pressure demotes
-    /// victim sessions' layer mixes, and restoration runs under each
-    /// session's current (possibly demoted) mix. Attach before opening
-    /// sessions.
+    /// Replaces the system's cache controller with one running `cfg`'s
+    /// quota and policy. Sessions are admitted through its cost-model
+    /// placement (the system's scheme is the *desired* placement), their
+    /// resident bytes are charged against the quota after every round,
+    /// pressure demotes victim sessions' layer mixes, and restoration runs
+    /// under each session's current (possibly demoted) mix. Call before
+    /// opening sessions.
     pub fn with_cache_controller(mut self, cfg: ControllerConfig) -> Self {
         assert!(
             self.sessions.is_empty(),
             "attach the controller before opening sessions"
         );
-        self.controller = Some(CacheController::new(
+        self.controller = CacheController::new(
             Arc::clone(&self.mgr),
             self.model.cfg.n_layers,
             self.model.cfg.d_model,
             cfg,
-        ));
+        );
         self
     }
 
-    /// The attached cache controller, if any.
+    /// The system's cache controller (always `Some`).
     pub fn controller(&self) -> Option<&CacheController<S>> {
-        self.controller.as_ref()
+        Some(&self.controller)
     }
 
-    /// Controller counter snapshot (`None` without a controller).
+    /// Controller counter snapshot (always `Some`).
     pub fn cache_metrics(&self) -> Option<MetricsSnapshot> {
-        self.controller.as_ref().map(|c| c.metrics())
-    }
-
-    /// The method mix a session's state is currently cached under: the
-    /// controller's live placement when one is attached, the static scheme
-    /// otherwise.
-    fn effective_methods(&self, session: u64) -> Vec<LayerMethod> {
-        self.controller
-            .as_ref()
-            .and_then(|c| c.session_methods(session))
-            .unwrap_or_else(|| self.scheme.layer_methods(self.model.cfg.n_layers))
+        Some(self.controller.metrics())
     }
 
     /// Thread budget used by restoration and the storage codec.
@@ -245,21 +221,14 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         self.mgr.stats()
     }
 
-    /// Statistics of the most recent round.
-    pub fn last_round_stats(&self) -> Option<&RoundStats> {
-        self.last_stats.as_ref()
-    }
-
-    /// Opens a new conversation session. With a controller attached, the
-    /// session is admitted through the cost-model placement decision (the
-    /// system scheme is the desired placement; quota feasibility may
-    /// demote it to KV or token-only at admission).
+    /// Opens a new conversation session, admitted through the controller's
+    /// cost-model placement decision (the system scheme is the desired
+    /// placement; quota feasibility may demote it to KV or token-only at
+    /// admission).
     pub fn open_session(&mut self) -> u64 {
         let id = self.next_session;
         self.next_session += 1;
-        if let Some(ctl) = &self.controller {
-            ctl.open_session(id, &self.scheme);
-        }
+        self.controller.open_session(id, &self.scheme);
         self.sessions
             .insert(id, SessionState { tokens: Vec::new() });
         id
@@ -287,11 +256,7 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         self.sessions
             .remove(&session)
             .ok_or(SystemError::UnknownSession(session))?;
-        if let Some(ctl) = &self.controller {
-            Ok(ctl.close_session(session)?)
-        } else {
-            Ok(self.mgr.delete_session(session))
-        }
+        Ok(self.controller.close_session(session)?)
     }
 
     /// Restores a session's KV cache from host storage (the cache-miss
@@ -300,75 +265,47 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         self.restore_with_report(session).map(|(kv, _)| kv)
     }
 
-    /// Restores a session's KV cache and reports any degradation. Every
-    /// restore runs the one restore executor over this system's IO
-    /// reactor, as a one-request call of `hc_restore::reactor`'s driver:
-    /// one restore state machine, advanced on the calling thread (worker
-    /// 0 — no thread is spawned), submits the first stored layers'
-    /// 64-token chunk reads to all storage devices at once (up to
-    /// `REACTOR_IODEPTH` reads in flight per device) and runs the
-    /// recompute prefix's forward pass while they are served; each advance
-    /// then projects every hidden layer's newly contiguous token prefix —
-    /// everything that landed since its last GEMM, in one call — and
-    /// places K/V chunks as both streams' prefixes pair up, all under this
-    /// system's thread budget. The result is bit-identical to
-    /// `restore_session_with_methods` under the mix served.
+    /// Restores a session's KV cache under its current (possibly demoted)
+    /// method mix and reports any degradation. Every restore is one job
+    /// of the controller's restore body, which runs the one restore
+    /// executor over this system's IO reactor as a one-request call of
+    /// `hc_restore::reactor`'s driver: one restore state machine, advanced
+    /// on the calling thread (worker 0 — no thread is spawned), submits
+    /// the first stored layers' 64-token chunk reads to all storage
+    /// devices at once (up to `REACTOR_IODEPTH` reads in flight per
+    /// device) and runs the recompute prefix's forward pass while they are
+    /// served; each advance then projects every hidden layer's newly
+    /// contiguous token prefix — everything that landed since its last
+    /// GEMM, in one call — and places K/V chunks as both streams' prefixes
+    /// pair up, all under this system's thread budget. The result is
+    /// bit-identical to `restore_session_with_methods` under the mix
+    /// served.
     ///
-    /// With a controller attached the session's current (possibly
-    /// demoted) method mix is restored, hits/fallbacks are counted, and
-    /// the device-health plane is engaged: layers stranded behind a down
-    /// or breaker-tripped storage device are served by token recomputation
-    /// (preemptively or after the read fails mid-restore) and the returned
-    /// [`DegradationReport`] says how many and why, instead of the restore
-    /// failing. Without a controller the static scheme is restored and the
-    /// report is empty.
+    /// Hits and fallbacks are counted, and the device-health plane is
+    /// engaged: layers stranded behind a down or breaker-tripped storage
+    /// device, or whose read fails mid-restore, are served by token
+    /// recomputation and the returned [`DegradationReport`] says how many
+    /// and why, instead of the restore failing.
     pub fn restore_with_report(
         &self,
         session: u64,
     ) -> Result<(KvCache, DegradationReport), SystemError> {
         let tokens = self.session_tokens(session)?;
-        match &self.controller {
-            Some(ctl) => {
-                Ok(ctl.restore_with_report(&self.model, session, tokens, &self.parallel)?)
-            }
-            None => {
-                let kv = hc_restore::engine::restore_session_pipelined_with_methods(
-                    &self.model,
-                    &self.mgr,
-                    session,
-                    tokens,
-                    tokens.len(),
-                    &self.scheme.layer_methods(self.model.cfg.n_layers),
-                    &self.parallel,
-                )?;
-                Ok((kv, DegradationReport::default()))
-            }
-        }
+        Ok(self
+            .controller
+            .restore_with_report(&self.model, session, tokens, &self.parallel)?)
     }
 
-    /// Marks a storage device down on the attached controller (see
-    /// [`CacheController::on_device_down`]); returns whether a controller
-    /// was there to record it.
-    pub fn on_device_down(&self, device: usize) -> bool {
-        match &self.controller {
-            Some(ctl) => {
-                ctl.on_device_down(device);
-                true
-            }
-            None => false,
-        }
+    /// Marks a storage device down on the controller (see
+    /// [`CacheController::on_device_down`]).
+    pub fn on_device_down(&self, device: usize) {
+        self.controller.on_device_down(device);
     }
 
-    /// Clears a device's down mark on the attached controller; affected
-    /// sessions re-promote to full-mix restores on their next round.
-    pub fn on_device_recovered(&self, device: usize) -> bool {
-        match &self.controller {
-            Some(ctl) => {
-                ctl.on_device_recovered(device);
-                true
-            }
-            None => false,
-        }
+    /// Clears a device's down mark on the controller; affected sessions
+    /// re-promote to full-mix restores on their next round.
+    pub fn on_device_recovered(&self, device: usize) {
+        self.controller.on_device_recovered(device);
     }
 
     /// The storage manager (device health registry, retry policy, IO
@@ -395,9 +332,11 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         };
 
         // The mix this round saves under: the controller's live placement
-        // (stable within a round — demotion only runs at round boundaries)
-        // or the static scheme.
-        let methods = self.effective_methods(session);
+        // (stable within a round — demotion only runs at round boundaries).
+        let methods = self
+            .controller
+            .session_methods(session)
+            .ok_or(SystemError::UnknownSession(session))?;
 
         // 1. Restore evicted history (no GPU KV reuse, as in §4: "we do not
         //    cache and reuse KV cache in GPU"). Every restore degrades: a
@@ -451,15 +390,7 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         // 5. Settle the quota ledger: reconcile this session's resident
         //    bytes and let the controller demote victims if the pool is
         //    over quota.
-        if let Some(ctl) = &self.controller {
-            ctl.on_saved(session, context_tokens as u64)?;
-        }
-        self.last_stats = Some(RoundStats {
-            restored_tokens: history_len,
-            prompt_tokens: prompt.len(),
-            generated_tokens: generated.len(),
-            context_tokens,
-        });
+        self.controller.on_saved(session, context_tokens as u64)?;
         Ok(generated)
     }
 
@@ -527,10 +458,13 @@ mod tests {
         assert_eq!(s.context_len(sid).unwrap(), 8);
         let out2 = s.round(sid, &[13, 14], 3).unwrap();
         assert_eq!(out2.len(), 3);
-        assert_eq!(s.context_len(sid).unwrap(), 13);
-        let stats = s.last_round_stats().unwrap();
-        assert_eq!(stats.restored_tokens, 8);
-        assert_eq!(stats.prompt_tokens, 2);
+        // Round 2 restored the 8-token history, then added its 2 prompt
+        // and 3 generated tokens.
+        assert_eq!(s.context_len(sid).unwrap(), 8 + 2 + 3);
+        assert_eq!(
+            s.session_tokens(sid).unwrap()[..10],
+            [10, 11, 12, out1[0], out1[1], out1[2], out1[3], out1[4], 13, 14]
+        );
     }
 
     #[test]
@@ -761,26 +695,30 @@ mod tests {
     #[test]
     fn controller_rounds_generate_identically_to_replay_when_nothing_is_evicted() {
         use hc_cachectl::ControllerConfig;
-        // Unlimited quota: the controller is pure bookkeeping and the
-        // conversation must be exactly what a controller-free system
-        // produces.
+        // Unlimited quota: the controller is pure bookkeeping, so the
+        // conversation must be exactly what a from-scratch replay that
+        // never evicts produces.
         let cfg = ModelConfig::tiny_llama();
-        let mk = |controlled: bool| {
-            let sys = HCacheSystem::in_memory(&cfg, 7, 4);
-            if controlled {
-                sys.with_cache_controller(ControllerConfig::unlimited())
-            } else {
-                sys
-            }
-        };
-        let mut plain = mk(false);
-        let mut governed = mk(true);
-        let sp = plain.open_session();
+        let mut governed = HCacheSystem::in_memory(&cfg, 7, 4)
+            .with_cache_controller(ControllerConfig::unlimited());
         let sg = governed.open_session();
+        let model = Model::new(&cfg, 7);
+        let mut history: Vec<u32> = Vec::new();
         for (prompt, n) in [(vec![1u32, 2, 3], 5usize), (vec![4, 5], 4)] {
-            let a = plain.round(sp, &prompt, n).unwrap();
-            let b = governed.round(sg, &prompt, n).unwrap();
-            assert_eq!(a, b);
+            let got = governed.round(sg, &prompt, n).unwrap();
+            history.extend_from_slice(&prompt);
+            let mut kv = KvCache::new(&cfg);
+            let out = model.prefill(&history, &mut kv, false);
+            let mut last = out.final_hidden.row(history.len() - 1).to_vec();
+            let mut want = Vec::with_capacity(n);
+            for _ in 0..n {
+                let next = model.greedy_next_token(&last);
+                let (row, _) = model.decode_step(next, &mut kv, false);
+                want.push(next);
+                last = row;
+            }
+            assert_eq!(got, want);
+            history.extend_from_slice(&want);
         }
         let m = governed.cache_metrics().unwrap();
         assert_eq!(m.restore_hits, 1, "round 2 restored from cache");
@@ -827,7 +765,7 @@ mod tests {
         // Lose device 2 (44 tokens = one chunk; layer l lives on device
         // l % 4, so layers 0..=2 are stranded and layer 3 still reads).
         fault.device_down(2);
-        assert!(s.on_device_down(2));
+        s.on_device_down(2);
         let (degraded, rep) = s.restore_with_report(sid).unwrap();
         assert_eq!(rep.layers_recomputed, 3);
         assert_eq!(degraded.n_tokens(), healthy.n_tokens());
@@ -842,7 +780,7 @@ mod tests {
         // Heal: the next restore is full-mix and bit-identical to the
         // healthy one.
         fault.device_up(2);
-        assert!(s.on_device_recovered(2));
+        s.on_device_recovered(2);
         let (back, rep) = s.restore_with_report(sid).unwrap();
         assert!(!rep.degraded());
         assert_eq!(kv_max_error(&back, &healthy), 0.0);
@@ -852,14 +790,14 @@ mod tests {
         // land — a round also saves): the restore inside it degrades, so
         // the sick device costs latency, not the session.
         fault.set_flaky_reads(FaultTarget::Device(2), 1.0, 7);
-        assert!(s.on_device_down(2));
+        s.on_device_down(2);
         assert_eq!(s.round(sid, &[1, 2, 3], 4).unwrap().len(), 4);
         assert_eq!(s.cache_metrics().unwrap().restores_degraded, 2);
 
         // And one after recovery: full mix again, bit-identical to the
         // sequential restore of what the two rounds saved.
         fault.clear_flaky_reads();
-        assert!(s.on_device_recovered(2));
+        s.on_device_recovered(2);
         assert_eq!(s.round(sid, &[4, 5], 3).unwrap().len(), 3);
         let (back, rep) = s.restore_with_report(sid).unwrap();
         assert!(!rep.degraded());
@@ -874,6 +812,70 @@ mod tests {
         )
         .unwrap();
         assert_eq!(kv_max_error(&back, &oracle), 0.0);
+        assert_eq!(s.cache_metrics().unwrap().restores_degraded, 2);
+    }
+
+    #[test]
+    fn default_system_degrades_a_failing_device_instead_of_failing() {
+        use hc_restore::engine::{restore_session_with_methods, DegradeCause};
+        use hc_storage::fault::{FaultStore, FaultTarget};
+
+        // No `with_cache_controller`: the default system's controller
+        // still degrades. 150 prompt tokens put two durable chunks per
+        // layer on the devices (a history under 64 tokens is served from
+        // the manager's tail buffer and never reads a device).
+        let cfg = ModelConfig::tiny_llama();
+        let fault = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+        let mut s = HCacheSystem::with_store(
+            &cfg,
+            7,
+            Arc::clone(&fault),
+            PartitionScheme::pure_hidden(cfg.n_layers),
+        );
+        let sid = s.open_session();
+        let prompt: Vec<u32> = (0..150).map(|i| (i * 7) % 256).collect();
+        s.round(sid, &prompt, 4).unwrap();
+
+        // Every read from device 2 fails; layers 0..=2 each hold a chunk
+        // there, so the recompute prefix widens over all three. The reads
+        // exhaust their retries, and the failures they feed the device's
+        // breaker may trip it before the last one is classified.
+        fault.set_flaky_reads(FaultTarget::Device(2), 1.0, 11);
+        let (degraded, rep) = s.restore_with_report(sid).unwrap();
+        assert_eq!(rep.layers_recomputed, 3);
+        assert!(
+            matches!(
+                rep.cause,
+                Some(
+                    DegradeCause::RetryExhausted { device: 2 }
+                        | DegradeCause::BreakerOpen { device: 2 }
+                )
+            ),
+            "{:?}",
+            rep.cause
+        );
+        let tokens = s.session_tokens(sid).unwrap();
+        fault.clear_flaky_reads();
+        let oracle = restore_session_with_methods(
+            s.model(),
+            s.storage(),
+            sid,
+            tokens,
+            tokens.len(),
+            &[
+                LayerMethod::Recompute,
+                LayerMethod::Recompute,
+                LayerMethod::Recompute,
+                LayerMethod::Hidden,
+            ],
+        )
+        .unwrap();
+        assert_eq!(kv_max_error(&degraded, &oracle), 0.0);
+
+        // A round while the device still fails its reads costs latency,
+        // not the session.
+        fault.set_flaky_reads(FaultTarget::Device(2), 1.0, 13);
+        assert_eq!(s.round(sid, &[1, 2, 3], 4).unwrap().len(), 4);
         assert_eq!(s.cache_metrics().unwrap().restores_degraded, 2);
     }
 

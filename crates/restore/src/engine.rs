@@ -16,19 +16,18 @@
 //!
 //! # The two-stage pipeline (§4.1.2, executed for real)
 //!
-//! [`restore_session`] is the sequential reference: it reads layer `l`'s
-//! streams, projects/loads them, and only then reads layer `l+1`.
-//! [`restore_session_pipelined_with_methods`] runs the *same* work as the
-//! two-stream schedule that `hc_sched::pipeline` models analytically, at
-//! **token-chunk granularity** (§4.1.2's token-wise partitioning): it is a
-//! one-request call of the one restore driver,
-//! [`crate::reactor::restore_sessions`], which advances the request's
-//! state machine on the calling thread — the machine the same driver
-//! advances N at a time for a batch. The machine submits its first
-//! layers' chunk reads to the manager's IO reactor before it runs the
-//! recompute prefix, so the devices serve them while the prefix's forward
-//! pass runs, and each advance projects (hidden layers) or places (KV
-//! layers) whatever
+//! [`restore_session`] (and [`restore_session_with_methods`], which takes
+//! a per-layer method vector) is the sequential reference: it reads layer
+//! `l`'s streams, projects/loads them, and only then reads layer `l+1`.
+//! The one restore driver, [`crate::reactor::restore_sessions`], runs the
+//! *same* work as the two-stream schedule that `hc_sched::pipeline`
+//! models analytically, at **token-chunk granularity** (§4.1.2's
+//! token-wise partitioning), one state machine per request; a single
+//! restore is a one-request call whose machine advances on the calling
+//! thread. The machine submits its first layers' chunk reads to the
+//! manager's IO reactor before it runs the recompute prefix, so the
+//! devices serve them while the prefix's forward pass runs, and each
+//! advance projects (hidden layers) or places (KV layers) whatever
 //! contiguous prefix landed since the last one — compute on chunk `k`
 //! overlaps the IO of chunk `k+1` inside a layer, on top of the
 //! layer-to-layer overlap. The reactor module documents the schedule, the
@@ -39,12 +38,12 @@
 //! layer projection, however the rows are batched) and the parallel
 //! kernels are bit-for-bit equal to the serial ones, the pipelined restore
 //! returns a [`KvCache`] *bit-identical* to [`restore_session`]'s — the
-//! tests at the bottom enforce this across every scheme shape, thread
-//! counts 1–8 and reactor iodepths 1–4.
+//! tests at the bottom enforce this across every scheme shape, one and
+//! two workers, thread counts 1–8 and reactor iodepths 1–4.
 //!
 //! **The one facade path.** `HCacheSystem` attaches an IO reactor (one
 //! submission queue per storage device) to the manager it builds, so
-//! every `HCacheSystem::restore` / `round` — directly or through the cache
+//! every `HCacheSystem::restore` / `round` — through the system's cache
 //! controller — runs this executor: one layer's chunks are striped over
 //! the devices, and all of them serve the restore at once. A manager
 //! without a reactor has no IO plane to overlap: the driver then runs the
@@ -55,9 +54,7 @@ use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
 use hc_storage::{StorageError, StreamId};
-use hc_tensor::{ParallelConfig, Tensor2};
-
-use crate::reactor::{restore_sessions, RestoreRequest};
+use hc_tensor::Tensor2;
 
 /// Errors surfaced by the pipelined restore driver.
 #[derive(Debug, PartialEq)]
@@ -272,53 +269,6 @@ pub fn restore_session_with_methods<S: ChunkStore>(
     Ok(kv)
 }
 
-/// [`restore_session_with_methods`] restructured as the paper's
-/// bubble-free two-stream pipeline at **token-chunk granularity**: a
-/// one-request call of the restore driver
-/// ([`crate::reactor::restore_sessions`]), whose one state machine runs on
-/// the calling thread (no thread is spawned), its chunk reads riding the
-/// manager's IO reactor — every device holding a chunk of the layer
-/// serves it at once — while the calling thread runs the recompute prefix
-/// and projects each hidden layer's newly
-/// landed prefix (or places K/V chunks into the destination cache) under
-/// `par`'s thread budget. See the module docs for the schedule; the result
-/// is bit-identical to [`restore_session_with_methods`]'s for every mix,
-/// model, iodepth and thread count. Over a manager without a reactor this
-/// *is* [`restore_session_with_methods`].
-///
-/// Takes an explicit per-layer method vector because the cache
-/// controller's demotion ladder produces three-way mixes no
-/// [`PartitionScheme`] can express; callers holding a scheme pass
-/// `&scheme.layer_methods(n_layers)`.
-///
-/// A panicking backend fails the restore with a typed
-/// [`RestoreError::Storage`] (`StorageError::Io`) — the caller's thread
-/// never unwinds.
-///
-/// # Panics
-/// Panics when `methods` does not cover the model's layers or when its
-/// recompute layers are not a prefix (§4.1.2).
-pub fn restore_session_pipelined_with_methods<S: ChunkStore>(
-    model: &Model,
-    mgr: &StorageManager<S>,
-    session: u64,
-    tokens: &[u32],
-    n_tokens: usize,
-    methods: &[LayerMethod],
-    par: &ParallelConfig,
-) -> Result<KvCache, RestoreError> {
-    let request = RestoreRequest {
-        session,
-        tokens,
-        n_tokens,
-        methods,
-    };
-    restore_sessions(model, mgr, &[request], 1, 1, par)
-        .pop()
-        // hc-analyze: allow(panic) the driver returns one result per request
-        .expect("one request, one result")
-}
-
 /// Maximum element-wise error between two KV caches (over keys and values
 /// of every layer) — the restoration-fidelity metric used by tests and the
 /// quickstart example.
@@ -339,9 +289,11 @@ pub fn kv_max_error(a: &KvCache, b: &KvCache) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{restore_sessions, RestoreRequest};
     use hc_model::ModelConfig;
     use hc_storage::backend::MemStore;
     use hc_storage::reactor::Reactor;
+    use hc_tensor::ParallelConfig;
     use std::sync::Arc;
 
     const N_TOKENS: usize = 80; // spans two chunks
@@ -561,10 +513,11 @@ mod tests {
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
         // Every scheme shape × thread counts 1–8 × reactor iodepths 1/2/4
-        // (completions out of order) through a single restore (the driver
-        // on one worker, the calling thread), against the sequential
-        // reference over a manager without a reactor. 144 tokens = two
-        // device chunks and a buffered tail per stream.
+        // (completions out of order) through the restore driver — one
+        // request on one worker (the calling thread), and the same request
+        // twice on two workers — against the sequential reference over a
+        // manager without a reactor. 144 tokens = two device chunks and a
+        // buffered tail per stream.
         const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
             let f = fixture_of(41 + i as u64, MATRIX_TOKENS);
@@ -576,26 +529,31 @@ mod tests {
             let seq =
                 restore_session(&f.model, &plain, 1, &f.tokens, MATRIX_TOKENS, &scheme).unwrap();
             let methods = scheme.layer_methods(4);
+            let request = RestoreRequest {
+                session: 1,
+                tokens: &f.tokens,
+                n_tokens: MATRIX_TOKENS,
+                methods: &methods,
+            };
             for iodepth in [1usize, 2, 4] {
                 let mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model)
                     .with_reactor(Reactor::new(4, iodepth));
                 save(&mgr);
                 for threads in [1usize, 2, 4, 8] {
-                    let piped = restore_session_pipelined_with_methods(
-                        &f.model,
-                        &mgr,
-                        1,
-                        &f.tokens,
-                        MATRIX_TOKENS,
-                        &methods,
-                        &ParallelConfig::new(threads),
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        kv_max_error(&seq, &piped),
-                        0.0,
-                        "scheme #{i} diverged at {threads} threads, reactor iodepth {iodepth}"
-                    );
+                    let par = ParallelConfig::new(threads);
+                    // One request on one worker, then two on two workers
+                    // (the grant allowing).
+                    for (batch, workers) in [(1usize, 1usize), (2, 2)] {
+                        let batch = vec![request; batch];
+                        for kv in restore_sessions(&f.model, &mgr, &batch, workers, workers, &par) {
+                            assert_eq!(
+                                kv_max_error(&seq, &kv.unwrap()),
+                                0.0,
+                                "scheme #{i} diverged on {workers} workers at {threads} \
+                                 threads, reactor iodepth {iodepth}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -663,15 +621,21 @@ mod tests {
                 let _ = release.send(());
             });
             for threads in [1usize, 4] {
-                let piped = restore_session_pipelined_with_methods(
+                let piped = restore_sessions(
                     &model,
                     &mgr,
+                    &[RestoreRequest {
+                        session: 1,
+                        tokens: &tokens,
+                        n_tokens: TOKENS,
+                        methods: &methods,
+                    }],
                     1,
-                    &tokens,
-                    TOKENS,
-                    &methods,
+                    1,
                     &ParallelConfig::new(threads),
                 )
+                .pop()
+                .unwrap()
                 .unwrap();
                 let seq = restore_session_with_methods(&model, &mgr, 1, &tokens, TOKENS, &methods)
                     .unwrap();
@@ -770,15 +734,21 @@ mod tests {
                 let hidden = out.hidden_per_layer.unwrap();
                 save_session_state(&model, &mgr, s, &hidden, &kv, &scheme).unwrap();
             }
-            let err = restore_session_pipelined_with_methods(
+            let err = restore_sessions(
                 &model,
                 &mgr,
-                5,
-                &tokens_of(5),
-                TOKENS,
-                &methods,
+                &[RestoreRequest {
+                    session: 5,
+                    tokens: &tokens_of(5),
+                    n_tokens: TOKENS,
+                    methods: &methods,
+                }],
+                1,
+                1,
                 &par,
             )
+            .pop()
+            .unwrap()
             .unwrap_err();
             assert!(
                 matches!(err, RestoreError::Storage(StorageError::Io(_))),
@@ -787,15 +757,21 @@ mod tests {
             let reference =
                 restore_session_with_methods(&model, &mgr, 1, &tokens_of(1), TOKENS, &methods)
                     .unwrap();
-            let healthy = restore_session_pipelined_with_methods(
+            let healthy = restore_sessions(
                 &model,
                 &mgr,
+                &[RestoreRequest {
+                    session: 1,
+                    tokens: &tokens_of(1),
+                    n_tokens: TOKENS,
+                    methods: &methods,
+                }],
                 1,
-                &tokens_of(1),
-                TOKENS,
-                &methods,
+                1,
                 &par,
             )
+            .pop()
+            .unwrap()
             .unwrap();
             assert_eq!(kv_max_error(&healthy, &reference), 0.0);
         }
@@ -807,15 +783,21 @@ mod tests {
         let scheme = PartitionScheme::pure_hidden(4);
         // Nothing saved for session 77: the read jobs must surface the
         // error and the restore must return instead of waiting on IO.
-        let err = restore_session_pipelined_with_methods(
+        let err = restore_sessions(
             &f.model,
             &f.mgr,
-            77,
-            &f.tokens,
-            N_TOKENS,
-            &scheme.layer_methods(4),
+            &[RestoreRequest {
+                session: 77,
+                tokens: &f.tokens,
+                n_tokens: N_TOKENS,
+                methods: &scheme.layer_methods(4),
+            }],
+            1,
+            1,
             &hc_tensor::ParallelConfig::new(4),
-        );
+        )
+        .pop()
+        .unwrap();
         assert!(matches!(
             err,
             Err(RestoreError::Storage(StorageError::OutOfRange { .. }))
@@ -833,15 +815,21 @@ mod tests {
         };
         save_session_state(&f.model, &f.mgr, 9, &f.hidden, &f.reference_kv, &scheme).unwrap();
         let mut seq = restore_session(&f.model, &f.mgr, 9, &f.tokens, N_TOKENS, &scheme).unwrap();
-        let mut piped = restore_session_pipelined_with_methods(
+        let mut piped = restore_sessions(
             &f.model,
             &f.mgr,
-            9,
-            &f.tokens,
-            N_TOKENS,
-            &scheme.layer_methods(4),
+            &[RestoreRequest {
+                session: 9,
+                tokens: &f.tokens,
+                n_tokens: N_TOKENS,
+                methods: &scheme.layer_methods(4),
+            }],
+            1,
+            1,
             &hc_tensor::ParallelConfig::auto(),
         )
+        .pop()
+        .unwrap()
         .unwrap();
         let (row_seq, _) = f.model.decode_step(42, &mut seq, false);
         let (row_piped, _) = f.model.decode_step(42, &mut piped, false);
@@ -875,15 +863,21 @@ mod tests {
         assert_eq!(seq.keys(0), f.reference_kv.keys(0));
         // Pipelined restore of the same mix is bit-identical.
         for threads in [1usize, 4] {
-            let piped = restore_session_pipelined_with_methods(
+            let piped = restore_sessions(
                 &f.model,
                 &f.mgr,
-                4,
-                &f.tokens,
-                N_TOKENS,
-                &methods,
+                &[RestoreRequest {
+                    session: 4,
+                    tokens: &f.tokens,
+                    n_tokens: N_TOKENS,
+                    methods: &methods,
+                }],
+                1,
+                1,
                 &hc_tensor::ParallelConfig::new(threads),
             )
+            .pop()
+            .unwrap()
             .unwrap();
             assert_eq!(kv_max_error(&seq, &piped), 0.0);
         }

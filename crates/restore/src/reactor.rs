@@ -8,9 +8,8 @@
 //! ready machines off a shared run queue and keep up to `max_inflight` of
 //! them live, so thousands of restores share a fixed thread budget. The
 //! calling thread is worker 0: a batch on `n` workers spawns `n − 1`
-//! threads, and a single restore
-//! ([`restore_session_pipelined_with_methods`](crate::engine::restore_session_pipelined_with_methods),
-//! a one-request batch) spawns none.
+//! threads, and a single restore — a one-request batch on one worker,
+//! which is what every `HCacheSystem` restore is — spawns none.
 //!
 //! A machine holds its `KvCache` under construction plus a sliding window
 //! of active layers ([`LAYER_WINDOW`]), each layer holding one

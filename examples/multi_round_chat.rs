@@ -34,15 +34,15 @@ fn main() {
         (0..6).map(|i| (i * 13 + 1) % 256).collect(),
     ];
     for (i, prompt) in rounds.iter().enumerate() {
+        let history = sys.context_len(sid).expect("open session");
         let reply = sys.round(sid, prompt, 12).expect("round failed");
-        let stats = sys.last_round_stats().unwrap().clone();
         println!(
             "round {}: restored {:>3} history tokens, prefilled {:>2}, generated {:>2} -> context {:>3}",
             i + 1,
-            stats.restored_tokens,
-            stats.prompt_tokens,
-            stats.generated_tokens,
-            stats.context_tokens
+            history,
+            prompt.len(),
+            reply.len(),
+            sys.context_len(sid).expect("open session")
         );
         assert_eq!(reply.len(), 12);
     }
