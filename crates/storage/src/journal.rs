@@ -13,7 +13,8 @@
 //!
 //! Payloads (type byte first):
 //!
-//! * **Header** (`0`): magic `HCJ1`, `d_model`, `n_devices`, precision —
+//! * **Header** (`0`): magic `HCJ1`, `d_model`, `n_devices`, precision
+//!   (`0`, f16; any other code is a corrupt header) —
 //!   enough for [`crate::manager::StorageManager::reopen`] to rebuild the
 //!   manager without external configuration.
 //! * **ChunkCommit** (`1`): stream id, chunk index, generation, row
@@ -32,9 +33,16 @@
 //!
 //! A torn journal tail (crash mid-append) is detected by the frame CRC:
 //! replay keeps the longest consistent record prefix and
-//! [`Journal::reopen`] truncates the file back to it. Generations are
-//! assigned by the journal itself (one bump per delete), so replaying the
-//! same record sequence always reproduces the same generation numbering.
+//! [`Journal::reopen`] truncates the file back to it.
+//!
+//! ## The index
+//!
+//! The journal keeps the fold of its records, a
+//! [`crate::index::StreamIndex`], and applies each record in the same
+//! lock-held critical section that appends its frame, so the index always
+//! equals the fold of the file. Generations are read from it (one bump per
+//! delete), so replaying the same record sequence always reproduces the
+//! same generation numbering, and its live/dead record counts are exact.
 //!
 //! ## Compaction
 //!
@@ -42,26 +50,28 @@
 //! records: superseded tail flushes, and every commit/delete of a stream
 //! generation that a later delete wiped. Once deletes dominate
 //! (configurable via [`CompactionPolicy`]), [`Journal::compact`] rewrites
-//! the file down to its live prefix — the header, one `Gen` baseline per
-//! ever-deleted stream, and exactly the commits a recovery replay would
-//! keep — making reopen O(live chunks) instead of O(history). The rewrite
-//! goes to a temp file, is fsynced, and atomically renamed over the
-//! journal, so a crash at any point leaves either the old or the new
+//! the file as the index's live records — the header, one `Gen` baseline
+//! per ever-deleted stream, and exactly the commits a recovery replay
+//! would keep — making reopen O(live chunks) instead of O(history). The
+//! rewrite goes to a temp file, is fsynced, and atomically renamed over
+//! the journal, so a crash at any point leaves either the old or the new
 //! journal fully intact; [`Journal::reopen`] removes a stray temp file.
+//! Recovery uses the same rewrite after it truncates a torn stream
+//! ([`Journal::truncate_streams`]).
 
-// hc-analyze: lock-order file < stats
-// (`file`: the journal file handle, the append/compaction serialization
-// point; `stats`: the derived record counters, refreshed while the file
-// lock is held so the two can never disagree.)
+// hc-analyze: lock-order log
+// (`log`: the journal file handle together with its `StreamIndex` — the
+// one append/compaction serialization point, so the index and the file
+// can never disagree.)
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
 use crate::chunk::ChunkKey;
+use crate::index::StreamIndex;
 use crate::{Precision, StateKind, StorageError, StreamId};
 
 /// Journal file name under the store root.
@@ -195,21 +205,6 @@ fn kind_from_code(code: u8) -> Option<StateKind> {
     }
 }
 
-fn precision_code(p: Precision) -> u8 {
-    match p {
-        Precision::F16 => 0,
-        Precision::Int8 => 1,
-    }
-}
-
-fn precision_from_code(code: u8) -> Option<Precision> {
-    match code {
-        0 => Some(Precision::F16),
-        1 => Some(Precision::Int8),
-        _ => None,
-    }
-}
-
 fn push_stream(buf: &mut Vec<u8>, s: StreamId) {
     buf.extend_from_slice(&s.session.to_le_bytes());
     buf.extend_from_slice(&s.layer.to_le_bytes());
@@ -221,7 +216,9 @@ fn encode_header(h: &JournalHeader) -> Vec<u8> {
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&(h.d_model as u32).to_le_bytes());
     buf.extend_from_slice(&(h.n_devices as u32).to_le_bytes());
-    buf.push(precision_code(h.precision));
+    buf.push(match h.precision {
+        Precision::F16 => 0,
+    });
     buf
 }
 
@@ -314,7 +311,8 @@ fn decode_header(payload: &[u8]) -> Option<JournalHeader> {
     }
     let d_model = c.u32()? as usize;
     let n_devices = c.u32()? as usize;
-    let precision = precision_from_code(c.u8()?)?;
+    // Precision code 0 is f16, the only codec; any other code is corrupt.
+    let precision = (c.u8()? == 0).then_some(Precision::F16)?;
     if !c.done() || d_model == 0 || n_devices == 0 {
         return None;
     }
@@ -402,105 +400,24 @@ impl Default for CompactionPolicy {
     }
 }
 
-/// Per-stream slice of the record accounting.
-#[derive(Default)]
-struct StreamCount {
-    /// Records a compaction would keep for the stream right now.
-    live: usize,
-    /// Whether the stream's newest record is a flushed tail (the next
-    /// commit at its index supersedes it).
-    has_tail: bool,
-}
-
-/// Running live/dead record accounting — the compaction trigger. An
-/// estimate rebuilt from replay on reopen, reset by compaction.
-#[derive(Default)]
-struct JournalStats {
-    /// Records after the header currently in the file.
-    total: usize,
-    /// Of those, records a compaction would drop.
-    dead: usize,
-    per_stream: HashMap<StreamId, StreamCount>,
-    /// Compactions performed over this handle's lifetime.
-    compactions: u64,
-}
-
-impl JournalStats {
-    fn note_commit(&mut self, stream: StreamId, is_tail: bool) {
-        self.total += 1;
-        let c = self.per_stream.entry(stream).or_default();
-        if c.has_tail {
-            // The new commit supersedes the flushed tail at its index
-            // (replaced in place or absorbed by the full chunk).
-            self.dead += 1;
-            c.live -= 1;
-        }
-        c.live += 1;
-        c.has_tail = is_tail;
-    }
-
-    fn note_delete(&mut self, stream: StreamId) {
-        self.total += 1;
-        // Everything the stream held, plus the delete itself, folds into
-        // at most one Gen baseline at the next compaction.
-        self.dead += self.per_stream.remove(&stream).map_or(0, |c| c.live) + 1;
-    }
-
-    fn note_gen(&mut self, stream: StreamId) {
-        self.total += 1;
-        self.per_stream.entry(stream).or_default().live += 1;
-    }
-
-    fn seed(records: &[JournalRecord]) -> Self {
-        let mut stats = Self::default();
-        for rec in records {
-            match *rec {
-                JournalRecord::Commit {
-                    stream, is_tail, ..
-                } => stats.note_commit(stream, is_tail),
-                JournalRecord::Delete { stream, .. } => stats.note_delete(stream),
-                JournalRecord::Gen { stream, .. } => stats.note_gen(stream),
-            }
-        }
-        stats
-    }
-}
-
-/// Folds a replayed record sequence into the generation counters a fresh
-/// handle must resume from: `Gen` baselines set the floor, every replayed
-/// delete bumps past it.
-fn seed_gens(records: &[JournalRecord]) -> HashMap<StreamId, u32> {
-    let mut gens: HashMap<StreamId, u32> = HashMap::new();
-    for rec in records {
-        match *rec {
-            JournalRecord::Gen { stream, generation } => {
-                let g = gens.entry(stream).or_insert(0);
-                *g = (*g).max(generation);
-            }
-            JournalRecord::Delete { stream, .. } => *gens.entry(stream).or_insert(0) += 1,
-            JournalRecord::Commit { .. } => {}
-        }
-    }
-    gens
-}
-
-/// Deterministic cross-stream ordering for compaction output (per-stream
-/// record order is what recovery depends on; this just keeps rewrites
-/// reproducible).
-fn stream_sort_key(s: &StreamId) -> (u64, u32, u8) {
-    (s.session, s.layer, kind_code(s.kind))
-}
-
-/// Crash-durability journal for one store root. Appends serialize on an
-/// internal file mutex; generations are tracked here (one bump per
-/// delete) so replay reproduces them exactly.
+/// Crash-durability journal for one store root. Every append takes the
+/// one `log` lock, writes its frame and applies the record to the
+/// [`StreamIndex`] inside that critical section, so the index always
+/// equals the fold of the file; generations are read from it.
 pub struct Journal {
     root: PathBuf,
-    file: Mutex<File>,
+    header: JournalHeader,
     sync: bool,
-    gens: Mutex<HashMap<StreamId, u32>>,
-    stats: Mutex<JournalStats>,
     policy: CompactionPolicy,
+    log: Mutex<Log>,
+}
+
+/// The journal file and the fold of its records, changed together.
+struct Log {
+    file: File,
+    index: StreamIndex,
+    /// Rewrites performed over this handle's lifetime.
+    compactions: u64,
 }
 
 impl Journal {
@@ -516,14 +433,7 @@ impl Journal {
             file.sync_all().map_err(io_err)?;
             fsync_dir(root);
         }
-        Ok(Self {
-            root: root.to_path_buf(),
-            file: Mutex::new(file),
-            sync,
-            gens: Mutex::new(HashMap::new()),
-            stats: Mutex::new(JournalStats::default()),
-            policy: CompactionPolicy::default(),
-        })
+        Ok(Self::reopen(root, sync)?.0)
     }
 
     /// Replaces the default [`CompactionPolicy`]. Builder-style; call
@@ -600,40 +510,40 @@ impl Journal {
     /// Reopens the journal under `root` for appending: removes any stray
     /// compaction temp file (a crash mid-compaction, before the rename),
     /// replays the journal, truncates any torn tail back to the
-    /// consistent prefix, and seeds the generation counters from the
-    /// replayed deletes and `Gen` baselines.
+    /// consistent prefix, and folds the replayed records into the index.
     pub fn reopen(root: &Path, sync: bool) -> Result<(Self, JournalReplay), StorageError> {
         let _ = std::fs::remove_file(root.join(COMPACT_TMP));
         let replay = Self::replay(root)?;
-        let path = journal_path(root);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(io_err)?;
+        let file = open_append(root)?;
         if replay.truncated > 0 {
             file.set_len(replay.consistent_len).map_err(io_err)?;
             if sync {
                 file.sync_all().map_err(io_err)?;
             }
         }
-        file.seek(SeekFrom::End(0)).map_err(io_err)?;
-        Ok((
-            Self {
-                root: root.to_path_buf(),
-                file: Mutex::new(file),
-                sync,
-                gens: Mutex::new(seed_gens(&replay.records)),
-                stats: Mutex::new(JournalStats::seed(&replay.records)),
-                policy: CompactionPolicy::default(),
-            },
-            replay,
-        ))
+        let log = Log {
+            file,
+            index: StreamIndex::from_records(&replay.records),
+            compactions: 0,
+        };
+        let journal = Self {
+            root: root.to_path_buf(),
+            header: replay.header,
+            sync,
+            policy: CompactionPolicy::default(),
+            log: Mutex::new(log),
+        };
+        Ok((journal, replay))
     }
 
     /// Current generation of `stream` (0 until its first delete).
     pub fn generation(&self, stream: StreamId) -> u32 {
-        self.gens.lock().get(&stream).copied().unwrap_or(0)
+        self.log.lock().index.generation(stream)
+    }
+
+    /// A copy of the index: the fold of every record in the file.
+    pub fn index(&self) -> StreamIndex {
+        self.log.lock().index.clone()
     }
 
     /// Logs a durable chunk write. Call strictly *after* the backend
@@ -646,181 +556,118 @@ impl Journal {
         is_tail: bool,
         bytes: &[u8],
     ) -> Result<(), StorageError> {
+        let chunk_crc = crc32(bytes);
+        let mut log = self.log.lock();
         let rec = JournalRecord::Commit {
             stream: key.stream,
             chunk_idx: key.chunk_idx,
-            generation: self.generation(key.stream),
+            generation: log.index.generation(key.stream),
             rows,
             is_tail,
             byte_len: bytes.len() as u64,
-            chunk_crc: crc32(bytes),
+            chunk_crc,
         };
-        self.append(&encode_record(&rec))?;
-        self.stats.lock().note_commit(key.stream, is_tail);
-        Ok(())
+        self.append(&mut log, &rec)
     }
 
     /// Logs a stream delete and bumps its generation. Call strictly
     /// *before* the backend wipe — a crash between the two leaves orphan
     /// chunk files (removed by recovery's sweep), never a resurrected
-    /// stream.
+    /// stream. Compacts when the dead share passes the
+    /// [`CompactionPolicy`].
     pub fn log_delete(&self, stream: StreamId) -> Result<(), StorageError> {
-        let generation = {
-            let mut gens = self.gens.lock();
-            let g = gens.entry(stream).or_insert(0);
-            let killed = *g;
-            *g += 1;
-            killed
-        };
-        self.append(&encode_record(&JournalRecord::Delete {
+        let mut log = self.log.lock();
+        let rec = JournalRecord::Delete {
             stream,
-            generation,
-        }))?;
-        self.stats.lock().note_delete(stream);
-        self.maybe_compact()
+            generation: log.index.generation(stream),
+        };
+        self.append(&mut log, &rec)?;
+        let (total, dead) = (log.index.records_total(), log.index.records_dead());
+        if total >= self.policy.min_records
+            && dead as f64 > self.policy.max_dead_ratio * total as f64
+        {
+            self.rewrite(&mut log)?;
+        }
+        Ok(())
     }
 
     /// Records after the header currently in the file.
     pub fn records_total(&self) -> usize {
-        self.stats.lock().total
+        self.log.lock().index.records_total()
     }
 
     /// Of [`Journal::records_total`], how many a compaction would drop.
     pub fn records_dead(&self) -> usize {
-        self.stats.lock().dead
+        self.log.lock().index.records_dead()
     }
 
-    /// Compactions performed over this handle's lifetime.
+    /// Rewrites performed over this handle's lifetime.
     pub fn compactions(&self) -> u64 {
-        self.stats.lock().compactions
+        self.log.lock().compactions
     }
 
-    /// Runs [`Journal::compact`] if the dead-record share exceeds the
-    /// configured [`CompactionPolicy`].
-    fn maybe_compact(&self) -> Result<(), StorageError> {
-        let due = {
-            let stats = self.stats.lock();
-            stats.total >= self.policy.min_records
-                && stats.dead as f64 > self.policy.max_dead_ratio * stats.total as f64
-        };
-        if due {
-            self.compact()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Rewrites the journal down to its live prefix: the header, one
-    /// `Gen` baseline per stream whose generation counter is nonzero, and
-    /// exactly the commit records a recovery replay would keep. Runs
-    /// under the file lock (concurrent appends block and then land in the
-    /// rewritten file). The replacement is written to a temp file,
-    /// fsynced, and atomically renamed over the journal, so a crash at
-    /// any point leaves either the old or the new journal fully intact.
+    /// Rewrites the journal down to its live prefix, the index's
+    /// [`StreamIndex::live_records`]: the header, one `Gen` baseline per
+    /// deleted stream, and exactly the commits a recovery replay keeps.
+    /// Concurrent appends block and then land in the rewritten file. The
+    /// replacement is written to a temp file, fsynced, and atomically
+    /// renamed over the journal, so a crash at any point leaves either the
+    /// old or the new journal fully intact.
     pub fn compact(&self) -> Result<(), StorageError> {
-        let mut file = self.file.lock();
-        let replay = Self::replay(&self.root)?;
+        self.rewrite(&mut self.log.lock())
+    }
 
-        /// Live records of one stream, folded with recovery's semantics:
-        /// commits in index order, a tail superseded by the next commit
-        /// at its index, a delete wiping the fold.
-        #[derive(Default)]
-        struct LiveFold {
-            full: Vec<JournalRecord>,
-            tail: Option<JournalRecord>,
+    /// Recovery only: truncates each `(stream, n_chunks)` in the index
+    /// (see [`StreamIndex::truncate`]) and rewrites the journal from it, so
+    /// commits of the chunks recovery discarded cannot outlive them.
+    pub fn truncate_streams(&self, cuts: &[(StreamId, usize)]) -> Result<(), StorageError> {
+        let mut log = self.log.lock();
+        for &(stream, n_chunks) in cuts {
+            log.index.truncate(stream, n_chunks);
         }
-        let mut folds: HashMap<StreamId, LiveFold> = HashMap::new();
-        let mut gens: HashMap<StreamId, u32> = HashMap::new();
-        for rec in &replay.records {
-            match *rec {
-                JournalRecord::Commit {
-                    stream,
-                    chunk_idx,
-                    is_tail,
-                    ..
-                } => {
-                    let fold = folds.entry(stream).or_default();
-                    // Out-of-order commits are corruption recovery drops;
-                    // dropping them here keeps the rewrite equivalent.
-                    if chunk_idx as usize != fold.full.len() {
-                        continue;
-                    }
-                    if is_tail {
-                        fold.tail = Some(*rec);
-                    } else {
-                        fold.full.push(*rec);
-                        fold.tail = None;
-                    }
-                }
-                JournalRecord::Delete { stream, .. } => {
-                    folds.remove(&stream);
-                    *gens.entry(stream).or_insert(0) += 1;
-                }
-                JournalRecord::Gen { stream, generation } => {
-                    let g = gens.entry(stream).or_insert(0);
-                    *g = (*g).max(generation);
-                }
-            }
-        }
+        self.rewrite(&mut log)
+    }
 
+    fn rewrite(&self, log: &mut Log) -> Result<(), StorageError> {
+        let live = log.index.live_records();
         let tmp = self.root.join(COMPACT_TMP);
         let mut out = File::create(&tmp).map_err(io_err)?;
-        out.write_all(&frame(&encode_header(&replay.header)))
+        out.write_all(&frame(&encode_header(&self.header)))
             .map_err(io_err)?;
-        let mut stats = JournalStats {
-            compactions: self.stats.lock().compactions + 1,
-            ..JournalStats::default()
-        };
-        let mut deleted: Vec<StreamId> = gens
-            .iter()
-            .filter(|&(_, &g)| g > 0)
-            .map(|(s, _)| *s)
-            .collect();
-        deleted.sort_by_key(stream_sort_key);
-        for stream in deleted {
-            let generation = gens[&stream];
-            out.write_all(&frame(&encode_record(&JournalRecord::Gen {
-                stream,
-                generation,
-            })))
-            .map_err(io_err)?;
-            stats.note_gen(stream);
+        for rec in &live {
+            out.write_all(&frame(&encode_record(rec))).map_err(io_err)?;
         }
-        let mut streams: Vec<StreamId> = folds.keys().copied().collect();
-        streams.sort_by_key(stream_sort_key);
-        for stream in streams {
-            let fold = &folds[&stream];
-            for rec in fold.full.iter().chain(fold.tail.iter()) {
-                out.write_all(&frame(&encode_record(rec))).map_err(io_err)?;
-                let is_tail = matches!(rec, JournalRecord::Commit { is_tail: true, .. });
-                stats.note_commit(stream, is_tail);
-            }
-        }
-        // hc-analyze: allow(blocking_under_lock) intentional: the compaction rewrite IS the file lock's critical section — concurrent appends must block until the rename lands
+        // hc-analyze: allow(blocking_under_lock) intentional: the compaction rewrite IS the log lock's critical section — concurrent appends must block until the rename lands
         out.sync_all().map_err(io_err)?;
         drop(out);
         std::fs::rename(&tmp, journal_path(&self.root)).map_err(io_err)?;
         fsync_dir(&self.root);
-        let mut fresh = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(journal_path(&self.root))
-            .map_err(io_err)?;
-        fresh.seek(SeekFrom::End(0)).map_err(io_err)?;
-        *file = fresh;
-        *self.stats.lock() = stats;
+        log.file = open_append(&self.root)?;
+        log.index = StreamIndex::from_records(&live);
+        log.compactions += 1;
         Ok(())
     }
 
-    fn append(&self, payload: &[u8]) -> Result<(), StorageError> {
-        let mut file = self.file.lock();
-        file.write_all(&frame(payload)).map_err(io_err)?;
+    /// Appends `rec`'s frame and applies it to the index, under the log
+    /// lock the caller holds.
+    fn append(&self, log: &mut Log, rec: &JournalRecord) -> Result<(), StorageError> {
+        log.file
+            .write_all(&frame(&encode_record(rec)))
+            .map_err(io_err)?;
+        log.index.apply(rec);
         if self.sync {
-            // hc-analyze: allow(blocking_under_lock) intentional: the durability contract orders record-on-disk before the next append, and the file lock is that order
-            file.sync_data().map_err(io_err)?;
+            // hc-analyze: allow(blocking_under_lock) intentional: the durability contract orders record-on-disk before the next append, and the log lock is that order
+            log.file.sync_data().map_err(io_err)?;
         }
         Ok(())
     }
+}
+
+/// Opens the journal under `root` for appending: every write lands at the
+/// end of the file, whatever its length.
+fn open_append(root: &Path) -> Result<File, StorageError> {
+    let path = journal_path(root);
+    OpenOptions::new().append(true).open(path).map_err(io_err)
 }
 
 fn fsync_dir(dir: &Path) {
@@ -1100,6 +947,18 @@ mod tests {
         assert!(matches!(Journal::replay(&root), Err(StorageError::Io(_))));
         std::fs::write(journal_path(&root), b"garbage").unwrap();
         assert!(matches!(Journal::replay(&root), Err(StorageError::Io(_))));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_header_with_precision_code_one_is_a_corrupt_header() {
+        let root = tmp_root("int8-header");
+        let mut payload = encode_header(&header());
+        // The retired int8 code: the frame checks out, the header does not.
+        *payload.last_mut().unwrap() = 1;
+        std::fs::write(journal_path(&root), frame(&payload)).unwrap();
+        assert!(matches!(Journal::replay(&root), Err(StorageError::Io(_))));
+        assert!(Journal::reopen(&root, false).is_err());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -48,12 +48,15 @@
 //!   paper); stage 2, a background daemon, reorganizes rows into chunks and
 //!   flushes them (§4.2.2). A `DirectIo` mode writes straight through for
 //!   the Fig 14 ablation.
-//! * **Layouts** ([`layout`]): the restoration-optimized layer-major layout
-//!   versus the save-optimized token-major layout, used by the ablation in
-//!   §4.2.1 to quantify read amplification.
+//! * **Stream index** ([`index`]): the one pure model of a stream's
+//!   chunks — a sealed chunk absorbs the flushed tail at its index, a
+//!   re-flush replaces the tail, an out-of-order commit is dropped, a
+//!   delete clears the stream and bumps its generation. The manager's
+//!   live byte ledger, the journal, compaction and recovery all fold it.
 //! * **Crash durability** ([`journal`]): a chunk-generation journal for
 //!   [`backend::FileStore`]-backed managers — every durable chunk write
-//!   and stream delete is logged (with byte length and checksum), so
+//!   and stream delete is logged (with byte length and checksum) and
+//!   folded into the journal's [`index::StreamIndex`], so
 //!   [`manager::StorageManager::reopen`] rebuilds every stream's durable
 //!   cursor, partial tail, tombstone generation and exact resident-byte
 //!   accounting after a crash, truncating torn chunks and torn journal
@@ -74,73 +77,48 @@ pub mod backend;
 pub mod chunk;
 pub mod fault;
 pub mod health;
+pub mod index;
 pub mod journal;
 pub mod latency;
-pub mod layout;
 pub mod manager;
 pub mod reactor;
 pub mod tiered;
 pub mod two_stage;
 
-/// On-storage numeric precision for activation rows.
-///
-/// The paper stores fp16 (lossless relative to its fp16-native engine);
-/// int8 is the §7 quantization extension — half the bytes again, bounded
-/// per-row error.
+/// On-storage numeric precision for activation rows: IEEE binary16, the
+/// paper's format, lossless relative to its fp16-native engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// IEEE binary16, 2 B/element (the paper's format).
+    /// IEEE binary16, 2 B/element.
     #[default]
     F16,
-    /// Symmetric per-row int8, 1 B/element + 4 B/row scale.
-    Int8,
 }
 
 impl Precision {
     /// Encoded bytes for `rows × width` elements.
     pub fn encoded_len(&self, rows: usize, width: usize) -> usize {
-        match self {
-            Precision::F16 => rows * width * 2,
-            Precision::Int8 => hc_tensor::quant::encoded_len(rows, width),
-        }
+        rows * width * 2
     }
 
-    /// Encodes row-major f32 data.
-    pub fn encode(&self, xs: &[f32], width: usize) -> Vec<u8> {
-        match self {
-            Precision::F16 => hc_tensor::f16::encode_f16(xs),
-            Precision::Int8 => hc_tensor::quant::encode_int8(xs, width),
-        }
+    /// Encodes row-major f32 data under `par`'s thread budget
+    /// (bit-identical to the serial encoder).
+    pub fn encode_par(
+        &self,
+        xs: &[f32],
+        _width: usize,
+        par: &hc_tensor::ParallelConfig,
+    ) -> Vec<u8> {
+        hc_tensor::f16::encode_f16_par(xs, par)
     }
 
-    /// Decodes back to f32.
-    pub fn decode(&self, bytes: &[u8], width: usize) -> Vec<f32> {
-        match self {
-            Precision::F16 => hc_tensor::f16::decode_f16(bytes),
-            Precision::Int8 => hc_tensor::quant::decode_int8(bytes, width),
-        }
-    }
-
-    /// [`Precision::encode`] under `par`'s thread budget (f16 has a
-    /// bit-identical parallel encoder; int8 stays serial).
-    pub fn encode_par(&self, xs: &[f32], width: usize, par: &hc_tensor::ParallelConfig) -> Vec<u8> {
-        match self {
-            Precision::F16 => hc_tensor::f16::encode_f16_par(xs, par),
-            Precision::Int8 => hc_tensor::quant::encode_int8(xs, width),
-        }
-    }
-
-    /// [`Precision::decode`] under `par`'s thread budget.
+    /// Decodes back to f32 under `par`'s thread budget.
     pub fn decode_par(
         &self,
         bytes: &[u8],
-        width: usize,
+        _width: usize,
         par: &hc_tensor::ParallelConfig,
     ) -> Vec<f32> {
-        match self {
-            Precision::F16 => hc_tensor::f16::decode_f16_par(bytes, par),
-            Precision::Int8 => hc_tensor::quant::decode_int8(bytes, width),
-        }
+        hc_tensor::f16::decode_f16_par(bytes, par)
     }
 }
 

@@ -11,8 +11,9 @@
 //! * an **outer map** `RwLock<HashMap<StreamId, Arc<RwLock<StreamState>>>>`
 //!   that only resolves stream ids to their state cell (held for
 //!   microseconds — never across backend IO or codec work), and
-//! * a **per-stream `RwLock<StreamState>`** guarding that stream's append
-//!   cursor, partial-tail buffer and resident-byte figure.
+//! * a **per-stream `RwLock<StreamState>`** guarding that stream's
+//!   [`ChunkLedger`] (its sealed chunks and flushed tail, hence its durable
+//!   cursor and resident bytes) and its buffer of unsealed rows.
 //!
 //! Lock order is strictly **map before stream**: no code path acquires the
 //! outer map lock while holding a stream lock (paths that need both drop
@@ -21,7 +22,7 @@
 //! * [`StorageManager::read_rows`] — **nothing**. It snapshots the
 //!   stream's durable cursor (and clones the partial tail if the range
 //!   touches it) under a brief per-stream *read* lock, then performs every
-//!   backend read and every f16/int8 decode with no lock held. Durable
+//!   backend read and every f16 decode with no lock held. Durable
 //!   chunks are immutable once the cursor covers them, so the snapshot
 //!   stays valid without the lock.
 //! * [`StorageManager::append_rows`] / [`StorageManager::flush_stream`] /
@@ -32,7 +33,7 @@
 //!
 //! The aggregate [`StorageManager::total_resident_bytes`] figure lives in
 //! an atomic, updated in the same stream-write critical sections that edit
-//! the per-stream figures, so quota trackers poll it lock-free.
+//! the per-stream ledgers, so quota trackers poll it lock-free.
 //!
 //! # Chunk-streaming reads
 //!
@@ -117,18 +118,21 @@
 //!
 //! **Recovery** ([`StorageManager::reopen`] /
 //! [`StorageManager::recover`]) replays the journal — truncating a torn
-//! journal tail back to the last consistent record by frame CRC — folds
-//! the records into each stream's expected chunk list, then validates
-//! every chunk against the backend in index order: a missing, short or
+//! journal tail back to the last consistent record by frame CRC — and
+//! validates the journal's [`crate::index::StreamIndex`] against the
+//! backend, chunk by chunk in index order: a missing, short or
 //! CRC-mismatching chunk (a torn final write, or bit rot) truncates the
 //! stream at that chunk; a chunk *longer* than journaled with a matching
 //! prefix CRC (a durable tail re-flush that outran its journal record) is
-//! trimmed back to exactly the journaled bytes. The surviving prefix
-//! rebuilds the stream's durable cursor, decoded partial tail,
-//! resident-byte and tail-byte figures — so the freed == tracked
-//! invariant holds across restart — and every backend chunk not named by
-//! a surviving record is deleted. The report
-//! ([`crate::manager::RecoveryReport`]) quantifies all of it.
+//! trimmed back to exactly the journaled bytes. Each surviving entry
+//! rebuilds its stream's ledger and decoded partial tail — so the freed ==
+//! tracked invariant holds across restart — and every backend chunk not
+//! named by a surviving entry is deleted. When recovery discarded any
+//! journaled chunk, it rewrites the journal from the truncated index (the
+//! compaction path: temp file, fsync, atomic rename) before returning, so
+//! no commit of a discarded chunk survives to shadow the chunks the stream
+//! commits next. The report ([`crate::manager::RecoveryReport`])
+//! quantifies all of it.
 //!
 //! # Fault matrix: typed errors and blast radius
 //!
@@ -142,7 +146,7 @@
 //! | Device read error (transient) | Masked by budgeted retry with jittered backoff ([`crate::health::RetryPolicy`]) in every read path; surfaces as `DeviceFailed {transient: true}` only if it persists | None when masked |
 //! | Sick device (repeated errors/stalls) | The [`crate::health::DeviceHealth`] breaker opens; reads fail fast typed-transient until a half-open probe heals the lane | Restores degrade affected layers to recompute (see `hc-cachectl`); no session fails |
 //! | Stalled reactor submission | Timed out at the [`RetryPolicy::io_deadline`] into `DeviceFailed {transient: true}`, counted as a stall against the lane's breaker | The one read; its lane is not wedged |
-//! | Device write error | `DeviceFailed` from `append_rows`/`flush_stream` | The appending stream only |
+//! | Device write error | `DeviceFailed` from `append_rows`/`flush_stream`; no rows are lost — the unsealed rows stay buffered and the next append or flush retries the seal | The appending stream only |
 //! | Read stall | No error — the lane is slow, not dead; reads on other lanes proceed | Latency of the stalled read only |
 //! | Torn chunk write (crash) | Detected at reopen by chunk CRC; stream truncated to last consistent prefix | Rows past the torn chunk of that stream |
 //! | Torn journal tail (crash) | Detected at reopen by frame CRC; journal truncated to last consistent record | The unjournaled suffix of affected streams |
@@ -165,7 +169,8 @@ use parking_lot::RwLock;
 use crate::backend::{ChunkStore, FileStore, StoreStats};
 use crate::chunk::{chunks_for_range, device_for, ChunkKey, ChunkSlice, CHUNK_TOKENS};
 use crate::health::{Admit, DeviceHealth, RetryPolicy};
-use crate::journal::{crc32, Journal, JournalHeader, JournalRecord, JournalReplay};
+use crate::index::{ChunkImage, ChunkLedger};
+use crate::journal::{crc32, Journal, JournalHeader, JournalReplay};
 use crate::reactor::Reactor;
 use crate::{Precision, StorageError, StreamId};
 
@@ -269,27 +274,28 @@ fn read_chunk_contained<S: ChunkStore + ?Sized>(
 /// Per-stream append state.
 #[derive(Debug, Default)]
 struct StreamState {
-    /// Total tokens appended (durable + buffered).
-    n_tokens: u64,
-    /// Tokens already written out in full chunks.
-    n_durable: u64,
-    /// Buffered rows of the partial tail chunk (`< CHUNK_TOKENS` rows,
-    /// row-major f32).
+    /// The stream's sealed chunks and flushed tail in the backend: its
+    /// durable cursor and its *resident* bytes — exactly what
+    /// [`ChunkStore::delete_stream`] would free, the number a
+    /// capacity/quota tracker must account against. It changes only after
+    /// a chunk write succeeded, even when the journal append after it
+    /// fails (recovery trims such an image to its journaled prefix).
+    ledger: ChunkLedger<()>,
+    /// Rows appended past the last sealed chunk (row-major f32): the
+    /// partial tail, plus any full chunk whose seal failed (the next
+    /// append or flush retries it).
     partial: Vec<f32>,
-    /// Encoded bytes this stream currently holds in the backend. This is
-    /// *resident* state, not traffic: rewriting a flushed tail chunk
-    /// replaces its bytes instead of adding to them, so the figure equals
-    /// exactly what [`ChunkStore::delete_stream`] would free — the number a
-    /// capacity/quota tracker must account against.
-    resident_bytes: u64,
-    /// Encoded bytes of the currently-flushed partial tail chunk (subset of
-    /// `resident_bytes`; replaced on re-flush, absorbed when the chunk
-    /// completes).
-    tail_bytes: u64,
     /// Tombstone left by [`StorageManager::delete_stream`]: the backend
     /// chunks are gone and this cell must not be written again. Writers
     /// holding a stale handle retry through the map (see module docs).
     deleted: bool,
+}
+
+impl StreamState {
+    /// Tokens appended (sealed + buffered).
+    fn n_tokens(&self, d_model: usize) -> u64 {
+        self.ledger.durable_tokens() + (self.partial.len() / d_model) as u64
+    }
 }
 
 /// One attempt at a range: its chunk slices plus everything snapshotted
@@ -302,8 +308,8 @@ struct ReadPlan {
     slices: Vec<ChunkSlice>,
     /// Durable-token cursor at snapshot time.
     durable: u64,
-    /// Snapshotted partial tail; present iff the range reaches past
-    /// `durable` and the buffer was non-empty.
+    /// Snapshotted unsealed rows (starting at `durable`); present iff the
+    /// range reaches past `durable` and the buffer was non-empty.
     tail: Option<Vec<f32>>,
     /// The snapshotted state cell, whose tombstone is re-checked before
     /// every delivery (`None`: the stream did not exist).
@@ -335,7 +341,7 @@ pub struct DeliveredRows {
     /// range's `start` token).
     pub row_start: usize,
     /// The slice's decoded rows (`len × d_model`), carrying the same
-    /// precision round-trip `read_rows` applies.
+    /// f16 round-trip `read_rows` applies.
     pub rows: Tensor2,
 }
 
@@ -380,7 +386,6 @@ enum StreamPhase {
 pub struct StorageManager<S: ChunkStore> {
     store: Arc<S>,
     d_model: usize,
-    precision: Precision,
     /// Thread budget for chunk encode/decode (shared with the two-stage
     /// saver's daemon and the restore drivers, which run through this
     /// manager).
@@ -394,8 +399,8 @@ pub struct StorageManager<S: ChunkStore> {
     /// Outer shard map: stream id → per-stream state cell. Held only to
     /// resolve/insert/remove entries, never across IO or codec work.
     streams: RwLock<HashMap<StreamId, Arc<RwLock<StreamState>>>>,
-    /// Sum of every stream's `resident_bytes`, maintained in the same
-    /// stream-write critical sections that edit the per-stream figures.
+    /// Sum of every stream ledger's resident bytes, maintained in the same
+    /// stream-write critical sections that edit the ledgers.
     total_resident: AtomicU64,
     /// Crash-durability journal (None: metadata is memory-only and a
     /// crash loses the manager's stream state). See the module docs'
@@ -414,18 +419,11 @@ impl<S: ChunkStore> StorageManager<S> {
     /// Creates a manager writing rows of width `d_model` to `store`, stored
     /// as fp16 (the paper's format).
     pub fn new(store: Arc<S>, d_model: usize) -> Self {
-        Self::with_precision(store, d_model, Precision::F16)
-    }
-
-    /// Creates a manager with an explicit storage precision (int8 enables
-    /// the §7 quantized-hidden-state extension).
-    pub fn with_precision(store: Arc<S>, d_model: usize, precision: Precision) -> Self {
         assert!(d_model > 0, "d_model must be positive");
         let health = Arc::new(DeviceHealth::new(store.n_devices().max(1)));
         Self {
             store,
             d_model,
-            precision,
             parallel: hc_tensor::ParallelConfig::serial(),
             reactor: None,
             streams: RwLock::new(HashMap::new()),
@@ -517,11 +515,6 @@ impl<S: ChunkStore> StorageManager<S> {
         self.reactor.as_ref()
     }
 
-    /// Storage precision in use.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Row width.
     pub fn d_model(&self) -> usize {
         self.d_model
@@ -584,7 +577,8 @@ impl<S: ChunkStore> StorageManager<S> {
 
     /// Tokens appended to `stream` so far.
     pub fn n_tokens(&self, stream: StreamId) -> u64 {
-        self.stream_handle(stream).map_or(0, |c| c.read().n_tokens)
+        self.stream_handle(stream)
+            .map_or(0, |c| c.read().n_tokens(self.d_model))
     }
 
     /// Appends `rows` (an `n × d_model` tensor) to the stream.
@@ -602,37 +596,63 @@ impl<S: ChunkStore> StorageManager<S> {
         }
         self.with_stream_mut(stream, true, |state| {
             state.partial.extend_from_slice(rows.as_slice());
-            state.n_tokens += rows.rows() as u64;
-
-            // Drain any full chunks from the buffer.
-            let chunk_elems = CHUNK_TOKENS as usize * self.d_model;
-            while state.partial.len() >= chunk_elems {
-                let chunk_idx = (state.n_durable / CHUNK_TOKENS) as u32;
-                let rest = state.partial.split_off(chunk_elems);
-                let full = std::mem::replace(&mut state.partial, rest);
-                let bytes = self
-                    .precision
-                    .encode_par(&full, self.d_model, &self.parallel);
-                let key = ChunkKey { stream, chunk_idx };
-                self.store.write_chunk(key, &bytes)?;
-                // Write, then log: the commit record is only appended once
-                // the chunk write completed (durably, on a durable
-                // backend), so a present record always names real bytes.
-                if let Some(journal) = &self.journal {
-                    journal.log_commit(key, CHUNK_TOKENS as u32, false, &bytes)?;
-                }
-                // The full chunk lands at the index a flushed tail (if any)
-                // occupied, replacing those bytes rather than adding to them.
-                let delta = bytes.len() as u64 - state.tail_bytes;
-                state.resident_bytes += delta;
-                self.total_resident.fetch_add(delta, Ordering::AcqRel);
-                state.tail_bytes = 0;
-                state.n_durable += CHUNK_TOKENS;
-            }
-            Ok(())
+            self.seal_full_chunks(stream, state)
         })
         // hc-analyze: allow(panic) invariant: with_stream_mut(create=true) always yields a state
         .expect("create=true always yields a state")
+    }
+
+    /// Writes every full chunk in `state`'s buffer, oldest first, then
+    /// drains the sealed rows once. A failed write stops the seal with its
+    /// rows still buffered, for the next append or flush to retry.
+    fn seal_full_chunks(
+        &self,
+        stream: StreamId,
+        state: &mut StreamState,
+    ) -> Result<(), StorageError> {
+        let chunk_elems = CHUNK_TOKENS as usize * self.d_model;
+        let first = state.ledger.next_chunk();
+        let (mut sealed, mut result) = (0, Ok(()));
+        while result.is_ok() && state.partial.len() - sealed >= chunk_elems {
+            result = self.write_image(stream, state, sealed..sealed + chunk_elems);
+            sealed = (state.ledger.next_chunk() - first) as usize * chunk_elems;
+        }
+        state.partial.drain(..sealed);
+        result
+    }
+
+    /// Writes buffer elements `elems` as the stream's next chunk image (the
+    /// tail when shorter than a chunk). Only a write that succeeded reaches
+    /// the ledger and the resident total; it is then journaled — write,
+    /// then log, so a present commit record always names real bytes.
+    fn write_image(
+        &self,
+        stream: StreamId,
+        state: &mut StreamState,
+        elems: std::ops::Range<usize>,
+    ) -> Result<(), StorageError> {
+        let key = ChunkKey {
+            stream,
+            chunk_idx: state.ledger.next_chunk(),
+        };
+        let rows = (elems.len() / self.d_model) as u32;
+        let is_tail = u64::from(rows) < CHUNK_TOKENS;
+        let bytes = Precision::F16.encode_par(&state.partial[elems], self.d_model, &self.parallel);
+        self.store.write_chunk(key, &bytes)?;
+        let image = ChunkImage {
+            rows,
+            byte_len: bytes.len() as u64,
+            crc: (),
+        };
+        let before = state.ledger.resident_bytes();
+        state.ledger.commit(key.chunk_idx, is_tail, image);
+        // Wrapping: a shrinking image adds its two's complement.
+        let delta = state.ledger.resident_bytes().wrapping_sub(before);
+        self.total_resident.fetch_add(delta, Ordering::AcqRel);
+        match &self.journal {
+            Some(journal) => journal.log_commit(key, rows, is_tail, &bytes),
+            None => Ok(()),
+        }
     }
 
     /// Convenience: appends a single token row.
@@ -641,49 +661,36 @@ impl<S: ChunkStore> StorageManager<S> {
         self.append_rows(stream, &t)
     }
 
-    /// Writes the buffered partial tail chunk (if any) to the backend. The
-    /// buffer is retained so later appends can extend and rewrite the tail.
+    /// Writes the buffered partial tail chunk (if any) to the backend,
+    /// after retrying a seal a failed write left pending. The buffer is
+    /// retained so later appends can extend and rewrite the tail.
     pub fn flush_stream(&self, stream: StreamId) -> Result<(), StorageError> {
         self.with_stream_mut(stream, false, |state| {
-            if state.partial.is_empty() {
-                return Ok(());
+            self.seal_full_chunks(stream, state)?;
+            match state.partial.len() {
+                0 => Ok(()),
+                n => self.write_image(stream, state, 0..n),
             }
-            let chunk_idx = (state.n_durable / CHUNK_TOKENS) as u32;
-            let bytes = self
-                .precision
-                .encode_par(&state.partial, self.d_model, &self.parallel);
-            let key = ChunkKey { stream, chunk_idx };
-            self.store.write_chunk(key, &bytes)?;
-            // Write, then log (see append_rows). Tail commits supersede
-            // earlier tail commits at the same index during recovery.
-            if let Some(journal) = &self.journal {
-                let rows = (state.partial.len() / self.d_model) as u32;
-                journal.log_commit(key, rows, true, &bytes)?;
-            }
-            // Re-flushing replaces the previous tail image in place.
-            let delta = bytes.len() as u64 - state.tail_bytes;
-            state.resident_bytes += delta;
-            self.total_resident.fetch_add(delta, Ordering::AcqRel);
-            state.tail_bytes = bytes.len() as u64;
-            Ok(())
         })
         .unwrap_or(Ok(()))
     }
 
     /// Flushes every stream of `session`.
     pub fn flush_session(&self, session: u64) -> Result<(), StorageError> {
-        let ids: Vec<StreamId> = {
-            let streams = self.streams.read();
-            streams
-                .keys()
-                .filter(|s| s.session == session)
-                .cloned()
-                .collect()
-        };
-        for id in ids {
+        for id in self.session_streams(session) {
             self.flush_stream(id)?;
         }
         Ok(())
+    }
+
+    /// Ids of every tracked stream of `session`.
+    fn session_streams(&self, session: u64) -> Vec<StreamId> {
+        let streams = self.streams.read();
+        streams
+            .keys()
+            .filter(|s| s.session == session)
+            .copied()
+            .collect()
     }
 
     /// Reads token rows `[start, end)` of `stream` as an f32 tensor
@@ -806,9 +813,9 @@ impl<S: ChunkStore> StorageManager<S> {
     }
 
     /// Snapshots `stream` for a read of `[start, end)` under a brief read
-    /// lock: the cursors, plus a copy of the partial tail when the range
-    /// reaches past the durable prefix (so its quantization round-trip
-    /// runs lock-free). A range past the stream's end is `OutOfRange`; a
+    /// lock: the cursors, plus a copy of the unsealed rows when the range
+    /// reaches past the durable prefix (so their f16 round-trip runs
+    /// lock-free). A range past the stream's end is `OutOfRange`; a
     /// tombstoned cell reads as empty — the linearization point is "just
     /// after the delete", like a sequential read-after-delete.
     fn plan_read(&self, stream: StreamId, start: u64, end: u64) -> Result<ReadPlan, StorageError> {
@@ -816,9 +823,10 @@ impl<S: ChunkStore> StorageManager<S> {
         let (available, durable, tail) = match &cell {
             Some(cell) => {
                 let state = cell.read();
-                let tail = (end > state.n_durable && !state.partial.is_empty())
-                    .then(|| state.partial.clone());
-                (state.n_tokens, state.n_durable, tail)
+                let durable = state.ledger.durable_tokens();
+                let tail =
+                    (end > durable && !state.partial.is_empty()).then(|| state.partial.clone());
+                (state.n_tokens(self.d_model), durable, tail)
             }
             None => (0, 0, None),
         };
@@ -890,7 +898,7 @@ impl<S: ChunkStore> StorageManager<S> {
         slice: &ChunkSlice,
         bytes: &[u8],
     ) -> Result<Vec<f32>, StorageError> {
-        let per_row = self.precision.encoded_len(1, self.d_model);
+        let per_row = Precision::F16.encoded_len(1, self.d_model);
         let have_rows = bytes.len() / per_row;
         if !bytes.len().is_multiple_of(per_row)
             || have_rows < (slice.start_in_chunk + slice.len) as usize
@@ -900,25 +908,25 @@ impl<S: ChunkStore> StorageManager<S> {
                 chunk_idx: slice.chunk_idx,
             });
         }
-        Ok(self
-            .precision
-            .decode_par(bytes, self.d_model, &self.parallel))
+        Ok(Precision::F16.decode_par(bytes, self.d_model, &self.parallel))
     }
 
-    /// Rebuilds the tail chunk's rows from the plan's snapshotted partial
-    /// buffer, applying the same quantization round-trip a durable chunk
-    /// carries. The tail slice (at most one, always last) never touches
-    /// the backend.
-    fn decode_tail(&self, plan: &ReadPlan) -> Vec<f32> {
+    /// Rebuilds the rows of the chunk `slice` falls in from the plan's
+    /// snapshotted unsealed rows, applying the same f16 round-trip a
+    /// durable chunk carries. Slices past the durable cursor (the tail,
+    /// plus any chunk whose seal failed; always the range's last slices)
+    /// never touch the backend.
+    fn decode_tail(&self, plan: &ReadPlan, slice: &ChunkSlice) -> Vec<f32> {
         let partial = plan
             .tail
             .as_deref()
             // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
             .expect("range past durable implies tail");
-        self.precision.decode_par(
-            &self
-                .precision
-                .encode_par(partial, self.d_model, &self.parallel),
+        let chunk_elems = CHUNK_TOKENS as usize * self.d_model;
+        let from = (slice.chunk_idx as u64 * CHUNK_TOKENS - plan.durable) as usize * self.d_model;
+        let rows = &partial[from..partial.len().min(from + chunk_elems)];
+        Precision::F16.decode_par(
+            &Precision::F16.encode_par(rows, self.d_model, &self.parallel),
             self.d_model,
             &self.parallel,
         )
@@ -995,8 +1003,7 @@ impl<S: ChunkStore> StorageManager<S> {
                 )?;
                 self.decode_durable_chunk(plan.stream, slice, &bytes)?
             } else {
-                debug_assert_eq!(slice.chunk_idx as u64 * CHUNK_TOKENS, plan.durable);
-                self.decode_tail(plan)
+                self.decode_tail(plan, slice)
             };
             match self.deliver_slice(plan, sink, i, rows) {
                 StreamPhase::Done => {}
@@ -1074,7 +1081,7 @@ impl<S: ChunkStore> StorageManager<S> {
     /// backend bytes until a flush).
     pub fn stream_bytes(&self, stream: StreamId) -> u64 {
         self.stream_handle(stream)
-            .map_or(0, |c| c.read().resident_bytes)
+            .map_or(0, |c| c.read().ledger.resident_bytes())
     }
 
     /// State cells of every stream of `session` (map lock released before
@@ -1094,7 +1101,7 @@ impl<S: ChunkStore> StorageManager<S> {
     pub fn session_bytes(&self, session: u64) -> u64 {
         self.session_handles(session)
             .iter()
-            .map(|c| c.read().resident_bytes)
+            .map(|c| c.read().ledger.resident_bytes())
             .sum()
     }
 
@@ -1107,19 +1114,13 @@ impl<S: ChunkStore> StorageManager<S> {
         let Some(cell) = self.stream_handle(stream) else {
             return Vec::new();
         };
-        let (n_durable, tail_bytes) = {
-            let state = cell.read();
-            (state.n_durable, state.tail_bytes)
-        };
+        let n_images = cell.read().ledger.n_images() as u32;
         let n_dev = self.store.n_devices().max(1);
-        let n_full = (n_durable / CHUNK_TOKENS) as u32;
-        let mut devices: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for chunk_idx in 0..n_full + u32::from(tail_bytes > 0) {
-            let key = ChunkKey { stream, chunk_idx };
-            if !self.store.chunk_in_fast_tier(key) {
-                devices.insert(device_for(&key, n_dev));
-            }
-        }
+        let keys = (0..n_images).map(|chunk_idx| ChunkKey { stream, chunk_idx });
+        let devices: std::collections::BTreeSet<usize> = keys
+            .filter(|&key| !self.store.chunk_in_fast_tier(key))
+            .map(|key| device_for(&key, n_dev))
+            .collect();
         devices.into_iter().collect()
     }
 
@@ -1161,12 +1162,9 @@ impl<S: ChunkStore> StorageManager<S> {
                 // until the wipe below has finished (it must first observe
                 // the tombstone, which requires this lock).
                 state.deleted = true;
-                let tracked = state.resident_bytes;
-                state.resident_bytes = 0;
-                state.tail_bytes = 0;
+                let tracked = state.ledger.resident_bytes();
+                state.ledger.clear();
                 state.partial = Vec::new();
-                state.n_tokens = 0;
-                state.n_durable = 0;
                 self.total_resident.fetch_sub(tracked, Ordering::AcqRel);
                 // Log, then wipe: a crash between the two leaves orphan
                 // chunks of a dead generation (swept at recovery), never a
@@ -1208,15 +1206,10 @@ impl<S: ChunkStore> StorageManager<S> {
     /// ([`StorageManager::session_bytes`]), so callers can release quota by
     /// exactly this amount.
     pub fn delete_session(&self, session: u64) -> u64 {
-        let ids: Vec<StreamId> = {
-            let streams = self.streams.read();
-            streams
-                .keys()
-                .filter(|s| s.session == session)
-                .cloned()
-                .collect()
-        };
-        ids.into_iter().map(|id| self.delete_stream(id)).sum()
+        self.session_streams(session)
+            .into_iter()
+            .map(|id| self.delete_stream(id))
+            .sum()
     }
 
     /// Backend IO statistics.
@@ -1244,154 +1237,69 @@ impl<S: ChunkStore> StorageManager<S> {
         Self::recover_replayed(store, Arc::new(journal), replay)
     }
 
-    /// The recovery pass proper: folds the replayed records into each
-    /// stream's expected chunk list, validates every chunk against the
-    /// backend (truncating at the first torn one), rebuilds the stream
-    /// states and sweeps orphan chunks. See the module docs for the full
-    /// protocol.
+    /// The recovery pass proper: validates the journal's index against
+    /// the backend, truncates each stream at its first torn image (and
+    /// rewrites the journal if any was), rebuilds the stream states from
+    /// the surviving entries and sweeps orphan chunks. See the module docs.
     fn recover_replayed(
         store: Arc<S>,
         journal: Arc<Journal>,
         replay: JournalReplay,
     ) -> Result<(Self, RecoveryReport), StorageError> {
-        /// Per-stream fold of the journal: the full chunks (byte length +
-        /// CRC, indexed by chunk idx) and the current tail commit.
-        #[derive(Default)]
-        struct Fold {
-            full: Vec<(u64, u32)>,
-            tail: Option<(u32, u64, u32)>,
-        }
-
-        let header = replay.header;
-        let mgr =
-            Self::with_precision(store, header.d_model, header.precision).with_journal(journal);
-
-        let mut folds: HashMap<StreamId, Fold> = HashMap::new();
-        for rec in &replay.records {
-            match *rec {
-                JournalRecord::Commit {
-                    stream,
-                    chunk_idx,
-                    rows,
-                    is_tail,
-                    byte_len,
-                    chunk_crc,
-                    ..
-                } => {
-                    let fold = folds.entry(stream).or_default();
-                    // Chunks commit strictly in index order; an
-                    // out-of-order record is journal corruption that
-                    // slipped past the frame CRC — drop it rather than
-                    // fabricate stream state.
-                    if chunk_idx as usize != fold.full.len() {
-                        continue;
-                    }
-                    if is_tail {
-                        // A later tail commit supersedes the earlier image
-                        // at the same index (re-flush replaces in place).
-                        fold.tail = Some((rows, byte_len, chunk_crc));
-                    } else {
-                        // The full chunk absorbs any flushed tail at its
-                        // index.
-                        fold.full.push((byte_len, chunk_crc));
-                        fold.tail = None;
-                    }
-                }
-                // Delete wipes the stream; later commits restart it from
-                // chunk 0 on a fresh fold.
-                JournalRecord::Delete { stream, .. } => {
-                    folds.remove(&stream);
-                }
-                // Compaction's generation baseline carries no chunk
-                // state; the journal consumes it when seeding counters.
-                JournalRecord::Gen { .. } => {}
-            }
-        }
-
+        let mgr = Self::new(store, replay.header.d_model).with_journal(Arc::clone(&journal));
         let mut report = RecoveryReport {
             journal_bytes_truncated: replay.truncated,
             ..RecoveryReport::default()
         };
+        let mut cuts: Vec<(StreamId, usize)> = Vec::new();
         let mut live: HashSet<ChunkKey> = HashSet::new();
-        let mut total: u64 = 0;
-        for (stream, fold) in folds {
-            let mut n_full = 0usize;
-            let mut resident = 0u64;
-            let mut truncated_stream = false;
-            for (i, &(byte_len, crc)) in fold.full.iter().enumerate() {
-                let key = ChunkKey {
-                    stream,
-                    chunk_idx: i as u32,
-                };
-                if let Some(bytes) = mgr.recover_validate_chunk(key, byte_len, crc) {
-                    n_full = i + 1;
-                    resident += byte_len;
-                    live.insert(key);
-                    report.chunks_recovered += 1;
-                    // Re-warm a tiered backend's DRAM front through its
-                    // normal admission policy — the validated bytes are in
-                    // hand anyway, so a restart does not begin cold.
-                    report.front_warmed_bytes += mgr.store.warm_chunk(key, &bytes);
-                } else {
-                    // Torn/missing: keep the consistent prefix, drop this
-                    // chunk, everything after it and the tail.
-                    report.torn_chunks_discarded +=
-                        (fold.full.len() - i) + usize::from(fold.tail.is_some());
-                    truncated_stream = true;
+        for (stream, ledger) in journal.index().ledgers() {
+            // Rebuild the stream from the consistent prefix of its chunks
+            // and then its tail: the first torn or missing image drops
+            // itself and everything after it.
+            let mut state = StreamState::default();
+            let images = ledger.chunks().iter().chain(ledger.tail());
+            for (chunk_idx, image) in (0u32..).zip(images) {
+                let key = ChunkKey { stream, chunk_idx };
+                let Some(bytes) = mgr.recover_validate_chunk(key, image) else {
                     break;
-                }
-            }
-            let mut partial: Vec<f32> = Vec::new();
-            let mut tail_bytes = 0u64;
-            let mut tail_rows = 0u64;
-            if !truncated_stream {
-                if let Some((rows, byte_len, crc)) = fold.tail {
-                    let key = ChunkKey {
-                        stream,
-                        chunk_idx: n_full as u32,
-                    };
-                    let validated = mgr.recover_validate_chunk(key, byte_len, crc);
-                    let decoded = validated
-                        .as_deref()
-                        .map(|bytes| mgr.precision.decode_par(bytes, mgr.d_model, &mgr.parallel));
-                    match decoded {
-                        Some(rows_f32) if rows_f32.len() == rows as usize * mgr.d_model => {
-                            partial = rows_f32;
-                            tail_bytes = byte_len;
-                            tail_rows = rows as u64;
-                            resident += byte_len;
-                            live.insert(key);
-                            report.chunks_recovered += 1;
-                            if let Some(bytes) = &validated {
-                                report.front_warmed_bytes += mgr.store.warm_chunk(key, bytes);
-                            }
-                        }
-                        _ => report.torn_chunks_discarded += 1,
+                };
+                let is_tail = chunk_idx == ledger.next_chunk();
+                if is_tail {
+                    let rows = Precision::F16.decode_par(&bytes, mgr.d_model, &mgr.parallel);
+                    if rows.len() != image.rows as usize * mgr.d_model {
+                        break;
                     }
+                    state.partial = rows;
                 }
+                // Re-warm a tiered backend's DRAM front through its normal
+                // admission policy — the validated bytes are in hand
+                // anyway, so a restart does not begin cold.
+                report.front_warmed_bytes += mgr.store.warm_chunk(key, &bytes);
+                state.ledger.commit(chunk_idx, is_tail, image.without_crc());
+                live.insert(key);
             }
-            if n_full == 0 && tail_rows == 0 {
-                // Nothing of the stream survived; its stray files (if
-                // any) fall to the orphan sweep.
-                continue;
+            let kept = state.ledger.n_images();
+            report.chunks_recovered += kept;
+            report.torn_chunks_discarded += ledger.n_images() - kept;
+            if kept < ledger.n_images() {
+                cuts.push((stream, state.ledger.chunks().len()));
             }
-            report.streams_recovered += 1;
-            let n_durable = n_full as u64 * CHUNK_TOKENS;
-            let state = StreamState {
-                n_tokens: n_durable + tail_rows,
-                n_durable,
-                partial,
-                resident_bytes: resident,
-                tail_bytes,
-                deleted: false,
-            };
-            total += resident;
-            mgr.streams
-                .write()
-                .insert(stream, Arc::new(RwLock::new(state)));
+            if kept > 0 {
+                report.resident_bytes += state.ledger.resident_bytes();
+                report.streams_recovered += 1;
+                mgr.streams
+                    .write()
+                    .insert(stream, Arc::new(RwLock::new(state)));
+            }
+        }
+        // A commit of a discarded chunk must not outlive it: it would make
+        // the stream's next commit at that index fold as out of order.
+        if !cuts.is_empty() {
+            journal.truncate_streams(&cuts)?;
         }
 
-        // Orphan sweep: chunks the backend holds but no surviving record
+        // Orphan sweep: chunks the backend holds but no surviving entry
         // names — unjournaled writes the crash outran, wipes the crash
         // interrupted, or truncated suffixes.
         for key in mgr.store.chunk_keys() {
@@ -1400,22 +1308,22 @@ impl<S: ChunkStore> StorageManager<S> {
                 report.orphan_chunks_removed += 1;
             }
         }
-        mgr.total_resident.store(total, Ordering::Release);
-        report.resident_bytes = total;
+        mgr.total_resident
+            .store(report.resident_bytes, Ordering::Release);
         Ok((mgr, report))
     }
 
-    /// Validates one journaled chunk against the backend: present, at
-    /// least the journaled length, and CRC-matching over the journaled
+    /// Validates one journaled chunk image against the backend: present,
+    /// at least the journaled length, and CRC-matching over the journaled
     /// prefix. A longer backend image with a matching prefix (a durable
     /// re-flush that outran its journal record) is trimmed back to the
     /// journaled bytes so the resident accounting stays exact. `None`
     /// means torn/missing — the caller truncates the stream here.
-    fn recover_validate_chunk(&self, key: ChunkKey, byte_len: u64, crc: u32) -> Option<Vec<u8>> {
+    fn recover_validate_chunk(&self, key: ChunkKey, image: &ChunkImage<u32>) -> Option<Vec<u8>> {
         let mut bytes =
             read_chunk_retrying(self.store.as_ref(), key, &self.retry, &self.health).ok()?;
-        let want = byte_len as usize;
-        if bytes.len() < want || crc32(&bytes[..want]) != crc {
+        let want = image.byte_len as usize;
+        if bytes.len() < want || crc32(&bytes[..want]) != image.crc {
             return None;
         }
         if bytes.len() > want {
@@ -1447,7 +1355,7 @@ impl StorageManager<FileStore> {
             },
             true,
         )?);
-        Ok(Self::with_precision(store, d_model, precision).with_journal(journal))
+        Ok(Self::new(store, d_model).with_journal(journal))
     }
 
     /// Reopens a crash-durable store root: replays the journal (itself
@@ -1627,7 +1535,8 @@ enum PumpStep {
         /// delivering, so the lowest-index error wins.
         prior_failed: bool,
     },
-    /// All device chunks placed; rebuild and deliver the tail slice.
+    /// All device chunks placed; rebuild and deliver the slices past the
+    /// durable cursor.
     Tail(Arc<JobPass>),
 }
 
@@ -1860,10 +1769,15 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     return PumpOutcome::Failed(err);
                 }
                 PumpStep::Tail(pass) => {
-                    let rows = mgr.decode_tail(&pass.plan);
-                    let i = pass.plan.slices.len() - 1;
-                    let ended = mgr.deliver_slice(&pass.plan, sink, i, rows);
-                    if let Some(out) = self.settle(Some(ended), sink) {
+                    let plan = &pass.plan;
+                    let ended = (0..plan.slices.len())
+                        .filter(|&i| !plan.is_durable(&plan.slices[i]))
+                        .map(|i| {
+                            let rows = mgr.decode_tail(plan, &plan.slices[i]);
+                            mgr.deliver_slice(plan, sink, i, rows)
+                        })
+                        .find(|phase| !matches!(phase, StreamPhase::Done));
+                    if let Some(out) = self.settle(ended, sink) {
                         return out;
                     }
                 }
@@ -2127,44 +2041,43 @@ mod tests {
     }
 
     #[test]
-    fn int8_precision_roundtrip_within_bound() {
-        let m =
-            StorageManager::with_precision(Arc::new(MemStore::new(2)), D, crate::Precision::Int8);
+    fn failed_seal_keeps_rows_and_the_next_append_retries() {
+        use crate::reactor::Reactor;
         let s = StreamId::hidden(1, 0);
-        let t = rows(100, 4);
-        m.append_rows(s, &t).unwrap();
-        let back = m.read_rows(s, 0, 100).unwrap();
-        for r in 0..100 {
-            let bound = hc_tensor::quant::row_error_bound(t.row(r));
-            for c in 0..D {
-                assert!(
-                    (back.get(r, c) - t.get(r, c)).abs() <= bound,
-                    "({r},{c}): {} vs {}",
-                    back.get(r, c),
-                    t.get(r, c)
-                );
+        let all = rows(262, 5);
+        let part = |a: usize, b: usize| Tensor2::from_fn(b - a, D, |r, c| all.get(a + r, c));
+        let expect = |n: usize| Tensor2::from_fn(n, D, |r, c| f16_roundtrip(all.get(r, c)));
+        // Without a reactor the failed seal is the stream's first chunk;
+        // with one, it follows two sealed chunks the reactor reads, so the
+        // read job delivers two slices past the durable cursor.
+        for (sealed, reactor) in [(0, None), (128, Some(Reactor::new(4, 2)))] {
+            let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+            let mut m = StorageManager::new(Arc::clone(&store), D);
+            if let Some(reactor) = reactor {
+                m = m.with_reactor(reactor);
             }
+            m.append_rows(s, &part(0, sealed + 10)).unwrap();
+            store.fail_writes(FaultTarget::Stream(s), 1, false);
+            let n = sealed + 70;
+            assert!(matches!(
+                m.append_rows(s, &part(sealed + 10, n)),
+                Err(StorageError::DeviceFailed { .. })
+            ));
+            assert_eq!(m.n_tokens(s), n as u64);
+            assert_eq!(
+                m.stream_bytes(s),
+                (sealed * D * 2) as u64,
+                "the failed seal holds no bytes"
+            );
+            assert_eq!(m.read_rows(s, 0, n as u64).unwrap(), expect(n));
+            // The next append retries the seal, then seals its own chunk.
+            m.append_rows(s, &part(n, n + 64)).unwrap();
+            assert_eq!(m.read_rows(s, 0, n as u64 + 64).unwrap(), expect(n + 64));
+            let tracked = m.stream_bytes(s);
+            assert_eq!(tracked, ((sealed + 128) * D * 2) as u64);
+            assert_eq!(m.delete_stream(s), tracked);
+            assert_eq!(m.total_resident_bytes(), 0);
         }
-    }
-
-    #[test]
-    fn int8_halves_stored_bytes() {
-        // Use a realistic row width so the 4-byte per-row scale is
-        // negligible (at D=4096 it is 0.1%).
-        const WIDE: usize = 256;
-        let m16 = StorageManager::new(Arc::new(MemStore::new(2)), WIDE);
-        let m8 = StorageManager::with_precision(
-            Arc::new(MemStore::new(2)),
-            WIDE,
-            crate::Precision::Int8,
-        );
-        let s = StreamId::hidden(1, 0);
-        let t = Tensor2::from_fn(128, WIDE, |r, c| ((r + c) % 23) as f32 * 0.5 - 5.0);
-        m16.append_rows(s, &t).unwrap();
-        m8.append_rows(s, &t).unwrap();
-        let b16 = m16.stats().total_bytes_written();
-        let b8 = m8.stats().total_bytes_written();
-        assert!((b8 as f64) < 0.55 * b16 as f64, "int8 {b8} vs f16 {b16}");
     }
 
     #[test]
@@ -2982,6 +2895,56 @@ mod tests {
     }
 
     #[test]
+    fn reopen_after_a_truncating_reopen_keeps_later_commits() {
+        let root = tmp_root("retorn");
+        let s = StreamId::hidden(1, 0);
+        let first = rows(128, 1);
+        {
+            let m = StorageManager::create_durable(&root, 2, D, crate::Precision::F16).unwrap();
+            m.append_rows(s, &first).unwrap(); // chunks 0 and 1
+        }
+        let k1 = ChunkKey {
+            stream: s,
+            chunk_idx: 1,
+        };
+        let torn = root.join(format!("dev{}/s1_l0_h_c1.bin", device_for(&k1, 2)));
+        let len = std::fs::metadata(&torn).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&torn)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let fresh = rows(128, 9);
+        {
+            let (m2, report) = StorageManager::reopen(&root).unwrap();
+            assert_eq!(report.torn_chunks_discarded, 1);
+            assert_eq!(m2.n_tokens(s), 64);
+            m2.append_rows(s, &fresh).unwrap(); // chunks 1 and 2
+            assert_eq!(m2.n_tokens(s), 192);
+        }
+        // The first reopen's truncation must not shadow chunk 1's new
+        // commit: the second reopen keeps everything acknowledged.
+        let (m3, report) = StorageManager::reopen(&root).unwrap();
+        assert_eq!(report.torn_chunks_discarded, 0);
+        assert_eq!(report.orphan_chunks_removed, 0);
+        assert_eq!(m3.n_tokens(s), 192);
+        let back = m3.read_rows(s, 0, 192).unwrap();
+        for r in 0..192 {
+            for c in 0..D {
+                let want = if r < 64 {
+                    first.get(r, c)
+                } else {
+                    fresh.get(r - 64, c)
+                };
+                assert_eq!(back.get(r, c), f16_roundtrip(want), "row {r} col {c}");
+            }
+        }
+        assert_eq!(m3.delete_stream(s), report.resident_bytes);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn reopen_after_torn_journal_tail_drops_the_unjournaled_suffix() {
         let root = tmp_root("tornjournal");
         let s = StreamId::hidden(1, 0);
@@ -3012,6 +2975,71 @@ mod tests {
             m2.read_rows(s, 0, 64).unwrap(),
             reference.read_rows(s, 0, 64).unwrap()
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Every sequence of appends (1 or 64 rows), flushes and deletes over
+    /// two streams, to depth 4: after each op the index folded from the
+    /// journal file gives each stream's bytes exactly as the manager's
+    /// ledger reports them, and equals the journal's own index.
+    #[test]
+    fn index_folded_from_the_journal_matches_stream_bytes_on_every_sequence() {
+        use crate::index::StreamIndex;
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Append(usize, usize),
+            Flush(usize),
+            Delete(usize),
+        }
+        let streams = [StreamId::hidden(1, 0), StreamId::key(1, 1)];
+        let ops: Vec<Op> = (0..streams.len())
+            .flat_map(|i| {
+                [
+                    Op::Append(i, 1),
+                    Op::Append(i, 64),
+                    Op::Flush(i),
+                    Op::Delete(i),
+                ]
+            })
+            .collect();
+        let depth = 4;
+        let root = tmp_root("index-ops");
+        let header = JournalHeader {
+            d_model: D,
+            n_devices: 4,
+            precision: Precision::F16,
+        };
+        for code in 0..ops.len().pow(depth) {
+            let path: Vec<Op> = (0..depth)
+                .map(|k| ops[code / ops.len().pow(k) % ops.len()])
+                .collect();
+            let journal = Arc::new(Journal::create(&root, header, false).unwrap());
+            let m = mgr().with_journal(Arc::clone(&journal));
+            for (k, &op) in path.iter().enumerate() {
+                match op {
+                    Op::Append(i, n) => m.append_rows(streams[i], &rows(n, k)).unwrap(),
+                    Op::Flush(i) => m.flush_stream(streams[i]).unwrap(),
+                    Op::Delete(i) => {
+                        m.delete_stream(streams[i]);
+                    }
+                }
+                let records = Journal::replay(&root).unwrap().records;
+                let index = StreamIndex::from_records(&records);
+                for &s in &streams {
+                    assert_eq!(
+                        index
+                            .ledgers()
+                            .find(|&(id, _)| id == s)
+                            .map_or(0, |(_, l)| l.resident_bytes()),
+                        m.stream_bytes(s),
+                        "{s:?} after {:?}",
+                        &path[..=k]
+                    );
+                }
+                assert_eq!(journal.records_total(), records.len());
+                assert_eq!(journal.index().live_records(), index.live_records());
+            }
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -3072,21 +3100,6 @@ mod tests {
                 "multi-chunk ranges must ride the device queues"
             );
         }
-        // The int8 codec shares the decode helpers: same identity.
-        let int8 = |reactor: Option<Arc<Reactor>>| {
-            let m = StorageManager::with_precision(
-                Arc::new(MemStore::new(4)),
-                D,
-                crate::Precision::Int8,
-            );
-            let m = match reactor {
-                Some(r) => m.with_reactor(r),
-                None => m,
-            };
-            m.append_rows(s, &t).unwrap();
-            m.read_rows(s, 0, 300).unwrap()
-        };
-        assert_eq!(int8(Some(Reactor::new(4, 2))), int8(None));
     }
 
     #[test]

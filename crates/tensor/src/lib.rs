@@ -15,8 +15,6 @@
 //! * [`rope`] — rotary position embeddings (applied to Q and K).
 //! * [`f16`] — an IEEE-754 binary16 codec used by the storage layer to keep
 //!   on-disk sizes faithful to the paper's fp16 state (2 bytes/element).
-//! * [`quant`] — symmetric per-row int8 quantization (the §7 extension for
-//!   compressing stored hidden states further).
 //! * [`parallel`] — the [`ParallelConfig`] thread budget shared by the
 //!   multi-threaded kernel variants (`gemm::matmul_par`,
 //!   `gemm::matmul_nt_par`, `f16::encode_f16_par`, `f16::decode_f16_par`),
@@ -28,7 +26,6 @@ pub mod f16;
 pub mod gemm;
 pub mod ops;
 pub mod parallel;
-pub mod quant;
 pub mod rope;
 pub mod tensor;
 

@@ -256,7 +256,7 @@ fn compacted_journal_reopens_equivalently_to_full_history() {
             max_dead_ratio: 0.3,
         }),
     );
-    let m = StorageManager::with_precision(store, D, Precision::F16).with_journal(journal);
+    let m = StorageManager::new(store, D).with_journal(journal);
     let kept = stream(0);
     let churn = stream(1);
     // The kept stream survives many churn generations; each delete makes
