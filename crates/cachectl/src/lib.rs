@@ -83,6 +83,7 @@ use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
 use hc_storage::{StorageError, StreamId};
+use hc_tensor::f16::BYTES_PER_ELEM;
 use hc_tensor::ParallelConfig;
 use parking_lot::Mutex;
 
@@ -145,8 +146,6 @@ pub struct ControllerConfig {
     pub bandwidth: f64,
     /// GPU FLOPS for the placement cost model.
     pub flops: f64,
-    /// Stored bytes per element (2 = fp16).
-    pub elem_bytes: u64,
     /// History length assumed for admission-time placement when a session
     /// has no better hint yet.
     pub expected_tokens: u64,
@@ -164,7 +163,6 @@ impl ControllerConfig {
             policy: PolicyKind::Lru,
             bandwidth: 32e9,
             flops: 312e12,
-            elem_bytes: 2,
             expected_tokens: 256,
             tenant_quotas: Vec::new(),
         }
@@ -318,7 +316,7 @@ impl<S: ChunkStore + 'static> CacheController<S> {
             d_hidden: self.d_model as u64,
             bandwidth: self.cfg.bandwidth,
             flops: self.cfg.flops,
-            elem_bytes: self.cfg.elem_bytes,
+            elem_bytes: BYTES_PER_ELEM as u64,
         }
     }
 
@@ -342,8 +340,7 @@ impl<S: ChunkStore + 'static> CacheController<S> {
     ) -> Vec<LayerMethod> {
         let expected = self.cfg.expected_tokens.max(1);
         let desired_p = Placement::from_scheme(desired, self.n_layers);
-        let projected =
-            desired_p.bytes_per_token(self.d_model, self.cfg.elem_bytes as usize) * expected;
+        let projected = desired_p.bytes_per_token(self.d_model, BYTES_PER_ELEM) * expected;
         let placement = if projected <= self.cfg.quota_bytes {
             desired_p
         } else {
@@ -1177,8 +1174,8 @@ mod tests {
         assert_eq!(reactor.restores_in_flight(), 0, "gauge drains");
         assert_eq!(ctl.metrics().restore_hits, 6);
 
-        // The same scheduler over a reactor-less manager runs each job
-        // through the sequential reference walk, and still restores.
+        // The same scheduler over a reactor-less manager runs the same
+        // machines, reading every chunk inline, and still restores.
         let plain_mgr = Arc::new(StorageManager::new(
             Arc::new(MemStore::new(4)),
             cfg_m.d_model,

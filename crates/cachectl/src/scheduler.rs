@@ -5,14 +5,15 @@
 //! [`RestoreScheduler`] runs an ordered job list through the controller's
 //! one restore body — the same one a single
 //! [`CacheController::restore_with_report`] runs, here on the scheduler's
-//! split. Over an IO reactor — what every `HCacheSystem` runs — each
-//! restore is a state machine advanced by a fixed pool of compute workers
-//! (`n_workers`, clamped to the thread grant, which they split evenly; the
-//! calling thread is one of them), IO flows through per-device submission
-//! queues, and the in-flight count is bounded by the admission window
-//! (memory) and the reactor's iodepth, not by threads. 10k concurrent
-//! restores on a 4-thread grant is the design point. Without a reactor
-//! (tests and benches only) each job runs the sequential reference walk.
+//! split. Each restore is a state machine advanced by a fixed pool of
+//! compute workers (`n_workers`, clamped to the thread grant, which they
+//! split evenly; the calling thread is one of them), and the in-flight
+//! count is bounded by the admission window (memory), not by threads. Over
+//! an IO reactor — what every `HCacheSystem` runs — device IO flows
+//! through per-device submission queues bounded by the reactor's iodepth;
+//! without one (tests and benches only) the workers read every chunk
+//! inline. 10k concurrent restores on a 4-thread grant is the design
+//! point.
 //!
 //! Results preserve job order and each is bit-identical to what a
 //! sequential restore of that session would produce: the per-session
@@ -61,8 +62,8 @@ impl RestoreScheduler {
     /// Admits up to `max_inflight` restore *state machines* at once —
     /// bounded by memory and iodepth, not threads, so it may vastly exceed
     /// the thread budget (that is the point: 10k concurrent restores on a
-    /// 4-thread grant). Applies to batches over a reactor-attached
-    /// manager.
+    /// 4-thread grant). Applies to batches over every manager, with or
+    /// without an IO reactor.
     pub fn with_reactor(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight.max(1);
         self

@@ -32,6 +32,9 @@ pub enum SystemError {
     UnknownSession(u64),
     /// Storage failure.
     Storage(StorageError),
+    /// A round's prompt is empty or names a token outside the model's
+    /// vocabulary; the round was rejected before touching any state.
+    InvalidPrompt(String),
 }
 
 impl std::fmt::Display for SystemError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for SystemError {
         match self {
             SystemError::UnknownSession(id) => write!(f, "unknown session {id}"),
             SystemError::Storage(e) => write!(f, "storage error: {e}"),
+            SystemError::InvalidPrompt(why) => write!(f, "invalid prompt: {why}"),
         }
     }
 }
@@ -316,7 +320,9 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
 
     /// Runs one conversation round: restore evicted history → prefill
     /// `prompt` → greedily generate `n_generate` tokens → save new state →
-    /// evict. Returns the generated tokens.
+    /// evict. Returns the generated tokens. An empty prompt, or one naming
+    /// a token outside the vocabulary, is [`SystemError::InvalidPrompt`]
+    /// before any state is touched.
     pub fn round(
         &mut self,
         session: u64,
@@ -330,6 +336,14 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
                 .ok_or(SystemError::UnknownSession(session))?;
             state.tokens.len()
         };
+        let vocab = self.model.cfg.vocab_size;
+        if let Some(&t) = prompt.iter().find(|&&t| t as usize >= vocab) {
+            let why = format!("token {t} is outside the {vocab}-token vocabulary");
+            return Err(SystemError::InvalidPrompt(why));
+        }
+        if prompt.is_empty() {
+            return Err(SystemError::InvalidPrompt("empty prompt".into()));
+        }
 
         // The mix this round saves under: the controller's live placement
         // (stable within a round — demotion only runs at round boundaries).
@@ -464,6 +478,40 @@ mod tests {
         assert_eq!(
             s.session_tokens(sid).unwrap()[..10],
             [10, 11, 12, out1[0], out1[1], out1[2], out1[3], out1[4], 13, 14]
+        );
+    }
+
+    #[test]
+    fn round_rejects_an_empty_or_out_of_vocabulary_prompt() {
+        // Each bad prompt fails typed, after a first round left history to
+        // restore: tokens and stored bytes are untouched, and the next
+        // valid round generates exactly what a never-rejected session does.
+        let vocab = ModelConfig::tiny_llama().vocab_size as u32;
+        let mut s = sys();
+        let mut reference = sys();
+        let (sid, rid) = (s.open_session(), reference.open_session());
+        for bad in [&[][..], &[3, vocab], &[vocab + 7]] {
+            s.round(sid, &[1, 2, 3], 2).unwrap();
+            reference.round(rid, &[1, 2, 3], 2).unwrap();
+            let (tokens, bytes) = (
+                s.session_tokens(sid).unwrap().to_vec(),
+                s.storage().session_bytes(sid),
+            );
+            let err = s.round(sid, bad, 2).unwrap_err();
+            assert!(
+                matches!(err, SystemError::InvalidPrompt(_)),
+                "{bad:?}: {err}"
+            );
+            assert_eq!(s.session_tokens(sid).unwrap(), &tokens[..]);
+            assert_eq!(s.storage().session_bytes(sid), bytes);
+        }
+        assert_eq!(
+            s.round(sid, &[4, 5], 3).unwrap(),
+            reference.round(rid, &[4, 5], 3).unwrap()
+        );
+        assert_eq!(
+            s.session_tokens(sid).unwrap(),
+            reference.session_tokens(rid).unwrap()
         );
     }
 

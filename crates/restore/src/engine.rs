@@ -45,9 +45,9 @@
 //! submission queue per storage device) to the manager it builds, so
 //! every `HCacheSystem::restore` / `round` — through the system's cache
 //! controller — runs this executor: one layer's chunks are striped over
-//! the devices, and all of them serve the restore at once. A manager
-//! without a reactor has no IO plane to overlap: the driver then runs the
-//! sequential reference. Only tests and benches build one.
+//! the devices, and all of them serve the restore at once. Over a manager
+//! without a reactor (only tests and benches build one) the same machines
+//! run, reading every chunk inline on the worker that pumps them.
 
 use hc_model::{layer, KvCache, Model};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
@@ -512,12 +512,13 @@ mod tests {
 
     #[test]
     fn pipelined_restore_is_bit_identical_to_sequential_for_all_mixes() {
-        // Every scheme shape × thread counts 1–8 × reactor iodepths 1/2/4
-        // (completions out of order) through the restore driver — one
-        // request on one worker (the calling thread), and the same request
-        // twice on two workers — against the sequential reference over a
-        // manager without a reactor. 144 tokens = two device chunks and a
-        // buffered tail per stream.
+        // Every scheme shape × thread counts 1–8 × no reactor (every chunk
+        // read inline) and reactor iodepths 1/2/4 (completions out of
+        // order) through the restore driver — one request on one worker
+        // (the calling thread), and the same request twice on two workers
+        // — against the sequential reference over a manager without a
+        // reactor. 144 tokens = two device chunks and a buffered tail per
+        // stream.
         const MATRIX_TOKENS: usize = 144;
         for (i, scheme) in all_scheme_mixes().into_iter().enumerate() {
             let f = fixture_of(41 + i as u64, MATRIX_TOKENS);
@@ -535,9 +536,11 @@ mod tests {
                 n_tokens: MATRIX_TOKENS,
                 methods: &methods,
             };
-            for iodepth in [1usize, 2, 4] {
-                let mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model)
-                    .with_reactor(Reactor::new(4, iodepth));
+            for iodepth in [None, Some(1usize), Some(2), Some(4)] {
+                let mut mgr = StorageManager::new(Arc::new(MemStore::new(4)), f.model.cfg.d_model);
+                if let Some(iodepth) = iodepth {
+                    mgr = mgr.with_reactor(Reactor::new(4, iodepth));
+                }
                 save(&mgr);
                 for threads in [1usize, 2, 4, 8] {
                     let par = ParallelConfig::new(threads);
@@ -550,7 +553,7 @@ mod tests {
                                 kv_max_error(&seq, &kv.unwrap()),
                                 0.0,
                                 "scheme #{i} diverged on {workers} workers at {threads} \
-                                 threads, reactor iodepth {iodepth}"
+                                 threads, reactor iodepth {iodepth:?}"
                             );
                         }
                     }
@@ -655,7 +658,8 @@ mod tests {
     /// MemStore wrapper that panics on any read of one poisoned layer's
     /// streams — the "buggy backend" a restore must fail typed on. With
     /// `front_tier` every chunk is a DRAM-front hit, read inline by the
-    /// thread pumping the restore instead of on a reactor IO thread.
+    /// thread pumping the restore instead of on a reactor IO thread (as
+    /// every chunk is over a manager without a reactor).
     struct PanicStore {
         inner: MemStore,
         poison_session: u64,
@@ -705,10 +709,11 @@ mod tests {
     #[test]
     fn prefetch_panic_is_a_typed_error_not_a_teardown() {
         // Session 5's layer-2 stream panics the backend mid-restore, read
-        // on a device IO thread or — as a front-tier hit — inline on the
-        // calling thread. Either way the unwind comes back as a typed
-        // storage error and nothing is torn down: the healthy session
-        // restores bit-identically on the same manager afterwards.
+        // on a device IO thread or — as a front-tier hit, or on a manager
+        // without a reactor — inline on the calling thread. Either way the
+        // unwind comes back as a typed storage error and nothing is torn
+        // down: the healthy session restores bit-identically on the same
+        // manager afterwards.
         const TOKENS: usize = 144; // two device chunks: rides the reactor
         let cfg = hc_model::ModelConfig::tiny_llama();
         let model = Model::new(&cfg, 83);
@@ -720,14 +725,17 @@ mod tests {
                 .map(|t| (t * 31 + s as u32) % 256)
                 .collect()
         };
-        for front_tier in [false, true] {
+        for (front_tier, reactor) in [(false, true), (true, true), (false, false)] {
             let store = Arc::new(PanicStore {
                 inner: MemStore::new(4),
                 poison_session: 5,
                 poison_layer: 2,
                 front_tier,
             });
-            let mgr = StorageManager::new(store, cfg.d_model).with_reactor(Reactor::new(4, 2));
+            let mut mgr = StorageManager::new(store, cfg.d_model);
+            if reactor {
+                mgr = mgr.with_reactor(Reactor::new(4, 2));
+            }
             for s in [1u64, 5] {
                 let mut kv = KvCache::new(&cfg);
                 let out = model.prefill(&tokens_of(s), &mut kv, true);
@@ -752,7 +760,8 @@ mod tests {
             .unwrap_err();
             assert!(
                 matches!(err, RestoreError::Storage(StorageError::Io(_))),
-                "a backend panic (front tier: {front_tier}) must come back typed: {err:?}"
+                "a backend panic (front tier: {front_tier}, reactor: {reactor}) must come \
+                 back typed: {err:?}"
             );
             let reference =
                 restore_session_with_methods(&model, &mgr, 1, &tokens_of(1), TOKENS, &methods)

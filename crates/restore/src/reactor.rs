@@ -13,8 +13,9 @@
 //!
 //! A machine holds its `KvCache` under construction plus a sliding window
 //! of active layers ([`LAYER_WINDOW`]), each layer holding one
-//! [`ReactorReadJob`] per stream (one for hidden layers, K+V for
-//! KV-offloaded layers), all IO riding the storage manager's
+//! [`ReadJob`] and one [`RowAssembly`] per stream (one for hidden layers,
+//! K+V for KV-offloaded layers); each job decodes its chunks straight
+//! into its assembly's rows, and device IO rides the storage manager's
 //! [`Reactor`](hc_storage::reactor::Reactor) submission queues:
 //!
 //! * Its first advance opens the first layer window and submits those
@@ -23,8 +24,8 @@
 //!   `compute_needs_io = false` tasks at the front of a
 //!   `sched::pipeline::Timeline`. (Recomputing first leaves the devices
 //!   idle for the whole prefix: the bubble §4.1.2 exists to remove.)
-//! * Every advance pumps each active job, places the chunks that landed
-//!   and projects (hidden layers, at absolute positions) or installs (KV
+//! * Every advance pumps each active job, which lands whatever completed,
+//!   projects (hidden layers, at absolute positions) or installs (KV
 //!   layers, as both streams' prefixes pair up) the newly contiguous
 //!   prefix in one call, retires finished layers and submits the next
 //!   layer's reads. Each pump projects whatever landed since the last
@@ -44,21 +45,21 @@
 //! memory and iodepth, not threads: `n_devices × iodepth` reactor IO
 //! threads plus `workers` compute threads serve any number of them.
 //!
-//! A manager without a reactor has no IO plane to overlap: the driver then
-//! runs each request through the sequential reference,
-//! [`restore_session_with_methods`].
+//! A manager without a reactor has no IO plane to overlap: its jobs read
+//! every chunk inline on the worker pumping them, and the same machines
+//! run over it.
 //!
 //! # Determinism and blast radius
 //!
 //! Every per-layer transform is the one the sequential restore runs —
-//! chunk decode via the manager's helpers, row-wise projection at absolute
+//! chunk decode by the manager's read jobs, row-wise projection at absolute
 //! positions, paired K/V prefix installation — so each restored cache is
 //! **bit-identical** to [`restore_session_with_methods`]'s, at any worker
 //! count, thread budget, iodepth or admission window (the tests enforce
 //! this). A mid-stream tombstone (concurrent delete/re-append) resets the
-//! layer being assembled — [`KvCache::truncate_layer`] rolls back exactly
-//! the rows placed for it — and the stream redelivers wholesale, so the
-//! incremental placement never leaks a dead generation.
+//! stream's assembly, the layer rolls back — [`KvCache::truncate_layer`]
+//! drops exactly the rows placed for it — and the stream lands again
+//! wholesale, so the incremental placement never leaks a dead generation.
 //!
 //! A failing session (missing stream, dead device, a panicking backend —
 //! the read jobs convert those panics to typed [`StorageError::Io`]
@@ -70,7 +71,7 @@
 //! When the manager's [`RetryPolicy`](hc_storage::health::RetryPolicy)
 //! carries an IO deadline, a worker whose wait for work passes the
 //! deadline sweeps the live machines and expires any read job whose IO
-//! made no progress for the deadline (`ReactorReadJob::expire_stalled`),
+//! made no progress for the deadline (`ReadJob::expire_stalled`),
 //! typing that session's next advance as a transient
 //! [`StorageError::DeviceFailed`] — a wedged device submission can never
 //! hang a restore.
@@ -88,13 +89,12 @@ use std::time::Duration;
 use hc_model::{layer, KvCache, Model, ModelConfig};
 use hc_sched::partition::LayerMethod;
 use hc_storage::backend::ChunkStore;
-use hc_storage::chunk::chunks_for_range;
-use hc_storage::manager::{DeliveredRows, PumpOutcome, ReactorReadJob, RowSink, StorageManager};
+use hc_storage::manager::{PumpOutcome, ReadJob, RowAssembly, StorageManager};
 use hc_storage::reactor::{Popped, WorkQueue};
 use hc_storage::StreamId;
-use hc_tensor::{ParallelConfig, Tensor2};
+use hc_tensor::ParallelConfig;
 
-use crate::engine::{restore_session_with_methods, RestoreError};
+use crate::engine::RestoreError;
 
 /// How many layers of one restore may have reads in flight at once. Two
 /// keeps the next layer's IO running while the current layer's tail is
@@ -115,100 +115,31 @@ pub struct RestoreRequest<'a> {
     pub methods: &'a [LayerMethod],
 }
 
-/// Assembly of one stream (hidden, K or V) of an active layer: a
-/// destination-sized staging tensor plus the contiguous-prefix
-/// bookkeeping that drives incremental consumption.
-struct StreamAssembly {
-    staged: Tensor2,
-    /// Which slices (64-token chunks of `0..n_tokens`) have landed.
-    received: Vec<bool>,
-    /// Leading received slices.
-    ready_slices: usize,
-    /// Rows covered by the leading received slices — the contiguous
-    /// prefix compute may consume.
-    ready_rows: usize,
-}
-
-impl StreamAssembly {
-    fn new(n_tokens: usize, d_model: usize, n_slices: usize) -> Self {
-        Self {
-            staged: Tensor2::zeros(n_tokens, d_model),
-            received: vec![false; n_slices],
-            ready_slices: 0,
-            ready_rows: 0,
-        }
-    }
-
-    /// Places one delivered chunk and advances the contiguous prefix.
-    fn place(&mut self, chunk: &DeliveredRows, slice_rows: &[usize]) {
-        // A chunk's rows are contiguous in both tensors (equal `d_model`).
-        let d = self.staged.cols();
-        let rows = chunk.rows.as_slice();
-        debug_assert_eq!(chunk.rows.cols(), d, "chunk width differs from staging");
-        self.staged.as_mut_slice()[chunk.row_start * d..][..rows.len()].copy_from_slice(rows);
-        self.received[chunk.slice_idx] = true;
-        while self.ready_slices < self.received.len() && self.received[self.ready_slices] {
-            self.ready_rows += slice_rows[self.ready_slices];
-            self.ready_slices += 1;
-        }
-    }
-
-    /// Forgets everything (a tombstone reset): the stream redelivers all
-    /// slices, overwriting the dead generation's staged rows.
-    fn reset(&mut self) {
-        self.received.iter_mut().for_each(|r| *r = false);
-        self.ready_slices = 0;
-        self.ready_rows = 0;
-    }
-}
-
-/// [`RowSink`] that buffers one pump's deliveries so they can be applied
-/// to the machine's assembly outside the manager's delivery callback. A
-/// reset (mid-read tombstone) drops the dead generation's buffered rows;
-/// the restarted pass redelivers every slice.
-#[derive(Default)]
-struct BufSink {
-    rows: Vec<DeliveredRows>,
-    reset: bool,
-}
-
-impl RowSink for BufSink {
-    fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-        self.rows.push(chunk);
-        true
-    }
-
-    fn reset(&mut self) {
-        self.rows.clear();
-        self.reset = true;
-    }
-}
-
-/// One active layer of one machine: the stream assemblies plus the reactor
-/// read jobs feeding them.
+/// One active layer of one machine: the stream assemblies plus the read
+/// jobs landing in them.
 enum Lane<S: ChunkStore> {
     /// A hidden layer: rows are projected (at absolute positions) as the
     /// contiguous prefix grows.
     Hidden {
-        asm: StreamAssembly,
-        job: Arc<ReactorReadJob<S>>,
+        asm: RowAssembly,
+        job: Arc<ReadJob<S>>,
         /// Rows already projected and appended to the cache.
         projected: usize,
     },
     /// A KV-offloaded layer: K and V stream independently; whatever prefix
     /// both agree on is installed.
     Kv {
-        k_asm: StreamAssembly,
-        v_asm: StreamAssembly,
-        k_job: Arc<ReactorReadJob<S>>,
-        v_job: Arc<ReactorReadJob<S>>,
+        k_asm: RowAssembly,
+        v_asm: RowAssembly,
+        k_job: Arc<ReadJob<S>>,
+        v_job: Arc<ReadJob<S>>,
         /// Rows already installed into the cache.
         placed: usize,
     },
 }
 
 impl<S: ChunkStore> Lane<S> {
-    fn jobs(&self) -> Vec<&Arc<ReactorReadJob<S>>> {
+    fn jobs(&self) -> Vec<&Arc<ReadJob<S>>> {
         match self {
             Lane::Hidden { job, .. } => vec![job],
             Lane::Kv { k_job, v_job, .. } => vec![k_job, v_job],
@@ -225,8 +156,6 @@ struct Machine<S: ChunkStore> {
     next_layer: usize,
     /// Whether the recompute prefix has run (first advancement).
     started: bool,
-    /// Row count of each 64-token slice of `0..n_tokens`.
-    slice_rows: Vec<usize>,
     /// Completion callback shared by every job of this machine.
     notify: Arc<dyn Fn() + Send + Sync>,
     /// Terminal result; `Some` means the machine is done.
@@ -240,18 +169,14 @@ impl<S: ChunkStore> Machine<S> {
             active: VecDeque::with_capacity(LAYER_WINDOW),
             next_layer: recompute_prefix(req.methods),
             started: false,
-            slice_rows: chunks_for_range(0, req.n_tokens as u64)
-                .iter()
-                .map(|s| s.len as usize)
-                .collect(),
             notify,
             result: None,
         }
     }
 
     /// Advances the machine as far as currently possible (see [`step`]).
-    /// A panic anywhere in the step — a model kernel, a sink, a backend
-    /// call outside the read jobs' own containment — ends this machine
+    /// A panic anywhere in the step — a model kernel, a backend call
+    /// outside the read jobs' own containment — ends this machine
     /// alone as [`RestoreError::Panicked`]; the thread advancing it, and
     /// every other machine that thread serves, carries on. A finished
     /// machine drops its read jobs.
@@ -296,15 +221,14 @@ pub fn worker_split(workers: usize, batch: usize, par: &ParallelConfig) -> (usiz
 }
 
 /// Restores `requests`, results in request order, each bit-identical to a
-/// sequential [`restore_session_with_methods`] call; a failing session
-/// fails alone. Over the manager's IO reactor, compute workers (split from
-/// `par` by [`worker_split`]) advance up to `max_inflight` concurrent
-/// restore state machines (floored to the worker count), all IO flowing
-/// through the reactor's per-device submission queues. The calling thread
-/// is worker 0, so one worker — what a single restore gets — spawns no
-/// thread. See the module docs for the architecture. Over a manager
-/// without a reactor each request runs [`restore_session_with_methods`]
-/// in turn.
+/// sequential [`crate::engine::restore_session_with_methods`] call; a
+/// failing session fails alone. Compute workers (split from `par` by
+/// [`worker_split`]) advance up to `max_inflight` concurrent restore state
+/// machines (floored to the worker count); device IO flows through the
+/// manager's IO reactor when it has one, and is read inline by the worker
+/// pumping each job when it has not. The calling thread is worker 0, so
+/// one worker — what a single restore gets — spawns no thread. See the
+/// module docs for the architecture.
 ///
 /// # Panics
 /// Panics when any request's methods do not cover the model / violate the
@@ -320,15 +244,6 @@ pub fn restore_sessions<S: ChunkStore>(
     par: &ParallelConfig,
 ) -> Vec<Result<KvCache, RestoreError>> {
     requests.iter().for_each(|r| validate(&model.cfg, r));
-    let Some(reactor) = mgr.reactor() else {
-        return requests
-            .iter()
-            .map(|r| {
-                restore_session_with_methods(model, mgr, r.session, r.tokens, r.n_tokens, r.methods)
-                    .map_err(RestoreError::from)
-            })
-            .collect();
-    };
     if requests.is_empty() {
         return Vec::new();
     }
@@ -361,7 +276,9 @@ pub fn restore_sessions<S: ChunkStore>(
             }
         });
         *machines[i].lock() = Some(Machine::new(&model.cfg, &requests[i], Arc::clone(&notify)));
-        reactor.restore_admitted();
+        if let Some(reactor) = mgr.reactor() {
+            reactor.restore_admitted();
+        }
         notify(); // first advancement: initial reads + recompute prefix
     };
     // Under an IO deadline a worker that waited a deadline for work sweeps
@@ -398,7 +315,9 @@ pub fn restore_sessions<S: ChunkStore>(
                 // Admission locks another machine: release this one first.
                 drop(slot);
                 if finished {
-                    reactor.restore_completed();
+                    if let Some(reactor) = mgr.reactor() {
+                        reactor.restore_completed();
+                    }
                     if completed.fetch_add(1, Ordering::AcqRel) + 1 == requests.len() {
                         queue.close();
                     } else {
@@ -476,11 +395,10 @@ fn step<S: ChunkStore>(
         while m.active.len() < LAYER_WINDOW && m.next_layer < req.methods.len() {
             let l = m.next_layer;
             m.next_layer += 1;
-            let n_slices = m.slice_rows.len();
             let begin = |stream: StreamId| {
-                mgr.begin_read_reactor(stream, 0, req.n_tokens as u64, Arc::clone(&m.notify))
+                mgr.begin_read(stream, 0, req.n_tokens as u64, Arc::clone(&m.notify))
             };
-            let assembly = || StreamAssembly::new(req.n_tokens, cfg.d_model, n_slices);
+            let assembly = || RowAssembly::new(req.n_tokens, cfg.d_model);
             let lane = match req.methods[l] {
                 LayerMethod::Hidden => Lane::Hidden {
                     asm: assembly(),
@@ -500,16 +418,7 @@ fn step<S: ChunkStore>(
         }
         let mut finished_this_round = false;
         for (l, lane) in m.active.iter_mut() {
-            match pump_lane(
-                *l,
-                lane,
-                &mut m.kv,
-                model,
-                mgr,
-                &m.slice_rows,
-                req.n_tokens,
-                par,
-            ) {
+            match pump_lane(*l, lane, &mut m.kv, model, mgr, req.n_tokens, par) {
                 Ok(done) => finished_this_round |= done,
                 Err(e) => {
                     // This session fails alone; sibling machines and the
@@ -561,37 +470,28 @@ fn lane_done<S: ChunkStore>(lane: &Lane<S>, n_tokens: usize) -> bool {
     }
 }
 
-/// Pumps one job once and applies what landed to `asm`. Returns the
-/// pump's outcome and whether the stream was reset (mid-read tombstone):
-/// the caller must then roll the layer's installed rows back.
+/// Pumps one job once into `asm`. Returns the pump's outcome and whether
+/// the assembly was reset (mid-read tombstone): the caller must then roll
+/// the layer's installed rows back.
 fn pump_stream<S: ChunkStore>(
-    job: &Arc<ReactorReadJob<S>>,
-    asm: &mut StreamAssembly,
+    job: &Arc<ReadJob<S>>,
+    asm: &mut RowAssembly,
     mgr: &StorageManager<S>,
-    slice_rows: &[usize],
 ) -> (PumpOutcome, bool) {
-    let mut sink = BufSink::default();
-    let outcome = job.pump(mgr, &mut sink);
-    if sink.reset {
-        asm.reset();
-    }
-    for chunk in &sink.rows {
-        asm.place(chunk, slice_rows);
-    }
-    (outcome, sink.reset)
+    let resets = asm.resets();
+    let outcome = job.pump(mgr, asm);
+    (outcome, asm.resets() != resets)
 }
 
-/// Pumps one lane's job(s) once and applies whatever landed: place chunks,
-/// project/install the newly contiguous prefix, roll back on a tombstone
-/// reset. Returns `Ok(true)` when the lane finished its range.
-#[allow(clippy::too_many_arguments)]
+/// Pumps one lane's job(s) once and applies whatever landed: project or
+/// install the newly contiguous prefix, roll back on a tombstone reset.
+/// Returns `Ok(true)` when the lane finished its range.
 fn pump_lane<S: ChunkStore>(
     l: usize,
     lane: &mut Lane<S>,
     kv: &mut KvCache,
     model: &Model,
     mgr: &StorageManager<S>,
-    slice_rows: &[usize],
     n_tokens: usize,
     par: &ParallelConfig,
 ) -> Result<bool, RestoreError> {
@@ -601,18 +501,19 @@ fn pump_lane<S: ChunkStore>(
             job,
             projected,
         } => {
-            let (outcome, reset) = pump_stream(job, asm, mgr, slice_rows);
+            let (outcome, reset) = pump_stream(job, asm, mgr);
             if reset {
                 kv.truncate_layer(l, 0);
                 *projected = 0;
             }
-            if asm.ready_rows > *projected {
+            let ready = asm.ready_rows();
+            if ready > *projected {
                 // Project the newly contiguous rows at their absolute
                 // positions — bit-equal to a whole-layer projection.
-                let h = asm.staged.slice_rows(*projected, asm.ready_rows);
+                let h = asm.rows().slice_rows(*projected, ready);
                 let (k, v) = model.restore_layer_kv_par(l, &h, *projected, par);
                 kv.append(l, &k, &v);
-                *projected = asm.ready_rows;
+                *projected = ready;
             }
             match outcome {
                 PumpOutcome::Done => {
@@ -632,10 +533,10 @@ fn pump_lane<S: ChunkStore>(
         } => {
             let mut done = true;
             for (asm, job) in [(&mut *k_asm, &*k_job), (&mut *v_asm, &*v_job)] {
-                let (outcome, reset) = pump_stream(job, asm, mgr, slice_rows);
+                let (outcome, reset) = pump_stream(job, asm, mgr);
                 if reset {
-                    // The reset stream redelivers every slice, so the
-                    // paired prefix regrows (the other stream's staging
+                    // The reset stream lands every slice again, so the
+                    // paired prefix regrows (the other stream's assembly
                     // survives).
                     kv.truncate_layer(l, 0);
                     *placed = 0;
@@ -647,12 +548,12 @@ fn pump_lane<S: ChunkStore>(
                 }
             }
             // Install whatever prefix both streams now agree on.
-            let ready = k_asm.ready_rows.min(v_asm.ready_rows);
+            let ready = k_asm.ready_rows().min(v_asm.ready_rows());
             if ready > *placed {
                 kv.append(
                     l,
-                    &k_asm.staged.slice_rows(*placed, ready),
-                    &v_asm.staged.slice_rows(*placed, ready),
+                    &k_asm.rows().slice_rows(*placed, ready),
+                    &v_asm.rows().slice_rows(*placed, ready),
                 );
                 *placed = ready;
             }

@@ -28,16 +28,17 @@
 //!   the aggregate resident-byte figure is an atomic — see the
 //!   [`manager`] module docs for the full locking discipline (lock order
 //!   map→stream; nothing held across read IO).
-//! * **IO reactor** ([`reactor::Reactor`]): the one parallel read
-//!   executor — per-device submission queues with configurable iodepth,
-//!   so one restoration read keeps every device holding one of its chunks
-//!   busy at once; completion-driven read state machines
-//!   (`planned → submitted → decoded → placed`) and a shared run queue
-//!   for a fixed pool of compute workers, so in-flight restores are
-//!   bounded by memory and iodepth rather than threads. Opt in with
-//!   [`manager::StorageManager::with_reactor`]; output is bit-identical
-//!   to the sequential walk (what a manager without one runs) at every
-//!   iodepth.
+//! * **IO reactor** ([`reactor::Reactor`]): per-device submission
+//!   queues with configurable iodepth, so one restoration read keeps
+//!   every device holding one of its chunks busy at once, and a shared
+//!   run queue for a fixed pool of compute workers, so in-flight restores
+//!   are bounded by memory and iodepth rather than threads. Every read is
+//!   one [`manager::ReadJob`] (`planned → submitted → landed`) decoding
+//!   each chunk straight into its destination rows of a
+//!   [`manager::RowAssembly`]; a job submits its device reads to the
+//!   reactor when the manager has one
+//!   ([`manager::StorageManager::with_reactor`]) and reads them inline
+//!   otherwise, with bit-identical output at every iodepth.
 //! * **Latency model** ([`latency::LatencyStore`]): wraps any backend with
 //!   per-device service time modeled by a deadline clock (a service
 //!   window is reserved at submission; nothing sleeps holding a lock), so

@@ -35,52 +35,48 @@
 //! an atomic, updated in the same stream-write critical sections that edit
 //! the per-stream ledgers, so quota trackers poll it lock-free.
 //!
-//! # Chunk-streaming reads
+//! # One read path
 //!
-//! [`StorageManager::read_rows_streaming`] is the read path underneath
-//! [`StorageManager::read_rows`], exposed to callers that want each token
-//! chunk *as soon as its IO lands* instead of waiting for the whole range:
-//! the caller supplies a [`RowSink`] and the manager delivers one decoded
-//! [`DeliveredRows`] per chunk slice.
+//! Every read is one [`ReadJob`], the read state machine
+//! (`planned → submitted → landed`), and lands in one [`RowAssembly`]: the
+//! range's destination rows plus which chunk slices have landed and the
+//! contiguous ready prefix a consumer may already use. For each landed
+//! chunk the job validates the backend bytes and decodes exactly the
+//! slice's byte range straight into the slice's destination rows; slices
+//! past the durable cursor are round-tripped through f16 from the
+//! snapshotted tail straight into theirs. No per-chunk buffer sits between
+//! the bytes and the rows, and since the decode is element-wise and every
+//! slice owns a disjoint row range, the result is the same in any landing
+//! order.
 //!
-//! There are two walks. The **sequential walk** reads one chunk at a time
-//! from the calling thread and delivers in range order; it is the
-//! reference every other path is asserted bit-identical to, and what a
-//! manager without a reactor runs. With an IO [`Reactor`] attached
-//! ([`StorageManager::with_reactor`]) — the one parallel read executor —
-//! a range is read by one [`ReactorReadJob`], the asynchronous read state
-//! machine the restore drivers advance, pumped on the calling thread until
-//! it is terminal: the range's device-occupying chunks are submitted to
-//! the reactor's per-device queues in ascending order with at most
-//! `iodepth × occupied devices` in flight, and each pump decodes and
-//! delivers whatever has landed (completion order; every slice owns a
-//! disjoint row range, so order never affects the assembled result). IO
-//! threads touch only the backend (never a stream lock or the map), and
-//! both walks share the snapshot/validate/decode/deliver helpers, so
-//! output is bit-identical at every iodepth.
+//! With an IO [`Reactor`] attached ([`StorageManager::with_reactor`]) a
+//! job submits the range's device-occupying chunks to the reactor's
+//! per-device queues in ascending order, with at most `iodepth × occupied
+//! devices` in flight, and each pump lands whatever completed (IO threads
+//! touch only the backend, never a stream lock or the map). Every other
+//! durable slice is read inline by the pumping thread: DRAM-tier front
+//! hits ([`crate::backend::ChunkStore::chunk_in_fast_tier`]), which
+//! complete at memcpy speed while the device IO is in flight, and every
+//! slice of a job that holds no reactor. A job begun for a restore
+//! ([`StorageManager::begin_read`]) holds the manager's reactor whenever
+//! it has one; the blocking [`StorageManager::read_rows_into`] (and
+//! [`StorageManager::read_rows`] on top of it) pumps its job on the
+//! calling thread and queues only a range with two or more
+//! device-occupying chunks — a single device read serializes anyway. A
+//! panicking backend fails the one chunk read with a typed
+//! [`StorageError::Io`] wherever a job reads it, on an IO thread or
+//! inline, so it can never strand a job or take down the pumping thread.
 //!
-//! The reactor is consulted per range: a range with ≤ 1 chunk that would
-//! actually occupy a device is read inline by the sequential walk (a
-//! single device read serializes anyway), and DRAM-tier front hits
-//! ([`crate::backend::ChunkStore::chunk_in_fast_tier`]) never ride the
-//! device queues — they complete at memcpy speed, so the pumping thread
-//! reads them inline while the device IO is in flight. A panicking
-//! backend fails the one chunk read with a typed [`StorageError::Io`]
-//! wherever a job reads it — on an IO thread or inline — so it can never
-//! strand a job or take down the thread pumping it.
-//!
-//! The tombstone revalidation is preserved **per delivered chunk**: the
-//! snapshot cell's tombstone is re-checked after each chunk's IO and
-//! decode, immediately *before* that chunk is handed to the sink. If a
-//! concurrent `delete_stream` (possibly followed by a restarting appender
-//! reusing the same chunk keys) lands mid-stream, the sink gets a
-//! [`RowSink::reset`] — everything delivered so far must be discarded —
-//! and the read restarts against the successor state, so the chunks a
-//! completed call delivered are always one single generation (the same
-//! guarantee `read_rows` gives for its assembled tensor, which is in fact
-//! built by an internal sink on exactly this path). An *error* from a
-//! tombstoned snapshot (a chunk the delete already wiped) restarts the
-//! same way: a failure from a dead generation never fails the read.
+//! The tombstone revalidation is **per landed slice**: after a slice's
+//! rows are decoded, the snapshot cell's tombstone is re-checked, and only
+//! then is the slice marked landed. If a concurrent `delete_stream`
+//! (possibly followed by a restarting appender reusing the same chunk
+//! keys) lands mid-read, the assembly is reset — everything landed so far
+//! belonged to a dead generation — and the job restarts against the
+//! successor state, so a completed read always holds one single
+//! generation. An *error* from a tombstoned snapshot (a chunk the delete
+//! already wiped) restarts the same way: a failure from a dead generation
+//! never fails the read.
 //!
 //! Deletion vs. concurrent appends uses a tombstone: `delete_stream` marks
 //! the state deleted and wipes the backend *while holding the stream write
@@ -142,7 +138,7 @@
 //!
 //! | Fault | Typed error | Blast radius |
 //! |---|---|---|
-//! | Device read error (permanent) | [`StorageError::DeviceFailed`] `{transient: false}` through `read_rows`/`read_rows_streaming` → `RestoreError`/`CtlError`/`SystemError` | The faulted read/session only; sibling restores complete bit-identical |
+//! | Device read error (permanent) | [`StorageError::DeviceFailed`] `{transient: false}` through every read job → `RestoreError`/`CtlError`/`SystemError` | The faulted read/session only; sibling restores complete bit-identical |
 //! | Device read error (transient) | Masked by budgeted retry with jittered backoff ([`crate::health::RetryPolicy`]) in every read path; surfaces as `DeviceFailed {transient: true}` only if it persists | None when masked |
 //! | Sick device (repeated errors/stalls) | The [`crate::health::DeviceHealth`] breaker opens; reads fail fast typed-transient until a half-open probe heals the lane | Restores degrade affected layers to recompute (see `hc-cachectl`); no session fails |
 //! | Stalled reactor submission | Timed out at the [`RetryPolicy::io_deadline`] into `DeviceFailed {transient: true}`, counted as a stall against the lane's breaker | The one read; its lane is not wedged |
@@ -150,7 +146,7 @@
 //! | Read stall | No error — the lane is slow, not dead; reads on other lanes proceed | Latency of the stalled read only |
 //! | Torn chunk write (crash) | Detected at reopen by chunk CRC; stream truncated to last consistent prefix | Rows past the torn chunk of that stream |
 //! | Torn journal tail (crash) | Detected at reopen by frame CRC; journal truncated to last consistent record | The unjournaled suffix of affected streams |
-//! | Mid-restore delete/eviction | [`RowSink::reset`] + retry on the successor generation, or `MissingChunk`/`OutOfRange` — never mixed-generation rows | The deleted stream only |
+//! | Mid-restore delete/eviction | [`RowAssembly`] reset + retry on the successor generation, or `MissingChunk`/`OutOfRange` — never mixed-generation rows | The deleted stream only |
 
 // hc-analyze: lock-order map=streams < stream=cell=c=stream_handle < job=core
 // (The documented sharded discipline, machine-checked: the `streams`
@@ -178,9 +174,8 @@ use crate::{Precision, StorageError, StreamId};
 /// breaker, retrying *transient* device failures with jittered exponential
 /// backoff until the attempt count or the backoff budget runs out
 /// (permanent failures and every other error surface immediately). Shared
-/// by the sequential walk, the reactor submissions and the recovery
-/// validation pass, so every read path masks the same blips and feeds the
-/// same breaker.
+/// by every read job's chunk reads and the recovery validation pass, so
+/// every read masks the same blips and feeds the same breaker.
 ///
 /// Breaker interaction: reads of device-occupying chunks first ask the
 /// breaker for admission — an open lane fails fast with a typed transient
@@ -249,11 +244,11 @@ pub(crate) fn read_chunk_retrying<S: ChunkStore + ?Sized>(
 }
 
 /// [`read_chunk_retrying`] with a panicking backend contained: the unwind
-/// becomes a typed [`StorageError::Io`]. Every chunk read of a
-/// [`ReactorReadJob`] goes through here — on a reactor IO thread, where an
-/// escaped panic would strand the job on a completion that never comes,
-/// and inline for DRAM-front hits, where it would unwind the pumping
-/// thread and with it every restore that thread advances.
+/// becomes a typed [`StorageError::Io`]. Every chunk read of a [`ReadJob`]
+/// goes through here — on a reactor IO thread, where an escaped panic would
+/// strand the job on a completion that never comes, and inline, where it
+/// would unwind the pumping thread and with it every restore that thread
+/// advances.
 fn read_chunk_contained<S: ChunkStore + ?Sized>(
     store: &S,
     key: ChunkKey,
@@ -299,8 +294,8 @@ impl StreamState {
 }
 
 /// One attempt at a range: its chunk slices plus everything snapshotted
-/// under the brief stream read lock — the lock-free-phase inputs of both
-/// walks.
+/// under the brief stream read lock — the inputs of a job's lock-free
+/// phase.
 struct ReadPlan {
     stream: StreamId,
     /// First token of the requested range (maps to output row 0).
@@ -312,7 +307,7 @@ struct ReadPlan {
     /// range reaches past `durable` and the buffer was non-empty.
     tail: Option<Vec<f32>>,
     /// The snapshotted state cell, whose tombstone is re-checked before
-    /// every delivery (`None`: the stream did not exist).
+    /// every slice lands (`None`: the stream did not exist).
     cell: Option<Arc<RwLock<StreamState>>>,
 }
 
@@ -330,45 +325,99 @@ impl ReadPlan {
     }
 }
 
-/// One decoded token-chunk slice streamed out of
-/// [`StorageManager::read_rows_streaming`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeliveredRows {
-    /// Index of this slice in the range's `chunks_for_range` order (the
-    /// tail slice, if any, is always last).
-    pub slice_idx: usize,
-    /// First row of the requested range this slice covers (row 0 is the
-    /// range's `start` token).
-    pub row_start: usize,
-    /// The slice's decoded rows (`len × d_model`), carrying the same
-    /// f16 round-trip `read_rows` applies.
-    pub rows: Tensor2,
+/// The destination of a read: one range's rows (row-major, `d_model`
+/// wide), which of its chunk slices have landed, the contiguous ready
+/// prefix and a reset count. A [`ReadJob`] decodes each slice straight
+/// into its rows here; a consumer may use the first
+/// [`RowAssembly::ready_rows`] rows while the rest are still in flight.
+/// A mid-read tombstone resets the assembly (everything landed belonged
+/// to a dead generation) and the job lands every slice again from the
+/// successor state.
+#[derive(Debug)]
+pub struct RowAssembly {
+    /// The destination rows. Empty until a job has validated its range, so
+    /// an absurd range fails typed instead of allocating.
+    rows: Tensor2,
+    n_rows: usize,
+    /// Per slice of the range, in range order: its row count once landed
+    /// in the current pass, 0 before.
+    landed: Vec<usize>,
+    /// Leading landed slices, and the rows they cover.
+    ready_slices: usize,
+    ready_rows: usize,
+    resets: usize,
 }
 
-/// Consumer of a streaming read: receives each chunk as its IO lands.
-pub trait RowSink {
-    /// One decoded chunk slice is ready. Through the reactor, deliveries
-    /// arrive in completion order, not range order — every slice covers a
-    /// disjoint row range, so order never affects the assembled result.
-    /// Return `false` to cancel the rest of the read (the streaming call
-    /// then returns `Ok(())` without delivering further chunks).
-    fn deliver(&mut self, chunk: DeliveredRows) -> bool;
+impl RowAssembly {
+    /// An assembly for a range of `n_rows` rows of width `d_model`. It
+    /// allocates nothing until a read job has validated the range.
+    pub fn new(n_rows: usize, d_model: usize) -> Self {
+        Self {
+            rows: Tensor2::zeros(0, d_model),
+            n_rows,
+            landed: Vec::new(),
+            ready_slices: 0,
+            ready_rows: 0,
+            resets: 0,
+        }
+    }
 
-    /// A concurrent delete invalidated the snapshot mid-stream: every
-    /// chunk delivered so far belongs to a dead generation and must be
-    /// discarded. The read restarts against the successor state and
-    /// redelivers every slice.
-    fn reset(&mut self);
-}
+    /// Rows of the contiguous landed prefix: final, safe to consume.
+    pub fn ready_rows(&self) -> usize {
+        self.ready_rows
+    }
 
-/// How a single streaming pass over a snapshot ended.
-enum StreamPhase {
-    /// Every slice was delivered.
-    Done,
-    /// The sink cancelled the read.
-    Cancelled,
-    /// The snapshot was tombstoned mid-stream; retry on the successor.
-    Restart,
+    /// How often a mid-read tombstone discarded what had landed.
+    pub fn resets(&self) -> usize {
+        self.resets
+    }
+
+    /// The destination rows; only the first [`RowAssembly::ready_rows`]
+    /// are final.
+    pub fn rows(&self) -> &Tensor2 {
+        &self.rows
+    }
+
+    /// The assembled rows (complete once the job that filled them is done).
+    pub fn into_tensor(self) -> Tensor2 {
+        self.rows
+    }
+
+    /// Allocates the rows for a validated range of `n_slices` slices; a
+    /// restarted pass keeps them.
+    fn prepare(&mut self, n_rows: u64, n_slices: usize) {
+        assert_eq!(
+            self.n_rows as u64, n_rows,
+            "assembly sized for another range"
+        );
+        if self.landed.len() != n_slices {
+            self.rows = Tensor2::zeros(self.n_rows, self.rows.cols());
+            self.landed = vec![0; n_slices];
+        }
+    }
+
+    /// The destination rows `[row, row + n)`.
+    fn dest(&mut self, row: usize, n: usize) -> &mut [f32] {
+        let d = self.rows.cols();
+        &mut self.rows.as_mut_slice()[row * d..(row + n) * d]
+    }
+
+    /// Marks slice `slice_idx` (`n` rows) landed and grows the prefix.
+    fn land(&mut self, slice_idx: usize, n: usize) {
+        self.landed[slice_idx] = n;
+        while let Some(&n) = self.landed.get(self.ready_slices).filter(|&&n| n > 0) {
+            self.ready_rows += n;
+            self.ready_slices += 1;
+        }
+    }
+
+    /// Forgets every landed slice (a tombstone restart).
+    fn reset(&mut self) {
+        self.landed.fill(0);
+        self.ready_slices = 0;
+        self.ready_rows = 0;
+        self.resets += 1;
+    }
 }
 
 /// Chunked f16 storage for token-row streams, generic over the backend.
@@ -390,11 +439,10 @@ pub struct StorageManager<S: ChunkStore> {
     /// saver's daemon and the restore drivers, which run through this
     /// manager).
     parallel: hc_tensor::ParallelConfig,
-    /// Event-driven IO reactor (None: chunks are read sequentially from
-    /// the calling thread). When attached, multi-chunk reads ride its
+    /// Event-driven IO reactor (None: every chunk is read inline by the
+    /// thread pumping the read). When attached, device reads ride its
     /// per-device submission queues — shared by every read of this
-    /// manager, so the in-flight IO bound holds across concurrent readers
-    /// — and the async [`ReactorReadJob`] API becomes available.
+    /// manager, so the in-flight IO bound holds across concurrent readers.
     reactor: Option<Arc<Reactor>>,
     /// Outer shard map: stream id → per-stream state cell. Held only to
     /// resolve/insert/remove entries, never across IO or codec work.
@@ -492,14 +540,13 @@ impl<S: ChunkStore> StorageManager<S> {
         self.parallel
     }
 
-    /// Attaches an event-driven IO [`Reactor`] as the read engine:
-    /// multi-chunk reads submit to its per-device queues (iodepth requests
-    /// in flight per device) instead of walking the chunks one at a time, and
-    /// [`StorageManager::begin_read_reactor`] exposes the asynchronous
-    /// read state machine restore drivers use to keep thousands of
-    /// restores in flight from a fixed worker pool. Output is
-    /// bit-identical to the sequential walk at every iodepth. The
-    /// reactor's device count must match the store's.
+    /// Attaches an event-driven IO [`Reactor`]: read jobs submit their
+    /// device-occupying chunks to its per-device queues (iodepth requests
+    /// in flight per device) instead of reading them on the pumping
+    /// thread, so restore drivers keep thousands of restores in flight
+    /// from a fixed worker pool. Output is bit-identical to a reactor-less
+    /// manager's at every iodepth. The reactor's device count must match
+    /// the store's.
     pub fn with_reactor(mut self, reactor: Arc<Reactor>) -> Self {
         assert_eq!(
             reactor.n_devices(),
@@ -694,21 +741,8 @@ impl<S: ChunkStore> StorageManager<S> {
     }
 
     /// Reads token rows `[start, end)` of `stream` as an f32 tensor
-    /// (values carry the f16 round-trip). Serves durable chunks from the
-    /// backend and the unflushed tail from the buffer.
-    ///
-    /// Concurrency: the stream's state is snapshotted under a brief read
-    /// lock (cursor positions, plus a copy of the partial tail when the
-    /// range needs it); **no lock is held across the backend reads or the
-    /// chunk decodes**, so any number of concurrent `read_rows` calls —
-    /// same stream or different streams — overlap their IO and decode
-    /// fully. Durable chunks are immutable once the snapshot's cursor
-    /// covers them, which keeps the lock-free phase consistent even while
-    /// appenders extend the stream. A concurrent `delete_stream` (possibly
-    /// followed by a restarting appender reusing the same chunk keys)
-    /// tombstones the snapshotted cell, which this method re-checks after
-    /// the IO phase — a stale generation is retried against the successor
-    /// state instead of returning mixed-generation rows.
+    /// (values carry the f16 round-trip): [`StorageManager::read_rows_into`]
+    /// into a fresh [`RowAssembly`], which becomes the tensor.
     pub fn read_rows(
         &self,
         stream: StreamId,
@@ -716,98 +750,57 @@ impl<S: ChunkStore> StorageManager<S> {
         end: u64,
     ) -> Result<Tensor2, StorageError> {
         assert!(start <= end, "reversed range {start}..{end}");
-
-        /// Assembles streamed chunks back into one tensor. The output is
-        /// allocated on the first delivery — i.e. only after the streaming
-        /// read's range validation passed, so an absurd `end` (stale
-        /// session length, `u64::MAX` as "everything") surfaces as the
-        /// `OutOfRange` error below instead of an allocation panic. Reset
-        /// needs no work: every slice is redelivered on retry and every
-        /// row of the output is covered by exactly one slice, so the dead
-        /// generation's rows are all overwritten.
-        struct Assemble {
-            n_rows: usize,
-            d_model: usize,
-            out: Option<Tensor2>,
-        }
-        impl RowSink for Assemble {
-            fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-                let out = self
-                    .out
-                    .get_or_insert_with(|| Tensor2::zeros(self.n_rows, self.d_model));
-                // A chunk's rows are contiguous in source and destination.
-                let src = chunk.rows.as_slice();
-                out.as_mut_slice()[chunk.row_start * self.d_model..][..src.len()]
-                    .copy_from_slice(src);
-                true
-            }
-
-            fn reset(&mut self) {}
-        }
-
-        let mut sink = Assemble {
-            n_rows: (end - start) as usize,
-            d_model: self.d_model,
-            out: None,
-        };
-        self.read_rows_streaming(stream, start, end, &mut sink)?;
-        // A validated non-empty range delivers every slice; only the empty
-        // range arrives here without an allocation.
-        Ok(sink
-            .out
-            .unwrap_or_else(|| Tensor2::zeros((end - start) as usize, self.d_model)))
+        let mut asm = RowAssembly::new((end - start) as usize, self.d_model);
+        self.read_rows_into(stream, start, end, &mut asm)?;
+        Ok(asm.into_tensor())
     }
 
-    /// Streams token rows `[start, end)` of `stream` to `sink`, one
-    /// decoded chunk slice at a time, each delivered **as soon as its IO
-    /// lands** — through the reactor that means in device-completion order,
-    /// with up to `iodepth × occupied devices` reads in flight while
-    /// earlier chunks are already being consumed.
+    /// Reads token rows `[start, end)` of `stream` into `asm` (sized for
+    /// the range) by pumping one [`ReadJob`] on the calling thread, which
+    /// sleeps on the job's `notify` between pumps. The job queues device
+    /// reads only when the range has two or more device-occupying chunks;
+    /// everything else is read inline.
     ///
-    /// Semantics match [`StorageManager::read_rows`] exactly — same
-    /// snapshot discipline, same decode helpers, same errors — because
-    /// `read_rows` *is* this method plus an assembling sink. The
-    /// generation guarantee is kept per delivered chunk: the snapshot's
-    /// tombstone is revalidated after each chunk's IO, immediately before
-    /// delivery; a mid-stream delete (even with a same-size re-append
-    /// reusing the chunk keys) triggers [`RowSink::reset`] and a wholesale
-    /// redelivery from the successor state, so a completed call never
-    /// leaves the sink holding mixed-generation rows.
-    pub fn read_rows_streaming(
+    /// Concurrency: the stream's state is snapshotted under a brief read
+    /// lock (the durable cursor, plus a copy of the partial tail when the
+    /// range needs it); **no lock is held across the backend reads or the
+    /// chunk decodes**, so any number of concurrent reads — same stream or
+    /// different streams — overlap their IO and decode fully. Durable
+    /// chunks are immutable once the snapshot's cursor covers them, which
+    /// keeps the lock-free phase consistent even while appenders extend
+    /// the stream. A concurrent `delete_stream` (possibly followed by a
+    /// restarting appender reusing the same chunk keys) resets `asm` and
+    /// the read restarts on the successor state, so it never returns
+    /// mixed-generation rows. Under an IO deadline, a deadline's worth of
+    /// silence expires the stalled pass and the read fails typed-transient
+    /// on the lowest outstanding chunk instead of waiting out the device.
+    pub fn read_rows_into(
         &self,
         stream: StreamId,
         start: u64,
         end: u64,
-        sink: &mut dyn RowSink,
+        asm: &mut RowAssembly,
     ) -> Result<(), StorageError> {
-        assert!(start <= end, "reversed range {start}..{end}");
+        let (wake, woken) = mpsc::channel::<()>();
+        let notify = Arc::new(move || {
+            let _ = wake.send(());
+        });
+        let job = self.begin(stream, start, end, notify, 2);
         loop {
-            let plan = self.plan_read(stream, start, end)?;
-            // --- Lock-free phase: backend IO + decode, one delivery per
-            // chunk slice. A range with two or more device-occupying chunks
-            // rides the reactor's device queues through one read job;
-            // anything else is read inline. Both decode through the same
-            // helpers, so delivered bytes are identical.
-            let plan = match &self.reactor {
-                Some(reactor) => {
-                    let pass = JobPass::new(self.store.as_ref(), plan, reactor.iodepth());
-                    if pass.device_chunks.len() > 1 {
-                        return self.read_through_job(pass, end, sink);
+            match job.pump(self, asm) {
+                PumpOutcome::Done => return Ok(()),
+                PumpOutcome::Failed(e) => return Err(e),
+                PumpOutcome::Pending => match self.retry.io_deadline {
+                    Some(deadline) => {
+                        if woken.recv_timeout(deadline).is_err() {
+                            job.expire_stalled(deadline);
+                        }
                     }
-                    pass.plan
-                }
-                None => plan,
-            };
-            match self.stream_slices_sequential(&plan, sink) {
-                Ok(StreamPhase::Done | StreamPhase::Cancelled) => return Ok(()),
-                // Tombstoned mid-stream: everything delivered belongs to a
-                // dead generation. Tell the sink, retry on the successor.
-                Ok(StreamPhase::Restart) => sink.reset(),
-                // Spurious MissingChunk from a concurrent wipe: retry
-                // against the successor state; a genuine error surfaces
-                // as-is.
-                Err(_) if plan.tombstoned() => sink.reset(),
-                Err(e) => return Err(e),
+                    // The job owns `wake`, so this returns on a notify.
+                    None => {
+                        let _ = woken.recv();
+                    }
+                },
             }
         }
     }
@@ -847,211 +840,121 @@ impl<S: ChunkStore> StorageManager<S> {
         })
     }
 
-    /// Reads a planned range through one [`ReactorReadJob`] pumped on the
-    /// calling thread, which sleeps on the job's `notify` between pumps.
-    /// Under an IO deadline, a deadline's worth of silence expires the
-    /// stalled pass; the next pump then fails the read typed-transient on
-    /// the lowest outstanding chunk instead of waiting out the device.
-    fn read_through_job(
-        &self,
-        pass: JobPass,
-        end: u64,
-        sink: &mut dyn RowSink,
-    ) -> Result<(), StorageError> {
-        let (wake, woken) = mpsc::channel::<()>();
-        let job = self.begin_read_reactor(
-            pass.plan.stream,
-            pass.plan.range_start,
-            end,
-            Arc::new(move || {
-                let _ = wake.send(());
-            }),
-        );
-        job.install(&mut job.core.lock(), pass);
-        loop {
-            match job.pump(self, sink) {
-                PumpOutcome::Done => return Ok(()),
-                PumpOutcome::Failed(e) => return Err(e),
-                PumpOutcome::Pending => match self.retry.io_deadline {
-                    Some(deadline) => {
-                        if woken.recv_timeout(deadline).is_err() {
-                            job.expire_stalled(deadline);
-                        }
-                    }
-                    // The job owns `wake`, so this returns on a notify.
-                    None => {
-                        let _ = woken.recv();
-                    }
-                },
-            }
-        }
-    }
-
-    /// Validates and decodes one durable chunk's backend bytes. A chunk
+    /// Validates one durable chunk's backend bytes for `slice`. A chunk
     /// shorter than the snapshot promises (or torn to a non-row length)
-    /// means the stream was wiped and restarted under this read — surface
-    /// a retryable error instead of panicking in the decode/copy; the
-    /// post-IO tombstone check decides whether to retry.
-    fn decode_durable_chunk(
+    /// means the stream was wiped and restarted under this read — a
+    /// retryable error instead of a panic in the decode; the job's
+    /// tombstone check decides whether to retry.
+    fn check_chunk(
         &self,
         stream: StreamId,
         slice: &ChunkSlice,
         bytes: &[u8],
-    ) -> Result<Vec<f32>, StorageError> {
+    ) -> Result<(), StorageError> {
         let per_row = Precision::F16.encoded_len(1, self.d_model);
-        let have_rows = bytes.len() / per_row;
         if !bytes.len().is_multiple_of(per_row)
-            || have_rows < (slice.start_in_chunk + slice.len) as usize
+            || bytes.len() / per_row < (slice.start_in_chunk + slice.len) as usize
         {
             return Err(StorageError::MissingChunk {
                 stream,
                 chunk_idx: slice.chunk_idx,
             });
         }
-        Ok(Precision::F16.decode_par(bytes, self.d_model, &self.parallel))
+        Ok(())
     }
 
-    /// Rebuilds the rows of the chunk `slice` falls in from the plan's
-    /// snapshotted unsealed rows, applying the same f16 round-trip a
-    /// durable chunk carries. Slices past the durable cursor (the tail,
-    /// plus any chunk whose seal failed; always the range's last slices)
-    /// never touch the backend.
-    fn decode_tail(&self, plan: &ReadPlan, slice: &ChunkSlice) -> Vec<f32> {
-        let partial = plan
-            .tail
-            .as_deref()
-            // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
-            .expect("range past durable implies tail");
-        let chunk_elems = CHUNK_TOKENS as usize * self.d_model;
-        let from = (slice.chunk_idx as u64 * CHUNK_TOKENS - plan.durable) as usize * self.d_model;
-        let rows = &partial[from..partial.len().min(from + chunk_elems)];
-        Precision::F16.decode_par(
-            &Precision::F16.encode_par(rows, self.d_model, &self.parallel),
-            self.d_model,
-            &self.parallel,
-        )
-    }
-
-    /// Packages one decoded chunk's rows as the slice's delivery payload.
-    /// When the slice covers the whole decoded chunk the buffer is moved,
-    /// not copied (the common case for interior chunks of a long read).
-    fn slice_to_tensor(&self, slice: &ChunkSlice, rows: Vec<f32>) -> Tensor2 {
-        let n = slice.len as usize;
-        let src0 = slice.start_in_chunk as usize;
-        if src0 == 0 && rows.len() == n * self.d_model {
-            return Tensor2::from_vec(n, self.d_model, rows);
-        }
-        let mut out = Tensor2::zeros(n, self.d_model);
-        for r in 0..n {
-            out.row_mut(r)
-                .copy_from_slice(&rows[(src0 + r) * self.d_model..(src0 + r + 1) * self.d_model]);
-        }
-        out
-    }
-
-    /// Revalidates the tombstone, then hands `slice`'s decoded rows to the
-    /// sink. `Restart` when the generation died; `Cancelled` when the sink
-    /// declined; `Done` when delivered.
-    fn deliver_slice(
-        &self,
-        plan: &ReadPlan,
-        sink: &mut dyn RowSink,
-        slice_idx: usize,
-        rows: Vec<f32>,
-    ) -> StreamPhase {
-        // Per-chunk generation check: a delete (+ possible re-append onto
-        // the same chunk keys) that raced this chunk's IO set the
-        // tombstone before any successor bytes could exist, so checking
-        // here — after the IO, before the delivery — catches every mix.
-        if plan.tombstoned() {
-            return StreamPhase::Restart;
-        }
-        let slice = &plan.slices[slice_idx];
-        let row_start = (slice.chunk_idx as u64 * CHUNK_TOKENS + slice.start_in_chunk
-            - plan.range_start) as usize;
-        let delivered = sink.deliver(DeliveredRows {
-            slice_idx,
-            row_start,
-            rows: self.slice_to_tensor(slice, rows),
-        });
-        if delivered {
-            StreamPhase::Done
-        } else {
-            StreamPhase::Cancelled
-        }
-    }
-
-    /// The inline streaming walk: one chunk at a time from the calling
-    /// thread, delivered in range order.
-    fn stream_slices_sequential(
-        &self,
-        plan: &ReadPlan,
-        sink: &mut dyn RowSink,
-    ) -> Result<StreamPhase, StorageError> {
-        for (i, slice) in plan.slices.iter().enumerate() {
-            // Rows of this chunk that are durable come from the backend;
-            // otherwise from the snapshotted partial buffer.
-            let rows: Vec<f32> = if plan.is_durable(slice) {
-                let bytes = read_chunk_retrying(
-                    self.store.as_ref(),
-                    ChunkKey {
-                        stream: plan.stream,
-                        chunk_idx: slice.chunk_idx,
-                    },
-                    &self.retry,
-                    &self.health,
-                )?;
-                self.decode_durable_chunk(plan.stream, slice, &bytes)?
-            } else {
-                self.decode_tail(plan, slice)
-            };
-            match self.deliver_slice(plan, sink, i, rows) {
-                StreamPhase::Done => {}
-                other => return Ok(other),
+    /// Lands slice `i` of `plan` in `asm`: decodes exactly the slice's rows
+    /// straight into its destination rows — from `bytes`, its chunk's
+    /// checked backend image, or (`None`, a slice past the durable cursor)
+    /// by round-tripping the snapshotted tail through f16 — then re-checks
+    /// the tombstone, and only then marks the slice landed. `false`: the
+    /// generation died under the read and the slice stays unmarked (the
+    /// caller restarts).
+    fn land(&self, plan: &ReadPlan, asm: &mut RowAssembly, i: usize, bytes: Option<&[u8]>) -> bool {
+        let slice = &plan.slices[i];
+        let first = slice.chunk_idx as u64 * CHUNK_TOKENS + slice.start_in_chunk;
+        let (n, d) = (slice.len as usize, self.d_model);
+        let dst = asm.dest((first - plan.range_start) as usize, n);
+        match bytes {
+            Some(bytes) => {
+                let per_row = Precision::F16.encoded_len(1, d);
+                let src = &bytes[slice.start_in_chunk as usize * per_row..][..n * per_row];
+                hc_tensor::f16::decode_f16_into(src, dst, &self.parallel);
+            }
+            None => {
+                let partial = plan
+                    .tail
+                    .as_deref()
+                    // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
+                    .expect("range past durable implies tail");
+                let src = &partial[(first - plan.durable) as usize * d..][..n * d];
+                self.parallel.run_row_blocks(dst, n, d, |r0, rows| {
+                    for (x, &y) in rows.iter_mut().zip(&src[r0 * d..]) {
+                        *x = hc_tensor::f16::f16_roundtrip(y);
+                    }
+                });
             }
         }
-        Ok(StreamPhase::Done)
+        // Per-slice generation check: a delete (+ possible re-append onto
+        // the same chunk keys) that raced this chunk's IO set the
+        // tombstone before any successor bytes could exist, so checking
+        // here — after the decode, before the slice counts — catches
+        // every mix.
+        if plan.tombstoned() {
+            return false;
+        }
+        asm.land(i, n);
+        true
     }
 
-    /// Begins an **asynchronous** streaming read of `[start, end)` driven
-    /// by the attached reactor: the per-restore read state machine
-    /// (`planned → submitted → decoded → placed`).
+    /// Begins a **pollable** read of `[start, end)` — the per-read state
+    /// machine (`planned → submitted → landed`) restore drivers advance.
+    /// The job holds the manager's reactor when it has one and submits
+    /// every device-occupying chunk to it; without one, every chunk is
+    /// read inline by the thread pumping the job.
     ///
     /// The returned job owns no thread, and of the manager only what its
     /// IO completions touch (store, reactor, health registry, retry
     /// policy). Device IO is submitted (ascending, windowed) on the first
-    /// [`ReactorReadJob::pump`]; each completion stages its raw bytes on
-    /// the job and fires `notify`. The owner — a restore driver, or
-    /// [`StorageManager::read_rows_streaming`] itself — responds to
-    /// `notify` by calling `pump` with this manager and its sink, which
-    /// validates/decodes/delivers every staged chunk through the exact
-    /// helpers the sequential walk uses (bit-identical output), restarts
-    /// the pass on a mid-read tombstone (after `sink.reset()`) — whether a
-    /// delivered chunk or an error observed it — and resolves errors of a
-    /// live generation to the lowest slice index once the window drains.
+    /// [`ReadJob::pump`]; each completion stages its raw bytes on the job
+    /// and fires `notify`. The owner responds to `notify` by calling `pump`
+    /// with this manager and its [`RowAssembly`], which lands every staged
+    /// chunk, restarts the pass on a mid-read tombstone (resetting the
+    /// assembly) — whether a landed chunk or an error observed it — and
+    /// resolves errors of a live generation to the lowest slice index once
+    /// the window drains.
     ///
     /// Caller contract: `pump` must not run concurrently for one job (the
     /// drivers' run-queue serialization provides this); `notify` must be
     /// cheap and non-blocking (push a token, nothing more).
     ///
     /// # Panics
-    /// Panics when no reactor is attached, or on a reversed range.
-    pub fn begin_read_reactor(
+    /// Panics on a reversed range.
+    pub fn begin_read(
         &self,
         stream: StreamId,
         start: u64,
         end: u64,
         notify: Arc<dyn Fn() + Send + Sync>,
-    ) -> Arc<ReactorReadJob<S>> {
+    ) -> Arc<ReadJob<S>> {
+        self.begin(stream, start, end, notify, 1)
+    }
+
+    /// [`StorageManager::begin_read`] for a job whose passes use the device
+    /// queues only from `min_queued` device-occupying chunks up.
+    fn begin(
+        &self,
+        stream: StreamId,
+        start: u64,
+        end: u64,
+        notify: Arc<dyn Fn() + Send + Sync>,
+        min_queued: usize,
+    ) -> Arc<ReadJob<S>> {
         assert!(start <= end, "reversed range {start}..{end}");
-        let reactor = self
-            .reactor
-            .as_ref()
-            // hc-analyze: allow(panic) documented API contract: callers must configure the manager with_reactor first
-            .expect("begin_read_reactor requires a manager with_reactor");
-        Arc::new(ReactorReadJob {
+        Arc::new(ReadJob {
             store: Arc::clone(&self.store),
-            reactor: Arc::clone(reactor),
+            reactor: self.reactor.clone(),
+            min_queued,
             health: Arc::clone(&self.health),
             retry: self.retry,
             stream,
@@ -1068,8 +971,8 @@ impl<S: ChunkStore> StorageManager<S> {
                 next_submit: 0,
                 halted: false,
                 first_err: None,
-                delivered: 0,
-                fast_done: false,
+                landed: 0,
+                inline_done: false,
                 tail_done: false,
                 terminal: None,
             }),
@@ -1370,45 +1273,51 @@ impl StorageManager<FileStore> {
     }
 }
 
-/// Progress of one asynchronous reactor read after a
-/// [`ReactorReadJob::pump`] pass.
+/// Progress of one read job after a [`ReadJob::pump`] pass.
 #[derive(Debug)]
 pub enum PumpOutcome {
     /// IO is still in flight; another `notify` → `pump` round will follow.
     Pending,
-    /// Every slice (and the tail) was delivered; the job is finished.
-    /// Terminal and sticky — later pumps return `Done` again.
+    /// Every slice landed; the job is finished. Terminal and sticky —
+    /// later pumps return `Done` again.
     Done,
     /// The read failed after its in-flight window drained; the error is
-    /// the lowest-slice-index one, exactly what the sequential walk would
-    /// have surfaced first. Terminal and sticky.
+    /// the lowest-slice-index one, exactly what reading the chunks in
+    /// range order would have surfaced first. Terminal and sticky.
     Failed(StorageError),
 }
 
-/// One attempt at the range as the reactor reads it: the snapshot plan
-/// partitioned into device-occupying chunks and DRAM-tier front hits.
+/// One attempt at the range as a job reads it: the snapshot plan
+/// partitioned into device-queued chunks and chunks read inline.
 /// Pass-immutable, so pump passes decode with no job lock held.
 struct JobPass {
     plan: ReadPlan,
-    /// `(slice_idx, key, device)` of device-occupying durable chunks, in
-    /// ascending slice order — the order submissions enter the device
+    /// `(slice_idx, key, device)` of the chunks that ride the device
+    /// queues, in ascending slice order — the order submissions enter the
     /// queues, which makes error resolution deterministic: any chunk not
     /// yet submitted has a higher slice index than every submitted one.
     device_chunks: Vec<(usize, ChunkKey, usize)>,
-    /// `(slice_idx, key)` of front hits, ascending, read inline on the
-    /// first pump while the device IO is in flight.
-    fast: Vec<(usize, ChunkKey)>,
+    /// `(slice_idx, key)` of every other durable chunk, ascending, read
+    /// inline on the first pump while the device IO is in flight.
+    inline: Vec<(usize, ChunkKey)>,
     /// Max chunk reads in flight at once: `iodepth × occupied devices`,
     /// capped at the chunk count — also the completion-staging bound.
     window: usize,
 }
 
 impl JobPass {
-    fn new<S: ChunkStore>(store: &S, plan: ReadPlan, iodepth: usize) -> Self {
+    /// Partitions `plan`'s durable slices: device-occupying chunks go to
+    /// `reactor`'s queues when there are at least `min_queued` of them;
+    /// front hits, and everything when there is no reactor, are inline.
+    fn new<S: ChunkStore>(
+        store: &S,
+        plan: ReadPlan,
+        reactor: Option<&Reactor>,
+        min_queued: usize,
+    ) -> Self {
         let n_dev = store.n_devices().max(1);
         let mut device_chunks = Vec::new();
-        let mut fast = Vec::new();
-        let mut occupied: HashSet<usize> = HashSet::new();
+        let mut inline = Vec::new();
         for (i, slice) in plan.slices.iter().enumerate() {
             if !plan.is_durable(slice) {
                 continue;
@@ -1417,29 +1326,32 @@ impl JobPass {
                 stream: plan.stream,
                 chunk_idx: slice.chunk_idx,
             };
-            if store.chunk_in_fast_tier(key) {
-                fast.push((i, key));
+            if reactor.is_some() && !store.chunk_in_fast_tier(key) {
+                device_chunks.push((i, key, device_for(&key, n_dev)));
             } else {
-                let device = device_for(&key, n_dev);
-                occupied.insert(device);
-                device_chunks.push((i, key, device));
+                inline.push((i, key));
             }
         }
+        if device_chunks.len() < min_queued {
+            inline.extend(device_chunks.drain(..).map(|(i, key, _)| (i, key)));
+            inline.sort_unstable_by_key(|&(i, _)| i);
+        }
+        let occupied: HashSet<usize> = device_chunks.iter().map(|&(_, _, d)| d).collect();
+        let iodepth = reactor.map_or(1, Reactor::iodepth);
         let window = (iodepth * occupied.len().max(1))
             .min(device_chunks.len())
             .max(1);
         Self {
             plan,
             device_chunks,
-            fast,
+            inline,
             window,
         }
     }
 }
 
-/// Mutable state of one async read job, guarded by the job mutex. The
-/// lock is held for staging/bookkeeping only — never across backend IO
-/// or decode.
+/// Mutable state of one read job, guarded by the job mutex. The lock is
+/// held for staging/bookkeeping only — never across backend IO or decode.
 struct JobCore {
     /// Current pass; `None` before the first pump and between a tombstone
     /// restart and the next pump.
@@ -1451,7 +1363,7 @@ struct JobCore {
     staged: std::collections::VecDeque<(usize, Result<Vec<u8>, StorageError>)>,
     in_flight: usize,
     /// Outstanding submissions by slice index, for stall attribution:
-    /// [`ReactorReadJob::expire_stalled`] blames the lowest one.
+    /// [`ReadJob::expire_stalled`] blames the lowest one.
     in_flight_keys: BTreeMap<usize, (ChunkKey, usize)>,
     /// Last time this pass made observable progress (a submission or a
     /// completion) — the reference point IO deadlines measure from.
@@ -1462,9 +1374,9 @@ struct JobCore {
     /// in-flight chunks drain so the lowest-index error wins.
     halted: bool,
     first_err: Option<(usize, StorageError)>,
-    /// Device chunks delivered this pass.
-    delivered: usize,
-    fast_done: bool,
+    /// Device chunks landed this pass.
+    landed: usize,
+    inline_done: bool,
     tail_done: bool,
     /// Sticky final result; set exactly once.
     terminal: Option<Result<(), StorageError>>,
@@ -1484,21 +1396,23 @@ impl JobCore {
         self.next_submit = 0;
         self.halted = false;
         self.first_err = None;
-        self.delivered = 0;
-        self.fast_done = false;
+        self.landed = 0;
+        self.inline_done = false;
         self.tail_done = false;
     }
 }
 
-/// The per-read state machine of the event-driven read path: each chunk
-/// advances `planned` (in `pass.device_chunks`, not yet submitted) →
-/// `submitted` (in its device queue / in flight) → `decoded` (staged
-/// bytes validated + decoded on a pump pass) → `placed` (delivered to the
-/// sink). Created by [`StorageManager::begin_read_reactor`]; see there
-/// for the ownership contract.
-pub struct ReactorReadJob<S: ChunkStore> {
+/// The per-read state machine behind every read: each chunk advances
+/// `planned` (in its pass, not yet read) → `submitted` (in its device
+/// queue / in flight; inline chunks skip this) → `landed` (validated and
+/// decoded into its destination rows on a pump pass). Created by
+/// [`StorageManager::begin_read`]; see there for the ownership contract.
+pub struct ReadJob<S: ChunkStore> {
     store: Arc<S>,
-    reactor: Arc<Reactor>,
+    reactor: Option<Arc<Reactor>>,
+    /// Fewest device-occupying chunks a pass sends to the device queues;
+    /// a pass with fewer reads them inline.
+    min_queued: usize,
     health: Arc<DeviceHealth>,
     retry: RetryPolicy,
     stream: StreamId,
@@ -1511,7 +1425,7 @@ pub struct ReactorReadJob<S: ChunkStore> {
 }
 
 /// What one pump iteration decided to do, resolved under the job lock
-/// and executed (planning, IO, decode, delivery) after releasing it.
+/// and executed (planning, IO, decode, landing) after releasing it.
 enum PumpStep {
     /// No pass yet (first pump, or after a tombstone restart): snapshot
     /// the stream and submit a fresh pass.
@@ -1525,22 +1439,21 @@ enum PumpStep {
         pass: Arc<JobPass>,
         err: StorageError,
     },
-    /// Decode + deliver this batch (and the fast front hits first, when
-    /// `fast_todo`).
+    /// Land this batch of completions (and the inline chunks first, when
+    /// `inline_todo`).
     Batch {
         pass: Arc<JobPass>,
         batch: Vec<(usize, Result<Vec<u8>, StorageError>)>,
-        fast_todo: bool,
+        inline_todo: bool,
         /// An earlier pump already recorded an error: drain without
-        /// delivering, so the lowest-index error wins.
+        /// landing, so the lowest-index error wins.
         prior_failed: bool,
     },
-    /// All device chunks placed; rebuild and deliver the slices past the
-    /// durable cursor.
+    /// All durable chunks landed; land the slices past the durable cursor.
     Tail(Arc<JobPass>),
 }
 
-impl<S: ChunkStore> ReactorReadJob<S> {
+impl<S: ChunkStore> ReadJob<S> {
     /// The stream this job reads.
     pub fn stream(&self) -> StreamId {
         self.stream
@@ -1571,7 +1484,12 @@ impl<S: ChunkStore> ReactorReadJob<S> {
         core.last_progress = std::time::Instant::now();
         let epoch = core.epoch;
         let job = Arc::clone(self);
-        self.reactor.submit_io(device, move || {
+        let reactor = self
+            .reactor
+            .as_ref()
+            // hc-analyze: allow(panic) invariant: only a job holding a reactor plans device chunks
+            .expect("device chunks imply a reactor");
+        reactor.submit_io(device, move || {
             let res = read_chunk_contained(job.store.as_ref(), key, &job.retry, &job.health);
             job.complete_io(epoch, i, res);
         });
@@ -1614,7 +1532,7 @@ impl<S: ChunkStore> ReactorReadJob<S> {
     /// is blamed with a typed transient [`StorageError::DeviceFailed`]
     /// (counted as a stall against its lane's breaker), the epoch bump
     /// fences off the pass's late completions, and the next
-    /// [`ReactorReadJob::pump`] resolves to `Failed` — the driver's
+    /// [`ReadJob::pump`] resolves to `Failed` — the driver's
     /// degradation path, not a wedged lane — unless the pass's stream was
     /// deleted meanwhile, in which case the pump restarts on the
     /// successor like any other dead-generation error. Returns whether the job
@@ -1661,40 +1579,24 @@ impl<S: ChunkStore> ReactorReadJob<S> {
         true
     }
 
-    /// Abandons the current pass after a tombstone observation: the sink
-    /// discards everything delivered, and the next pump plans a fresh
-    /// pass against the successor state.
-    fn restart(&self, sink: &mut dyn RowSink) {
+    /// Abandons the current pass after a tombstone observation: the
+    /// assembly forgets everything landed, and the next pump plans a
+    /// fresh pass against the successor state.
+    fn restart(&self, asm: &mut RowAssembly) {
         self.core.lock().fence(None);
-        sink.reset();
+        asm.reset();
     }
 
-    /// Applies how a delivery run ended: a dead generation restarts the
-    /// pass (`None`: keep pumping); a cancelling sink finishes the job.
-    fn settle(&self, ended: Option<StreamPhase>, sink: &mut dyn RowSink) -> Option<PumpOutcome> {
-        match ended {
-            Some(StreamPhase::Restart) => {
-                self.restart(sink);
-                None
-            }
-            Some(StreamPhase::Cancelled) => {
-                self.core.lock().terminal = Some(Ok(()));
-                Some(PumpOutcome::Done)
-            }
-            Some(StreamPhase::Done) | None => None,
-        }
-    }
-
-    /// Advances the state machine: validates, decodes and delivers every
-    /// staged completion to `sink` (through the same helpers the
-    /// sequential walk uses — bit-identical output), handling tombstone
-    /// restarts, sink cancellation and deterministic error resolution.
-    /// `mgr` is the manager that began the job.
+    /// Advances the state machine: lands every staged completion (and, on
+    /// a pass's first pump, every inline chunk) in `asm`, handling
+    /// tombstone restarts and deterministic error resolution. `mgr` is the
+    /// manager that began the job; `asm` is sized for the job's range and
+    /// allocated once the range validates.
     ///
     /// Must not run concurrently for one job (see
-    /// [`StorageManager::begin_read_reactor`]); IO threads staging new
+    /// [`StorageManager::begin_read`]); IO threads staging new
     /// completions during a pump are fine — they fire another `notify`.
-    pub fn pump(self: &Arc<Self>, mgr: &StorageManager<S>, sink: &mut dyn RowSink) -> PumpOutcome {
+    pub fn pump(self: &Arc<Self>, mgr: &StorageManager<S>, asm: &mut RowAssembly) -> PumpOutcome {
         loop {
             let step = {
                 let mut core = self.core.lock();
@@ -1703,18 +1605,18 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     (Some(Err(e)), _) => PumpStep::Failed(e.clone()),
                     (None, None) => PumpStep::Plan,
                     (None, Some(pass)) => {
-                        if !core.staged.is_empty() || !core.fast_done {
+                        if !core.staged.is_empty() || !core.inline_done {
                             let batch: Vec<_> = core.staged.drain(..).collect();
-                            let fast_todo = !core.fast_done;
-                            core.fast_done = true;
+                            let inline_todo = !core.inline_done;
+                            core.inline_done = true;
                             PumpStep::Batch {
                                 pass,
                                 batch,
-                                fast_todo,
+                                inline_todo,
                                 prior_failed: core.first_err.is_some(),
                             }
                         } else if core.in_flight > 0
-                            || (!core.halted && core.delivered < pass.device_chunks.len())
+                            || (!core.halted && core.landed < pass.device_chunks.len())
                         {
                             PumpStep::Pending
                         } else if core.halted {
@@ -1742,7 +1644,10 @@ impl<S: ChunkStore> ReactorReadJob<S> {
             match step {
                 PumpStep::Plan => match mgr.plan_read(self.stream, self.start, self.end) {
                     Ok(plan) => {
-                        let pass = JobPass::new(self.store.as_ref(), plan, self.reactor.iodepth());
+                        asm.prepare(self.end - self.start, plan.slices.len());
+                        let reactor = self.reactor.as_deref();
+                        let pass =
+                            JobPass::new(self.store.as_ref(), plan, reactor, self.min_queued);
                         self.install(&mut self.core.lock(), pass);
                     }
                     Err(e) => {
@@ -1754,15 +1659,15 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                 PumpStep::Failed(e) => return PumpOutcome::Failed(e),
                 PumpStep::Pending => return PumpOutcome::Pending,
                 PumpStep::Halted { pass, err } => {
-                    // Same rule as `read_rows_streaming`: an error from a
-                    // tombstoned snapshot (a chunk the delete already
-                    // wiped, or the deadline `expire_stalled` planted on
-                    // the dead generation) restarts on the successor
-                    // instead of failing. Checked outside the job lock:
-                    // the window is drained and the pass halted, so no
-                    // completion can race this decision.
+                    // An error from a tombstoned snapshot (a chunk the
+                    // delete already wiped, or the deadline
+                    // `expire_stalled` planted on the dead generation)
+                    // restarts on the successor instead of failing.
+                    // Checked outside the job lock: the window is drained
+                    // and the pass halted, so no completion can race this
+                    // decision.
                     if pass.plan.tombstoned() {
-                        self.restart(sink);
+                        self.restart(asm);
                         continue;
                     }
                     self.core.lock().terminal = Some(Err(err.clone()));
@@ -1770,65 +1675,56 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                 }
                 PumpStep::Tail(pass) => {
                     let plan = &pass.plan;
-                    let ended = (0..plan.slices.len())
+                    let live = (0..plan.slices.len())
                         .filter(|&i| !plan.is_durable(&plan.slices[i]))
-                        .map(|i| {
-                            let rows = mgr.decode_tail(plan, &plan.slices[i]);
-                            mgr.deliver_slice(plan, sink, i, rows)
-                        })
-                        .find(|phase| !matches!(phase, StreamPhase::Done));
-                    if let Some(out) = self.settle(ended, sink) {
-                        return out;
+                        .all(|i| mgr.land(plan, asm, i, None));
+                    if !live {
+                        self.restart(asm);
                     }
                 }
                 PumpStep::Batch {
                     pass,
                     batch,
-                    fast_todo,
+                    inline_todo,
                     prior_failed,
                 } => {
                     let plan = &pass.plan;
-                    let decode = |i: usize, bytes: Vec<u8>| {
-                        mgr.decode_durable_chunk(self.stream, &plan.slices[i], &bytes)
+                    let read = |i: usize, res: Result<Vec<u8>, StorageError>| {
+                        res.and_then(|bytes| {
+                            mgr.check_chunk(self.stream, &plan.slices[i], &bytes)?;
+                            Ok(bytes)
+                        })
                     };
                     let mut errs: Vec<(usize, StorageError)> = Vec::new();
-                    let mut delivered = 0usize;
-                    let mut ended: Option<StreamPhase> = None;
-                    if fast_todo && !prior_failed {
-                        for &(i, key) in &pass.fast {
-                            let read = read_chunk_contained(
+                    let mut landed = 0usize;
+                    let mut live = true;
+                    if inline_todo && !prior_failed {
+                        for &(i, key) in &pass.inline {
+                            let res = read_chunk_contained(
                                 self.store.as_ref(),
                                 key,
                                 &self.retry,
                                 &self.health,
                             );
-                            match read.and_then(|bytes| decode(i, bytes)) {
-                                Ok(rows) => match mgr.deliver_slice(plan, sink, i, rows) {
-                                    StreamPhase::Done => {}
-                                    other => {
-                                        ended = Some(other);
-                                        break;
-                                    }
-                                },
-                                // Lowest-index determinism: later front
-                                // hits cannot have a lower index.
-                                Err(e) => {
-                                    errs.push((i, e));
-                                    break;
-                                }
+                            match read(i, res) {
+                                Ok(bytes) => live = mgr.land(plan, asm, i, Some(&bytes)),
+                                // Lowest-index determinism: later inline
+                                // chunks cannot have a lower index.
+                                Err(e) => errs.push((i, e)),
+                            }
+                            if !live || !errs.is_empty() {
+                                break;
                             }
                         }
                     }
                     for (i, res) in batch {
-                        if ended.is_some() {
-                            continue;
+                        if !live {
+                            break;
                         }
-                        match res.and_then(|bytes| decode(i, bytes)) {
-                            Ok(rows) if !prior_failed && errs.is_empty() => {
-                                match mgr.deliver_slice(plan, sink, i, rows) {
-                                    StreamPhase::Done => delivered += 1,
-                                    other => ended = Some(other),
-                                }
+                        match read(i, res) {
+                            Ok(bytes) if !prior_failed && errs.is_empty() => {
+                                live = mgr.land(plan, asm, i, Some(&bytes));
+                                landed += usize::from(live);
                             }
                             Ok(_) => {}
                             Err(e) => errs.push((i, e)),
@@ -1836,7 +1732,7 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                     }
                     {
                         let mut core = self.core.lock();
-                        core.delivered += delivered;
+                        core.landed += landed;
                         for (i, e) in errs {
                             core.halted = true;
                             if core.first_err.as_ref().is_none_or(|(j, _)| i < *j) {
@@ -1844,8 +1740,8 @@ impl<S: ChunkStore> ReactorReadJob<S> {
                             }
                         }
                     }
-                    if let Some(out) = self.settle(ended, sink) {
-                        return out;
+                    if !live {
+                        self.restart(asm);
                     }
                 }
             }
@@ -1893,6 +1789,13 @@ mod tests {
 
     fn rows(n: usize, seed: usize) -> Tensor2 {
         Tensor2::from_fn(n, D, |r, c| ((seed + r * D + c) % 97) as f32 * 0.25 - 12.0)
+    }
+
+    /// Rows `[a, b)` of `t` as a read returns them: their f16 round trip.
+    fn roundtrip(t: &Tensor2, a: u64, b: u64) -> Tensor2 {
+        Tensor2::from_fn((b - a) as usize, t.cols(), |r, c| {
+            f16_roundtrip(t.get(a as usize + r, c))
+        })
     }
 
     #[test]
@@ -2049,7 +1952,7 @@ mod tests {
         let expect = |n: usize| Tensor2::from_fn(n, D, |r, c| f16_roundtrip(all.get(r, c)));
         // Without a reactor the failed seal is the stream's first chunk;
         // with one, it follows two sealed chunks the reactor reads, so the
-        // read job delivers two slices past the durable cursor.
+        // read job lands two slices past the durable cursor.
         for (sealed, reactor) in [(0, None), (128, Some(Reactor::new(4, 2)))] {
             let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
             let mut m = StorageManager::new(Arc::clone(&store), D);
@@ -2245,49 +2148,13 @@ mod tests {
         assert_eq!(mgr.delete_stream(s), 128 * D as u64 * 2);
     }
 
-    /// Records every delivery and reset; `assembled` rebuilds the range
-    /// from whatever survived the last reset — what a real consumer keeps.
-    #[derive(Default)]
-    struct RecordingSink {
-        delivered: Vec<DeliveredRows>,
-        resets: usize,
-        cancel_after: Option<usize>,
-    }
-
-    impl RecordingSink {
-        fn assembled(&self, n_rows: usize, d: usize) -> Tensor2 {
-            let mut out = Tensor2::zeros(n_rows, d);
-            for c in &self.delivered {
-                for r in 0..c.rows.rows() {
-                    out.row_mut(c.row_start + r).copy_from_slice(c.rows.row(r));
-                }
-            }
-            out
-        }
-    }
-
-    impl RowSink for RecordingSink {
-        fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-            if self.cancel_after == Some(self.delivered.len()) {
-                return false;
-            }
-            self.delivered.push(chunk);
-            true
-        }
-
-        fn reset(&mut self) {
-            self.delivered.clear();
-            self.resets += 1;
-        }
-    }
-
     #[test]
     fn streaming_reads_match_read_rows_at_every_width() {
         // Every range shape (aligned, interior, tail-touching,
-        // single-chunk) streamed over the sequential walk (width 0: no
-        // reactor) and over reactors of iodepth 1/2/4/8 must reassemble to
-        // the exact read_rows tensor, with each row covered by exactly one
-        // delivery.
+        // single-chunk) read by a pumped job with no reactor (width 0) and
+        // over reactors of iodepth 1/2/4/8 must land every row exactly
+        // once — the ready prefix covers the range — and equal both
+        // read_rows and the f16 round trip of the appended rows.
         let s = StreamId::hidden(3, 1);
         let t = rows(300, 7); // 4 full chunks + 44-row unflushed tail
         let ranges = [
@@ -2303,41 +2170,31 @@ mod tests {
             if width > 0 {
                 m = m.with_reactor(Reactor::new(4, width));
             }
+            let m = Arc::new(m);
             m.append_rows(s, &t).unwrap();
             for &(a, b) in &ranges {
-                let expect = m.read_rows(s, a, b).unwrap();
-                let mut sink = RecordingSink::default();
-                m.read_rows_streaming(s, a, b, &mut sink).unwrap();
-                assert_eq!(sink.resets, 0);
-                let n_slices = chunks_for_range(a, b).len();
-                assert_eq!(sink.delivered.len(), n_slices, "width {width} {a}..{b}");
-                let total: usize = sink.delivered.iter().map(|c| c.rows.rows()).sum();
-                assert_eq!(total, (b - a) as usize, "rows must partition the range");
-                assert_eq!(
-                    sink.assembled((b - a) as usize, D),
-                    expect,
-                    "width {width} range {a}..{b} diverged"
-                );
+                let (job, woken) = begin_job(&m, s, a, b);
+                let mut asm = RowAssembly::new((b - a) as usize, D);
+                drive_job(&m, &job, &woken, &mut asm).unwrap();
+                assert_eq!(asm.resets(), 0);
+                assert_eq!(asm.ready_rows(), (b - a) as usize, "width {width} {a}..{b}");
+                let got = asm.into_tensor();
+                assert_eq!(got, roundtrip(&t, a, b), "width {width} range {a}..{b}");
+                assert_eq!(got, m.read_rows(s, a, b).unwrap());
             }
         }
     }
 
     #[test]
-    fn streaming_out_of_range_and_cancellation() {
+    fn streaming_out_of_range_lands_nothing() {
         let m = mgr();
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(200, 3)).unwrap();
-        let mut sink = RecordingSink::default();
-        let err = m.read_rows_streaming(s, 0, 201, &mut sink).unwrap_err();
+        let mut asm = RowAssembly::new(201, D);
+        let err = m.read_rows_into(s, 0, 201, &mut asm).unwrap_err();
         assert!(matches!(err, StorageError::OutOfRange { .. }));
-        assert!(sink.delivered.is_empty());
-        // Cancelling after the first delivery ends the read early and Ok.
-        let mut sink = RecordingSink {
-            cancel_after: Some(1),
-            ..Default::default()
-        };
-        m.read_rows_streaming(s, 0, 200, &mut sink).unwrap();
-        assert_eq!(sink.delivered.len(), 1);
+        assert_eq!(asm.ready_rows(), 0);
+        assert_eq!(asm.rows().rows(), 0, "nothing allocated before validation");
     }
 
     #[test]
@@ -2387,6 +2244,7 @@ mod tests {
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         seq.append_rows(s, &t).unwrap();
         assert_eq!(got, seq.read_rows(s, 0, 256).unwrap());
+        assert_eq!(got, roundtrip(&t, 0, 256));
         // Evict the front (tiny successor store) — cold multi-chunk reads
         // ride the device queues again.
         let cold_back = Arc::new(MemStore::new(4));
@@ -2432,30 +2290,34 @@ mod tests {
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         seq.append_rows(s, &t).unwrap();
         assert_eq!(got, seq.read_rows(s, 0, 256).unwrap());
+        assert_eq!(got, roundtrip(&t, 0, 256));
     }
 
     #[test]
     fn streaming_mid_stream_delete_reappend_resets_and_redelivers() {
-        // The generation-ABA race delivered mid-stream: the delete +
-        // same-size re-append fires inside the second chunk's fetch, after
-        // chunk 0 was already delivered. The per-chunk revalidation must
-        // reset the sink and redeliver generation 2 wholesale.
+        // The generation-ABA race landed mid-read: the delete + same-size
+        // re-append fires inside the second chunk's fetch, after chunk 0
+        // already landed. The per-slice revalidation must reset the
+        // assembly and land generation 2 wholesale.
         let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(2))));
         let mgr = Arc::new(StorageManager::new(Arc::clone(&store), D));
         let s = StreamId::hidden(1, 0);
         mgr.append_rows(s, &rows(128, 1)).unwrap(); // generation 1: 2 chunks
         let mgr2 = Arc::clone(&mgr);
-        // Fire inside the *second* chunk fetch: chunk 0 has already been
-        // delivered to the sink by then.
+        // Fire inside the *second* chunk fetch: chunk 0 has already
+        // landed by then.
         store.on_nth_read(1, move || {
             mgr2.delete_stream(s);
             mgr2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         });
-        let mut sink = RecordingSink::default();
-        mgr.read_rows_streaming(s, 0, 128, &mut sink).unwrap();
-        assert!(sink.resets >= 1, "mid-stream delete must reset the sink");
-        assert_eq!(sink.delivered.len(), 2, "both chunks redelivered");
-        let got = sink.assembled(128, D);
+        let mut asm = RowAssembly::new(128, D);
+        mgr.read_rows_into(s, 0, 128, &mut asm).unwrap();
+        assert!(
+            asm.resets() >= 1,
+            "mid-stream delete must reset the assembly"
+        );
+        assert_eq!(asm.ready_rows(), 128, "both chunks landed again");
+        let got = asm.into_tensor();
         let gen2 = rows(128, 2);
         for r in 0..128 {
             for c in 0..D {
@@ -2710,16 +2572,16 @@ mod tests {
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(256, 1)).unwrap();
         store.stall_reads(FaultTarget::Any, Duration::from_millis(100));
-        let job = m.begin_read_reactor(s, 0, 256, Arc::new(|| {}));
-        let mut sink = RecordingSink::default();
-        assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Pending));
+        let job = m.begin_read(s, 0, 256, Arc::new(|| {}));
+        let mut asm = RowAssembly::new(256, D);
+        assert!(matches!(job.pump(&m, &mut asm), PumpOutcome::Pending));
         assert!(
             !job.expire_stalled(Duration::from_millis(500)),
             "deadline not reached yet"
         );
         std::thread::sleep(Duration::from_millis(30));
         assert!(job.expire_stalled(Duration::from_millis(20)));
-        match job.pump(&m, &mut sink) {
+        match job.pump(&m, &mut asm) {
             PumpOutcome::Failed(StorageError::DeviceFailed {
                 transient: true, ..
             }) => {}
@@ -2728,7 +2590,7 @@ mod tests {
         // Late completions of the fenced pass must not revive the job.
         std::thread::sleep(Duration::from_millis(120));
         assert!(
-            matches!(job.pump(&m, &mut sink), PumpOutcome::Failed(_)),
+            matches!(job.pump(&m, &mut asm), PumpOutcome::Failed(_)),
             "terminal result is sticky"
         );
     }
@@ -3089,11 +2951,13 @@ mod tests {
                 .with_reactor(Arc::clone(&reactor));
             m.append_rows(s, &t).unwrap();
             for &(a, b) in &ranges {
+                let got = m.read_rows(s, a, b).unwrap();
                 assert_eq!(
-                    m.read_rows(s, a, b).unwrap(),
+                    got,
                     seq.read_rows(s, a, b).unwrap(),
                     "iodepth {iodepth} range {a}..{b} diverged"
                 );
+                assert_eq!(got, roundtrip(&t, a, b), "iodepth {iodepth} {a}..{b}");
             }
             assert!(
                 reactor.ios_submitted() > 0,
@@ -3140,41 +3004,6 @@ mod tests {
         }
     }
 
-    /// Assembles async-job deliveries like `read_rows` does, tracking
-    /// resets so generation restarts discard the dead rows.
-    struct AsyncAssemble {
-        n_rows: usize,
-        d_model: usize,
-        out: Tensor2,
-        resets: usize,
-    }
-
-    impl AsyncAssemble {
-        fn new(n_rows: usize, d_model: usize) -> Self {
-            Self {
-                n_rows,
-                d_model,
-                out: Tensor2::zeros(n_rows, d_model),
-                resets: 0,
-            }
-        }
-    }
-
-    impl RowSink for AsyncAssemble {
-        fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-            for r in 0..chunk.rows.rows() {
-                self.out
-                    .row_mut(chunk.row_start + r)
-                    .copy_from_slice(chunk.rows.row(r));
-            }
-            true
-        }
-        fn reset(&mut self) {
-            self.out = Tensor2::zeros(self.n_rows, self.d_model);
-            self.resets += 1;
-        }
-    }
-
     /// Begins an async read whose `notify` sends a token on the returned
     /// channel — the driver's run queue in miniature.
     fn begin_job<S: ChunkStore>(
@@ -3182,9 +3011,9 @@ mod tests {
         stream: StreamId,
         start: u64,
         end: u64,
-    ) -> (Arc<ReactorReadJob<S>>, mpsc::Receiver<()>) {
+    ) -> (Arc<ReadJob<S>>, mpsc::Receiver<()>) {
         let (wake, woken) = mpsc::channel();
-        let job = m.begin_read_reactor(
+        let job = m.begin_read(
             stream,
             start,
             end,
@@ -3201,12 +3030,12 @@ mod tests {
     /// only turns a broken job into a failure instead of a hang).
     fn drive_job<S: ChunkStore>(
         m: &StorageManager<S>,
-        job: &Arc<ReactorReadJob<S>>,
+        job: &Arc<ReadJob<S>>,
         woken: &mpsc::Receiver<()>,
-        sink: &mut AsyncAssemble,
+        asm: &mut RowAssembly,
     ) -> Result<(), StorageError> {
         loop {
-            match job.pump(m, sink) {
+            match job.pump(m, asm) {
                 PumpOutcome::Done => return Ok(()),
                 PumpOutcome::Failed(e) => return Err(e),
                 PumpOutcome::Pending => woken
@@ -3237,11 +3066,11 @@ mod tests {
             let (job, woken) = begin_job(&m, s, a, b);
             assert_eq!(job.stream(), s);
             assert_eq!(job.range(), (a, b));
-            let mut sink = AsyncAssemble::new((b - a) as usize, D);
-            drive_job(&m, &job, &woken, &mut sink).unwrap();
-            assert_eq!(sink.out, m.read_rows(s, a, b).unwrap(), "range {a}..{b}");
+            let mut asm = RowAssembly::new((b - a) as usize, D);
+            drive_job(&m, &job, &woken, &mut asm).unwrap();
+            assert_eq!(asm.rows(), &m.read_rows(s, a, b).unwrap(), "range {a}..{b}");
             // Terminal outcomes are sticky.
-            assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Done));
+            assert!(matches!(job.pump(&m, &mut asm), PumpOutcome::Done));
         }
     }
 
@@ -3253,8 +3082,8 @@ mod tests {
         let s = StreamId::hidden(1, 0);
         m.append_rows(s, &rows(10, 1)).unwrap();
         let (job, woken) = begin_job(&m, s, 0, 100);
-        let mut sink = AsyncAssemble::new(100, D);
-        let err = drive_job(&m, &job, &woken, &mut sink).unwrap_err();
+        let mut asm = RowAssembly::new(100, D);
+        let err = drive_job(&m, &job, &woken, &mut asm).unwrap_err();
         assert_eq!(
             err,
             StorageError::OutOfRange {
@@ -3264,7 +3093,7 @@ mod tests {
             }
         );
         assert!(matches!(
-            job.pump(&m, &mut sink),
+            job.pump(&m, &mut asm),
             PumpOutcome::Failed(StorageError::OutOfRange { .. })
         ));
     }
@@ -3278,8 +3107,8 @@ mod tests {
         m.append_rows(s, &rows(256, 1)).unwrap();
         store.delete_stream(s);
         let (job, woken) = begin_job(&m, s, 0, 256);
-        let mut sink = AsyncAssemble::new(256, D);
-        let err = drive_job(&m, &job, &woken, &mut sink).unwrap_err();
+        let mut asm = RowAssembly::new(256, D);
+        let err = drive_job(&m, &job, &woken, &mut asm).unwrap_err();
         assert_eq!(
             err,
             StorageError::MissingChunk {
@@ -3302,10 +3131,10 @@ mod tests {
             m2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         });
         let (job, woken) = begin_job(&m, s, 0, 128);
-        let mut sink = AsyncAssemble::new(128, D);
-        drive_job(&m, &job, &woken, &mut sink).unwrap();
-        assert!(sink.resets >= 1, "the dead generation must be discarded");
-        assert_eq!(sink.out, gen2_roundtrip());
+        let mut asm = RowAssembly::new(128, D);
+        drive_job(&m, &job, &woken, &mut asm).unwrap();
+        assert!(asm.resets() >= 1, "the dead generation must be discarded");
+        assert_eq!(asm.into_tensor(), gen2_roundtrip());
     }
 
     /// Generation 2 of the delete→re-append races, as `read_rows` returns it.
@@ -3346,10 +3175,10 @@ mod tests {
             m2.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         });
         let (job, woken) = begin_job(&m, s, 0, 128);
-        let mut sink = AsyncAssemble::new(128, D);
-        drive_job(&m, &job, &woken, &mut sink).unwrap();
-        assert!(sink.resets >= 1, "the dead generation must be discarded");
-        assert_eq!(sink.out, gen2_roundtrip());
+        let mut asm = RowAssembly::new(128, D);
+        drive_job(&m, &job, &woken, &mut asm).unwrap();
+        assert!(asm.resets() >= 1, "the dead generation must be discarded");
+        assert_eq!(asm.into_tensor(), gen2_roundtrip());
     }
 
     #[test]
@@ -3366,14 +3195,14 @@ mod tests {
         m.append_rows(s, &rows(128, 1)).unwrap();
         let gates = [park_device(&reactor, 0), park_device(&reactor, 1)];
         let (job, woken) = begin_job(&m, s, 0, 128);
-        let mut sink = AsyncAssemble::new(128, D);
-        assert!(matches!(job.pump(&m, &mut sink), PumpOutcome::Pending));
+        let mut asm = RowAssembly::new(128, D);
+        assert!(matches!(job.pump(&m, &mut asm), PumpOutcome::Pending));
         m.delete_stream(s);
         m.append_rows(s, &rows(128, 2)).unwrap(); // generation 2
         assert!(job.expire_stalled(Duration::ZERO));
         drop(gates);
-        drive_job(&m, &job, &woken, &mut sink).unwrap();
-        assert!(sink.resets >= 1, "the dead generation must be discarded");
-        assert_eq!(sink.out, gen2_roundtrip());
+        drive_job(&m, &job, &woken, &mut asm).unwrap();
+        assert!(asm.resets() >= 1, "the dead generation must be discarded");
+        assert_eq!(asm.into_tensor(), gen2_roundtrip());
     }
 }

@@ -14,23 +14,26 @@
 //!   spend their lives blocked on device service time (they are not
 //!   CPU-bearing), and their count is `n_devices × iodepth` — **fixed**,
 //!   independent of how many restores are in flight.
-//! * **Completion-driven state machines**: each read advances through
-//!   `planned → submitted → decoded → placed`. A completion does not get
-//!   a thread; it stages its raw bytes on the owning read job and nudges
-//!   the job's owner through a notify callback.
+//! * **Completion-driven state machines**: each read is one
+//!   [`crate::manager::ReadJob`] whose chunks advance through `planned →
+//!   submitted → landed`. A completion does not get a thread; it stages
+//!   its raw bytes on the owning job and nudges the job's owner through a
+//!   notify callback, and the owner's next pump decodes them straight into
+//!   their destination rows.
 //! * **Shared compute run queue** ([`WorkQueue`]): a small pool of compute
 //!   workers (owned by the restore driver, counted against the host grant;
 //!   the calling thread is one of them) pops ready work tokens and
 //!   advances whichever state machine has staged completions — instead of
-//!   one thread per lane per restore. A synchronous `read_rows` pumps its
-//!   read job on the calling thread, sleeping on its `notify` between
+//!   one thread per lane per restore. A blocking `read_rows_into` pumps
+//!   its read job on the calling thread, sleeping on its `notify` between
 //!   pumps.
 //!
-//! Determinism: the reactor moves *scheduling*, never *content*. Decoding
-//! and placement reuse the manager's sequential-path helpers, byte
-//! ranges are disjoint, and errors resolve to the lowest slice index, so
-//! reactor-driven reads are bit-identical to the sequential walk at every
-//! `iodepth`/worker combination (see `tests/storage_concurrency.rs`).
+//! Determinism: the reactor moves *scheduling*, never *content*. A job
+//! lands a queued chunk exactly as it lands one read inline on a manager
+//! without a reactor, row ranges are disjoint, and errors resolve to the
+//! lowest slice index, so reads are bit-identical with and without a
+//! reactor at every `iodepth`/worker combination (see
+//! `tests/storage_concurrency.rs`).
 
 // hc-analyze: lock-order rx < state
 // (`rx`: a device queue's shared receiver; `state`: the compute run
@@ -107,11 +110,11 @@ impl Drop for DeviceQueue {
 /// plus the process-wide restore-in-flight gauge.
 ///
 /// Attach one to a manager with
-/// [`crate::manager::StorageManager::with_reactor`]; every multi-chunk
-/// read of the manager then runs as an async
-/// [`crate::manager::ReactorReadJob`] over the device queues — pumped by
-/// `read_rows_streaming` on its calling thread, or by a restore driver that
-/// keeps thousands of restores in flight from a fixed worker pool.
+/// [`crate::manager::StorageManager::with_reactor`]; the manager's
+/// [`crate::manager::ReadJob`]s then submit their device reads to these
+/// queues — pumped by `read_rows_into` on its calling thread, or by a
+/// restore driver that keeps thousands of restores in flight from a fixed
+/// worker pool.
 pub struct Reactor {
     devices: Vec<DeviceQueue>,
     iodepth: usize,

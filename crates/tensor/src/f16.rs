@@ -105,14 +105,7 @@ pub fn encode_f16(xs: &[f32]) -> Vec<u8> {
 /// # Panics
 /// Panics if `bytes.len()` is odd.
 pub fn decode_f16(bytes: &[u8]) -> Vec<f32> {
-    assert!(
-        bytes.len().is_multiple_of(2),
-        "f16 byte stream must have even length"
-    );
-    bytes
-        .chunks_exact(2)
-        .map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-        .collect()
+    decode_f16_par(bytes, &crate::ParallelConfig::serial())
 }
 
 /// [`encode_f16`] with elements converted in parallel under `par`'s thread
@@ -137,22 +130,29 @@ pub fn encode_f16_par(xs: &[f32], par: &crate::ParallelConfig) -> Vec<u8> {
 /// # Panics
 /// Panics if `bytes.len()` is odd.
 pub fn decode_f16_par(bytes: &[u8], par: &crate::ParallelConfig) -> Vec<f32> {
-    if par.is_serial() {
-        return decode_f16(bytes);
-    }
-    assert!(
-        bytes.len().is_multiple_of(2),
-        "f16 byte stream must have even length"
-    );
-    let n = bytes.len() / BYTES_PER_ELEM;
-    let mut out = vec![0.0_f32; n];
-    par.run_row_blocks(&mut out, n, 1, |e0, chunk| {
+    let mut out = vec![0.0_f32; bytes.len() / BYTES_PER_ELEM];
+    decode_f16_into(bytes, &mut out, par);
+    out
+}
+
+/// Decodes little-endian f16 `bytes` straight into `out`, one element per
+/// two bytes, under `par`'s thread budget — the one decode body behind
+/// [`decode_f16`] and [`decode_f16_par`]. Conversion is element-wise, so
+/// the result is identical for every thread count and every placement of
+/// `out`.
+///
+/// # Panics
+/// Panics if `bytes.len() != 2 * out.len()` (so on any odd length).
+pub fn decode_f16_into(bytes: &[u8], out: &mut [f32], par: &crate::ParallelConfig) {
+    let n = out.len();
+    let msg = "f16 byte stream must have even length, two bytes per element of `out`";
+    assert_eq!(bytes.len(), n * BYTES_PER_ELEM, "{msg}");
+    par.run_row_blocks(out, n, 1, |e0, chunk| {
         let src = &bytes[e0 * BYTES_PER_ELEM..];
         for (dst, c) in chunk.iter_mut().zip(src.chunks_exact(BYTES_PER_ELEM)) {
             *dst = f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]));
         }
     });
-    out
 }
 
 /// Bytes needed to store `n` f16 elements.
@@ -239,6 +239,38 @@ mod tests {
                 serial_back,
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn decode_into_equals_the_scalar_decode_on_every_half_pattern() {
+        // All 65 536 binary16 patterns, decoded serially and at 2 and 3
+        // threads into a window of a larger buffer whose neighbours must
+        // stay untouched; NaNs compare by bits.
+        let bytes: Vec<u8> = (0..=u16::MAX).flat_map(|h| h.to_le_bytes()).collect();
+        let want: Vec<u32> = (0..=u16::MAX)
+            .map(|h| f16_bits_to_f32(h).to_bits())
+            .collect();
+        let (lead, n) = (3, want.len());
+        for threads in [1, 2, 3] {
+            let mut buf = vec![-7.5_f32; lead + n + 5];
+            decode_f16_into(
+                &bytes,
+                &mut buf[lead..lead + n],
+                &crate::ParallelConfig::new(threads),
+            );
+            let got: Vec<u32> = buf[lead..lead + n].iter().map(|x| x.to_bits()).collect();
+            assert!(got == want, "{threads} threads");
+            assert!(buf[..lead]
+                .iter()
+                .chain(&buf[lead + n..])
+                .all(|&x| x == -7.5));
+        }
+        let bits = |xs: Vec<f32>| xs.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+        assert!(bits(decode_f16(&bytes)) == want);
+        for threads in [2, 3] {
+            let par = crate::ParallelConfig::new(threads);
+            assert!(bits(decode_f16_par(&bytes, &par)) == bits(decode_f16(&bytes)));
         }
     }
 

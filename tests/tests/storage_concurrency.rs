@@ -4,8 +4,8 @@
 //! What the sharded locking discipline must guarantee under fire:
 //! * reads are **bit-identical** to the deterministic data written (f16
 //!   round-trip of known row values), at every prefix length observed —
-//!   including reactor reads at every iodepth (the reactor walk shares
-//!   the decode/copy helpers with the sequential one, and these tests pin
+//!   including reactor reads at every iodepth (a read job lands a queued
+//!   chunk exactly as it lands one read inline, and these tests pin
 //!   that);
 //! * no deadlocks — every scope here joins (the suite would hang, and CI
 //!   time out, if lock order were violated);
@@ -14,7 +14,7 @@
 //!   the post-IO tombstone revalidation can catch that case (the
 //!   OutOfRange guard can't, since the sizes line up) — and an *error*
 //!   from the dead generation restarts the read instead of failing it,
-//!   through `read_rows_streaming` and through the async read job alike;
+//!   through the blocking `read_rows_into` and a pumped read job alike;
 //! * the byte accounting never drifts: the atomic aggregate equals the
 //!   per-stream sum once the dust settles, and deleting everything frees
 //!   exactly the tracked figure.
@@ -22,9 +22,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
-use hc_storage::backend::MemStore;
+use hc_storage::backend::{ChunkStore, MemStore};
 use hc_storage::fault::FaultStore;
-use hc_storage::manager::{DeliveredRows, PumpOutcome, RowSink, StorageManager};
+use hc_storage::manager::{PumpOutcome, RowAssembly, StorageManager};
 use hc_storage::reactor::Reactor;
 use hc_storage::StreamId;
 use hc_tensor::f16::f16_roundtrip;
@@ -32,35 +32,34 @@ use hc_tensor::Tensor2;
 
 const D: usize = 16;
 
-/// Reassembles a streaming read the way a consumer would: chunks placed at
-/// their row offsets, everything discarded on a tombstone reset.
-#[derive(Default)]
-struct CollectSink {
-    delivered: Vec<DeliveredRows>,
-    resets: usize,
-}
-
-impl CollectSink {
-    fn assembled(&self, n_rows: usize) -> Tensor2 {
-        let mut out = Tensor2::zeros(n_rows, D);
-        for c in &self.delivered {
-            for r in 0..c.rows.rows() {
-                out.row_mut(c.row_start + r).copy_from_slice(c.rows.row(r));
-            }
+/// Reads `[0, n)` of `s` through a pumped read job — the restore
+/// machines' entry, which queues every device-occupying chunk — driven on
+/// this thread until it is terminal.
+fn job_read<S: ChunkStore>(
+    mgr: &StorageManager<S>,
+    s: StreamId,
+    n: u64,
+) -> Result<RowAssembly, hc_storage::StorageError> {
+    let (wake, woken) = mpsc::channel();
+    let job = mgr.begin_read(
+        s,
+        0,
+        n,
+        Arc::new(move || {
+            let _ = wake.send(());
+        }),
+    );
+    let mut asm = RowAssembly::new(n as usize, D);
+    loop {
+        match job.pump(mgr, &mut asm) {
+            PumpOutcome::Done => return Ok(asm),
+            PumpOutcome::Failed(e) => return Err(e),
+            // Every staged completion fires `notify`; the bound only turns
+            // a broken job into a failure instead of a hang.
+            PumpOutcome::Pending => woken
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a pending job must notify"),
         }
-        out
-    }
-}
-
-impl RowSink for CollectSink {
-    fn deliver(&mut self, chunk: DeliveredRows) -> bool {
-        self.delivered.push(chunk);
-        true
-    }
-
-    fn reset(&mut self) {
-        self.delivered.clear();
-        self.resets += 1;
     }
 }
 
@@ -244,11 +243,11 @@ fn shared_stream_reads_are_consistent_prefixes() {
     assert_eq!(mgr.delete_stream(s), 1400 * D as u64 * 2);
 }
 
-/// Chunk-streaming reads vs sequential `read_rows` at reactor iodepths 1–8
-/// while appenders actively extend the streams: every streamed prefix must
-/// reassemble bit-identically to what `read_rows` returns for the same
-/// range (the assembled tensor partitions the range — each row delivered
-/// exactly once), at every queue depth.
+/// Pumped read jobs vs `read_rows` at reactor iodepths 1–8 while appenders
+/// actively extend the streams: every prefix a job lands must be
+/// bit-identical to the deterministic content (its ready prefix covering
+/// the range — each row landed exactly once), and a final read must equal
+/// a reactor-less manager's, at every queue depth.
 #[test]
 fn streaming_reads_bit_identical_to_read_rows_at_widths_1_to_8_under_appenders() {
     const BATCHES: u64 = 40;
@@ -273,34 +272,33 @@ fn streaming_reads_bit_identical_to_read_rows_at_widths_1_to_8_under_appenders()
                     }
                 });
             }
-            // Streaming readers chase the appenders: each observed prefix
-            // must reassemble to the deterministic content.
+            // Job readers chase the appenders: each observed prefix must
+            // land as the deterministic content.
             for &s in &streams {
                 let mgr = Arc::clone(&mgr);
                 scope.spawn(move || loop {
                     let n = mgr.n_tokens(s);
-                    let mut sink = CollectSink::default();
-                    mgr.read_rows_streaming(s, 0, n, &mut sink).unwrap();
-                    let total: usize = sink.delivered.iter().map(|c| c.rows.rows()).sum();
-                    assert_eq!(total as u64, n, "rows must partition the range");
-                    assert_prefix_bit_identical(&sink.assembled(n as usize), s, 0);
+                    let asm = job_read(&mgr, s, n).unwrap();
+                    assert_eq!(asm.ready_rows() as u64, n, "rows must partition the range");
+                    assert_prefix_bit_identical(&asm.into_tensor(), s, 0);
                     if n >= BATCHES * BATCH as u64 {
                         break;
                     }
                 });
             }
         });
-        // Final cross-check against a reactor-less sequential read_rows.
+        // Final cross-check against a reactor-less read_rows and the f16
+        // round trip of the appended rows.
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         for &s in &streams {
             let total = BATCHES * BATCH as u64;
             seq.append_rows(s, &rows_for(s, 0, total as usize)).unwrap();
-            let mut sink = CollectSink::default();
-            mgr.read_rows_streaming(s, 0, total, &mut sink).unwrap();
+            let got = job_read(&mgr, s, total).unwrap().into_tensor();
+            assert_prefix_bit_identical(&got, s, 0);
             assert_eq!(
-                sink.assembled(total as usize),
+                got,
                 seq.read_rows(s, 0, total).unwrap(),
-                "iodepth {width} streaming reassembly diverged from sequential read of {s:?}"
+                "iodepth {width} job read diverged from the reactor-less read of {s:?}"
             );
         }
     }
@@ -337,7 +335,7 @@ fn reactor_reads_bit_identical_to_sequential_at_iodepths_1_to_8_under_appenders(
                     }
                 });
             }
-            // Plain and streaming readers chase the appenders through the
+            // Plain and job readers chase the appenders through the
             // reactor queues.
             for &s in &streams {
                 let plain = Arc::clone(&mgr);
@@ -352,27 +350,27 @@ fn reactor_reads_bit_identical_to_sequential_at_iodepths_1_to_8_under_appenders(
                 let mgr = Arc::clone(&mgr);
                 scope.spawn(move || loop {
                     let n = mgr.n_tokens(s);
-                    let mut sink = CollectSink::default();
-                    mgr.read_rows_streaming(s, 0, n, &mut sink).unwrap();
-                    let total: usize = sink.delivered.iter().map(|c| c.rows.rows()).sum();
-                    assert_eq!(total as u64, n, "rows must partition the range");
-                    assert_prefix_bit_identical(&sink.assembled(n as usize), s, 0);
+                    let asm = job_read(&mgr, s, n).unwrap();
+                    assert_eq!(asm.ready_rows() as u64, n, "rows must partition the range");
+                    assert_prefix_bit_identical(&asm.into_tensor(), s, 0);
                     if n >= BATCHES * BATCH as u64 {
                         break;
                     }
                 });
             }
         });
-        // Cross-check against an engine-less sequential manager holding
-        // the same deterministic content.
+        // Cross-check against a reactor-less manager holding the same
+        // deterministic content, and against its f16 round trip.
         let seq = StorageManager::new(Arc::new(MemStore::new(4)), D);
         for &s in &streams {
             let total = BATCHES * BATCH as u64;
             seq.append_rows(s, &rows_for(s, 0, total as usize)).unwrap();
+            let got = mgr.read_rows(s, 0, total).unwrap();
+            assert_prefix_bit_identical(&got, s, 0);
             assert_eq!(
-                mgr.read_rows(s, 0, total).unwrap(),
+                got,
                 seq.read_rows(s, 0, total).unwrap(),
-                "iodepth {iodepth} diverged from the sequential read of {s:?}"
+                "iodepth {iodepth} diverged from the reactor-less read of {s:?}"
             );
         }
         let reactor = mgr.reactor().unwrap();
@@ -390,11 +388,11 @@ fn gen_cell(generation: u64, token: u64, col: usize) -> f32 {
     ((generation * 37 + token * 13 + col as u64) % 89) as f32 * 0.25 - 11.0
 }
 
-/// The delete→re-append generation race delivered **mid-stream**: the
-/// streaming read hands chunks to the sink as they land, so the churn
-/// window now spans *already-delivered* chunks — only the per-chunk
-/// tombstone revalidation (reset + wholesale redelivery) can prevent the
-/// sink from ending up with rows of two generations. Identical sizes per
+/// The delete→re-append generation race landed **mid-read**: a pumped job
+/// marks chunks landed as they complete, so the churn window now spans
+/// *already-landed* chunks — only the per-slice tombstone revalidation
+/// (assembly reset + landing every slice again) can prevent the assembly
+/// from ending up with rows of two generations. Identical sizes per
 /// generation (chunk keys are reused, byte lengths equal) keep every
 /// length/OutOfRange check blind to the swap. Runs over reactors of
 /// iodepth 1–8, where the mid-read window spans both in-flight fetches.
@@ -435,11 +433,11 @@ fn mid_stream_churn(iodepth: usize) {
             let resets_seen = &resets_seen;
             scope.spawn(move || {
                 while !done.load(Ordering::Relaxed) {
-                    let mut sink = CollectSink::default();
-                    match mgr.read_rows_streaming(s, 0, N, &mut sink) {
-                        Ok(()) => {
-                            resets_seen.fetch_add(sink.resets as u64, Ordering::Relaxed);
-                            let got = sink.assembled(N as usize);
+                    match job_read(&mgr, s, N) {
+                        Ok(asm) => {
+                            let resets = asm.resets();
+                            resets_seen.fetch_add(resets as u64, Ordering::Relaxed);
+                            let got = asm.into_tensor();
                             let probe = got.get(0, 0);
                             let generation = (0..GENERATIONS)
                                 .find(|&g| probe == f16_roundtrip(gen_cell(g, 0, 0)))
@@ -450,8 +448,7 @@ fn mid_stream_churn(iodepth: usize) {
                                         got.get(r, c),
                                         f16_roundtrip(gen_cell(generation, r as u64, c)),
                                         "token {r} col {c} mixed into generation {generation} \
-                                         past {} resets",
-                                        sink.resets
+                                         past {resets} resets"
                                     );
                                 }
                             }
@@ -466,10 +463,11 @@ fn mid_stream_churn(iodepth: usize) {
         }
     });
 
-    // The final generation survived intact through a streaming read too.
-    let mut sink = CollectSink::default();
-    mgr.read_rows_streaming(s, 0, N, &mut sink).unwrap();
-    assert_is_generation(&sink.assembled(N as usize), GENERATIONS - 1);
+    // The final generation survived intact through a job read too.
+    assert_is_generation(
+        &job_read(&mgr, s, N).unwrap().into_tensor(),
+        GENERATIONS - 1,
+    );
     assert_eq!(mgr.delete_stream(s), N * D as u64 * 2);
     assert_eq!(mgr.total_resident_bytes(), 0);
 }
@@ -504,16 +502,14 @@ fn delete_reappend_under_reactor_never_mixes_generations() {
                 done.store(true, Ordering::Relaxed);
             });
         }
-        // One plain reader and one streaming reader race the churn.
-        for streaming in [false, true] {
+        // One plain reader and one job reader race the churn.
+        for pumped in [false, true] {
             let mgr = Arc::clone(&mgr);
             let done = &done;
             scope.spawn(move || {
                 while !done.load(Ordering::Relaxed) {
-                    let read = if streaming {
-                        let mut sink = CollectSink::default();
-                        mgr.read_rows_streaming(s, 0, N, &mut sink)
-                            .map(|()| sink.assembled(N as usize))
+                    let read = if pumped {
+                        job_read(&mgr, s, N).map(RowAssembly::into_tensor)
                     } else {
                         mgr.read_rows(s, 0, N)
                     };
@@ -612,49 +608,30 @@ fn assert_is_generation(got: &Tensor2, generation: u64) {
     }
 }
 
-/// ROADMAP item 0 through the synchronous walk: an error from a dead
-/// generation restarts `read_rows_streaming` onto the successor.
+/// ROADMAP item 0 through the blocking read: an error from a dead
+/// generation restarts `read_rows_into` onto the successor.
 #[test]
-fn dead_generation_error_restarts_read_rows_streaming() {
+fn dead_generation_error_restarts_read_rows_into() {
     let s = StreamId::hidden(80, 0);
     let mgr = armed_dead_generation_error(s);
-    let mut sink = CollectSink::default();
-    mgr.read_rows_streaming(s, 0, N_GEN, &mut sink).unwrap();
-    assert!(sink.resets >= 1, "the dead generation must be discarded");
-    assert_is_generation(&sink.assembled(N_GEN as usize), 2);
+    let mut asm = RowAssembly::new(N_GEN as usize, D);
+    mgr.read_rows_into(s, 0, N_GEN, &mut asm).unwrap();
+    assert!(asm.resets() >= 1, "the dead generation must be discarded");
+    assert_is_generation(&asm.into_tensor(), 2);
 }
 
-/// The same forced ordering through `begin_read_reactor`: the job must
-/// restart, not resolve the dead generation's `MissingChunk` as terminal
-/// (it did, about one run in three unforced, before the job revalidated
-/// the tombstone the way the synchronous walk does).
+/// The same forced ordering through `begin_read`: the job must restart,
+/// not resolve the dead generation's `MissingChunk` as terminal (it did,
+/// about one run in three unforced, before the job revalidated the
+/// tombstone on errors too).
 #[test]
 fn dead_generation_error_restarts_the_async_read_job() {
     let s = StreamId::hidden(81, 0);
     let mgr = armed_dead_generation_error(s);
-    let (wake, woken) = mpsc::channel();
-    let job = mgr.begin_read_reactor(
-        s,
-        0,
-        N_GEN,
-        Arc::new(move || {
-            let _ = wake.send(());
-        }),
-    );
-    let mut sink = CollectSink::default();
-    loop {
-        match job.pump(&mgr, &mut sink) {
-            PumpOutcome::Done => break,
-            PumpOutcome::Failed(e) => panic!("a dead generation's error must restart: {e}"),
-            // Every staged completion fires `notify`; the bound only turns
-            // a broken job into a failure instead of a hang.
-            PumpOutcome::Pending => woken
-                .recv_timeout(std::time::Duration::from_secs(30))
-                .expect("a pending job must notify"),
-        }
-    }
-    assert!(sink.resets >= 1, "the dead generation must be discarded");
-    assert_is_generation(&sink.assembled(N_GEN as usize), 2);
+    let asm = job_read(&mgr, s, N_GEN)
+        .unwrap_or_else(|e| panic!("a dead generation's error must restart: {e}"));
+    assert!(asm.resets() >= 1, "the dead generation must be discarded");
+    assert_is_generation(&asm.into_tensor(), 2);
 }
 
 /// Delete-vs-append race: a stream deleted while an appender holds a stale
