@@ -378,6 +378,16 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         Ok(())
     }
 
+    /// Demotes `session` down the whole ladder to token-only: every stored
+    /// stream is deleted and its bytes credited, rung by rung, as quota
+    /// pressure would. A round that fails after saving rows drops the
+    /// state it cannot vouch for this way; the session's token history
+    /// then restores it by recomputation.
+    pub fn demote_to_floor(&self, session: u64) {
+        let mut st = self.state.lock();
+        while self.demote_victim(&mut st, session) {}
+    }
+
     /// Picks the next demotion victim among evictable sessions whose
     /// tenant index maps to `true` in `allowed` (empty = everyone).
     /// LRU is the table's ordered-set first entry; cost-aware hands every

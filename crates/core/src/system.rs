@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use hc_cachectl::metrics::MetricsSnapshot;
 use hc_cachectl::{CacheController, ControllerConfig, CtlError};
-use hc_model::{KvCache, Model, ModelConfig};
+use hc_model::{KvCache, Model, ModelConfig, PosKind};
 use hc_restore::engine::DegradationReport;
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::{ChunkStore, MemStore, StoreStats};
@@ -32,8 +32,9 @@ pub enum SystemError {
     UnknownSession(u64),
     /// Storage failure.
     Storage(StorageError),
-    /// A round's prompt is empty or names a token outside the model's
-    /// vocabulary; the round was rejected before touching any state.
+    /// A round's prompt is empty, names a token outside the model's
+    /// vocabulary, or would run a learned-position model past its
+    /// position table; the round was rejected before touching any state.
     InvalidPrompt(String),
 }
 
@@ -320,9 +321,16 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
 
     /// Runs one conversation round: restore evicted history → prefill
     /// `prompt` → greedily generate `n_generate` tokens → save new state →
-    /// evict. Returns the generated tokens. An empty prompt, or one naming
-    /// a token outside the vocabulary, is [`SystemError::InvalidPrompt`]
-    /// before any state is touched.
+    /// evict. Returns the generated tokens. An empty prompt, one naming a
+    /// token outside the vocabulary, or one whose round would pass a
+    /// learned-position model's `max_seq_len` is
+    /// [`SystemError::InvalidPrompt`] before any state is touched.
+    ///
+    /// A round either commits or leaves its session's token history as it
+    /// was: when a save fails, the rows the round already wrote cannot be
+    /// trusted, so the session's stored state drops to token-only and the
+    /// typed error is returned. The next round recomputes the unchanged
+    /// history.
     pub fn round(
         &mut self,
         session: u64,
@@ -344,6 +352,12 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         if prompt.is_empty() {
             return Err(SystemError::InvalidPrompt("empty prompt".into()));
         }
+        let (pos, max_seq) = (self.model.cfg.pos, self.model.cfg.max_seq_len);
+        let end = history_len + prompt.len() + n_generate;
+        if pos == PosKind::Learned && end > max_seq {
+            let why = format!("the round ends at position {end}, past max_seq_len {max_seq}");
+            return Err(SystemError::InvalidPrompt(why));
+        }
 
         // The mix this round saves under: the controller's live placement
         // (stable within a round — demotion only runs at round boundaries).
@@ -356,11 +370,44 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         //    cache and reuse KV cache in GPU"). Every restore degrades: a
         //    sick storage device costs this round latency (its layers are
         //    recomputed), not the session.
-        let mut kv = if history_len > 0 {
+        let kv = if history_len > 0 {
             self.restore(session)?
         } else {
             KvCache::new(&self.model.cfg)
         };
+
+        let generated = match self.generate_and_save(session, &methods, prompt, n_generate, kv) {
+            Ok(generated) => generated,
+            Err(e) => {
+                self.roll_back(session, history_len);
+                return Err(e.into());
+            }
+        };
+
+        let state = self.sessions.get_mut(&session).expect("checked above");
+        state.tokens.extend_from_slice(prompt);
+        state.tokens.extend_from_slice(&generated);
+        let context_tokens = state.tokens.len();
+
+        // 5. Settle the quota ledger: reconcile this session's resident
+        //    bytes and let the controller demote victims if the pool is
+        //    over quota.
+        self.controller.on_saved(session, context_tokens as u64)?;
+        Ok(generated)
+    }
+
+    /// Steps 2–4 of [`HCacheSystem::round`] over the restored cache `kv`:
+    /// prefill, generate, save every new row under `methods` and make it
+    /// durable. Returns the generated tokens.
+    fn generate_and_save(
+        &self,
+        session: u64,
+        methods: &[LayerMethod],
+        prompt: &[u32],
+        n_generate: usize,
+        mut kv: KvCache,
+    ) -> Result<Vec<u32>, StorageError> {
+        let history_len = kv.n_tokens();
 
         // 2. Prefill the new prompt under the host thread budget (the
         //    head-parallel kernels are bit-identical to serial), capturing
@@ -369,7 +416,7 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
             .model
             .prefill_par(prompt, &mut kv, true, &self.parallel);
         let hidden = out.hidden_per_layer.expect("capture enabled");
-        self.save_new_rows(session, &methods, &hidden, &kv, history_len + prompt.len())?;
+        self.save_new_rows(session, methods, &hidden, &kv, history_len + prompt.len())?;
 
         // 3. Greedy generation; every decoded token's hidden states go
         //    through the two-stage saver (§4.2.2).
@@ -391,21 +438,25 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         }
         // KV-offload layers persist their decode-time K/V rows in one batch.
         let total = kv.n_tokens();
-        self.save_kv_rows(session, &methods, &kv, history_len + prompt.len(), total)?;
+        self.save_kv_rows(session, methods, &kv, history_len + prompt.len(), total)?;
 
         // 4. Make everything durable, then evict (drop) the KV cache.
         self.saver.barrier_and_flush(session)?;
-
-        let state = self.sessions.get_mut(&session).expect("checked above");
-        state.tokens.extend_from_slice(prompt);
-        state.tokens.extend_from_slice(&generated);
-        let context_tokens = state.tokens.len();
-
-        // 5. Settle the quota ledger: reconcile this session's resident
-        //    bytes and let the controller demote victims if the pool is
-        //    over quota.
-        self.controller.on_saved(session, context_tokens as u64)?;
         Ok(generated)
+    }
+
+    /// Undoes a round that failed after its first save: drains the saver
+    /// so none of the round's batches is still in flight, drops the
+    /// session's stored state to token-only down the controller's
+    /// demotion ladder, and recharges the session at its pre-round
+    /// `history_len` tokens. No stored row then disagrees with the token
+    /// history, which the next restore recomputes.
+    fn roll_back(&self, session: u64, history_len: usize) {
+        // The round's own error is the one reported; these two only
+        // repeat it (the drain) or cannot fail (a known session).
+        let _ = self.saver.barrier_and_flush(session);
+        self.controller.demote_to_floor(session);
+        let _ = self.controller.on_saved(session, history_len as u64);
     }
 
     /// Saves prefill-produced rows (hidden layers via the two-stage saver,
@@ -513,6 +564,32 @@ mod tests {
             s.session_tokens(sid).unwrap(),
             reference.session_tokens(rid).unwrap()
         );
+    }
+
+    #[test]
+    fn round_rejects_running_past_a_learned_position_table() {
+        // tiny_opt's learned position table holds 512 positions, so a
+        // second 300-token round would run past it. It fails typed before
+        // any state is touched, and a round ending exactly at the table's
+        // end then succeeds.
+        let cfg = ModelConfig::tiny_opt();
+        let mut s = HCacheSystem::in_memory(&cfg, 7, 4);
+        let sid = s.open_session();
+        let prompt: Vec<u32> = (0..300u32).map(|i| (i * 7 + 3) % 256).collect();
+        let rows = |s: &HCacheSystem<MemStore>| -> Vec<u64> {
+            (0..cfg.n_layers as u32)
+                .map(|l| s.storage().n_tokens(StreamId::hidden(sid, l)))
+                .collect()
+        };
+        s.round(sid, &prompt, 4).unwrap();
+        let (tokens, stored) = (s.session_tokens(sid).unwrap().to_vec(), rows(&s));
+        assert_eq!(stored, vec![304; cfg.n_layers]);
+        let err = s.round(sid, &prompt, 4).unwrap_err();
+        assert!(matches!(err, SystemError::InvalidPrompt(_)), "{err}");
+        assert_eq!(s.session_tokens(sid).unwrap(), &tokens[..]);
+        assert_eq!(rows(&s), stored);
+        assert_eq!(s.round(sid, &prompt[..200], 8).unwrap().len(), 8);
+        assert_eq!(s.context_len(sid).unwrap(), cfg.max_seq_len);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! pass — the losslessness claim of the paper, checked by tests in
 //! `weights.rs` and the integration suite.
 
-use hc_tensor::gemm::{matmul, matmul_nt, matmul_par};
+use hc_tensor::gemm::{matmul, matmul_par};
 use hc_tensor::ops::{gelu, layernorm_into, map_inplace, rmsnorm_into, silu, softmax_inplace};
 use hc_tensor::rope::{rope_row, DEFAULT_ROPE_BASE};
 use hc_tensor::{ParallelConfig, Tensor2};
@@ -311,11 +311,6 @@ pub fn layer_forward_par(
     (x, new_k, new_v)
 }
 
-/// Convenience wrapper used by logits-free tests: a plain `x·Wᵀ` projection.
-pub fn out_projection(x: &Tensor2, w: &Tensor2) -> Tensor2 {
-    matmul_nt(x, w)
-}
-
 /// Embedding lookup is a gather; exposed here so tests can cross-check with
 /// the matmul formulation (`onehot · E`).
 pub fn embed_gather(embed: &Tensor2, tokens: &[u32]) -> Tensor2 {
@@ -343,6 +338,7 @@ mod tests {
     use super::*;
     use crate::weights::Model;
     use hc_tensor::assert_tensor_eq;
+    use hc_tensor::gemm::matmul_nt;
 
     fn setup() -> (ModelConfig, Model) {
         let cfg = ModelConfig::tiny_llama();

@@ -81,24 +81,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Same policy with a different attempt count (minimum 1).
-    pub fn with_attempts(mut self, attempts: usize) -> Self {
-        self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Same policy with a different first-retry backoff.
-    pub fn with_base_backoff(mut self, base: Duration) -> Self {
-        self.base_backoff = base;
-        self
-    }
-
-    /// Same policy with a different total per-read backoff budget.
-    pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Same policy with reactor IO deadline enforcement enabled.
     pub fn with_io_deadline(mut self, deadline: Duration) -> Self {
         self.io_deadline = Some(deadline);

@@ -142,7 +142,7 @@
 //! | Device read error (transient) | Masked by budgeted retry with jittered backoff ([`crate::health::RetryPolicy`]) in every read path; surfaces as `DeviceFailed {transient: true}` only if it persists | None when masked |
 //! | Sick device (repeated errors/stalls) | The [`crate::health::DeviceHealth`] breaker opens; reads fail fast typed-transient until a half-open probe heals the lane | Restores degrade affected layers to recompute (see `hc-cachectl`); no session fails |
 //! | Stalled reactor submission | Timed out at the [`RetryPolicy::io_deadline`] into `DeviceFailed {transient: true}`, counted as a stall against the lane's breaker | The one read; its lane is not wedged |
-//! | Device write error | `DeviceFailed` from `append_rows`/`flush_stream`; no rows are lost — the unsealed rows stay buffered and the next append or flush retries the seal | The appending stream only |
+//! | Device write error | `DeviceFailed` from `append_rows`/`flush_stream`; no rows are lost — the unsealed rows stay buffered and the next append or flush retries the seal. Through the two-stage saver it is returned from the session's next barrier | The appending stream only; at the `hcache` facade, one round: the failed round drops its session to token-only state at the pre-round history |
 //! | Read stall | No error — the lane is slow, not dead; reads on other lanes proceed | Latency of the stalled read only |
 //! | Torn chunk write (crash) | Detected at reopen by chunk CRC; stream truncated to last consistent prefix | Rows past the torn chunk of that stream |
 //! | Torn journal tail (crash) | Detected at reopen by frame CRC; journal truncated to last consistent record | The unjournaled suffix of affected streams |

@@ -27,17 +27,23 @@
 //! other streams — and concurrent readers of the *same* stream see clean
 //! snapshot prefixes, never torn rows.
 //!
+//! A failed append belongs to the session whose rows it carried: the
+//! daemon keeps that session's first error, answers it at the session's
+//! next [`StateSaver::barrier_and_flush`], and keeps consuming, so one
+//! transient write fault costs one session one round, never every later
+//! save of every session.
+//!
 //! Shutdown: dropping the saver closes the channel and **joins** the daemon
 //! thread, so every batch submitted before the drop is demultiplexed into
 //! the manager (full chunks durable, tails buffered) before `drop` returns
 //! — nothing is detached or leaked.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 
 use crate::backend::ChunkStore;
 use crate::manager::StorageManager;
@@ -62,7 +68,9 @@ struct RowBatch {
 
 enum Msg {
     Batch(Vec<RowBatch>),
-    Barrier(Sender<()>),
+    /// Answered once every earlier batch is appended, with the first
+    /// append error the session's batches hit since its last barrier.
+    Barrier(u64, Sender<Option<StorageError>>),
 }
 
 /// Saver front end. One instance per serving engine.
@@ -73,27 +81,23 @@ pub struct StateSaver<S: ChunkStore + 'static> {
     daemon: Option<JoinHandle<()>>,
     /// Stage-1 bytes snapshotted (PCIe downstream traffic in the paper).
     snapshot_bytes: Arc<AtomicU64>,
-    /// First append error the chunk daemon hit before it shut itself
-    /// down; surfaced (typed) by the next `save_batch`/`barrier`.
-    daemon_err: Arc<Mutex<Option<StorageError>>>,
 }
 
 impl<S: ChunkStore + 'static> StateSaver<S> {
     /// Creates a saver; `TwoStage` mode spawns the chunk daemon thread.
     pub fn new(mgr: Arc<StorageManager<S>>, mode: SaveMode) -> Self {
         let snapshot_bytes = Arc::new(AtomicU64::new(0));
-        let daemon_err: Arc<Mutex<Option<StorageError>>> = Arc::new(Mutex::new(None));
         let (tx, daemon) = match mode {
             SaveMode::DirectIo => (None, None),
             SaveMode::TwoStage => {
                 let (tx, rx) = unbounded::<Msg>();
                 let mgr2 = Arc::clone(&mgr);
-                let err2 = Arc::clone(&daemon_err);
                 let handle = std::thread::Builder::new()
                     .name("hcache-chunk-daemon".into())
                     .spawn(move || {
                         // The daemon preserves per-stream append order
                         // because it is the sole consumer of the channel.
+                        let mut failed: HashMap<u64, StorageError> = HashMap::new();
                         while let Ok(msg) = rx.recv() {
                             match msg {
                                 Msg::Batch(batches) => {
@@ -104,17 +108,12 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
                                             b.rows,
                                         );
                                         if let Err(e) = mgr2.append_rows(b.stream, &t) {
-                                            // Park the error and stop
-                                            // consuming: dropping rx turns
-                                            // every later send into a
-                                            // typed failure at the caller.
-                                            *err2.lock() = Some(e);
-                                            return;
+                                            failed.entry(b.stream.session).or_insert(e);
                                         }
                                     }
                                 }
-                                Msg::Barrier(ack) => {
-                                    let _ = ack.send(());
+                                Msg::Barrier(session, ack) => {
+                                    let _ = ack.send(failed.remove(&session));
                                 }
                             }
                         }
@@ -130,7 +129,6 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
             tx,
             daemon,
             snapshot_bytes,
-            daemon_err,
         }
     }
 
@@ -145,23 +143,13 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
         self.snapshot_bytes.load(Ordering::Relaxed)
     }
 
-    /// The daemon's parked failure, or a generic disconnect error.
-    fn daemon_failure(&self) -> StorageError {
-        self.daemon_err
-            .lock()
-            .clone()
-            .unwrap_or_else(|| StorageError::Io("chunk daemon disconnected".to_string()))
-    }
-
     /// Saves a batch of rows: `items` is a list of `(stream, rows)` where
     /// each `rows` holds `n × d_model` f32 values for that stream.
     ///
     /// In `TwoStage` mode this returns as soon as the snapshot copy is done;
     /// in `DirectIo` mode it blocks until the rows (including the partial
-    /// tail chunk) hit the backend.
-    ///
-    /// A dead chunk daemon (it shuts itself down on its first append
-    /// error) surfaces here as the parked typed error, not an abort.
+    /// tail chunk) hit the backend. A `TwoStage` append error is reported
+    /// by the session's next [`Self::barrier_and_flush`].
     pub fn save_batch(&self, items: &[(StreamId, &[f32])]) -> Result<(), StorageError> {
         let d = self.mgr.d_model();
         let mut bytes = 0u64;
@@ -179,12 +167,7 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
                 }
                 // hc-analyze: allow(relaxed) monotonic stage-1 traffic metric; no reader pairs it with other state
                 self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.tx
-                    .as_ref()
-                    // hc-analyze: allow(panic) mode invariant: TwoStage construction always installs tx
-                    .expect("two-stage saver has a daemon")
-                    .send(Msg::Batch(batches))
-                    .map_err(|_| self.daemon_failure())?;
+                self.send(Msg::Batch(batches));
             }
             SaveMode::DirectIo => {
                 for (stream, rows) in items {
@@ -203,16 +186,30 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
     /// Waits until the daemon has drained everything submitted so far, then
     /// flushes all partial chunks of `session` so reads see durable data.
     ///
-    /// Like [`Self::save_batch`], a dead daemon surfaces as its parked
-    /// typed error.
+    /// Returns (and clears) the first append error the daemon hit on
+    /// `session`'s rows since its last barrier, without flushing; other
+    /// sessions' errors wait for their own barriers.
     pub fn barrier_and_flush(&self, session: u64) -> Result<(), StorageError> {
-        if let Some(tx) = &self.tx {
+        if self.tx.is_some() {
             let (ack_tx, ack_rx) = unbounded();
-            tx.send(Msg::Barrier(ack_tx))
-                .map_err(|_| self.daemon_failure())?;
-            ack_rx.recv().map_err(|_| self.daemon_failure())?;
+            self.send(Msg::Barrier(session, ack_tx));
+            // hc-analyze: allow(panic) the daemon answers every barrier unless it panicked
+            if let Some(e) = ack_rx.recv().expect("chunk daemon panicked") {
+                return Err(e);
+            }
         }
         self.mgr.flush_session(session)
+    }
+
+    /// Hands `msg` to the chunk daemon.
+    fn send(&self, msg: Msg) {
+        self.tx
+            .as_ref()
+            // hc-analyze: allow(panic) mode invariant: TwoStage construction always installs tx
+            .expect("two-stage saver has a daemon")
+            .send(msg)
+            // hc-analyze: allow(panic) the daemon consumes until the saver drops its sender, so a closed channel means it panicked
+            .expect("chunk daemon panicked");
     }
 }
 
@@ -397,6 +394,51 @@ mod tests {
                     "layer {layer} row {i} corrupted"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_write_fault_fails_only_its_sessions_next_barrier() {
+        use crate::chunk::ChunkKey;
+        use crate::fault::{FaultStore, FaultTarget};
+        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+        let mgr = Arc::new(StorageManager::new(Arc::clone(&store), D));
+        let saver = StateSaver::new(Arc::clone(&mgr), SaveMode::TwoStage);
+        let (a, b) = (StreamId::hidden(1, 0), StreamId::hidden(2, 0));
+        // One full chunk per batch: every batch seals one chunk.
+        let chunk = |v: f32| vec![v; 64 * D];
+        store.fail_writes(FaultTarget::Stream(a), 1, true);
+        saver.save_batch(&[(a, &chunk(1.0))]).unwrap();
+        saver.save_batch(&[(b, &chunk(2.0))]).unwrap();
+
+        // B's barrier passes while A's error is parked; A's reports it.
+        saver.barrier_and_flush(2).unwrap();
+        match saver.barrier_and_flush(1) {
+            Err(StorageError::DeviceFailed { key, .. }) => {
+                assert_eq!(
+                    key,
+                    ChunkKey {
+                        stream: a,
+                        chunk_idx: 0
+                    }
+                );
+            }
+            other => panic!("expected A's chunk-0 write fault, got {other:?}"),
+        }
+
+        // The daemon kept consuming: later batches of both sessions land,
+        // A's failed seal is retried by its next append, and neither
+        // barrier sees the spent error again.
+        saver
+            .save_batch(&[(a, &chunk(3.0)), (b, &chunk(4.0))])
+            .unwrap();
+        saver.barrier_and_flush(1).unwrap();
+        saver.barrier_and_flush(2).unwrap();
+        assert_eq!(store.writes_failed(), 1);
+        for (s, first, second) in [(a, 1.0, 3.0), (b, 2.0, 4.0)] {
+            assert_eq!(mgr.n_tokens(s), 128);
+            let t = mgr.read_rows(s, 0, 128).unwrap();
+            assert_eq!((t.get(0, 0), t.get(127, D - 1)), (first, second));
         }
     }
 

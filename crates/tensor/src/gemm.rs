@@ -170,8 +170,8 @@ pub fn matmul_nt_par(a: &Tensor2, b: &Tensor2, par: &ParallelConfig) -> Tensor2 
 
 /// Reference `A · Bᵀ` kernel: the naïve triple loop with one scalar
 /// accumulator, exactly as the original (pre-blocking) kernel computed it.
-/// Kept for equivalence tests and as the baseline the `gemm` criterion
-/// bench (`crates/bench/benches/gemm.rs`) measures kernel speedups against.
+/// Kept as the oracle the blocked kernels' equivalence tests compare
+/// against.
 pub fn matmul_nt_naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
     assert_eq!(a.cols(), b.cols(), "matmul_nt_naive dimension mismatch");
     let (m, k) = a.shape();

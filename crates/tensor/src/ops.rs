@@ -22,13 +22,6 @@ pub fn softmax_inplace(xs: &mut [f32]) {
     }
 }
 
-/// Row-wise softmax over a tensor (each row normalized independently).
-pub fn softmax_rows(t: &mut Tensor2) {
-    for r in 0..t.rows() {
-        softmax_inplace(t.row_mut(r));
-    }
-}
-
 /// RMSNorm as used by Llama-family models:
 /// `y_i = x_i / sqrt(mean(x^2) + eps) * g_i`, written into the caller's
 /// `out` (same length as `x`).
@@ -40,15 +33,6 @@ pub fn rmsnorm_into(x: &[f32], gain: &[f32], eps: f32, out: &mut [f32]) {
     for (y, (v, g)) in out.iter_mut().zip(x.iter().zip(gain)) {
         *y = v * inv * g;
     }
-}
-
-/// Applies [`rmsnorm_into`] to every row, producing a new tensor.
-pub fn rmsnorm_rows(t: &Tensor2, gain: &[f32], eps: f32) -> Tensor2 {
-    let mut out = Tensor2::zeros(t.rows(), t.cols());
-    for r in 0..t.rows() {
-        rmsnorm_into(t.row(r), gain, eps, out.row_mut(r));
-    }
-    out
 }
 
 /// LayerNorm as used by OPT-family models:

@@ -124,11 +124,6 @@ impl Tensor2 {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Copies rows `[start, end)` into a new tensor.
     ///
     /// # Panics

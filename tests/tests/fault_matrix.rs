@@ -33,6 +33,7 @@ use hc_storage::manager::StorageManager;
 use hc_storage::reactor::Reactor;
 use hc_storage::{StorageError, StreamId};
 use hc_tensor::ParallelConfig;
+use hcache::{HCacheSystem, SystemError};
 
 const N_TOKENS: usize = 70;
 
@@ -223,6 +224,83 @@ fn device_write_fault_surfaces_typed_from_save() {
         other => panic!("expected DeviceFailed from the save path, got {other:?}"),
     }
     assert_eq!(r.store.writes_failed(), 1);
+}
+
+/// Greedy tokens of a never-evicted run: `prompt` prefilled onto the live
+/// cache `live`, then `n` decode steps.
+fn never_evicted(model: &Model, live: &mut KvCache, prompt: &[u32], n: usize) -> Vec<u32> {
+    let out = model.prefill(prompt, live, false);
+    let mut last = out.final_hidden.row(prompt.len() - 1).to_vec();
+    (0..n)
+        .map(|_| {
+            let next = model.greedy_next_token(&last);
+            last = model.decode_step(next, live, false).0;
+            next
+        })
+        .collect()
+}
+
+/// Matrix row 3 at the facade: a transient write fault costs exactly one
+/// round. The failed round leaves its session at its pre-round history
+/// with token-only state, so the same session's next round and a fresh
+/// session's first round both succeed and generate what a never-evicted
+/// run that skipped the failed round generates, and every stream holds
+/// exactly its session's committed rows.
+#[test]
+fn device_write_fault_costs_the_facade_one_round() {
+    let cfg = ModelConfig::tiny_llama();
+    let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+    let scheme = PartitionScheme::pure_hidden(cfg.n_layers);
+    let mut sys = HCacheSystem::with_store(&cfg, 31, Arc::clone(&store), scheme);
+    let prompt =
+        |n: u32, salt: u32| -> Vec<u32> { (0..n).map(|i| (i * 11 + salt) % 256).collect() };
+
+    let a = sys.open_session();
+    let mut live_a = KvCache::new(&cfg);
+    let p1 = prompt(40, 1);
+    let want = never_evicted(sys.model(), &mut live_a, &p1, 4);
+    assert_eq!(sys.round(a, &p1, 4).unwrap(), want);
+
+    store.fail_writes(FaultTarget::Any, 1, true);
+    match sys.round(a, &prompt(70, 2), 4) {
+        Err(SystemError::Storage(StorageError::DeviceFailed {
+            transient: true, ..
+        })) => {}
+        other => panic!("expected the typed write fault, got {other:?}"),
+    }
+    assert_eq!(store.writes_failed(), 1);
+    assert_eq!(sys.context_len(a).unwrap(), 44, "the failed round's tokens");
+
+    let p3 = prompt(30, 3);
+    let want = never_evicted(sys.model(), &mut live_a, &p3, 4);
+    assert_eq!(
+        sys.round(a, &p3, 4).unwrap(),
+        want,
+        "same session, next round"
+    );
+    let b = sys.open_session();
+    let mut live_b = KvCache::new(&cfg);
+    let pb = prompt(50, 4);
+    let want = never_evicted(sys.model(), &mut live_b, &pb, 4);
+    assert_eq!(sys.round(b, &pb, 4).unwrap(), want, "fresh session");
+
+    let ctl = sys.controller().expect("controller");
+    let mgr = sys.storage();
+    for s in [a, b] {
+        let n = sys.context_len(s).unwrap() as u64;
+        let methods = ctl.session_methods(s).unwrap();
+        for (l, m) in methods.iter().enumerate() {
+            let rows = |stream: StreamId, held: bool| {
+                let want = if held { n } else { 0 };
+                assert_eq!(mgr.n_tokens(stream), want, "{stream:?} under {m:?}");
+            };
+            let l = l as u32;
+            rows(StreamId::hidden(s, l), *m == LayerMethod::Hidden);
+            rows(StreamId::key(s, l), *m == LayerMethod::KvOffload);
+            rows(StreamId::value(s, l), *m == LayerMethod::KvOffload);
+        }
+    }
+    assert_eq!(ctl.used_bytes(), mgr.total_resident_bytes());
 }
 
 /// Matrix row 4: a read stall delays but never fails — all sessions
