@@ -77,12 +77,12 @@ use std::sync::Arc;
 
 use hc_model::{KvCache, Model};
 use hc_restore::cost::CostInputs;
-use hc_restore::engine::{DegradationReport, DegradeCause, RestoreError};
+use hc_restore::engine::{layer_streams, DegradationReport, DegradeCause, RestoreError};
 use hc_restore::reactor::{restore_sessions, RestoreRequest};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
-use hc_storage::{StorageError, StreamId};
+use hc_storage::StorageError;
 use hc_tensor::f16::BYTES_PER_ELEM;
 use hc_tensor::ParallelConfig;
 use parking_lot::Mutex;
@@ -431,18 +431,10 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         let Some((layer, old)) = st.table.demote(victim) else {
             return false;
         };
-        let freed = match old {
-            LayerMethod::Hidden => self
-                .mgr
-                .delete_stream(StreamId::hidden(victim, layer as u32)),
-            LayerMethod::KvOffload => {
-                self.mgr.delete_stream(StreamId::key(victim, layer as u32))
-                    + self
-                        .mgr
-                        .delete_stream(StreamId::value(victim, layer as u32))
-            }
-            LayerMethod::Recompute => unreachable!("demotion never returns Recompute"),
-        };
+        let freed = layer_streams(victim, layer, old)
+            .into_iter()
+            .map(|s| self.mgr.delete_stream(s))
+            .sum();
         let now_dropped = st
             .table
             .mix_of(victim)
@@ -815,24 +807,13 @@ fn recompute_prefix_of(methods: &[LayerMethod]) -> usize {
         .count()
 }
 
-/// The streams one layer's method reads during restore.
-fn layer_streams(session: u64, layer: usize, method: LayerMethod) -> Vec<StreamId> {
-    match method {
-        LayerMethod::Hidden => vec![StreamId::hidden(session, layer as u32)],
-        LayerMethod::KvOffload => vec![
-            StreamId::key(session, layer as u32),
-            StreamId::value(session, layer as u32),
-        ],
-        LayerMethod::Recompute => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hc_model::ModelConfig;
     use hc_restore::engine::{kv_max_error, restore_session_with_methods, save_session_state};
     use hc_storage::backend::MemStore;
+    use hc_storage::StreamId;
     use hc_tensor::Tensor2;
     use std::collections::HashMap;
 
@@ -853,21 +834,8 @@ mod tests {
             (session * 31 + r as u64 * 7 + c as u64) as f32 * 0.01
         });
         for (l, m) in methods.iter().enumerate() {
-            match m {
-                LayerMethod::Hidden => {
-                    ctl.mgr()
-                        .append_rows(StreamId::hidden(session, l as u32), &rows)
-                        .unwrap();
-                }
-                LayerMethod::KvOffload => {
-                    ctl.mgr()
-                        .append_rows(StreamId::key(session, l as u32), &rows)
-                        .unwrap();
-                    ctl.mgr()
-                        .append_rows(StreamId::value(session, l as u32), &rows)
-                        .unwrap();
-                }
-                LayerMethod::Recompute => {}
+            for stream in layer_streams(session, l, *m) {
+                ctl.mgr().append_rows(stream, &rows).unwrap();
             }
         }
         ctl.mgr().flush_session(session).unwrap();

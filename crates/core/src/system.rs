@@ -5,7 +5,8 @@
 //! stateful-serving workflow: each conversation round restores evicted
 //! history (via the session's mix of hidden-state projection / KV reload /
 //! token recomputation), prefills the new prompt, generates tokens while
-//! saving their hidden states off the critical path, and finally evicts
+//! the two-stage saver persists every new row off the critical path (hidden
+//! rows, and K/V rows of KV-offload layers), and finally evicts
 //! the session's KV cache from "GPU memory" (drops it — the state now
 //! lives in host storage). There is one session path: open, save, restore
 //! and close all go through the controller, so every restore degrades
@@ -17,13 +18,13 @@ use std::sync::Arc;
 use hc_cachectl::metrics::MetricsSnapshot;
 use hc_cachectl::{CacheController, ControllerConfig, CtlError};
 use hc_model::{KvCache, Model, ModelConfig, PosKind};
-use hc_restore::engine::DegradationReport;
+use hc_restore::engine::{save_items, DegradationReport};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::{ChunkStore, MemStore, StoreStats};
 use hc_storage::manager::StorageManager;
 use hc_storage::reactor::Reactor;
 use hc_storage::two_stage::{SaveMode, StateSaver};
-use hc_storage::{StorageError, StreamId};
+use hc_storage::StorageError;
 
 /// Errors from the system facade.
 #[derive(Debug)]
@@ -321,9 +322,12 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
 
     /// Runs one conversation round: restore evicted history → prefill
     /// `prompt` → greedily generate `n_generate` tokens → save new state →
-    /// evict. Returns the generated tokens. An empty prompt, one naming a
-    /// token outside the vocabulary, or one whose round would pass a
-    /// learned-position model's `max_seq_len` is
+    /// evict. Returns the generated tokens. The round has one writer: the
+    /// prefill's rows and every decoded token's rows, under the session's
+    /// mix, go to the two-stage saver as `hc_restore::engine::save_items`,
+    /// and the session's barrier makes them durable. An empty prompt, one
+    /// naming a token outside the vocabulary, or one whose round would
+    /// pass a learned-position model's `max_seq_len` is
     /// [`SystemError::InvalidPrompt`] before any state is touched.
     ///
     /// A round either commits or leaves its session's token history as it
@@ -411,36 +415,36 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
 
         // 2. Prefill the new prompt under the host thread budget (the
         //    head-parallel kernels are bit-identical to serial), capturing
-        //    hidden states for saving.
+        //    hidden states, and hand the prompt's rows to the two-stage
+        //    saver (§4.2.2): hidden layers' hidden rows, KV-offload layers'
+        //    K/V rows.
         let out = self
             .model
             .prefill_par(prompt, &mut kv, true, &self.parallel);
         let hidden = out.hidden_per_layer.expect("capture enabled");
-        self.save_new_rows(session, methods, &hidden, &kv, history_len + prompt.len())?;
+        let tokens = history_len..kv.n_tokens();
+        self.saver
+            .save_batch(&save_items(session, methods, &hidden, &kv, tokens))?;
 
-        // 3. Greedy generation; every decoded token's hidden states go
-        //    through the two-stage saver (§4.2.2).
+        // 3. Greedy generation; every decoded token's rows go through the
+        //    saver the same way, so the chunk daemon seals them off the
+        //    critical path.
         let mut generated = Vec::with_capacity(n_generate);
         let mut last_row = out.final_hidden.row(prompt.len() - 1).to_vec();
         for _ in 0..n_generate {
             let next = self.model.greedy_next_token(&last_row);
             let (row, captured) = self.model.decode_step(next, &mut kv, true);
             let per_layer = captured.expect("capture enabled");
-            let items: Vec<(StreamId, &[f32])> = methods
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| **m == LayerMethod::Hidden)
-                .map(|(l, _)| (StreamId::hidden(session, l as u32), per_layer[l].as_slice()))
-                .collect();
-            self.saver.save_batch(&items)?;
+            let tokens = kv.n_tokens() - 1..kv.n_tokens();
+            self.saver
+                .save_batch(&save_items(session, methods, &per_layer, &kv, tokens))?;
             generated.push(next);
             last_row = row;
         }
-        // KV-offload layers persist their decode-time K/V rows in one batch.
-        let total = kv.n_tokens();
-        self.save_kv_rows(session, methods, &kv, history_len + prompt.len(), total)?;
 
-        // 4. Make everything durable, then evict (drop) the KV cache.
+        // 4. Wait for the daemon (its first append error for this session
+        //    surfaces here), make everything durable, then evict (drop)
+        //    the KV cache.
         self.saver.barrier_and_flush(session)?;
         Ok(generated)
     }
@@ -458,57 +462,13 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
         self.controller.demote_to_floor(session);
         let _ = self.controller.on_saved(session, history_len as u64);
     }
-
-    /// Saves prefill-produced rows (hidden layers via the two-stage saver,
-    /// KV layers' K/V rows directly).
-    fn save_new_rows(
-        &self,
-        session: u64,
-        methods: &[LayerMethod],
-        hidden: &[hc_tensor::Tensor2],
-        kv: &KvCache,
-        upto: usize,
-    ) -> Result<(), StorageError> {
-        let items: Vec<(StreamId, &[f32])> = methods
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| **m == LayerMethod::Hidden)
-            .map(|(l, _)| (StreamId::hidden(session, l as u32), hidden[l].as_slice()))
-            .collect();
-        self.saver.save_batch(&items)?;
-        let start = upto - hidden[0].rows();
-        self.save_kv_rows(session, methods, kv, start, upto)
-    }
-
-    /// Appends K/V rows `[start, end)` for KV-offload layers.
-    fn save_kv_rows(
-        &self,
-        session: u64,
-        methods: &[LayerMethod],
-        kv: &KvCache,
-        start: usize,
-        end: usize,
-    ) -> Result<(), StorageError> {
-        if start >= end {
-            return Ok(());
-        }
-        for (l, m) in methods.iter().enumerate() {
-            if *m == LayerMethod::KvOffload {
-                let k = kv.keys(l).slice_rows(start, end);
-                let v = kv.values(l).slice_rows(start, end);
-                self.mgr.append_rows(StreamId::key(session, l as u32), &k)?;
-                self.mgr
-                    .append_rows(StreamId::value(session, l as u32), &v)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hc_restore::engine::kv_max_error;
+    use hc_storage::StreamId;
 
     fn sys() -> HCacheSystem<MemStore> {
         HCacheSystem::in_memory(&ModelConfig::tiny_llama(), 7, 4)

@@ -49,11 +49,13 @@
 //! without a reactor (only tests and benches build one) the same machines
 //! run, reading every chunk inline on the worker that pumps them.
 
+use std::ops::Range;
+
 use hc_model::{layer, KvCache, Model};
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
-use hc_storage::{StorageError, StreamId};
+use hc_storage::{StateKind, StorageError, StreamId};
 use hc_tensor::Tensor2;
 
 /// Errors surfaced by the pipelined restore driver.
@@ -135,12 +137,53 @@ pub enum DegradeCause {
     },
 }
 
-/// Saves a prefilled session's state according to `scheme`.
+/// The streams one layer's method stores, and a restore reads: a hidden
+/// layer's hidden stream, a KV-offload layer's key and value streams, and
+/// none for a recompute layer (tokens suffice).
+pub fn layer_streams(session: u64, layer: usize, method: LayerMethod) -> Vec<StreamId> {
+    match method {
+        LayerMethod::Hidden => vec![StreamId::hidden(session, layer as u32)],
+        LayerMethod::KvOffload => vec![
+            StreamId::key(session, layer as u32),
+            StreamId::value(session, layer as u32),
+        ],
+        LayerMethod::Recompute => Vec::new(),
+    }
+}
+
+/// The `(stream, rows)` items one save stores under the mix `methods`:
+/// a hidden layer's captured rows `hidden[l]`, and a KV-offload layer's K
+/// and V rows `tokens` of the live cache `kv` (keys post-RoPE, exactly as
+/// the attention kernel consumes them). The facade's two-stage saver and
+/// [`save_session_state`] both store exactly these items.
+pub fn save_items<'a, H: AsRef<[f32]>>(
+    session: u64,
+    methods: &[LayerMethod],
+    hidden: &'a [H],
+    kv: &'a KvCache,
+    tokens: Range<usize>,
+) -> Vec<(StreamId, &'a [f32])> {
+    let rows = |t: &'a Tensor2| &t.as_slice()[tokens.start * t.cols()..tokens.end * t.cols()];
+    let mut items = Vec::new();
+    for (l, &method) in methods.iter().enumerate() {
+        for stream in layer_streams(session, l, method) {
+            let layer_rows = match stream.kind {
+                StateKind::Hidden => hidden[l].as_ref(),
+                StateKind::Key => rows(kv.keys(l)),
+                StateKind::Value => rows(kv.values(l)),
+            };
+            items.push((stream, layer_rows));
+        }
+    }
+    items
+}
+
+/// Saves a prefilled session's state according to `scheme`: appends the
+/// [`save_items`] of every token in `kv` and flushes the session.
 ///
 /// `hidden_per_layer` must hold the layer-input hidden states captured
 /// during prefill (or accumulated during decode); `kv` is the live cache
-/// whose K/V rows are stored for `KvOffload` layers (keys post-RoPE,
-/// exactly as the attention kernel consumes them).
+/// whose K/V rows are stored for `KvOffload` layers.
 pub fn save_session_state<S: ChunkStore>(
     model: &Model,
     mgr: &StorageManager<S>,
@@ -155,17 +198,10 @@ pub fn save_session_state<S: ChunkStore>(
         n_layers,
         "hidden capture incomplete"
     );
-    for (l, method) in scheme.layer_methods(n_layers).iter().enumerate() {
-        match method {
-            LayerMethod::Hidden => {
-                mgr.append_rows(StreamId::hidden(session, l as u32), &hidden_per_layer[l])?;
-            }
-            LayerMethod::KvOffload => {
-                mgr.append_rows(StreamId::key(session, l as u32), kv.keys(l))?;
-                mgr.append_rows(StreamId::value(session, l as u32), kv.values(l))?;
-            }
-            LayerMethod::Recompute => {} // tokens suffice
-        }
+    let methods = scheme.layer_methods(n_layers);
+    for (stream, rows) in save_items(session, &methods, hidden_per_layer, kv, 0..kv.n_tokens()) {
+        let n = rows.len() / mgr.d_model();
+        mgr.append_rows(stream, &Tensor2::from_vec(n, mgr.d_model(), rows.to_vec()))?;
     }
     mgr.flush_session(session)
 }

@@ -1,7 +1,8 @@
 //! Two-stage state saving (§4.2.2).
 //!
-//! During decode, every layer of every iteration produces one hidden-state
-//! row per sequence. Writing those rows straight to storage means many
+//! During decode, every layer of every iteration produces one row per
+//! sequence: a hidden-state row for a hidden layer, a K and a V row for a
+//! KV-offload layer. Writing those rows straight to storage means many
 //! small scattered writes on the critical path (the paper's DirectIO
 //! baseline, Fig 14). Instead:
 //!
@@ -9,8 +10,9 @@
 //!   one contiguous copy (`cudaMemcpy` in the paper; a memcpy into the
 //!   daemon's queue here). The GPU-side buffer is immediately reusable.
 //! * **Stage 2 — chunk daemon**: a background host thread demultiplexes the
-//!   rows into per-stream chunk buffers and flushes full 64-token chunks to
-//!   the backend (the manager's append path implements the buffering).
+//!   rows — hidden and K/V alike — into per-stream chunk buffers and
+//!   flushes full 64-token chunks to the backend (the manager's append path
+//!   implements the buffering).
 //!
 //! The saver also implements the `DirectIo` mode used as the ablation
 //! baseline: rows go to the backend synchronously, flushing the tail chunk
@@ -39,11 +41,9 @@
 //! — nothing is detached or leaked.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Sender};
 
 use crate::backend::ChunkStore;
 use crate::manager::StorageManager;
@@ -79,18 +79,15 @@ pub struct StateSaver<S: ChunkStore + 'static> {
     mode: SaveMode,
     tx: Option<Sender<Msg>>,
     daemon: Option<JoinHandle<()>>,
-    /// Stage-1 bytes snapshotted (PCIe downstream traffic in the paper).
-    snapshot_bytes: Arc<AtomicU64>,
 }
 
 impl<S: ChunkStore + 'static> StateSaver<S> {
     /// Creates a saver; `TwoStage` mode spawns the chunk daemon thread.
     pub fn new(mgr: Arc<StorageManager<S>>, mode: SaveMode) -> Self {
-        let snapshot_bytes = Arc::new(AtomicU64::new(0));
         let (tx, daemon) = match mode {
             SaveMode::DirectIo => (None, None),
             SaveMode::TwoStage => {
-                let (tx, rx) = unbounded::<Msg>();
+                let (tx, rx) = channel::<Msg>();
                 let mgr2 = Arc::clone(&mgr);
                 let handle = std::thread::Builder::new()
                     .name("hcache-chunk-daemon".into())
@@ -128,19 +125,7 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
             mode,
             tx,
             daemon,
-            snapshot_bytes,
         }
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> SaveMode {
-        self.mode
-    }
-
-    /// Stage-1 snapshot traffic so far, in bytes (f16 equivalent).
-    pub fn snapshot_bytes(&self) -> u64 {
-        // hc-analyze: allow(relaxed) monotonic stage-1 traffic metric; no reader pairs it with other state
-        self.snapshot_bytes.load(Ordering::Relaxed)
     }
 
     /// Saves a batch of rows: `items` is a list of `(stream, rows)` where
@@ -152,21 +137,17 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
     /// by the session's next [`Self::barrier_and_flush`].
     pub fn save_batch(&self, items: &[(StreamId, &[f32])]) -> Result<(), StorageError> {
         let d = self.mgr.d_model();
-        let mut bytes = 0u64;
         match self.mode {
             SaveMode::TwoStage => {
                 let mut batches = Vec::with_capacity(items.len());
                 for (stream, rows) in items {
                     assert_eq!(rows.len() % d, 0, "ragged row payload");
-                    bytes += (rows.len() * 2) as u64; // f16 on the wire
                     batches.push(RowBatch {
                         stream: *stream,
                         rows: rows.to_vec(), // the stage-1 snapshot copy
                         n_rows: rows.len() / d,
                     });
                 }
-                // hc-analyze: allow(relaxed) monotonic stage-1 traffic metric; no reader pairs it with other state
-                self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
                 self.send(Msg::Batch(batches));
             }
             SaveMode::DirectIo => {
@@ -191,7 +172,7 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
     /// sessions' errors wait for their own barriers.
     pub fn barrier_and_flush(&self, session: u64) -> Result<(), StorageError> {
         if self.tx.is_some() {
-            let (ack_tx, ack_rx) = unbounded();
+            let (ack_tx, ack_rx) = channel();
             self.send(Msg::Barrier(session, ack_tx));
             // hc-analyze: allow(panic) the daemon answers every barrier unless it panicked
             if let Some(e) = ack_rx.recv().expect("chunk daemon panicked") {
@@ -290,22 +271,6 @@ mod tests {
             w_direct >= 128,
             "direct IO should write per token, got {w_direct}"
         );
-    }
-
-    #[test]
-    fn snapshot_counts_stage1_traffic() {
-        let (_mgr, saver) = setup(SaveMode::TwoStage);
-        let r = row(1.0);
-        saver
-            .save_batch(&[(StreamId::hidden(1, 0), r.as_slice())])
-            .unwrap();
-        assert_eq!(saver.snapshot_bytes(), (D * 2) as u64);
-        // DirectIO performs no snapshot.
-        let (_m2, direct) = setup(SaveMode::DirectIo);
-        direct
-            .save_batch(&[(StreamId::hidden(1, 0), r.as_slice())])
-            .unwrap();
-        assert_eq!(direct.snapshot_bytes(), 0);
     }
 
     #[test]

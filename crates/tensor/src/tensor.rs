@@ -224,6 +224,13 @@ impl Tensor2 {
     }
 }
 
+/// The row-major backing buffer, as [`Tensor2::as_slice`].
+impl AsRef<[f32]> for Tensor2 {
+    fn as_ref(&self) -> &[f32] {
+        &self.data
+    }
+}
+
 impl fmt::Debug for Tensor2 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor2({}x{})", self.rows, self.cols)?;

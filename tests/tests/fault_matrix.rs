@@ -241,66 +241,86 @@ fn never_evicted(model: &Model, live: &mut KvCache, prompt: &[u32], n: usize) ->
 }
 
 /// Matrix row 3 at the facade: a transient write fault costs exactly one
-/// round. The failed round leaves its session at its pre-round history
-/// with token-only state, so the same session's next round and a fresh
-/// session's first round both succeed and generate what a never-evicted
-/// run that skipped the failed round generates, and every stream holds
-/// exactly its session's committed rows.
+/// round, whether it hits a hidden row or a KV-offload layer's K/V row
+/// (both reach storage through the two-stage saver). The failed round
+/// leaves its session at its pre-round history with token-only state, so
+/// the same session's next round and a fresh session's first round both
+/// succeed and generate what a never-evicted run that skipped the failed
+/// round generates, and every stream holds exactly its session's
+/// committed rows.
 #[test]
 fn device_write_fault_costs_the_facade_one_round() {
     let cfg = ModelConfig::tiny_llama();
-    let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
-    let scheme = PartitionScheme::pure_hidden(cfg.n_layers);
-    let mut sys = HCacheSystem::with_store(&cfg, 31, Arc::clone(&store), scheme);
-    let prompt =
-        |n: u32, salt: u32| -> Vec<u32> { (0..n).map(|i| (i * 11 + salt) % 256).collect() };
+    let kv_mix = PartitionScheme {
+        l_h: 3,
+        l_o: 1,
+        complement: LayerMethod::KvOffload,
+    };
+    // The fault hits any write, or the key stream of the given KV layer.
+    let inputs = [
+        (PartitionScheme::pure_hidden(cfg.n_layers), None),
+        (kv_mix, Some(3)),
+    ];
+    for (scheme, kv_layer) in inputs {
+        let store = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+        let mut sys = HCacheSystem::with_store(&cfg, 31, Arc::clone(&store), scheme.clone());
+        let prompt =
+            |n: u32, salt: u32| -> Vec<u32> { (0..n).map(|i| (i * 11 + salt) % 256).collect() };
 
-    let a = sys.open_session();
-    let mut live_a = KvCache::new(&cfg);
-    let p1 = prompt(40, 1);
-    let want = never_evicted(sys.model(), &mut live_a, &p1, 4);
-    assert_eq!(sys.round(a, &p1, 4).unwrap(), want);
+        let a = sys.open_session();
+        let mut live_a = KvCache::new(&cfg);
+        let p1 = prompt(40, 1);
+        let want = never_evicted(sys.model(), &mut live_a, &p1, 4);
+        assert_eq!(sys.round(a, &p1, 4).unwrap(), want);
 
-    store.fail_writes(FaultTarget::Any, 1, true);
-    match sys.round(a, &prompt(70, 2), 4) {
-        Err(SystemError::Storage(StorageError::DeviceFailed {
-            transient: true, ..
-        })) => {}
-        other => panic!("expected the typed write fault, got {other:?}"),
-    }
-    assert_eq!(store.writes_failed(), 1);
-    assert_eq!(sys.context_len(a).unwrap(), 44, "the failed round's tokens");
-
-    let p3 = prompt(30, 3);
-    let want = never_evicted(sys.model(), &mut live_a, &p3, 4);
-    assert_eq!(
-        sys.round(a, &p3, 4).unwrap(),
-        want,
-        "same session, next round"
-    );
-    let b = sys.open_session();
-    let mut live_b = KvCache::new(&cfg);
-    let pb = prompt(50, 4);
-    let want = never_evicted(sys.model(), &mut live_b, &pb, 4);
-    assert_eq!(sys.round(b, &pb, 4).unwrap(), want, "fresh session");
-
-    let ctl = sys.controller().expect("controller");
-    let mgr = sys.storage();
-    for s in [a, b] {
-        let n = sys.context_len(s).unwrap() as u64;
-        let methods = ctl.session_methods(s).unwrap();
-        for (l, m) in methods.iter().enumerate() {
-            let rows = |stream: StreamId, held: bool| {
-                let want = if held { n } else { 0 };
-                assert_eq!(mgr.n_tokens(stream), want, "{stream:?} under {m:?}");
-            };
-            let l = l as u32;
-            rows(StreamId::hidden(s, l), *m == LayerMethod::Hidden);
-            rows(StreamId::key(s, l), *m == LayerMethod::KvOffload);
-            rows(StreamId::value(s, l), *m == LayerMethod::KvOffload);
+        let target = kv_layer.map_or(FaultTarget::Any, |l| {
+            FaultTarget::Stream(StreamId::key(a, l))
+        });
+        store.fail_writes(target, 1, true);
+        match sys.round(a, &prompt(70, 2), 4) {
+            Err(SystemError::Storage(StorageError::DeviceFailed {
+                transient: true, ..
+            })) => {}
+            other => panic!("{scheme:?}: expected the typed write fault, got {other:?}"),
         }
+        assert_eq!(store.writes_failed(), 1);
+        assert_eq!(sys.context_len(a).unwrap(), 44, "the failed round's tokens");
+
+        let p3 = prompt(30, 3);
+        let want = never_evicted(sys.model(), &mut live_a, &p3, 4);
+        assert_eq!(
+            sys.round(a, &p3, 4).unwrap(),
+            want,
+            "{scheme:?}: same session, next round"
+        );
+        let b = sys.open_session();
+        let mut live_b = KvCache::new(&cfg);
+        let pb = prompt(50, 4);
+        let want = never_evicted(sys.model(), &mut live_b, &pb, 4);
+        assert_eq!(
+            sys.round(b, &pb, 4).unwrap(),
+            want,
+            "{scheme:?}: fresh session"
+        );
+
+        let ctl = sys.controller().expect("controller");
+        let mgr = sys.storage();
+        for s in [a, b] {
+            let n = sys.context_len(s).unwrap() as u64;
+            let methods = ctl.session_methods(s).unwrap();
+            for (l, m) in methods.iter().enumerate() {
+                let rows = |stream: StreamId, held: bool| {
+                    let want = if held { n } else { 0 };
+                    assert_eq!(mgr.n_tokens(stream), want, "{stream:?} under {m:?}");
+                };
+                let l = l as u32;
+                rows(StreamId::hidden(s, l), *m == LayerMethod::Hidden);
+                rows(StreamId::key(s, l), *m == LayerMethod::KvOffload);
+                rows(StreamId::value(s, l), *m == LayerMethod::KvOffload);
+            }
+        }
+        assert_eq!(ctl.used_bytes(), mgr.total_resident_bytes());
     }
-    assert_eq!(ctl.used_bytes(), mgr.total_resident_bytes());
 }
 
 /// Matrix row 4: a read stall delays but never fails — all sessions
