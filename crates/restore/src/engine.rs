@@ -200,8 +200,7 @@ pub fn save_session_state<S: ChunkStore>(
     );
     let methods = scheme.layer_methods(n_layers);
     for (stream, rows) in save_items(session, &methods, hidden_per_layer, kv, 0..kv.n_tokens()) {
-        let n = rows.len() / mgr.d_model();
-        mgr.append_rows(stream, &Tensor2::from_vec(n, mgr.d_model(), rows.to_vec()))?;
+        mgr.append_rows(stream, rows)?;
     }
     mgr.flush_session(session)
 }

@@ -11,25 +11,27 @@
 //! threads, and a single restore — a one-request batch on one worker,
 //! which is what every `HCacheSystem` restore is — spawns none.
 //!
-//! A machine holds its `KvCache` under construction plus a sliding window
-//! of active layers ([`LAYER_WINDOW`]), each layer holding one
-//! [`ReadJob`] and one [`RowAssembly`] per stream (one for hidden layers,
-//! K+V for KV-offloaded layers); each job decodes its chunks straight
-//! into its assembly's rows, and device IO rides the storage manager's
-//! [`Reactor`](hc_storage::reactor::Reactor) submission queues:
+//! A machine holds its `KvCache` under construction plus one lane per
+//! stored layer, each holding one [`ReadJob`] and one [`RowAssembly`] per
+//! stream (one for hidden layers, K+V for KV-offloaded layers); each job
+//! decodes its chunks straight into its assembly's rows, and device IO
+//! rides the storage manager's [`Reactor`](hc_storage::reactor::Reactor)
+//! submission queues:
 //!
-//! * Its first advance opens the first layer window and submits those
-//!   reads **before** it runs the recompute prefix, so the devices serve
-//!   the window while the prefix's forward pass runs — the
+//! * Its first advance opens every stored layer's reads, in layer order,
+//!   and submits them **before** it runs the recompute prefix, so the
+//!   devices serve the restore while the prefix's forward pass runs — the
 //!   `compute_needs_io = false` tasks at the front of a
 //!   `sched::pipeline::Timeline`. (Recomputing first leaves the devices
 //!   idle for the whole prefix: the bubble §4.1.2 exists to remove.)
+//!   Each device's FIFO queue serves the earlier layers' chunks first.
 //! * Every advance pumps each active job, which lands whatever completed,
-//!   projects (hidden layers, at absolute positions) or installs (KV
+//!   and projects (hidden layers, at absolute positions) or installs (KV
 //!   layers, as both streams' prefixes pair up) the newly contiguous
-//!   prefix in one call, retires finished layers and submits the next
-//!   layer's reads. Each pump projects whatever landed since the last
-//!   one, so the GEMM granularity follows the bound with no mode and no
+//!   prefix in one call, then drops finished lanes. A layer's K/V depend
+//!   on its own hidden rows only, so lanes advance independently and in
+//!   any order. Each pump projects whatever landed since the last one, so
+//!   the GEMM granularity follows the bound with no mode and no
 //!   parameter: when the devices are the bound a pump finds a chunk or
 //!   two and the projection overlaps the reads still in flight; when
 //!   compute is the bound (`MemStore`, page-cache reads) a pump finds the
@@ -39,11 +41,13 @@
 //!   flag, so a burst of completions costs one wakeup. A worker that
 //!   finishes a machine admits the next request.
 //!
-//! What may be in flight per restore is bounded: `LAYER_WINDOW` layers of
-//! staging and each job's reactor window of chunk reads — never the whole
-//! restore. The driver's admission window bounds machines in flight by
-//! memory and iodepth, not threads: `n_devices × iodepth` reactor IO
-//! threads plus `workers` compute threads serve any number of them.
+//! What may be in flight per restore is bounded by the restore itself:
+//! each stored layer's job keeps its reactor window of chunk reads in
+//! flight, and the staging is one f32 copy of each stored layer's rows
+//! until that layer finishes — less than the `KvCache` being built. The
+//! driver's admission window bounds machines in flight by memory and
+//! iodepth, not threads: `n_devices × iodepth` reactor IO threads plus
+//! `workers` compute threads serve any number of them.
 //!
 //! A manager without a reactor has no IO plane to overlap: its jobs read
 //! every chunk inline on the worker pumping them, and the same machines
@@ -80,7 +84,6 @@
 //! [`StorageError::Io`]: hc_storage::StorageError::Io
 //! [`StorageError::DeviceFailed`]: hc_storage::StorageError::DeviceFailed
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -95,11 +98,6 @@ use hc_storage::StreamId;
 use hc_tensor::ParallelConfig;
 
 use crate::engine::RestoreError;
-
-/// How many layers of one restore may have reads in flight at once. Two
-/// keeps the next layer's IO running while the current layer's tail is
-/// being projected, while bounding per-session staging to O(2 layers).
-const LAYER_WINDOW: usize = 2;
 
 /// One session's restore work. It borrows the caller's history and mix,
 /// so no restore copies either.
@@ -150,11 +148,11 @@ impl<S: ChunkStore> Lane<S> {
 /// One session's restore state machine.
 struct Machine<S: ChunkStore> {
     kv: KvCache,
-    /// Active layers, oldest first; at most [`LAYER_WINDOW`].
-    active: VecDeque<(usize, Lane<S>)>,
-    /// Next layer to submit reads for.
-    next_layer: usize,
-    /// Whether the recompute prefix has run (first advancement).
+    /// Stored layers still landing, in layer order: all of them from the
+    /// first advancement on, each dropped (with its staging) once done.
+    active: Vec<(usize, Lane<S>)>,
+    /// Whether the reads are open and the recompute prefix has run (first
+    /// advancement).
     started: bool,
     /// Completion callback shared by every job of this machine.
     notify: Arc<dyn Fn() + Send + Sync>,
@@ -163,11 +161,10 @@ struct Machine<S: ChunkStore> {
 }
 
 impl<S: ChunkStore> Machine<S> {
-    fn new(cfg: &ModelConfig, req: &RestoreRequest, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
+    fn new(cfg: &ModelConfig, notify: Arc<dyn Fn() + Send + Sync>) -> Self {
         Self {
             kv: KvCache::new(cfg),
-            active: VecDeque::with_capacity(LAYER_WINDOW),
-            next_layer: recompute_prefix(req.methods),
+            active: Vec::new(),
             started: false,
             notify,
             result: None,
@@ -275,7 +272,7 @@ pub fn restore_sessions<S: ChunkStore>(
                 q.push(i);
             }
         });
-        *machines[i].lock() = Some(Machine::new(&model.cfg, &requests[i], Arc::clone(&notify)));
+        *machines[i].lock() = Some(Machine::new(&model.cfg, Arc::clone(&notify)));
         if let Some(reactor) = mgr.reactor() {
             reactor.restore_admitted();
         }
@@ -377,12 +374,13 @@ fn recompute_prefix(methods: &[LayerMethod]) -> usize {
         .count()
 }
 
-/// Advances one machine as far as currently possible: open the layer
-/// window, pump every active job (a new job's first pump submits its IO)
-/// and apply its deliveries, run the recompute prefix on the first
-/// advancement — after the first window's reads are submitted, so they
-/// overlap it — then retire finished layers and go again until the window
-/// is waiting on IO or the restore is complete.
+/// Advances one machine as far as currently possible. The first
+/// advancement opens a read job for every stored layer, in layer order,
+/// and pumps each once — submitting its IO, so every device's queue holds
+/// the whole restore, the earliest layer's chunks first — and only then
+/// runs the recompute prefix, which the reads overlap. Every advancement
+/// pumps each active lane, applies what landed, drops finished lanes, and
+/// completes the restore once none is left.
 fn step<S: ChunkStore>(
     m: &mut Machine<S>,
     req: &RestoreRequest,
@@ -391,74 +389,66 @@ fn step<S: ChunkStore>(
     par: &ParallelConfig,
 ) {
     let cfg = &model.cfg;
-    loop {
-        while m.active.len() < LAYER_WINDOW && m.next_layer < req.methods.len() {
-            let l = m.next_layer;
-            m.next_layer += 1;
-            let begin = |stream: StreamId| {
-                mgr.begin_read(stream, 0, req.n_tokens as u64, Arc::clone(&m.notify))
-            };
-            let assembly = || RowAssembly::new(req.n_tokens, cfg.d_model);
-            let lane = match req.methods[l] {
-                LayerMethod::Hidden => Lane::Hidden {
-                    asm: assembly(),
-                    job: begin(StreamId::hidden(req.session, l as u32)),
-                    projected: 0,
-                },
-                LayerMethod::KvOffload => Lane::Kv {
-                    k_asm: assembly(),
-                    v_asm: assembly(),
-                    k_job: begin(StreamId::key(req.session, l as u32)),
-                    v_job: begin(StreamId::value(req.session, l as u32)),
-                    placed: 0,
-                },
-                LayerMethod::Recompute => unreachable!("prefix checked at admission"),
-            };
-            m.active.push_back((l, lane));
-        }
-        let mut finished_this_round = false;
-        for (l, lane) in m.active.iter_mut() {
-            match pump_lane(*l, lane, &mut m.kv, model, mgr, req.n_tokens, par) {
-                Ok(done) => finished_this_round |= done,
-                Err(e) => {
-                    // This session fails alone; sibling machines and the
-                    // reactor's IO threads are untouched.
-                    m.result = Some(Err(e));
-                    return;
-                }
-            }
-        }
-        if !m.started {
-            m.started = true;
-            let n_recompute = recompute_prefix(req.methods);
-            if n_recompute > 0 {
-                let mut hidden = model.embed_tokens(&req.tokens[..req.n_tokens], 0);
-                for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
-                    let (next, new_k, new_v) = layer::layer_forward_par(
-                        cfg,
-                        lw,
-                        &hidden,
-                        m.kv.keys(l),
-                        m.kv.values(l),
-                        0,
-                        par,
-                    );
-                    m.kv.append(l, &new_k, &new_v);
-                    hidden = next;
-                }
-            }
-        }
-        if m.active.is_empty() {
-            // Nothing left to read: the restore is complete.
-            let kv = std::mem::replace(&mut m.kv, KvCache::new(cfg));
-            debug_assert!(kv.is_consistent());
-            m.result = Some(Ok(kv));
+    let n_recompute = recompute_prefix(req.methods);
+    if !m.started {
+        let begin = |stream: StreamId| {
+            mgr.begin_read(stream, 0, req.n_tokens as u64, Arc::clone(&m.notify))
+        };
+        let assembly = || RowAssembly::new(req.n_tokens, cfg.d_model);
+        m.active = (n_recompute..req.methods.len())
+            .map(|l| {
+                let lane = match req.methods[l] {
+                    LayerMethod::Hidden => Lane::Hidden {
+                        asm: assembly(),
+                        job: begin(StreamId::hidden(req.session, l as u32)),
+                        projected: 0,
+                    },
+                    LayerMethod::KvOffload => Lane::Kv {
+                        k_asm: assembly(),
+                        v_asm: assembly(),
+                        k_job: begin(StreamId::key(req.session, l as u32)),
+                        v_job: begin(StreamId::value(req.session, l as u32)),
+                        placed: 0,
+                    },
+                    LayerMethod::Recompute => unreachable!("prefix checked at admission"),
+                };
+                (l, lane)
+            })
+            .collect();
+    }
+    for (l, lane) in m.active.iter_mut() {
+        if let Err(e) = pump_lane(*l, lane, &mut m.kv, model, mgr, req.n_tokens, par) {
+            // This session fails alone; sibling machines and the
+            // reactor's IO threads are untouched.
+            m.result = Some(Err(e));
             return;
         }
-        if !finished_this_round {
-            return; // window full of pending IO — wait for completions
+    }
+    m.active.retain(|(_, lane)| !lane_done(lane, req.n_tokens));
+    if !m.started {
+        m.started = true;
+        if n_recompute > 0 {
+            let mut hidden = model.embed_tokens(&req.tokens[..req.n_tokens], 0);
+            for (l, lw) in model.layers.iter().take(n_recompute).enumerate() {
+                let (next, new_k, new_v) = layer::layer_forward_par(
+                    cfg,
+                    lw,
+                    &hidden,
+                    m.kv.keys(l),
+                    m.kv.values(l),
+                    0,
+                    par,
+                );
+                m.kv.append(l, &new_k, &new_v);
+                hidden = next;
+            }
         }
-        m.active.retain(|(_, lane)| !lane_done(lane, req.n_tokens));
+    }
+    if m.active.is_empty() {
+        // Nothing left to read: the restore is complete.
+        let kv = std::mem::replace(&mut m.kv, KvCache::new(cfg));
+        debug_assert!(kv.is_consistent());
+        m.result = Some(Ok(kv));
     }
 }
 
@@ -485,7 +475,6 @@ fn pump_stream<S: ChunkStore>(
 
 /// Pumps one lane's job(s) once and applies whatever landed: project or
 /// install the newly contiguous prefix, roll back on a tombstone reset.
-/// Returns `Ok(true)` when the lane finished its range.
 fn pump_lane<S: ChunkStore>(
     l: usize,
     lane: &mut Lane<S>,
@@ -494,7 +483,7 @@ fn pump_lane<S: ChunkStore>(
     mgr: &StorageManager<S>,
     n_tokens: usize,
     par: &ParallelConfig,
-) -> Result<bool, RestoreError> {
+) -> Result<(), RestoreError> {
     match lane {
         Lane::Hidden {
             asm,
@@ -518,9 +507,9 @@ fn pump_lane<S: ChunkStore>(
             match outcome {
                 PumpOutcome::Done => {
                     debug_assert_eq!(*projected, n_tokens, "Done with rows missing");
-                    Ok(true)
+                    Ok(())
                 }
-                PumpOutcome::Pending => Ok(false),
+                PumpOutcome::Pending => Ok(()),
                 PumpOutcome::Failed(e) => Err(RestoreError::Storage(e)),
             }
         }
@@ -560,7 +549,7 @@ fn pump_lane<S: ChunkStore>(
             if done {
                 debug_assert_eq!(*placed, n_tokens, "Done with rows missing");
             }
-            Ok(done && *placed >= n_tokens)
+            Ok(())
         }
     }
 }
@@ -679,6 +668,84 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_first_step_puts_every_stored_layer_in_flight() {
+        use crate::engine::save_items;
+        use hc_storage::fault::{FaultStore, FaultTarget};
+        use LayerMethod::{Hidden, KvOffload, Recompute};
+
+        const TOKENS: usize = 300; // five chunks per stream
+        let cfg = ModelConfig::tiny_llama();
+        let model = Model::new(&cfg, 239);
+        let tokens: Vec<u32> = (0..TOKENS as u32).map(|t| (t * 7 + 3) % 256).collect();
+        let mut kv = KvCache::new(&cfg);
+        let hidden = model
+            .prefill(&tokens, &mut kv, true)
+            .hidden_per_layer
+            .unwrap();
+        // Stalling every read lets the first step submit but land nothing;
+        // stalling layer 0's hidden stream alone lets later layers land
+        // (and project) before it.
+        let inputs = [
+            (vec![Recompute, Hidden, Hidden, KvOffload], None),
+            (
+                vec![Hidden, Hidden, KvOffload, Hidden],
+                Some(StreamId::hidden(1, 0)),
+            ),
+        ];
+        for (session, (methods, stalled_stream)) in (0u64..).zip(inputs) {
+            let fault = Arc::new(FaultStore::new(Arc::new(MemStore::new(4))));
+            let reactor = Reactor::new(4, 1);
+            let mgr = StorageManager::new(Arc::clone(&fault), cfg.d_model)
+                .with_reactor(Arc::clone(&reactor));
+            for (stream, rows) in save_items(session, &methods, &hidden, &kv, 0..TOKENS) {
+                mgr.append_rows(stream, rows).unwrap();
+            }
+            mgr.flush_session(session).unwrap();
+            let reference =
+                restore_session_with_methods(&model, &mgr, session, &tokens, TOKENS, &methods)
+                    .unwrap();
+            // Each job's window: iodepth × the devices its chunks occupy,
+            // capped at its chunk count.
+            let chunks = TOKENS.div_ceil(64);
+            let windows: usize = (0..methods.len())
+                .flat_map(|l| crate::engine::layer_streams(session, l, methods[l]))
+                .map(|stream| (reactor.iodepth() * mgr.stream_devices(stream).len()).min(chunks))
+                .sum();
+
+            let target = stalled_stream.map_or(FaultTarget::Any, FaultTarget::Stream);
+            fault.stall_reads(target, Duration::from_millis(300));
+            let req = RestoreRequest {
+                session,
+                tokens: &tokens,
+                n_tokens: TOKENS,
+                methods: &methods,
+            };
+            let par = ParallelConfig::serial();
+            let mut m = Machine::new(&cfg, Arc::new(|| {}));
+            let before = reactor.ios_submitted();
+            m.advance(&req, &model, &mgr, &par);
+            if stalled_stream.is_none() {
+                assert_eq!(
+                    reactor.ios_submitted() - before,
+                    windows as u64,
+                    "one step must submit every stored layer's window"
+                );
+            }
+            fault.clear_read_stalls();
+            while m.result.is_none() {
+                std::thread::sleep(Duration::from_millis(1));
+                m.advance(&req, &model, &mgr, &par);
+            }
+            let restored = m.result.take().unwrap().unwrap();
+            assert_eq!(
+                kv_max_error(&restored, &reference),
+                0.0,
+                "input {session} diverged"
+            );
         }
     }
 

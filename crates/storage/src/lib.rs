@@ -111,16 +111,6 @@ impl Precision {
     ) -> Vec<u8> {
         hc_tensor::f16::encode_f16_par(xs, par)
     }
-
-    /// Decodes back to f32 under `par`'s thread budget.
-    pub fn decode_par(
-        &self,
-        bytes: &[u8],
-        _width: usize,
-        par: &hc_tensor::ParallelConfig,
-    ) -> Vec<f32> {
-        hc_tensor::f16::decode_f16_par(bytes, par)
-    }
 }
 
 /// Which state a stream holds.

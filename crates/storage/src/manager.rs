@@ -435,9 +435,9 @@ impl RowAssembly {
 pub struct StorageManager<S: ChunkStore> {
     store: Arc<S>,
     d_model: usize,
-    /// Thread budget for chunk encode/decode (shared with the two-stage
-    /// saver's daemon and the restore drivers, which run through this
-    /// manager).
+    /// Thread budget for chunk encode (shared with the two-stage saver's
+    /// daemon, which appends through this manager). Reads decode each
+    /// chunk on the thread that lands it.
     parallel: hc_tensor::ParallelConfig,
     /// Event-driven IO reactor (None: every chunk is read inline by the
     /// thread pumping the read). When attached, device reads ride its
@@ -527,17 +527,13 @@ impl<S: ChunkStore> StorageManager<S> {
         self.journal.as_ref()
     }
 
-    /// Sets the thread budget used for chunk encode/decode. The parallel
-    /// codec is bit-identical to the serial one, so this changes wall-clock
-    /// only, never stored bytes.
+    /// Sets the thread budget used for chunk encode. The parallel encoder
+    /// is bit-identical to the serial one, so this changes wall-clock
+    /// only, never stored bytes. Reads decode each chunk (at most 64 rows)
+    /// on the thread that lands it, whatever this budget.
     pub fn with_parallel(mut self, parallel: hc_tensor::ParallelConfig) -> Self {
         self.parallel = parallel;
         self
-    }
-
-    /// Thread budget used for chunk encode/decode.
-    pub fn parallel(&self) -> hc_tensor::ParallelConfig {
-        self.parallel
     }
 
     /// Attaches an event-driven IO [`Reactor`]: read jobs submit their
@@ -628,21 +624,27 @@ impl<S: ChunkStore> StorageManager<S> {
             .map_or(0, |c| c.read().n_tokens(self.d_model))
     }
 
-    /// Appends `rows` (an `n × d_model` tensor) to the stream.
+    /// Appends `rows` — row-major f32 values, `n × d_model` of them (a
+    /// [`Tensor2`], a `Vec<f32>` or a plain slice) — to the stream.
     ///
     /// Full chunks are encoded to f16 and written to the backend right away;
     /// the remainder is buffered. Only this stream's write lock is held —
     /// appends to other streams, and all reads, proceed concurrently.
     ///
     /// # Panics
-    /// Panics when the row width disagrees with the manager's `d_model`.
-    pub fn append_rows(&self, stream: StreamId, rows: &Tensor2) -> Result<(), StorageError> {
-        assert_eq!(rows.cols(), self.d_model, "row width mismatch");
-        if rows.rows() == 0 {
+    /// Panics when the payload is not a whole number of `d_model`-wide rows.
+    pub fn append_rows<R: AsRef<[f32]> + ?Sized>(
+        &self,
+        stream: StreamId,
+        rows: &R,
+    ) -> Result<(), StorageError> {
+        let rows = rows.as_ref();
+        assert_eq!(rows.len() % self.d_model, 0, "ragged row payload");
+        if rows.is_empty() {
             return Ok(());
         }
         self.with_stream_mut(stream, true, |state| {
-            state.partial.extend_from_slice(rows.as_slice());
+            state.partial.extend_from_slice(rows);
             self.seal_full_chunks(stream, state)
         })
         // hc-analyze: allow(panic) invariant: with_stream_mut(create=true) always yields a state
@@ -703,9 +705,12 @@ impl<S: ChunkStore> StorageManager<S> {
     }
 
     /// Convenience: appends a single token row.
+    ///
+    /// # Panics
+    /// Panics when `row` is not `d_model` wide.
     pub fn append_row(&self, stream: StreamId, row: &[f32]) -> Result<(), StorageError> {
-        let t = Tensor2::from_vec(1, row.len(), row.to_vec());
-        self.append_rows(stream, &t)
+        assert_eq!(row.len(), self.d_model, "row width mismatch");
+        self.append_rows(stream, row)
     }
 
     /// Writes the buffered partial tail chunk (if any) to the backend,
@@ -870,6 +875,10 @@ impl<S: ChunkStore> StorageManager<S> {
     /// the tombstone, and only then marks the slice landed. `false`: the
     /// generation died under the read and the slice stays unmarked (the
     /// caller restarts).
+    ///
+    /// The decode runs on the pumping thread, whatever the manager's
+    /// thread budget: a slice never exceeds one chunk, whose decode costs
+    /// less than spawning threads to split it.
     fn land(&self, plan: &ReadPlan, asm: &mut RowAssembly, i: usize, bytes: Option<&[u8]>) -> bool {
         let slice = &plan.slices[i];
         let first = slice.chunk_idx as u64 * CHUNK_TOKENS + slice.start_in_chunk;
@@ -879,7 +888,7 @@ impl<S: ChunkStore> StorageManager<S> {
             Some(bytes) => {
                 let per_row = Precision::F16.encoded_len(1, d);
                 let src = &bytes[slice.start_in_chunk as usize * per_row..][..n * per_row];
-                hc_tensor::f16::decode_f16_into(src, dst, &self.parallel);
+                hc_tensor::f16::decode_f16_into(src, dst, &hc_tensor::ParallelConfig::serial());
             }
             None => {
                 let partial = plan
@@ -888,11 +897,9 @@ impl<S: ChunkStore> StorageManager<S> {
                     // hc-analyze: allow(panic) planner invariant: a slice past the durable cursor always snapshots a tail
                     .expect("range past durable implies tail");
                 let src = &partial[(first - plan.durable) as usize * d..][..n * d];
-                self.parallel.run_row_blocks(dst, n, d, |r0, rows| {
-                    for (x, &y) in rows.iter_mut().zip(&src[r0 * d..]) {
-                        *x = hc_tensor::f16::f16_roundtrip(y);
-                    }
-                });
+                for (x, &y) in dst.iter_mut().zip(src) {
+                    *x = hc_tensor::f16::f16_roundtrip(y);
+                }
             }
         }
         // Per-slice generation check: a delete (+ possible re-append onto
@@ -1169,7 +1176,7 @@ impl<S: ChunkStore> StorageManager<S> {
                 };
                 let is_tail = chunk_idx == ledger.next_chunk();
                 if is_tail {
-                    let rows = Precision::F16.decode_par(&bytes, mgr.d_model, &mgr.parallel);
+                    let rows = hc_tensor::f16::decode_f16(&bytes);
                     if rows.len() != image.rows as usize * mgr.d_model {
                         break;
                     }

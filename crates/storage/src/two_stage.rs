@@ -20,8 +20,9 @@
 //! visible.
 //!
 //! The daemon's chunk encoding runs under the [`StorageManager`]'s
-//! `ParallelConfig` (set via `StorageManager::with_parallel`), so the save
-//! path and the restore drivers draw from one shared thread budget.
+//! `ParallelConfig` (set via `StorageManager::with_parallel`), the one
+//! thread budget the manager spends; reads decode each chunk on the thread
+//! that lands it.
 //!
 //! The daemon is one *appender* among the manager's concurrent clients: it
 //! holds only the written stream's write lock per append (the manager is
@@ -61,9 +62,8 @@ pub enum SaveMode {
 /// A batch of rows for one stream, already snapshotted to host memory.
 struct RowBatch {
     stream: StreamId,
-    /// Row-major f32 payload (`n_rows × d_model`).
+    /// Row-major f32 payload (`n × d_model`).
     rows: Vec<f32>,
-    n_rows: usize,
 }
 
 enum Msg {
@@ -99,12 +99,7 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
                             match msg {
                                 Msg::Batch(batches) => {
                                     for b in batches {
-                                        let t = hc_tensor::Tensor2::from_vec(
-                                            b.n_rows,
-                                            mgr2.d_model(),
-                                            b.rows,
-                                        );
-                                        if let Err(e) = mgr2.append_rows(b.stream, &t) {
+                                        if let Err(e) = mgr2.append_rows(b.stream, &b.rows) {
                                             failed.entry(b.stream.session).or_insert(e);
                                         }
                                     }
@@ -136,25 +131,22 @@ impl<S: ChunkStore + 'static> StateSaver<S> {
     /// tail chunk) hit the backend. A `TwoStage` append error is reported
     /// by the session's next [`Self::barrier_and_flush`].
     pub fn save_batch(&self, items: &[(StreamId, &[f32])]) -> Result<(), StorageError> {
-        let d = self.mgr.d_model();
         match self.mode {
             SaveMode::TwoStage => {
+                let d = self.mgr.d_model();
                 let mut batches = Vec::with_capacity(items.len());
                 for (stream, rows) in items {
                     assert_eq!(rows.len() % d, 0, "ragged row payload");
                     batches.push(RowBatch {
                         stream: *stream,
                         rows: rows.to_vec(), // the stage-1 snapshot copy
-                        n_rows: rows.len() / d,
                     });
                 }
                 self.send(Msg::Batch(batches));
             }
             SaveMode::DirectIo => {
                 for (stream, rows) in items {
-                    assert_eq!(rows.len() % d, 0, "ragged row payload");
-                    let t = hc_tensor::Tensor2::from_vec(rows.len() / d, d, rows.to_vec());
-                    self.mgr.append_rows(*stream, &t)?;
+                    self.mgr.append_rows(*stream, *rows)?;
                     // Write-through: the tail chunk goes out on every call —
                     // this is what makes DirectIO scatter small writes.
                     self.mgr.flush_stream(*stream)?;

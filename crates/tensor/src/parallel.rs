@@ -1,7 +1,7 @@
 //! Thread-budget configuration and the scoped row-parallel helper.
 //!
 //! Everything multi-threaded in the workspace — the blocked GEMM kernels,
-//! the f16 bulk codec, the storage chunk codec and the restore drivers —
+//! the f16 bulk codec, the storage chunk encoder and the restore drivers —
 //! draws its thread budget from one [`ParallelConfig`], so the saving
 //! daemon and the restoration pipeline never oversubscribe the host
 //! (§4.2.2's chunk daemon and §4.1.2's two-stream schedule share cores in
@@ -16,9 +16,10 @@
 //! microseconds (≈ 70 µs for two on the 2-core reference host) — more than
 //! a one-token GEMM or one chunk's f16 decode. Callers on a latency path
 //! pass [`ParallelConfig::serial`] for such calls (`Model::decode_step`
-//! does). A per-call work threshold inside `run_row_blocks` was measured
-//! and left out: it bought medians and cost tails (README "Forward pass");
-//! the spawn cost is the persistent-worker item in ROADMAP.md.
+//! does; storage reads decode each chunk serially). A per-call work
+//! threshold inside `run_row_blocks` was measured and left out: it bought
+//! medians and cost tails (README "Forward pass"); the spawn cost is the
+//! persistent-worker item in ROADMAP.md.
 
 /// Thread budget shared by the parallel kernels and pipelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
