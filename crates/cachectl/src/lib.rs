@@ -9,7 +9,7 @@
 //! * [`CacheController`] — tracks every session's resident bytes (via
 //!   `hc-storage`'s byte-accounting hooks) against a configurable
 //!   [`quota`], makes cost-model-driven placement decisions at admission
-//!   ([`placement::choose_placement`], fed by `hc_restore::cost`), and
+//!   ([`placement::choose_placement`], fed by `hc_sched::cost`), and
 //!   under pressure **demotes** victims one layer at a time down the
 //!   ladder *hidden → KV → recompute*. Demotion deletes streams and edits
 //!   the session's `LayerMethod` mix; it never corrupts saved state, so a
@@ -52,7 +52,7 @@
 //! [`policy`] module's scan-based `LruPolicy` remains the reference
 //! implementation the controller's LRU victims are equivalence-tested
 //! against; its `CostAwarePolicy` is the cost-aware comparator the
-//! controller calls (and `hc-serving`'s virtual-time simulator drives
+//! controller calls (and `hc-simhw`'s virtual-time serving engine drives
 //! both).
 //! Sessions carry a tenant id ([`CacheController::open_session_in`]):
 //! per-tenant caps demote within the offending tenant, and pool pressure
@@ -62,8 +62,8 @@
 //!
 //! Every `hcache::HCacheSystem` routes session open/save/restore/close
 //! through its controller (an unlimited-quota one unless the caller sets
-//! a quota); `hc-serving` mirrors the same quota/policy knobs in virtual
-//! time and reports hit/evict/fallback counts.
+//! a quota); `hc-simhw`'s serving engine mirrors the same quota/policy
+//! knobs in virtual time and reports hit/evict/fallback counts.
 
 pub mod metrics;
 pub mod placement;
@@ -76,9 +76,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hc_model::{KvCache, Model};
-use hc_restore::cost::CostInputs;
 use hc_restore::engine::{layer_streams, DegradationReport, DegradeCause, RestoreError};
 use hc_restore::reactor::{restore_sessions, RestoreRequest};
+use hc_sched::cost::LayerCosts;
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 use hc_storage::backend::ChunkStore;
 use hc_storage::manager::StorageManager;
@@ -310,14 +310,15 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         self.state.lock().table.n_tokens_of(session)
     }
 
-    fn cost_inputs(&self, n_tokens: u64) -> CostInputs {
-        CostInputs {
-            n_seq: n_tokens.max(1),
-            d_hidden: self.d_model as u64,
-            bandwidth: self.cfg.bandwidth,
-            flops: self.cfg.flops,
-            elem_bytes: BYTES_PER_ELEM as u64,
-        }
+    /// The §3.2 closed-form per-layer costs of an `n_tokens` history.
+    fn layer_costs(&self, n_tokens: u64) -> LayerCosts {
+        LayerCosts::closed_form(
+            n_tokens.max(1),
+            self.d_model as u64,
+            BYTES_PER_ELEM as u64,
+            self.cfg.bandwidth,
+            self.cfg.flops,
+        )
     }
 
     /// Registers a session for tenant 0 and decides its placement —
@@ -344,8 +345,9 @@ impl<S: ChunkStore + 'static> CacheController<S> {
         let placement = if projected <= self.cfg.quota_bytes {
             desired_p
         } else {
-            let c = self.cost_inputs(expected);
-            let decision = choose_placement(&c, self.n_layers, self.cfg.quota_bytes);
+            let c = self.layer_costs(expected);
+            let layer_bytes = expected * (self.d_model * BYTES_PER_ELEM) as u64;
+            let decision = choose_placement(&c, layer_bytes, self.n_layers, self.cfg.quota_bytes);
             Placement::from_scheme(&decision.scheme(self.n_layers), self.n_layers)
         };
         let counter = if placement.is_fully_dropped() {
@@ -401,7 +403,7 @@ impl<S: ChunkStore + 'static> CacheController<S> {
                 let candidates: Vec<SessionMeta> = table
                     .evictable(allowed)
                     .map(|(session, slot)| {
-                        let c = self.cost_inputs(table.n_tokens_at(slot));
+                        let c = self.layer_costs(table.n_tokens_at(slot));
                         SessionMeta {
                             session,
                             resident_bytes: table.bytes_at(slot),

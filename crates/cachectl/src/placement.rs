@@ -9,11 +9,11 @@
 //! eviction degrades a session's restore *time*, never its correctness.
 //!
 //! [`choose_placement`] is the admission-time decision: given the §3.2
-//! closed-form costs and the pool quota, cache hidden states, fall back to
-//! KV, or drop to recompute — always the fastest method whose storage
-//! footprint is feasible at all.
+//! closed-form per-layer costs ([`LayerCosts::closed_form`]) and the pool
+//! quota, cache hidden states, fall back to KV, or drop to recompute —
+//! always the fastest method whose storage footprint is feasible at all.
 
-use hc_restore::cost::{t_hidden, t_kv, t_recompute, CostInputs};
+use hc_sched::cost::LayerCosts;
 use hc_sched::partition::{LayerMethod, PartitionScheme};
 
 /// A session's current per-layer cache placement.
@@ -100,11 +100,11 @@ impl Placement {
             .sum()
     }
 
-    /// Estimated restore seconds of an `n_tokens` history under this
-    /// placement, from the §3.2 per-layer closed forms. Hidden and KV
-    /// layers charge their pipelined per-layer terms; recompute layers the
-    /// per-layer prefill term.
-    pub fn restore_secs(&self, c: &CostInputs) -> f64 {
+    /// Estimated restore seconds of a history under this placement, from
+    /// that history's per-layer costs. Hidden and KV layers charge their
+    /// pipelined per-layer terms; recompute layers the per-layer prefill
+    /// term.
+    pub fn restore_secs(&self, c: &LayerCosts) -> f64 {
         restore_secs_of(&self.methods, c)
     }
 }
@@ -112,13 +112,14 @@ impl Placement {
 /// [`Placement::restore_secs`] over a bare method slice — the same
 /// numerics without constructing a `Placement`, so the controller's
 /// structure-of-arrays eviction scan can cost interned mixes in place.
-pub fn restore_secs_of(methods: &[LayerMethod], c: &CostInputs) -> f64 {
+pub fn restore_secs_of(methods: &[LayerMethod], c: &LayerCosts) -> f64 {
     methods
         .iter()
         .map(|m| match m {
-            LayerMethod::Hidden => t_hidden(c),
-            LayerMethod::KvOffload => t_kv(c),
-            LayerMethod::Recompute => t_recompute(c),
+            // Transmission and projection pipeline: the slower stream.
+            LayerMethod::Hidden => c.io_h.max(c.c_h),
+            LayerMethod::KvOffload => c.io_kv,
+            LayerMethod::Recompute => c.c_token,
         })
         .sum()
 }
@@ -155,19 +156,26 @@ impl PlacementDecision {
 
 /// Picks the fastest-restoring method whose per-session storage footprint
 /// is feasible against `quota_bytes` at all (dropping is always feasible).
+/// `c` prices one layer of the session's history and `layer_bytes` is that
+/// layer's hidden-state footprint (its KV footprint is twice that).
 /// Cross-session pressure is not this function's job — the eviction ladder
 /// handles it — so feasibility is against the whole quota, not current
 /// headroom: a session bigger than the pool itself must never be admitted
 /// in a cached form.
-pub fn choose_placement(c: &CostInputs, n_layers: usize, quota_bytes: u64) -> PlacementDecision {
-    let unit = c.n_seq * c.d_hidden * c.elem_bytes * n_layers as u64;
+pub fn choose_placement(
+    c: &LayerCosts,
+    layer_bytes: u64,
+    n_layers: usize,
+    quota_bytes: u64,
+) -> PlacementDecision {
+    let unit = layer_bytes * n_layers as u64;
     let l = n_layers as f64;
-    let mut candidates = vec![(t_recompute(c) * l, 0u64, PlacementDecision::Drop)];
+    let mut candidates = vec![(c.c_token * l, 0u64, PlacementDecision::Drop)];
     if unit <= quota_bytes {
-        candidates.push((t_hidden(c) * l, unit, PlacementDecision::Hidden));
+        candidates.push((c.io_h.max(c.c_h) * l, unit, PlacementDecision::Hidden));
     }
     if 2 * unit <= quota_bytes {
-        candidates.push((t_kv(c) * l, 2 * unit, PlacementDecision::KvOffload));
+        candidates.push((c.io_kv * l, 2 * unit, PlacementDecision::KvOffload));
     }
     candidates
         .into_iter()
@@ -181,13 +189,87 @@ pub fn choose_placement(c: &CostInputs, n_layers: usize, quota_bytes: u64) -> Pl
 mod tests {
     use super::*;
 
-    fn a100(n_seq: u64) -> CostInputs {
-        CostInputs {
-            n_seq,
-            d_hidden: 4096,
-            bandwidth: 32e9,
-            flops: 312e12,
-            elem_bytes: 2,
+    fn a100(n_seq: u64) -> LayerCosts {
+        LayerCosts::closed_form(n_seq, 4096, 2, 32e9, 312e12)
+    }
+
+    /// `choose_placement` for a 4-layer session priced by [`a100`].
+    fn decide(n_seq: u64, quota_bytes: u64) -> PlacementDecision {
+        choose_placement(&a100(n_seq), n_seq * 4096 * 2, 4, quota_bytes)
+    }
+
+    /// Golden prices of quota demotion: `restore_secs_of` bits for every
+    /// rung of a 4-layer `[H, H, H, Kv]` ladder, and `choose_placement`'s
+    /// decision either side of the hidden and KV footprints, at d = 4096
+    /// on `ControllerConfig::with_quota`'s 32 GB/s and 312 TFLOP/s. A
+    /// change that moves one bit here changes which sessions demotion
+    /// picks.
+    #[test]
+    fn demotion_ladder_prices_are_golden() {
+        use LayerMethod::{Hidden as H, KvOffload as Kv};
+        const LADDER_BITS: [(u64, [u64; 5]); 4] = [
+            (
+                1,
+                [
+                    0x3eb5_798e_e230_8c3a,
+                    0x3ec3_6a7f_53d1_1ca3,
+                    0x3ecc_1837_3689_f329,
+                    0x3ed2_62f7_8ca1_64d8,
+                    0x3ed5_a6f2_bf7b_62b1,
+                ],
+            ),
+            (
+                64,
+                [
+                    0x3f15_798e_e230_8c3a,
+                    0x3f23_6c46_048b_b145,
+                    0x3f2c_1bc4_97ff_1c6e,
+                    0x3f32_65a1_95b9_43cb,
+                    0x3f35_aa80_20f0_8bf6,
+                ],
+            ),
+            (
+                704,
+                [
+                    0x3f4d_8724_7702_c0cf,
+                    0x3f5a_cdaf_8131_5481,
+                    0x3f63_6be6_6370_a44c,
+                    0x3f69_70f5_0648_9e58,
+                    0x3f6d_fc0e_a32d_41f4,
+                ],
+            ),
+            (
+                4096,
+                [
+                    0x3f75_798e_e230_8c3a,
+                    0x3f83_ddf2_3330_d9f3,
+                    0x3f8c_ff1c_f549_6dc9,
+                    0x3f93_1023_dbb1_00d0,
+                    0x3f96_8dd8_7e3a_dd51,
+                ],
+            ),
+        ];
+        for (n, bits) in LADDER_BITS {
+            let c = a100(n);
+            let mut p = Placement::from_methods(vec![H, H, H, Kv]);
+            for (rung, want) in bits.into_iter().enumerate() {
+                let got = restore_secs_of(p.methods(), &c).to_bits();
+                assert_eq!(got, want, "n={n}, rung {rung}: {:?}", p.methods());
+                p.demote_first();
+            }
+            assert!(p.is_fully_dropped());
+        }
+        use PlacementDecision::{Drop, Hidden};
+        let decisions = [
+            (1, [Drop, Hidden, Hidden, Hidden]),
+            (64, [Drop, Hidden, Hidden, Hidden]),
+            (704, [Drop, Hidden, Hidden, Hidden]),
+            (4096, [Drop, Hidden, Hidden, Hidden]),
+        ];
+        for (n, want) in decisions {
+            let unit = n * 4096 * 2 * 4;
+            let got = [unit - 1, unit, 2 * unit - 1, 2 * unit].map(|q| decide(n, q));
+            assert_eq!(got, want, "n={n}");
         }
     }
 
@@ -263,7 +345,10 @@ mod tests {
     #[test]
     fn placement_prefers_hidden_when_it_fits() {
         let c = a100(1024);
-        assert_eq!(choose_placement(&c, 4, u64::MAX), PlacementDecision::Hidden);
+        assert_eq!(
+            choose_placement(&c, 1024 * 4096 * 2, 4, u64::MAX),
+            PlacementDecision::Hidden
+        );
     }
 
     #[test]
@@ -271,7 +356,7 @@ mod tests {
         let c = a100(1024);
         let hidden_bytes = 1024 * 4096 * 2 * 4;
         assert_eq!(
-            choose_placement(&c, 4, hidden_bytes - 1),
+            choose_placement(&c, 1024 * 4096 * 2, 4, hidden_bytes - 1),
             PlacementDecision::Drop
         );
     }
@@ -280,15 +365,9 @@ mod tests {
     fn placement_picks_kv_on_io_rich_compute_poor_platforms() {
         // A platform with huge bandwidth and weak compute: KV reload beats
         // hidden projection; pick KV when it fits.
-        let c = CostInputs {
-            n_seq: 4096,
-            d_hidden: 4096,
-            bandwidth: 1e12,
-            flops: 1e12,
-            elem_bytes: 2,
-        };
+        let c = LayerCosts::closed_form(4096, 4096, 2, 1e12, 1e12);
         assert_eq!(
-            choose_placement(&c, 4, u64::MAX),
+            choose_placement(&c, 4096 * 4096 * 2, 4, u64::MAX),
             PlacementDecision::KvOffload
         );
     }

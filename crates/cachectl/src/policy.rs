@@ -10,7 +10,7 @@
 //! * [`CostAwarePolicy`]: the economic answer, demote the session whose
 //!   cached bytes buy the least restoration time. Benefit-per-byte is
 //!   `(T_restore_if_dropped − T_restore_now) / resident_bytes`, both terms
-//!   from the §3.2 closed-form cost model (`hc_restore::cost`), so a short
+//!   from the §3.2 closed-form cost model (`hc_sched::cost`), so a short
 //!   session hoarding bytes loses to a long one whose recompute cost is
 //!   quadratic in its history.
 

@@ -9,18 +9,20 @@
 //! cache and a single GEMM away from it, so restoration can pipeline a 2×
 //! smaller transmission with a ≥6× cheaper recomputation.
 //!
-//! This crate is the facade over the workspace:
+//! This crate is the facade over the workspace's functional crates:
 //!
 //! | crate | role |
 //! |---|---|
 //! | [`tensor`] | f32 CPU kernels (GEMM, norms, RoPE, f16 codec) |
 //! | [`model`] | transformer with hidden-state capture + KV restoration |
-//! | [`simhw`] | virtual-time GPU/SSD/PCIe models (paper Table 2) |
-//! | [`workload`] | ShareGPT4-like / L-Eval-like trace generators |
 //! | [`storage`] | chunked hidden-state store + two-stage saver (§4.2) |
-//! | [`sched`] | bubble-free restoration scheduler (§4.1) |
-//! | [`restore`] | the six restoration methods, functional + timed |
-//! | [`serving`] | continuous-batching serving simulator (§6 harness) |
+//! | [`sched`] | per-layer costs + bubble-free restoration scheduler (§4.1) |
+//! | [`restore`] | functional save/restore for any layer-wise method mix |
+//!
+//! The virtual-time simulator (`hc-simhw`: GPU/SSD/PCIe models, timed
+//! restoration of the six methods, the continuous-batching serving engine)
+//! and the trace generators (`hc-workload`) sit on top of these crates and
+//! are not part of the facade.
 //!
 //! The [`HCacheSystem`] type wires the functional pieces into the serving
 //! workflow of Figure 7: prefill/decode with hidden-state capture →
@@ -49,11 +51,8 @@
 pub use hc_model as model;
 pub use hc_restore as restore;
 pub use hc_sched as sched;
-pub use hc_serving as serving;
-pub use hc_simhw as simhw;
 pub use hc_storage as storage;
 pub use hc_tensor as tensor;
-pub use hc_workload as workload;
 
 mod system;
 

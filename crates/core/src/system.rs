@@ -277,10 +277,10 @@ impl<S: ChunkStore + 'static> HCacheSystem<S> {
     /// executor over this system's IO reactor as a one-request call of
     /// `hc_restore::reactor`'s driver: one restore state machine, advanced
     /// on the calling thread (worker 0 — no thread is spawned), submits
-    /// the first stored layers' 64-token chunk reads to all storage
-    /// devices at once (up to `REACTOR_IODEPTH` reads in flight per
-    /// device) and runs the recompute prefix's forward pass while they are
-    /// served; each advance then projects every hidden layer's newly
+    /// every stored layer's 64-token chunk reads, in layer order, to all
+    /// storage devices on its first step (up to `REACTOR_IODEPTH` reads in
+    /// flight per device) and runs the recompute prefix's forward pass
+    /// while they are served; each advance then projects every hidden layer's newly
     /// contiguous token prefix — everything that landed since its last
     /// GEMM, in one call — and places K/V chunks as both streams' prefixes
     /// pair up, all under this system's thread budget. The result is

@@ -16,8 +16,8 @@
 //!
 //! The functional engine is meant to run at reduced dimensions (see
 //! [`config::ModelConfig::tiny_llama`]); the full-size configs exist so the
-//! analytic performance models in `hc-simhw`/`hc-sched` can compute FLOP and
-//! byte volumes for the paper's actual models.
+//! analytic performance models in `hc-simhw` can compute FLOP and byte
+//! volumes for the paper's actual models.
 
 #![forbid(unsafe_code)]
 

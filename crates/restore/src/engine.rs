@@ -20,13 +20,13 @@
 //! a per-layer method vector) is the sequential reference: it reads layer
 //! `l`'s streams, projects/loads them, and only then reads layer `l+1`.
 //! The one restore driver, [`crate::reactor::restore_sessions`], runs the
-//! *same* work as the two-stream schedule that `hc_sched::pipeline`
-//! models analytically, at **token-chunk granularity** (§4.1.2's
-//! token-wise partitioning), one state machine per request; a single
-//! restore is a one-request call whose machine advances on the calling
-//! thread. The machine submits its first layers' chunk reads to the
-//! manager's IO reactor before it runs the recompute prefix, so the
-//! devices serve them while the prefix's forward pass runs, and each
+//! *same* work as the two-stream schedule that the simulator's
+//! `hc_simhw::pipeline` models analytically, at **token-chunk
+//! granularity** (§4.1.2's token-wise partitioning), one state machine per
+//! request; a single restore is a one-request call whose machine advances
+//! on the calling thread. The machine submits every stored layer's chunk
+//! reads to the manager's IO reactor before it runs the recompute prefix,
+//! so the devices serve them while the prefix's forward pass runs, and each
 //! advance projects (hidden layers) or places (KV layers) whatever
 //! contiguous prefix landed since the last one — compute on chunk `k`
 //! overlaps the IO of chunk `k+1` inside a layer, on top of the

@@ -22,7 +22,7 @@
 //!   and submits them **before** it runs the recompute prefix, so the
 //!   devices serve the restore while the prefix's forward pass runs — the
 //!   `compute_needs_io = false` tasks at the front of a
-//!   `sched::pipeline::Timeline`. (Recomputing first leaves the devices
+//!   `hc_simhw::pipeline::Timeline`. (Recomputing first leaves the devices
 //!   idle for the whole prefix: the bubble §4.1.2 exists to remove.)
 //!   Each device's FIFO queue serves the earlier layers' chunks first.
 //! * Every advance pumps each active job, which lands whatever completed,

@@ -1,7 +1,6 @@
 //! Layer-wise state partition (§4.1.2).
 
-use hc_simhw::profile::LayerCosts;
-use hc_simhw::Sec;
+use crate::cost::{LayerCosts, Sec};
 
 /// How one layer's state is stored and restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -1,8 +1,8 @@
 //! Serving engine configuration.
 
 use hc_cachectl::policy::PolicyKind;
-use hc_restore::RestoreMethod;
-use hc_simhw::Sec;
+
+use crate::{RestoreMethod, Sec};
 
 /// How decode-time hidden-state saving is charged (Fig 14 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,16 +3,15 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use hc_cachectl::policy::{make_policy, EvictionPolicy, SessionMeta};
-use hc_restore::sim::restore_occupancy;
-use hc_restore::RestoreMethod;
-use hc_simhw::profile::PlatformProfile;
-use hc_simhw::storagehw::StorageTier;
-use hc_simhw::Sec;
 use hc_workload::Request;
 
 use crate::config::{SaveOverheadMode, ServingConfig};
 use crate::gpu_cache::GpuKvCache;
 use crate::metrics::{HostCacheStats, RequestMetrics, ServingReport};
+use crate::profile::PlatformProfile;
+use crate::sim::{restore_occupancy, RestoreOccupancy};
+use crate::storagehw::StorageTier;
+use crate::{RestoreMethod, Sec};
 
 /// One in-flight request.
 #[derive(Debug, Clone)]
@@ -136,9 +135,11 @@ pub struct ServingEngine {
 impl ServingEngine {
     /// Builds an engine for a platform profile.
     pub fn new(profile: PlatformProfile, cfg: ServingConfig) -> Self {
-        let kv_per_token = profile.shape.kv_bytes_layer(1) * profile.shape.n_layers as u64;
-        let capacity_tokens =
-            profile.platform.kv_budget_bytes(profile.shape.weight_bytes) / kv_per_token.max(1);
+        let kv_per_token = profile.shape.kv_bytes_per_token() as u64;
+        let capacity_tokens = profile
+            .platform
+            .kv_budget_bytes(profile.shape.weight_bytes())
+            / kv_per_token.max(1);
         Self {
             profile,
             cfg,
@@ -332,7 +333,7 @@ impl ServingEngine {
                     };
                     restore_occupancy(&self.profile, method, history)
                 } else {
-                    hc_restore::sim::RestoreOccupancy {
+                    RestoreOccupancy {
                         io: 0.0,
                         compute: 0.0,
                     }
@@ -535,19 +536,11 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_restore::RestoreMethod;
-    use hc_simhw::platform::Platform;
-    use hc_simhw::profile::ModelShape;
+    use crate::platform::Platform;
+    use hc_model::ModelConfig;
 
-    fn shape_7b() -> ModelShape {
-        ModelShape {
-            n_layers: 32,
-            d_model: 4096,
-            d_ff: 11008,
-            elem_bytes: 2,
-            gated_ffn: true,
-            weight_bytes: 13_476_000_000,
-        }
+    fn shape_7b() -> ModelConfig {
+        ModelConfig::llama2_7b()
     }
 
     fn profile() -> PlatformProfile {

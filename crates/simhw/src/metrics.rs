@@ -1,6 +1,6 @@
 //! Serving quality metrics: TTFT, TBT, throughput (§2.2, §6 metrics).
 
-use hc_simhw::Sec;
+use crate::Sec;
 
 /// Per-request timing record.
 #[derive(Debug, Clone, PartialEq)]

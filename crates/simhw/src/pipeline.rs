@@ -1,16 +1,14 @@
 //! Explicit two-stream restoration timeline (Figures 5 and 8d).
 //!
-//! The min-max objective of `partition` ignores pipeline-fill effects: the
-//! first hidden layer's projection cannot start until its transmission
-//! completes, and with tiny layer counts that matters. This module builds
-//! the per-layer schedule exactly: one IO stream moving state host→GPU in
-//! layer order, one compute stream whose layer-`l` work may depend on
-//! layer-`l` IO, with bubble accounting on both streams.
+//! The min-max objective of `hc_sched::partition` ignores pipeline-fill
+//! effects: the first hidden layer's projection cannot start until its
+//! transmission completes, and with tiny layer counts that matters. This
+//! module builds the per-layer schedule exactly: one IO stream moving state
+//! host→GPU in layer order, one compute stream whose layer-`l` work may
+//! depend on layer-`l` IO, with bubble accounting on both streams.
 
-use hc_simhw::profile::LayerCosts;
-use hc_simhw::Sec;
-
-use crate::partition::{LayerMethod, PartitionScheme};
+use hc_sched::cost::{LayerCosts, Sec};
+use hc_sched::partition::{LayerMethod, PartitionScheme};
 
 /// Work for one layer in restoration order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,7 +135,7 @@ pub fn simulate_scheme(costs: &LayerCosts, scheme: &PartitionScheme, n_layers: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{partition_closed_form, PartitionScheme};
+    use hc_sched::partition::{partition_closed_form, PartitionScheme};
 
     fn costs(io_h: f64, c_h: f64, c_token: f64) -> LayerCosts {
         LayerCosts {
@@ -198,7 +196,7 @@ mod tests {
         let scheme = PartitionScheme {
             l_h: 2,
             l_o: 2,
-            complement: crate::partition::LayerMethod::Recompute,
+            complement: hc_sched::partition::LayerMethod::Recompute,
         };
         let t = simulate_scheme(&c, &scheme, 4);
         // Compute: 3+3 (recompute) then hidden (io done at 1,2 « 6): 6+1+1=8.
@@ -213,7 +211,7 @@ mod tests {
         let scheme = PartitionScheme {
             l_h: 2,
             l_o: 2,
-            complement: crate::partition::LayerMethod::KvOffload,
+            complement: hc_sched::partition::LayerMethod::KvOffload,
         };
         let t = simulate_scheme(&c, &scheme, 4);
         // IO: 1+1 (hidden) + 2+2 (kv) = 6; compute: fill 1 + 2 + 2 = 5.
@@ -250,7 +248,7 @@ mod tests {
         let c = costs(1.0, 1.7, 11.0);
         let n = 48;
         let scheme = partition_closed_form(&c, n);
-        let analytic = crate::partition::makespan(&c, n, scheme.l_h, scheme.complement);
+        let analytic = hc_sched::partition::makespan(&c, n, scheme.l_h, scheme.complement);
         let t = simulate_scheme(&c, &scheme, n);
         assert!(t.total >= analytic - 1e-9);
         assert!(t.total <= analytic + c.io_h + c.c_h + 1e-9);

@@ -4,88 +4,32 @@
 //! states (`L_H`) versus a complementary method (`L_O`) from four profiled
 //! per-layer quantities: `IO_H`, `IO_KV`, `C_H` and `C_Token`. The paper
 //! measures these offline on real hardware; we compute them from the device
-//! models in this crate. `hc-sched` consumes [`PlatformProfile`] directly.
-//!
-//! This module intentionally depends only on a minimal [`ModelShape`] rather
-//! than `hc-model`'s full config to keep the crate graph acyclic; the
-//! scheduler crate provides the conversion.
+//! models in this crate into `hc_sched`'s [`LayerCosts`], the type its
+//! partition solver reads, from the FLOP and byte formulas of
+//! `hc_model::ModelConfig`.
+
+use hc_model::ModelConfig;
 
 use crate::gemm::GemmModel;
 use crate::platform::Platform;
 use crate::Sec;
 
-/// The architecture facts the performance models need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelShape {
-    /// Number of transformer layers.
-    pub n_layers: usize,
-    /// Hidden dimension D.
-    pub d_model: usize,
-    /// FFN intermediate dimension.
-    pub d_ff: usize,
-    /// Bytes per stored element (2 = fp16).
-    pub elem_bytes: usize,
-    /// True for SwiGLU-style gated FFNs (3 matrices — Llama family).
-    pub gated_ffn: bool,
-    /// Model weight bytes (fp16), for KV-budget and decode-time modeling.
-    pub weight_bytes: u64,
-}
-
-impl ModelShape {
-    /// Hidden-state bytes per token per layer.
-    pub fn hidden_bytes_layer(&self, n_tokens: u64) -> u64 {
-        n_tokens * self.d_model as u64 * self.elem_bytes as u64
-    }
-
-    /// KV bytes per token per layer (K + V).
-    pub fn kv_bytes_layer(&self, n_tokens: u64) -> u64 {
-        2 * self.hidden_bytes_layer(n_tokens)
-    }
-
-    /// FLOPs to project hidden→KV for one layer (§3.2: `4·N·D²`).
-    pub fn flops_hidden_to_kv_layer(&self, n_tokens: u64) -> u64 {
-        4 * n_tokens * (self.d_model as u64).pow(2)
-    }
-
-    /// FLOPs for one full prefill layer (§3.2 with the architecture's real
-    /// FFN width; see `hc-model::ModelConfig::flops_prefill_layer`).
-    pub fn flops_prefill_layer(&self, n_tokens: u64) -> u64 {
-        let d = self.d_model as u64;
-        let n = n_tokens;
-        let ffn_mats: u64 = if self.gated_ffn { 6 } else { 4 };
-        // 4·N²·D: real attention kernel FLOPs (see hc-model's note).
-        8 * n * d * d + 4 * n * n * d + ffn_mats * n * d * self.d_ff as u64
-    }
-}
-
-/// Profiled per-layer restoration costs at a specific context length —
-/// the inputs to the §4.1.2 partition formulas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayerCosts {
-    /// Seconds to transmit one layer's hidden states host→GPU.
-    pub io_h: Sec,
-    /// Seconds to transmit one layer's KV cache host→GPU.
-    pub io_kv: Sec,
-    /// Seconds to recompute one layer's KV from hidden states (GEMM).
-    pub c_h: Sec,
-    /// Seconds of full prefill compute for one layer (token recomputation).
-    pub c_token: Sec,
-}
+pub use hc_sched::cost::LayerCosts;
 
 /// Offline profile of a (platform, model) pair.
 #[derive(Debug, Clone)]
 pub struct PlatformProfile {
     /// Hardware configuration.
     pub platform: Platform,
-    /// Model shape.
-    pub shape: ModelShape,
+    /// The model whose shape the costs are priced for.
+    pub shape: ModelConfig,
     /// GEMM timing model derived from the platform.
     pub gemm: GemmModel,
 }
 
 impl PlatformProfile {
     /// Builds the profile (the paper's offline profiling step).
-    pub fn new(platform: Platform, shape: ModelShape) -> Self {
+    pub fn new(platform: Platform, shape: ModelConfig) -> Self {
         let gemm = platform.gemm_model();
         Self {
             platform,
@@ -96,8 +40,8 @@ impl PlatformProfile {
 
     /// Per-layer costs for a history of `n_tokens`.
     pub fn layer_costs(&self, n_tokens: u64) -> LayerCosts {
-        let h_bytes = self.shape.hidden_bytes_layer(n_tokens);
-        let kv_bytes = self.shape.kv_bytes_layer(n_tokens);
+        let h_bytes = n_tokens * self.shape.hidden_bytes_per_token_layer() as u64;
+        let kv_bytes = n_tokens * self.shape.kv_bytes_per_token_layer() as u64;
         let io_h = self.platform.hidden_upload_secs(h_bytes);
         let io_kv = self.platform.kv_upload_secs(kv_bytes);
         // Two projections (K, V) per layer; each is an n×D·D×D GEMM sharded
@@ -126,8 +70,8 @@ impl PlatformProfile {
             return 0.0;
         }
         let hbm_bw = self.platform.gpu.hbm_bw * self.platform.n_gpus as f64;
-        let weight_read = self.shape.weight_bytes as f64 / hbm_bw;
-        let kv_bytes = (self.shape.n_layers as u64) * self.shape.kv_bytes_layer(total_ctx_tokens);
+        let weight_read = self.shape.weight_bytes() as f64 / hbm_bw;
+        let kv_bytes = total_ctx_tokens * self.shape.kv_bytes_per_token() as u64;
         let kv_read = kv_bytes as f64 / hbm_bw;
         // Compute for batch_size tokens (one per sequence) is tiny compared
         // to the memory traffic but kept for completeness.
@@ -147,12 +91,11 @@ impl PlatformProfile {
             return 0.0;
         }
         let d = self.shape.d_model as u64;
-        let ffn_mats: u64 = if self.shape.gated_ffn { 6 } else { 4 };
-        // Same as flops_prefill_layer but the N² attention term becomes
-        // N·(N+ctx): each new token attends to all prior context too.
-        let attn = 8 * n_tokens * d * d + 4 * n_tokens * (n_tokens + ctx_tokens) * d;
-        let ffn = ffn_mats * n_tokens * d * self.shape.d_ff as u64;
-        let per_layer = self.gemm.time_for_flops(attn + ffn, n_tokens as usize);
+        // The full prefill layer plus the attention over prior context:
+        // the N² attention term becomes N·(N+ctx), each new token attending
+        // to all prior context too.
+        let flops = self.shape.flops_prefill_layer(n_tokens) + 4 * n_tokens * ctx_tokens * d;
+        let per_layer = self.gemm.time_for_flops(flops, n_tokens as usize);
         per_layer * self.shape.n_layers as f64
     }
 }
@@ -162,15 +105,8 @@ mod tests {
     use super::*;
     use crate::gpu::GpuSpec;
 
-    fn llama7b_shape() -> ModelShape {
-        ModelShape {
-            n_layers: 32,
-            d_model: 4096,
-            d_ff: 11008,
-            elem_bytes: 2,
-            gated_ffn: true,
-            weight_bytes: 13_476_000_000,
-        }
+    fn llama7b_shape() -> ModelConfig {
+        ModelConfig::llama2_7b()
     }
 
     fn default_profile() -> PlatformProfile {

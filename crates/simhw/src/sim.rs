@@ -1,8 +1,8 @@
 //! Timed restoration simulation for every method (the evaluation's engine).
 //!
-//! Times come from the `hc-simhw` profile (device models calibrated to
-//! Table 2) combined with the `hc-sched` two-stream pipeline. Each method
-//! maps to a layer-task structure:
+//! Times come from the [`PlatformProfile`] (device models calibrated to
+//! Table 2) combined with the two-stream [`pipeline`](crate::pipeline).
+//! Each method maps to a layer-task structure:
 //!
 //! * `Recompute` — compute-only tasks (`C_Token` per layer).
 //! * `KvOffload` — IO-only tasks (`IO_KV` per layer), plus per-chunk SSD
@@ -15,12 +15,11 @@
 //! * `Ideal` — zero.
 
 use hc_sched::partition::{makespan, partition_closed_form, LayerMethod, PartitionScheme};
-use hc_sched::pipeline::{simulate, simulate_scheme, LayerTask};
-use hc_simhw::profile::PlatformProfile;
-use hc_simhw::storagehw::StorageTier;
-use hc_simhw::Sec;
 
-use crate::RestoreMethod;
+use crate::pipeline::{simulate, simulate_scheme, LayerTask};
+use crate::profile::PlatformProfile;
+use crate::storagehw::StorageTier;
+use crate::{RestoreMethod, Sec};
 
 /// Timed outcome of restoring `n_tokens` of history.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,15 +36,13 @@ pub struct RestoreSim {
 
 /// Per-layer SSD chunk-read latency addition: reading one layer's chunks
 /// costs the tier's queueing/latency beyond pure bandwidth.
-fn layer_io_overhead(profile: &PlatformProfile, bytes_per_layer: u64) -> Sec {
+fn layer_io_overhead(profile: &PlatformProfile) -> Sec {
     match &profile.platform.storage {
         StorageTier::Dram => 0.0,
-        StorageTier::SsdArray { spec, count } => {
-            // Round-robin chunks hide all but roughly one command latency
-            // per device stripe; charge one latency per layer read wave.
-            let _ = (bytes_per_layer, count);
-            spec.io_latency
-        }
+        // Round-robin chunks hide all but roughly one command latency per
+        // device stripe; charge one latency per layer read wave, whatever
+        // the layer's bytes.
+        StorageTier::SsdArray { spec, .. } => spec.io_latency,
     }
 }
 
@@ -57,8 +54,7 @@ pub fn simulate_restore(
 ) -> RestoreSim {
     let n_layers = profile.shape.n_layers;
     let costs = profile.layer_costs(n_tokens);
-    let h_ovh = layer_io_overhead(profile, profile.shape.hidden_bytes_layer(n_tokens));
-    let kv_ovh = layer_io_overhead(profile, profile.shape.kv_bytes_layer(n_tokens));
+    let io_ovh = layer_io_overhead(profile);
 
     let secs = match method {
         RestoreMethod::Ideal => 0.0,
@@ -72,7 +68,7 @@ pub fn simulate_restore(
         }
         RestoreMethod::KvOffload => {
             let task = LayerTask {
-                io: costs.io_kv + kv_ovh,
+                io: costs.io_kv + io_ovh,
                 compute: 0.0,
                 compute_needs_io: false,
             };
@@ -80,7 +76,7 @@ pub fn simulate_restore(
         }
         RestoreMethod::HCacheO => {
             let task = LayerTask {
-                io: costs.io_h + h_ovh,
+                io: costs.io_h + io_ovh,
                 compute: costs.c_h,
                 compute_needs_io: true,
             };
@@ -89,7 +85,7 @@ pub fn simulate_restore(
         RestoreMethod::NaiveHybrid => {
             // Bubble-free split between recompute (compute-only) and KV
             // offload (IO-only): C_T·L_re == IO_KV·L_kv.
-            let io_kv = costs.io_kv + kv_ovh;
+            let io_kv = costs.io_kv + io_ovh;
             let l_re = ((n_layers as f64 * io_kv) / (io_kv + costs.c_token)).round() as usize;
             let l_re = l_re.min(n_layers);
             let mut tasks = Vec::with_capacity(n_layers);
@@ -113,8 +109,8 @@ pub fn simulate_restore(
         }
         RestoreMethod::HCache => {
             let mut adj = costs;
-            adj.io_h += h_ovh;
-            adj.io_kv += kv_ovh;
+            adj.io_h += io_ovh;
+            adj.io_kv += io_ovh;
             let scheme = partition_closed_form(&adj, n_layers);
             simulate_scheme(&adj, &scheme, n_layers).total
         }
@@ -158,8 +154,7 @@ pub fn restore_occupancy(
     }
     let n_layers = profile.shape.n_layers as f64;
     let costs = profile.layer_costs(n_tokens);
-    let h_ovh = layer_io_overhead(profile, profile.shape.hidden_bytes_layer(n_tokens));
-    let kv_ovh = layer_io_overhead(profile, profile.shape.kv_bytes_layer(n_tokens));
+    let io_ovh = layer_io_overhead(profile);
     match method {
         RestoreMethod::Ideal => RestoreOccupancy {
             io: 0.0,
@@ -170,15 +165,15 @@ pub fn restore_occupancy(
             compute: costs.c_token * n_layers,
         },
         RestoreMethod::KvOffload => RestoreOccupancy {
-            io: (costs.io_kv + kv_ovh) * n_layers,
+            io: (costs.io_kv + io_ovh) * n_layers,
             compute: 0.0,
         },
         RestoreMethod::HCacheO => RestoreOccupancy {
-            io: (costs.io_h + h_ovh) * n_layers,
+            io: (costs.io_h + io_ovh) * n_layers,
             compute: costs.c_h * n_layers,
         },
         RestoreMethod::NaiveHybrid => {
-            let io_kv = costs.io_kv + kv_ovh;
+            let io_kv = costs.io_kv + io_ovh;
             let l_re = ((n_layers * io_kv) / (io_kv + costs.c_token)).round();
             RestoreOccupancy {
                 io: io_kv * (n_layers - l_re),
@@ -187,8 +182,8 @@ pub fn restore_occupancy(
         }
         RestoreMethod::HCache => {
             let mut adj = costs;
-            adj.io_h += h_ovh;
-            adj.io_kv += kv_ovh;
+            adj.io_h += io_ovh;
+            adj.io_kv += io_ovh;
             let scheme = partition_closed_form(&adj, profile.shape.n_layers);
             let (l_h, l_o) = (scheme.l_h as f64, scheme.l_o as f64);
             match scheme.complement {
@@ -240,30 +235,16 @@ pub fn analytic_makespan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_simhw::gpu::GpuSpec;
-    use hc_simhw::platform::Platform;
-    use hc_simhw::profile::ModelShape;
+    use crate::gpu::GpuSpec;
+    use crate::platform::Platform;
+    use hc_model::ModelConfig;
 
-    fn shape_7b() -> ModelShape {
-        ModelShape {
-            n_layers: 32,
-            d_model: 4096,
-            d_ff: 11008,
-            elem_bytes: 2,
-            gated_ffn: true,
-            weight_bytes: 13_476_000_000,
-        }
+    fn shape_7b() -> ModelConfig {
+        ModelConfig::llama2_7b()
     }
 
-    fn shape_13b() -> ModelShape {
-        ModelShape {
-            n_layers: 40,
-            d_model: 5120,
-            d_ff: 13824,
-            elem_bytes: 2,
-            gated_ffn: true,
-            weight_bytes: 26_032_000_000,
-        }
+    fn shape_13b() -> ModelConfig {
+        ModelConfig::llama2_13b()
     }
 
     fn default_profile() -> PlatformProfile {
@@ -333,7 +314,7 @@ mod tests {
                 name: "A30+4SSD".into(),
                 gpu: GpuSpec::a30(),
                 n_gpus: 1,
-                storage: hc_simhw::storagehw::StorageTier::default_testbed(),
+                storage: StorageTier::default_testbed(),
             },
             shape_7b(),
         );

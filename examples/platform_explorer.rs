@@ -7,14 +7,13 @@
 //!
 //! Run with: `cargo run --release --example platform_explorer`
 
+use hc_simhw::gpu::GpuSpec;
+use hc_simhw::platform::Platform;
+use hc_simhw::profile::PlatformProfile;
+use hc_simhw::sim::{hcache_scheme, simulate_restore};
+use hc_simhw::RestoreMethod;
 use hcache::model::ModelConfig;
-use hcache::restore::sim::{hcache_scheme, simulate_restore};
-use hcache::restore::RestoreMethod;
 use hcache::sched::partition::LayerMethod;
-use hcache::sched::shape_of;
-use hcache::simhw::gpu::GpuSpec;
-use hcache::simhw::platform::Platform;
-use hcache::simhw::profile::PlatformProfile;
 
 fn main() {
     let n_tokens = 1024u64;
@@ -28,7 +27,7 @@ fn main() {
     for cfg in [ModelConfig::llama2_7b(), ModelConfig::llama2_13b()] {
         for gpu in GpuSpec::table2() {
             let platform = Platform::dram_backed(gpu.clone(), 1);
-            let profile = PlatformProfile::new(platform, shape_of(&cfg));
+            let profile = PlatformProfile::new(platform, cfg.clone());
             let speeds: Vec<f64> = [
                 RestoreMethod::Recompute,
                 RestoreMethod::KvOffload,
@@ -58,7 +57,7 @@ fn main() {
     );
     for cfg in [ModelConfig::llama2_7b(), ModelConfig::llama2_13b()] {
         for ssds in [1usize, 2, 3, 4] {
-            let profile = PlatformProfile::new(Platform::a100_with_ssds(1, ssds), shape_of(&cfg));
+            let profile = PlatformProfile::new(Platform::a100_with_ssds(1, ssds), cfg.clone());
             let rec = simulate_restore(&profile, RestoreMethod::Recompute, n_tokens).speed;
             let kv = simulate_restore(&profile, RestoreMethod::KvOffload, n_tokens).speed;
             let hc = simulate_restore(&profile, RestoreMethod::HCache, n_tokens).speed;
@@ -82,7 +81,7 @@ fn main() {
         } else {
             Platform::default_testbed_single_gpu()
         };
-        let profile = PlatformProfile::new(platform, shape_of(&cfg));
+        let profile = PlatformProfile::new(platform, cfg.clone());
         let scheme = hcache_scheme(&profile, n_tokens);
         let hc_cost = scheme.storage_bytes_per_token(cfg.d_model, cfg.elem_bytes);
         let kv_cost = cfg.kv_bytes_per_token() as u64;

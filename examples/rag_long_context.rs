@@ -8,17 +8,16 @@
 //!
 //! Run with: `cargo run --release --example rag_long_context`
 
+use hc_simhw::platform::Platform;
+use hc_simhw::profile::PlatformProfile;
+use hc_simhw::sim::simulate_restore;
+use hc_simhw::RestoreMethod;
+use hc_workload::leval;
 use hcache::model::{KvCache, Model, ModelConfig};
 use hcache::restore::engine::{restore_session, save_session_state};
-use hcache::restore::sim::simulate_restore;
-use hcache::restore::RestoreMethod;
 use hcache::sched::partition::PartitionScheme;
-use hcache::sched::shape_of;
-use hcache::simhw::platform::Platform;
-use hcache::simhw::profile::PlatformProfile;
 use hcache::storage::backend::MemStore;
 use hcache::storage::manager::StorageManager;
-use hcache::workload::leval;
 use std::sync::Arc;
 
 fn main() {
@@ -82,7 +81,7 @@ fn main() {
     println!("=== projected restoration cost, Llama2-7B on A100 + 4xPM9A3 ===");
     let profile = PlatformProfile::new(
         Platform::default_testbed_single_gpu(),
-        shape_of(&ModelConfig::llama2_7b()),
+        ModelConfig::llama2_7b(),
     );
     let task = leval::PAPER_ASSISTANT;
     let ctx = task.context_mean as u64;

@@ -16,13 +16,11 @@
 //!   beats KV offload (Fig 15).
 
 use hc_model::ModelConfig;
-use hc_restore::sim::{hcache_scheme, simulate_restore};
-use hc_restore::RestoreMethod;
-use hc_sched::shape_of;
-use hc_serving::{ServingConfig, ServingEngine};
 use hc_simhw::gpu::GpuSpec;
 use hc_simhw::platform::Platform;
 use hc_simhw::profile::PlatformProfile;
+use hc_simhw::sim::{hcache_scheme, simulate_restore};
+use hc_simhw::{RestoreMethod, ServingConfig, ServingEngine};
 use hc_workload::arrival::schedule_sessions;
 use hc_workload::leval::{generate_requests, table1_subtasks, LEVAL_AVG};
 use hc_workload::rng::Rng;
@@ -36,7 +34,7 @@ fn paper_profile(cfg: &ModelConfig) -> PlatformProfile {
     } else {
         Platform::default_testbed_single_gpu()
     };
-    PlatformProfile::new(platform, shape_of(cfg))
+    PlatformProfile::new(platform, cfg.clone())
 }
 
 /// Mean TTFT of `reqs` under `method` with the paper's default serving
@@ -68,7 +66,7 @@ fn restoration_speedup_vs_kv_offload_within_paper_band() {
             let n_gpus = if cfg.n_layers >= 48 { 4 } else { 1 };
             let profile = PlatformProfile::new(
                 Platform::a100_with_ssds(n_gpus, n_ssds * n_gpus),
-                shape_of(&cfg),
+                cfg.clone(),
             );
             let kv = simulate_restore(&profile, RestoreMethod::KvOffload, 4096).secs;
             let hc = simulate_restore(&profile, RestoreMethod::HCache, 4096).secs;
@@ -159,7 +157,7 @@ fn fig12_inversion_and_rescue() {
                     count: ssds,
                 },
             },
-            shape_of(&cfg),
+            cfg.clone(),
         );
         let kv = simulate_restore(&profile, RestoreMethod::KvOffload, 1024).speed;
         let ho = simulate_restore(&profile, RestoreMethod::HCacheO, 1024).speed;
@@ -177,7 +175,7 @@ fn fig12_inversion_and_rescue() {
             n_gpus: 1,
             storage: hc_simhw::storagehw::StorageTier::default_testbed(),
         },
-        shape_of(&ModelConfig::llama2_7b()),
+        ModelConfig::llama2_7b(),
     );
     let kv = simulate_restore(&io_sufficient, RestoreMethod::KvOffload, 1024).speed;
     let ho = simulate_restore(&io_sufficient, RestoreMethod::HCacheO, 1024).speed;

@@ -7,14 +7,13 @@ use std::sync::Arc;
 
 use hc_model::{KvCache, Model, ModelConfig};
 use hc_restore::engine::{kv_max_error, restore_session, save_session_state};
-use hc_restore::sim::{analytic_makespan, hcache_scheme, simulate_restore};
-use hc_restore::RestoreMethod;
 use hc_sched::partition::{LayerMethod, PartitionScheme};
-use hc_sched::pipeline::simulate_scheme;
-use hc_sched::shape_of;
 use hc_simhw::gpu::GpuSpec;
+use hc_simhw::pipeline::simulate_scheme;
 use hc_simhw::platform::Platform;
 use hc_simhw::profile::PlatformProfile;
+use hc_simhw::sim::{analytic_makespan, hcache_scheme, simulate_restore};
+use hc_simhw::RestoreMethod;
 use hc_storage::backend::MemStore;
 use hc_storage::manager::StorageManager;
 
@@ -23,13 +22,10 @@ fn scheduler_scheme_drives_functional_engine() {
     // Pick a scheme with the real scheduler on real hardware profiles, then
     // rescale it to the tiny model and run the functional engine with it.
     let profiles = [
-        PlatformProfile::new(
-            Platform::a100_with_ssds(1, 1),
-            shape_of(&ModelConfig::llama2_13b()),
-        ),
+        PlatformProfile::new(Platform::a100_with_ssds(1, 1), ModelConfig::llama2_13b()),
         PlatformProfile::new(
             Platform::dram_backed(GpuSpec::a30(), 1),
-            shape_of(&ModelConfig::llama2_7b()),
+            ModelConfig::llama2_7b(),
         ),
     ];
     let cfg = ModelConfig::tiny_llama();
@@ -73,8 +69,7 @@ fn pipeline_total_bounded_by_analytic_makespan_plus_fill() {
     // idealized min-max objective only by pipeline-fill effects.
     for gpu in GpuSpec::table2() {
         for cfg in [ModelConfig::llama2_7b(), ModelConfig::llama2_13b()] {
-            let profile =
-                PlatformProfile::new(Platform::dram_backed(gpu.clone(), 1), shape_of(&cfg));
+            let profile = PlatformProfile::new(Platform::dram_backed(gpu.clone(), 1), cfg.clone());
             for n in [512u64, 4096] {
                 let scheme = hcache_scheme(&profile, n);
                 let costs = profile.layer_costs(n);
@@ -99,8 +94,7 @@ fn hcache_dominates_both_pure_methods_across_grid() {
     // be meaningfully *worse* than either pure baseline anywhere.
     for gpu in GpuSpec::table2() {
         for cfg in ModelConfig::paper_models() {
-            let profile =
-                PlatformProfile::new(Platform::dram_backed(gpu.clone(), 1), shape_of(&cfg));
+            let profile = PlatformProfile::new(Platform::dram_backed(gpu.clone(), 1), cfg.clone());
             let hc = simulate_restore(&profile, RestoreMethod::HCache, 2048).secs;
             let kv = simulate_restore(&profile, RestoreMethod::KvOffload, 2048).secs;
             let rec = simulate_restore(&profile, RestoreMethod::Recompute, 2048).secs;
@@ -120,9 +114,8 @@ fn schedule_shifts_with_hardware_balance() {
     // More compute (H800) or less IO (1 SSD) must shift the schedule
     // toward hidden states + recompute; more IO toward KV offload.
     let cfg = ModelConfig::llama2_13b();
-    let compute_rich =
-        PlatformProfile::new(Platform::dram_backed(GpuSpec::h800(), 1), shape_of(&cfg));
-    let io_poor = PlatformProfile::new(Platform::a100_with_ssds(1, 1), shape_of(&cfg));
+    let compute_rich = PlatformProfile::new(Platform::dram_backed(GpuSpec::h800(), 1), cfg.clone());
+    let io_poor = PlatformProfile::new(Platform::a100_with_ssds(1, 1), cfg.clone());
     let s_rich = hcache_scheme(&compute_rich, 1024);
     let s_poor = hcache_scheme(&io_poor, 1024);
     // Compute-rich with DRAM: compute fast relative to IO -> recompute
@@ -141,8 +134,8 @@ fn schedule_shifts_with_hardware_balance() {
 fn tp_group_restores_faster_than_single_gpu() {
     // §5 multi-GPU: sharded reads + all-gather should scale restoration.
     let cfg = ModelConfig::opt_30b();
-    let single = PlatformProfile::new(Platform::dram_backed(GpuSpec::a100(), 1), shape_of(&cfg));
-    let tp4 = PlatformProfile::new(Platform::dram_backed(GpuSpec::a100(), 4), shape_of(&cfg));
+    let single = PlatformProfile::new(Platform::dram_backed(GpuSpec::a100(), 1), cfg.clone());
+    let tp4 = PlatformProfile::new(Platform::dram_backed(GpuSpec::a100(), 4), cfg.clone());
     let s1 = simulate_restore(&single, RestoreMethod::HCache, 4096).speed;
     let s4 = simulate_restore(&tp4, RestoreMethod::HCache, 4096).speed;
     assert!(s4 > 2.5 * s1, "TP4 should scale restoration: {s1} -> {s4}");

@@ -2,11 +2,9 @@
 //! end, property-style invariants over the serving simulation.
 
 use hc_model::ModelConfig;
-use hc_restore::RestoreMethod;
-use hc_sched::shape_of;
-use hc_serving::{ServingConfig, ServingEngine};
 use hc_simhw::platform::Platform;
 use hc_simhw::profile::PlatformProfile;
+use hc_simhw::{RestoreMethod, ServingConfig, ServingEngine};
 use hc_workload::arrival::schedule_sessions;
 use hc_workload::leval::{generate_requests, QUALITY};
 use hc_workload::sharegpt::{generate_sessions, ShareGptConfig};
@@ -15,7 +13,7 @@ use proptest::prelude::*;
 fn profile_7b() -> PlatformProfile {
     PlatformProfile::new(
         Platform::default_testbed_single_gpu(),
-        shape_of(&ModelConfig::llama2_7b()),
+        ModelConfig::llama2_7b(),
     )
 }
 
